@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import intervals, layers, orbits, parallel, selfcheck
-from .counting import METHODS, lambda_any, verify_result
+from .counting import METHODS, lambda_any, plus4_pruned_term_count, verify_result
 from .errors import (
     BudgetError,
     UnsupportedCombinationError,
@@ -186,9 +186,11 @@ def cmd_lambda(cfg: RunConfig) -> int:
     if cfg.target is None or cfg.method is None:
         raise ValueError("lambda needs a target index and a method")
     if cfg.method == "plus4" and cfg.target == 9:
+        base = layers.generate_layer(5, cfg.budget_mb)
+        terms = plus4_pruned_term_count(base, orbits.classify(base))
         print(
-            "mbfcount: note: the n=9 run evaluates ~1.1e12 interval products;"
-            " expect days of CPU time on desktop hardware",
+            f"mbfcount: note: the n=9 run evaluates {terms:,} four-way interval"
+            " products (pruned plus4 over the n=5 classes)",
             file=sys.stderr,
         )
     result = lambda_any(

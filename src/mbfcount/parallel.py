@@ -20,7 +20,8 @@ _STATE: dict = {}
 
 
 def default_workers() -> int:
-    """Worker count from the environment, else hardware parallelism."""
+    """Worker count from the environment, else the CPUs this process may
+    run on (its affinity mask where the platform has one)."""
     env = os.environ.get(ENV_THREADS, "")
     if env.strip():
         try:
@@ -29,6 +30,8 @@ def default_workers() -> int:
             k = 0
         if k >= 1:
             return k
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -14,7 +14,10 @@ import pytest
 from mbfcount import layers, selfcheck
 from mbfcount.counting import LAMBDA_KNOWN, lambda_any
 
-MAX_WORKERS = os.cpu_count() or 1
+if hasattr(os, "sched_getaffinity"):
+    MAX_WORKERS = len(os.sched_getaffinity(0))
+else:
+    MAX_WORKERS = os.cpu_count() or 1
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:

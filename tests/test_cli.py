@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from mbfcount import counting
+from mbfcount import cli, counting
 from mbfcount.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -132,6 +132,16 @@ def test_lambda_verification_failure_still_prints(monkeypatch, capsys):
     assert code == EXIT_OK
 
 
+def test_lambda9_note_gives_exact_term_count(monkeypatch, capsys):
+    fake = counting.LambdaResult(9, "plus4", counting.LAMBDA_KNOWN[9], 5, 0.0)
+    monkeypatch.setattr(cli, "lambda_any", lambda *args, **kwargs: fake)
+    code, out, err = run(capsys, "lambda", "9", "plus4")
+    assert code == EXIT_OK
+    assert out.startswith(f"lambda n=9 method=plus4 value={counting.LAMBDA_KNOWN[9]}")
+    assert "417,628,327,127 four-way interval products" in err
+    assert "1.1e12" not in err and "days" not in err
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "nonsense")[0] == EXIT_USAGE
     assert run(capsys, "gen")[0] == EXIT_USAGE
@@ -158,13 +168,25 @@ def test_selfcheck_small(capsys):
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+def usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def test_threads_env_default(monkeypatch):
     monkeypatch.setenv(ENV_THREADS, "3")
     assert default_workers() == 3
     monkeypatch.setenv(ENV_THREADS, "junk")
-    assert default_workers() == (os.cpu_count() or 1)
+    assert default_workers() == usable_cpus()
     monkeypatch.delenv(ENV_THREADS)
-    assert default_workers() == (os.cpu_count() or 1)
+    assert default_workers() == usable_cpus()
+
+
+def test_default_workers_honour_affinity(monkeypatch):
+    monkeypatch.delenv(ENV_THREADS, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_workers() == 1
 
 
 def test_runconfig_validation(tmp_path):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mbfcount.core import Mbf, bottom, top
-from mbfcount.errors import BudgetError, WidthError
-from mbfcount.layers import generate_layer
+from mbfcount.errors import BudgetError, VerificationError, WidthError
+from mbfcount.layers import Layer, generate_layer
 from mbfcount.orbits import (
     VariablePermutation,
     adjacent_swap_sequence,
@@ -161,6 +161,29 @@ def test_classify_d5_class_count():
     assert len(cl) == 210
     assert sum(c.gamma for c in cl) == len(layer)
     assert gammas_consistent(cl, layer)
+
+
+def test_classify_d6_class_count():
+    layer = generate_layer(6)
+    cl = classify(layer)
+    assert len(cl) == 16_353
+    assert gammas_consistent(cl, layer)
+
+
+def test_classify_prefix_matches_per_element_grouping():
+    prefix = generate_layer(6).values[: 1 << 16]
+    reps, counts = np.unique(canonical_array(prefix, 6), return_counts=True)
+    got = classify(Layer(6, prefix))
+    assert [c.representative.bits for c in got] == reps.tolist()
+    assert [c.gamma for c in got] == counts.tolist()
+
+
+def test_classify_raises_when_a_representative_is_missing():
+    layer = generate_layer(5)
+    rep = next(c.representative.bits for c in classify(layer) if c.gamma > 1)
+    damaged = Layer(5, layer.values[layer.values != np.uint64(rep)])
+    with pytest.raises(VerificationError):
+        classify(damaged)
 
 
 def test_classify_workers_deterministic():
