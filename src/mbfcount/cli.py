@@ -189,8 +189,9 @@ def cmd_lambda(cfg: RunConfig) -> int:
         base = layers.generate_layer(5, cfg.budget_mb)
         terms = plus4_pruned_term_count(base, orbits.classify(base))
         print(
-            f"mbfcount: note: the n=9 run evaluates {terms:,} four-way interval"
-            " products (pruned plus4 over the n=5 classes)",
+            f"mbfcount: note: the n=9 run sums {terms:,} four-way interval"
+            " products (pruned plus4 over the n=5 classes); they are symmetric"
+            " in b and c, so the kernel evaluates about half, one per pair b <= c",
             file=sys.stderr,
         )
     result = lambda_any(

@@ -27,7 +27,8 @@ that constraint into closed sums over a smaller layer:
           blocks, each ranging over one interval ending at h; the count
           is the sum over (a, b, c, h) of the product of four interval
           counts.  The product vanishes unless dual(h) <= a, b, c <= h,
-          which the pruned strategy exploits.
+          which the pruned strategy exploits; swapping b and c swaps two
+          factors, so it also sums only b <= c and counts b < c twice.
 
   plus4c  the same k = 4 sum regrouped per top block h over orbit
           classes with dual(h) <= h, weight(h) > 2^(n-1), plus the
@@ -97,7 +98,10 @@ def exact_sum(a: np.ndarray) -> int:
     """Exact integer sum of nonnegative int64 entries below 2^52.
 
     Splitting at 26 bits keeps both partial sums inside int64 for any
-    array under 2^37 elements, then recombines in Python integers.
+    array under 2^37 elements, then recombines in Python integers.  The
+    caller guarantees the bound: lambda_plus4_direct raises before any
+    task runs unless every interval count c has c^4 < 2^52, and plus2's
+    gamma times upward count stays below 6! * d_6 < 2^33.
     """
     lo = int((a & np.int64((1 << 26) - 1)).sum())
     hi = int((a >> np.int64(26)).sum())
@@ -280,7 +284,7 @@ def _join_index_table(V: np.ndarray) -> np.ndarray:
     return J
 
 
-_PRUNED_CHUNK = 512
+_PRUNED_CHUNK = 64
 
 
 def _plus4_pruned_class(ci: int) -> int:
@@ -292,39 +296,69 @@ def _plus4_pruned_class(ci: int) -> int:
     ia = int(st["rep_idx"][ci])
     ida = int(dual_idx[ia])
     u = V[ia] | V[ida]
-    total = 0
+    # the product is symmetric in b and c, so sum only b <= c by interval
+    # index: per chunk of c in [lo, hi), the b in [0, lo) lie above the
+    # diagonal and count twice, the square of b, c in [lo, hi) counts once
+    off = diag = 0
     for ih in tops[(u & ~Vtops) == 0]:
         ih = int(ih)
         cidx = intervals[ih]
         dcidx = dual_idx[cidx]
-        col = RET[ih].astype(np.int64)
+        # entries are below 2^13 (lambda_plus4_direct checks), so a product
+        # of two fits int32 and of four stays below exact_sum's 2^52
+        col = RET[ih].astype(np.int32)
         jb_bot = J[ia, cidx]  # index of a | b, per b in the interval
         jb_a = J[ia, dcidx]  # a | dual(b)
         jb_b = J[ida, cidx]  # dual(a) | b
         jb_c = J[ida, dcidx]  # dual(a) | dual(b)
         for lo in range(0, len(cidx), _PRUNED_CHUNK):
-            cc = cidx[lo:lo + _PRUNED_CHUNK]
-            dcc = dcidx[lo:lo + _PRUNED_CHUNK]
-            prod = col[J[jb_bot[:, None], cc[None, :]]]
-            prod = prod * col[J[jb_a[:, None], dcc[None, :]]]
-            prod = prod * col[J[jb_b[:, None], dcc[None, :]]]
-            prod = prod * col[J[jb_c[:, None], cc[None, :]]]
-            total += exact_sum(prod)
-    return int(st["gammas"][ci]) * total
+            hi = lo + _PRUNED_CHUNK
+            # J is symmetric, so row k of Jc holds the joins with c = cidx[lo + k];
+            # the products below have one row per c and one column per b
+            Jc = J[cidx[lo:hi]]
+            Jdc = J[dcidx[lo:hi]]
+            p = col[Jc[:, jb_bot[:hi]]]  # a | b | c
+            p *= col[Jdc[:, jb_a[:hi]]]  # a | b* | c*
+            q = col[Jdc[:, jb_b[:hi]]]  # a* | b | c*
+            q *= col[Jc[:, jb_c[:hi]]]  # a* | b* | c
+            prod = p.astype(np.int64)
+            prod *= q
+            if lo:
+                off += exact_sum(prod[:, :lo])
+            diag += exact_sum(prod[:, lo:])
+    return int(st["gammas"][ci]) * (2 * off + diag)
+
+
+def _pruned_class_terms(V, tops, intervals, reps, rep_duals) -> np.ndarray:
+    """Ordered (b, c) pairs per class a: the squared sizes of [dual(h), h]
+    summed over the top blocks h >= a | dual(a)."""
+    Vtops = V[tops]
+    squares = np.array([len(intervals[int(ih)]) ** 2 for ih in tops], dtype=np.int64)
+    return np.array(
+        [squares[(u & ~Vtops) == 0].sum() for u in reps | rep_duals], dtype=np.int64
+    )
 
 
 def plus4_pruned_term_count(layer: Layer, classes: list[OrbitClass]) -> int:
-    """Number of (b, c) interval products the pruned strategy evaluates."""
+    """Number of ordered (b, c) interval products in the pruned plus4 sum.
+
+    The products are symmetric in b and c, so the kernel evaluates about
+    half of these, one per pair b <= c, and counts each pair b < c twice.
+    """
     V, n = layer.values, layer.n
     reps, _ = _rep_array(classes)
-    rep_duals = vecbits.dual_array(reps, n)
     tops, intervals = _tops_and_intervals(V, n)
-    Vtops = V[tops]
-    sizes = np.array([len(intervals[int(ih)]) for ih in tops], dtype=np.int64)
-    total = 0
-    for u in reps | rep_duals:
-        total += int((sizes[(u & ~Vtops) == 0] ** 2).sum())
-    return total
+    terms = _pruned_class_terms(V, tops, intervals, reps, vecbits.dual_array(reps, n))
+    return int(terms.sum())
+
+
+def _require_exact_products(max_count: int) -> None:
+    """Raise unless a product of four interval counts stays below 2^52."""
+    if max_count ** 4 >= 1 << 52:
+        raise VerificationError(
+            f"interval counts reach {max_count}, so four-way products reach"
+            f" {max_count ** 4} >= 2^52, beyond what exact_sum adds exactly"
+        )
 
 
 def lambda_plus4_direct(
@@ -349,8 +383,9 @@ def lambda_plus4_direct(
     reps, gammas = _rep_array(classes)
     rep_duals = vecbits.dual_array(reps, n)
     table = build_full_table(n, budget_mb)
-    tasks = list(range(len(classes)))
+    _require_exact_products(int(table.counts.max()))
     if strategy == "dense":
+        tasks = list(range(len(classes)))
         shared = {
             "values": V,
             "duals": vecbits.dual_array(V, n),
@@ -363,6 +398,8 @@ def lambda_plus4_direct(
         parts = parallel.run_tasks(_plus4_dense_class, tasks, workers, shared=shared)
     else:
         tops, intervals = _tops_and_intervals(V, n)
+        terms = _pruned_class_terms(V, tops, intervals, reps, rep_duals)
+        tasks = np.argsort(-terms, kind="stable").tolist()  # longest first
         shared = {
             "values": V,
             "join_idx": _join_index_table(V),

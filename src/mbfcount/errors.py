@@ -10,7 +10,8 @@ class BudgetError(RuntimeError):
 
 
 class VerificationError(RuntimeError):
-    """A computed count disagrees with the known reference values."""
+    """A computed count disagrees with the known reference values, or a
+    check that the arithmetic stays exact failed."""
 
 
 class UnsupportedCombinationError(ValueError):

@@ -139,6 +139,7 @@ def test_lambda9_note_gives_exact_term_count(monkeypatch, capsys):
     assert code == EXIT_OK
     assert out.startswith(f"lambda n=9 method=plus4 value={counting.LAMBDA_KNOWN[9]}")
     assert "417,628,327,127 four-way interval products" in err
+    assert "about half, one per pair b <= c" in err
     assert "1.1e12" not in err and "days" not in err
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -117,6 +118,59 @@ def test_plus4c_widening_equivalence(n, classes):
     )
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("n", [3, 4])
+def test_plus4_pruned_half_sum_over_many_chunks(n, chunk, classes, monkeypatch):
+    # intervals span several chunks of c, so pairs b < c in different
+    # chunks count twice; with 7 most intervals end in a ragged chunk
+    monkeypatch.setattr(counting, "_PRUNED_CHUNK", chunk)
+    layer, cl = setup(n, classes)
+    got = lambda_plus4_direct(layer, cl, strategy="pruned")
+    assert got.value == LAMBDA_KNOWN[n + 4]
+
+
+def test_plus4_pruned_schedules_longest_first(classes, monkeypatch):
+    layer, cl = setup(4, classes)
+    submitted = []
+    real = parallel.run_tasks
+
+    def spy(fn, tasks, *args, **kwargs):
+        submitted.extend(tasks)
+        return real(fn, tasks, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_tasks", spy)
+    assert lambda_plus4_direct(layer, cl, strategy="pruned").value == LAMBDA_KNOWN[8]
+    assert sorted(submitted) == list(range(len(cl)))
+    terms = [plus4_pruned_term_count(layer, [cl[ci]]) for ci in submitted]
+    assert terms == sorted(terms, reverse=True)
+    assert terms[0] > terms[-1]
+
+
+def test_exact_product_bound_at_the_edge():
+    counting._require_exact_products(7581)  # the widest interval at n=5
+    counting._require_exact_products(8191)
+    with pytest.raises(VerificationError, match="2\\^52"):
+        counting._require_exact_products(8192)  # 8192^4 = 2^52
+
+
+@pytest.mark.parametrize("strategy", ["dense", "pruned"])
+def test_plus4_refuses_counts_beyond_exact_range(strategy, classes, monkeypatch):
+    real_table = counting.build_full_table
+
+    def inflated(n, budget_mb=None):
+        table = real_table(n, budget_mb)
+        return dataclasses.replace(table, counts=np.full(table.counts.shape, 8192))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a task was submitted")
+
+    monkeypatch.setattr(counting, "build_full_table", inflated)
+    monkeypatch.setattr(parallel, "run_tasks", never)
+    layer, cl = setup(2, classes)
+    with pytest.raises(VerificationError):
+        lambda_plus4_direct(layer, cl, strategy=strategy)
+
+
 def test_plus4_pruned_term_count_matches_direct_loop(classes):
     for n in range(3):
         layer, cl = setup(n, classes)
@@ -186,6 +240,8 @@ def test_workers_do_not_change_values(classes):
         lambda_plus4_classes(layer, cl, workers=1).value
         == lambda_plus4_classes(layer, cl, workers=2).value
     )
+    pruned = [lambda_plus4_direct(layer, cl, workers=w, strategy="pruned") for w in (1, 2)]
+    assert [r.value for r in pruned] == [LAMBDA_KNOWN[8]] * 2
 
 
 def test_exact_sum():
