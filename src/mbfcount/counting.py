@@ -274,13 +274,38 @@ def _tops_and_intervals(V: np.ndarray, n: int):
     return tops, intervals
 
 
-def _join_index_table(V: np.ndarray) -> np.ndarray:
-    """J[i, j] = index of V[i] | V[j]; needs the layer closed under joins."""
+_JOIN_CHUNK = 128
+
+
+def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
+    """J[i, j] = index of V[i] | V[j] in V, the layer D_n.
+
+    Each x in D_n is the pair x0 <= x1 of its low and high halves in
+    D_{n-1}, and x | y = (x0 | y0, x1 | y1), so J comes from the join
+    table of D_{n-1} (built the same way, one layer down) and one flat
+    lookup from the pair of half indices to the index in D_n, filled
+    _JOIN_CHUNK rows at a time.  D_0 = {0, 1} has no lower layer; there
+    the join is the larger index.
+    """
     d = len(V)
     dtype = np.uint16 if d < (1 << 16) else np.int32
+    if n == 0:
+        idx = np.arange(d)
+        return np.maximum(idx[:, None], idx[None, :]).astype(dtype)
+    P = generate_layer(n - 1).values
+    dp = len(P)
+    halfw = table_width(n - 1)
+    i0 = np.searchsorted(P, V & np.uint64((1 << halfw) - 1))
+    i1 = np.searchsorted(P, V >> np.uint64(halfw))
+    Jp = _join_index_table(P, n - 1).astype(np.int32)  # dp * dp < 2^31
+    low = Jp[:, i0] * dp  # row p: (index of p | x0) * dp, per x in D_n
+    high = Jp[:, i1]  # row p: index of p | x1
+    pair = np.zeros(dp * dp, dtype=dtype)
+    pair[i0 * dp + i1] = np.arange(d)
     J = np.empty((d, d), dtype=dtype)
-    for i in range(d):
-        J[i] = np.searchsorted(V, V[i] | V)
+    for lo in range(0, d, _JOIN_CHUNK):
+        hi = lo + _JOIN_CHUNK
+        J[lo:hi] = pair[low[i0[lo:hi]] + high[i1[lo:hi]]]
     return J
 
 
@@ -289,7 +314,7 @@ _PRUNED_CHUNK = 64
 
 def _plus4_pruned_class(ci: int) -> int:
     st = parallel.state()
-    V, J, RET = st["values"], st["join_idx"], st["re_by_top"]
+    V, J, RE = st["values"], st["join_idx"], st["re"]
     dual_idx = st["dual_idx"]
     tops, intervals = st["tops"], st["intervals"]
     Vtops = st["top_values"]
@@ -304,9 +329,11 @@ def _plus4_pruned_class(ci: int) -> int:
         ih = int(ih)
         cidx = intervals[ih]
         dcidx = dual_idx[cidx]
-        # entries are below 2^13 (lambda_plus4_direct checks), so a product
-        # of two fits int32 and of four stays below exact_sum's 2^52
-        col = RET[ih].astype(np.int32)
+        # col[x] = re(x, h) = re(h*, x*): dual reverses the order, so the
+        # column of h is a gather from the contiguous row of h*; entries are
+        # below 2^13 (lambda_plus4_direct checks), so a product of two fits
+        # int32 and of four stays below exact_sum's 2^52
+        col = RE[dual_idx[ih]][dual_idx].astype(np.int32)
         jb_bot = J[ia, cidx]  # index of a | b, per b in the interval
         jb_a = J[ia, dcidx]  # a | dual(b)
         jb_b = J[ida, cidx]  # dual(a) | b
@@ -402,8 +429,8 @@ def lambda_plus4_direct(
         tasks = np.argsort(-terms, kind="stable").tolist()  # longest first
         shared = {
             "values": V,
-            "join_idx": _join_index_table(V),
-            "re_by_top": np.ascontiguousarray(table.counts.T),
+            "join_idx": _join_index_table(V, n),
+            "re": table.counts,
             "dual_idx": np.searchsorted(V, vecbits.dual_array(V, n)).astype(np.int32),
             "tops": tops,
             "intervals": intervals,

@@ -12,7 +12,11 @@ Two independent routes compute |{z : x <= z <= y}|:
 
 Bulk tables: upward counts (to the top element) for a given element
 list, and the full all-pairs matrix for small n, computed exactly as a
-boolean matrix product of the order relation with itself.
+product of the 0/1 order relation with itself.  The layer is sorted
+ascending and x <= z as sets implies x <= z as integers, so the relation
+and the matrix are upper triangular: the product runs over blocks on and
+above the diagonal only, and for block (i, j) only the z between the two
+blocks can lie between an x of block i and a y of block j.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import parallel
 from .core import Mbf, table_width, to_hex
-from .errors import BudgetError, WidthError
+from .errors import BudgetError, VerificationError, WidthError
 from .layers import DEFAULT_BUDGET_MB, Layer, generate_layer
 
 MAX_MEMO_ENTRIES = 10_000_000
@@ -204,12 +208,27 @@ def build_upward_table(source, n: int | None = None, budget_mb: int | None = Non
     return IntervalTable(n, "upward", xs, upward_counts(n, xs, workers))
 
 
+_FULL_BLOCK = 512
+
+
 def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
-    """All-pairs interval matrix; n <= 5 (above that it cannot fit)."""
+    """All-pairs interval matrix, uint16; n <= 5 (above that it cannot fit).
+
+    counts = L @ L for the 0/1 order relation L[x, z] = (x <= z), taken in
+    float32 over square blocks of _FULL_BLOCK indices: block (i, j) with
+    j >= i is L[i, i..j] @ L[i..j, j], and blocks below the diagonal stay
+    zero.  Exact while d < 2^16: entries fit uint16, float32 sums of 0/1
+    products stay below 2^24.
+    """
     if n > 5:
         raise BudgetError(f"full interval table for n={n} is out of budget")
     layer = generate_layer(n, budget_mb)
     d = len(layer)
+    if d >= 1 << 16:
+        raise VerificationError(
+            f"full interval table for n={n} has {d} >= 2^16 rows, beyond what"
+            f" uint16 entries and float32 sums hold exactly"
+        )
     budget = DEFAULT_BUDGET_MB if budget_mb is None else budget_mb
     need_mb = d * d * 10 / 1e6
     if need_mb > budget:
@@ -218,17 +237,14 @@ def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
             f" {budget} MB budget"
         )
     V = layer.values
-    if n <= 4:
-        L = ((V[:, None] & ~V[None, :]) == 0).astype(np.int64)
-        counts = L @ L  # (L @ L)[x, y] counts z with x <= z and z <= y
-    else:
-        # exact in float32: entries are 0/1 and row sums stay below 2^24
-        Lf = np.empty((d, d), dtype=np.float32)
-        for lo in range(0, d, 512):
-            Lf[lo:lo + 512] = (V[lo:lo + 512, None] & ~V[None, :]) == 0
-        counts = np.empty((d, d), dtype=np.uint16)
-        for lo in range(0, d, 1024):
-            counts[lo:lo + 1024] = (Lf[lo:lo + 1024] @ Lf).astype(np.uint16)
+    B = _FULL_BLOCK
+    Lf = np.empty((d, d), dtype=np.float32)
+    for lo in range(0, d, B):
+        Lf[lo:lo + B] = (V[lo:lo + B, None] & ~V[None, :]) == 0
+    counts = np.zeros((d, d), dtype=np.uint16)
+    for i in range(0, d, B):
+        for j in range(i, d, B):
+            counts[i:i + B, j:j + B] = Lf[i:i + B, i:j + B] @ Lf[i:j + B, j:j + B]
     return IntervalTable(n, "full", V, counts)
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mbfcount import intervals
+from mbfcount import intervals, vecbits
 from mbfcount.core import Mbf, bottom, dual, top
-from mbfcount.errors import BudgetError
+from mbfcount.errors import BudgetError, VerificationError
 from mbfcount.intervals import (
     IntervalTable,
     build_full_table,
@@ -14,7 +14,7 @@ from mbfcount.intervals import (
     save_upward_table,
     upward_counts,
 )
-from mbfcount.layers import generate_layer
+from mbfcount.layers import Layer, generate_layer
 
 from oracles import slow_interval_count
 
@@ -150,16 +150,50 @@ def test_full_table_n4_sampled():
         assert table.re(x, y) == re_scan(layer, x, y)
 
 
-def test_full_table_n5_exactness_sampled():
+@pytest.fixture(scope="module")
+def table5():
+    return build_full_table(5)
+
+
+def test_full_table_n5_exactness_sampled(table5):
     # the n=5 matrix is built through float32 matmul; spot-check hard
     layer = generate_layer(5)
-    table = build_full_table(5)
+    table = table5
     assert table.counts.dtype == np.uint16
     rng = np.random.default_rng(11)
     for i, j in rng.integers(0, len(layer), size=(300, 2)):
         x, y = layer.mbf(int(i)), layer.mbf(int(j))
         assert table.re(x, y) == re_fast(x, y)
     assert table.re(bottom(5), top(5)) == len(layer)
+
+
+def test_full_table_n5_whole_matrix(table5):
+    V = generate_layer(5).values
+    C = table5.counts
+    d = len(V)
+    assert not np.tril(C, -1).any()
+    assert (np.diagonal(C) == 1).all()
+    assert np.array_equal(C[:, -1], intervals._scan_upward(V, V))
+    below = np.array([np.count_nonzero((V & ~y) == 0) for y in V])
+    assert np.array_equal(C[0], below)
+    # re(x, y) = re(dual(y), dual(x)): the dual reverses the order
+    dual_idx = np.searchsorted(V, vecbits.dual_array(V, 5))
+    assert np.array_equal(C, C[dual_idx][:, dual_idx].T)
+    # every pair among the indices on either side of a block edge
+    edges = [0, d - 1]
+    for e in range(intervals._FULL_BLOCK, d, intervals._FULL_BLOCK):
+        edges += [e - 1, e]
+    for i in edges:
+        for j in edges:
+            assert C[i, j] == re_fast(Mbf(5, int(V[i])), Mbf(5, int(V[j])))
+
+
+def test_full_table_refuses_inexact_sizes(monkeypatch):
+    # 2^16 elements would overflow uint16 entries; refused before any matrix
+    big = Layer(5, np.arange(1 << 16, dtype=np.uint64))
+    monkeypatch.setattr(intervals, "generate_layer", lambda n, budget_mb=None: big)
+    with pytest.raises(VerificationError):
+        build_full_table(5)
 
 
 def test_on_demand_table():
