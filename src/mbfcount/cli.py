@@ -10,7 +10,8 @@ Commands
   selfcheck  run the cross-module invariant suites
 
 Exit codes: 0 success, 1 verification/selfcheck failure, 2 usage error,
-3 budget refusal.
+3 budget refusal or out of memory, 4 a worker process died, 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -18,10 +19,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from . import intervals, layers, orbits, parallel, selfcheck
-from .counting import METHODS, lambda_any, plus4_pruned_term_count, verify_result
+from .counting import (
+    METHODS,
+    fold_dual_classes,
+    lambda_any,
+    plus4_pruned_term_count,
+    verify_result,
+)
 from .errors import (
     BudgetError,
     UnsupportedCombinationError,
@@ -33,6 +41,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_WORKER = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 @dataclass
@@ -187,11 +197,15 @@ def cmd_lambda(cfg: RunConfig) -> int:
         raise ValueError("lambda needs a target index and a method")
     if cfg.method == "plus4" and cfg.target == 9:
         base = layers.generate_layer(5, cfg.budget_mb)
-        terms = plus4_pruned_term_count(base, orbits.classify(base))
+        classes = orbits.classify(base)
+        terms = plus4_pruned_term_count(base, classes)
+        folded = plus4_pruned_term_count(base, fold_dual_classes(classes, 5)[0])
         print(
             f"mbfcount: note: the n=9 run sums {terms:,} four-way interval"
-            " products (pruned plus4 over the n=5 classes); they are symmetric"
-            " in b and c, so the kernel evaluates about half, one per pair b <= c",
+            f" products (pruned plus4 over the n=5 classes); a class and its"
+            f" dual class have equal sums, so {folded:,} are summed, and they"
+            " are symmetric in b and c, so the kernel evaluates about half of"
+            " those, one per pair b <= c",
             file=sys.stderr,
         )
     result = lambda_any(
@@ -235,6 +249,15 @@ def main(argv=None) -> int:
     except (UnsupportedCombinationError, WidthError, ValueError, OSError) as e:
         print(f"mbfcount: error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("mbfcount: refused: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
+    except BrokenProcessPool:
+        print("mbfcount: a worker process died (killed, or out of memory)", file=sys.stderr)
+        return EXIT_WORKER
+    except KeyboardInterrupt:
+        print("mbfcount: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

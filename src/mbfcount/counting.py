@@ -27,8 +27,13 @@ that constraint into closed sums over a smaller layer:
           blocks, each ranging over one interval ending at h; the count
           is the sum over (a, b, c, h) of the product of four interval
           counts.  The product vanishes unless dual(h) <= a, b, c <= h,
-          which the pruned strategy exploits; swapping b and c swaps two
-          factors, so it also sums only b <= c and counts b < c twice.
+          which the pruned strategy exploits with one task per top block
+          h: per chunk of c it builds the rows re(c | x, h) and
+          re(c* | x, h) over x in [dual(h), h] once, and every class a
+          under h takes its four factors from them.  Swapping b and c
+          swaps two factors, so it sums only b <= c and counts b < c
+          twice; c -> c* maps the sum for a* onto the sum for a, so a
+          class and its dual class are summed once, with twice the weight.
 
   plus4c  the same k = 4 sum regrouped per top block h over orbit
           classes with dual(h) <= h, weight(h) > 2^(n-1), plus the
@@ -52,7 +57,7 @@ from .core import table_width
 from .errors import BudgetError, UnsupportedCombinationError, VerificationError
 from .intervals import build_full_table, upward_counts
 from .layers import Layer, generate_layer, self_dual_brute
-from .orbits import OrbitClass, classify
+from .orbits import OrbitClass, canonical_array, classify
 
 # reference values for verification (OEIS A001206); counts of self-dual
 # monotone functions of 0..9 variables
@@ -95,13 +100,19 @@ class LambdaResult:
 
 
 def exact_sum(a: np.ndarray) -> int:
-    """Exact integer sum of nonnegative int64 entries below 2^52.
+    """Exact integer sum of nonnegative int64 entries, for len(a) < 2^37
+    and len(a) * max(a) < 2^89.
 
-    Splitting at 26 bits keeps both partial sums inside int64 for any
-    array under 2^37 elements, then recombines in Python integers.  The
-    caller guarantees the bound: lambda_plus4_direct raises before any
-    task runs unless every interval count c has c^4 < 2^52, and plus2's
-    gamma times upward count stays below 6! * d_6 < 2^33.
+    Splitting at 26 bits keeps both partial sums inside int64: the low
+    parts sum below len(a) * 2^26 < 2^63 and the high parts below
+    len(a) * max(a) / 2^26 < 2^63; they recombine in Python integers.
+    The callers guarantee the bound.  plus2 sums gamma times an upward
+    count, below 6! * d_6 < 2^33, over at most 16,353 classes.  The pruned
+    plus4 kernel sums at most d_5 = 7,581 < 2^13 entries, each a sum of at
+    most _PRUNED_CHUNK four-way products; lambda_plus4_direct raises before
+    any task runs unless every interval count c has c^4 < 2^52
+    (_require_exact_products) and _PRUNED_CHUNK * 2^52 <= 2^63
+    (_require_exact_chunk_sums), so len(a) * max(a) < 2^76.
     """
     lo = int((a & np.int64((1 << 26) - 1)).sum())
     hi = int((a >> np.int64(26)).sum())
@@ -312,71 +323,99 @@ def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
 _PRUNED_CHUNK = 64
 
 
-def _plus4_pruned_class(ci: int) -> int:
+def _plus4_pruned_top(ih: int) -> int:
     st = parallel.state()
-    V, J, RE = st["values"], st["join_idx"], st["re"]
-    dual_idx = st["dual_idx"]
-    tops, intervals = st["tops"], st["intervals"]
-    Vtops = st["top_values"]
-    ia = int(st["rep_idx"][ci])
-    ida = int(dual_idx[ia])
-    u = V[ia] | V[ida]
+    V, J, RE, dual_idx = st["values"], st["join_idx"], st["re"], st["dual_idx"]
+    cidx = st["intervals"][ih]
+    dcidx = dual_idx[cidx]
+    m = len(cidx)
+    under = np.nonzero((st["rep_joins"] & ~V[ih]) == 0)[0]  # classes with a | a* <= h
+    # col[x] = re(x, h) = re(h*, x*): dual reverses the order, so the
+    # column of h is a gather from the contiguous row of h*; entries are
+    # below 2^13 (lambda_plus4_direct checks), so they fit int16, a product
+    # of two fits int32 and of four stays below 2^52
+    col = RE[dual_idx[ih]][dual_idx].astype(np.int16)
+    # a, a*, b and b* all lie in [h*, h], so each join of two does too;
+    # pos gives its column in the factor rows below
+    pos = np.zeros(len(V), dtype=np.intp)
+    pos[cidx] = np.arange(m)
+    joins = []
+    for ci in under:
+        ia, ida = int(st["rep_idx"][ci]), int(st["rep_dual_idx"][ci])
+        joins.append((
+            pos[J[ia, cidx]],  # a | b, per b in the interval
+            pos[J[ia, dcidx]],  # a | b*
+            pos[J[ida, cidx]],  # a* | b
+            pos[J[ida, dcidx]],  # a* | b*
+        ))
     # the product is symmetric in b and c, so sum only b <= c by interval
     # index: per chunk of c in [lo, hi), the b in [0, lo) lie above the
     # diagonal and count twice, the square of b, c in [lo, hi) counts once
-    off = diag = 0
-    for ih in tops[(u & ~Vtops) == 0]:
-        ih = int(ih)
-        cidx = intervals[ih]
-        dcidx = dual_idx[cidx]
-        # col[x] = re(x, h) = re(h*, x*): dual reverses the order, so the
-        # column of h is a gather from the contiguous row of h*; entries are
-        # below 2^13 (lambda_plus4_direct checks), so a product of two fits
-        # int32 and of four stays below exact_sum's 2^52
-        col = RE[dual_idx[ih]][dual_idx].astype(np.int32)
-        jb_bot = J[ia, cidx]  # index of a | b, per b in the interval
-        jb_a = J[ia, dcidx]  # a | dual(b)
-        jb_b = J[ida, cidx]  # dual(a) | b
-        jb_c = J[ida, dcidx]  # dual(a) | dual(b)
-        for lo in range(0, len(cidx), _PRUNED_CHUNK):
-            hi = lo + _PRUNED_CHUNK
-            # J is symmetric, so row k of Jc holds the joins with c = cidx[lo + k];
-            # the products below have one row per c and one column per b
-            Jc = J[cidx[lo:hi]]
-            Jdc = J[dcidx[lo:hi]]
-            p = col[Jc[:, jb_bot[:hi]]]  # a | b | c
-            p *= col[Jdc[:, jb_a[:hi]]]  # a | b* | c*
-            q = col[Jdc[:, jb_b[:hi]]]  # a* | b | c*
-            q *= col[Jc[:, jb_c[:hi]]]  # a* | b* | c
-            prod = p.astype(np.int64)
-            prod *= q
+    off = [0] * len(under)
+    diag = [0] * len(under)
+    for lo in range(0, m, _PRUNED_CHUNK):
+        hi = lo + _PRUNED_CHUNK
+        # J is symmetric, so row k holds the joins with c = cidx[lo + k]:
+        # Mc[k, x] = re(c | x, h) and Mdc[k, x] = re(c* | x, h) for every x
+        # in the interval, shared by all classes under h
+        Mc = col[J[cidx[lo:hi]][:, cidx]]
+        Mdc = col[J[dcidx[lo:hi]][:, cidx]]
+        for k, (j_bot, j_a, j_b, j_c) in enumerate(joins):
+            p = np.multiply(Mc[:, j_bot[:hi]], Mdc[:, j_a[:hi]], dtype=np.int32)  # a|b|c, a|b*|c*
+            q = np.multiply(Mdc[:, j_b[:hi]], Mc[:, j_c[:hi]], dtype=np.int32)  # a*|b|c*, a*|b*|c
+            # one sum per b over the chunk's rows, each below _PRUNED_CHUNK * 2^52
+            sums = np.einsum("ij,ij->j", p, q, dtype=np.int64)
             if lo:
-                off += exact_sum(prod[:, :lo])
-            diag += exact_sum(prod[:, lo:])
-    return int(st["gammas"][ci]) * (2 * off + diag)
+                off[k] += exact_sum(sums[:lo])
+            diag[k] += exact_sum(sums[lo:])
+    weights = st["class_weights"]  # gamma, doubled for a folded dual pair
+    return sum(weights[ci] * (2 * o + d) for ci, o, d in zip(under, off, diag))
 
 
-def _pruned_class_terms(V, tops, intervals, reps, rep_duals) -> np.ndarray:
-    """Ordered (b, c) pairs per class a: the squared sizes of [dual(h), h]
-    summed over the top blocks h >= a | dual(a)."""
-    Vtops = V[tops]
+def fold_dual_classes(classes: list[OrbitClass], n: int) -> tuple[list[OrbitClass], list[int]]:
+    """The classes the pruned plus4 sum evaluates, and the multiplicity of each.
+
+    The substitution c -> c* permutes the four factors, so a and a* have
+    equal sums at every top block, and relabeling the variables permutes
+    the top blocks, so a class and its dual class have equal partial sums.
+    When both are listed, only the first is kept, with multiplicity 2; a
+    self-dual class, or one whose dual class is not listed, keeps 1.
+    """
+    reps, _ = _rep_array(classes)
+    dual_reps = canonical_array(vecbits.dual_array(reps, n), n)
+    waiting: dict[int, list[int]] = {}  # representative -> kept, unpaired indices
+    kept, mult = [], []
+    for c, r, dr in zip(classes, reps.tolist(), dual_reps.tolist()):
+        if dr != r and waiting.get(dr):
+            mult[waiting[dr].pop()] = 2
+            continue
+        waiting.setdefault(r, []).append(len(kept))
+        kept.append(c)
+        mult.append(1)
+    return kept, mult
+
+
+def _pruned_terms(V, tops, intervals, reps, rep_duals) -> np.ndarray:
+    """Ordered (b, c) pairs per class a and top block h: the squared size
+    of [dual(h), h] where h >= a | dual(a), else 0 (one row per class)."""
     squares = np.array([len(intervals[int(ih)]) ** 2 for ih in tops], dtype=np.int64)
-    return np.array(
-        [squares[(u & ~Vtops) == 0].sum() for u in reps | rep_duals], dtype=np.int64
-    )
+    under = ((reps | rep_duals)[:, None] & ~V[tops][None, :]) == 0
+    return under * squares
 
 
 def plus4_pruned_term_count(layer: Layer, classes: list[OrbitClass]) -> int:
-    """Number of ordered (b, c) interval products in the pruned plus4 sum.
+    """Number of ordered (b, c) interval products summed for these classes.
 
-    The products are symmetric in b and c, so the kernel evaluates about
-    half of these, one per pair b <= c, and counts each pair b < c twice.
+    Each listed class counts once: over all 210 classes of the n=5 layer
+    that is 417,628,327,127.  The kernel sums a class and its dual class
+    once (fold_dual_classes), so it is given 227,793,759,723 over the 112
+    classes the fold keeps; and since the products are symmetric in b and
+    c, it evaluates about half of those, one per pair b <= c.
     """
     V, n = layer.values, layer.n
     reps, _ = _rep_array(classes)
     tops, intervals = _tops_and_intervals(V, n)
-    terms = _pruned_class_terms(V, tops, intervals, reps, vecbits.dual_array(reps, n))
-    return int(terms.sum())
+    return int(_pruned_terms(V, tops, intervals, reps, vecbits.dual_array(reps, n)).sum())
 
 
 def _require_exact_products(max_count: int) -> None:
@@ -384,7 +423,16 @@ def _require_exact_products(max_count: int) -> None:
     if max_count ** 4 >= 1 << 52:
         raise VerificationError(
             f"interval counts reach {max_count}, so four-way products reach"
-            f" {max_count ** 4} >= 2^52, beyond what exact_sum adds exactly"
+            f" {max_count ** 4} >= 2^52, beyond the exact range of the int64 sums"
+        )
+
+
+def _require_exact_chunk_sums(chunk: int) -> None:
+    """Raise unless a chunk's sum of products below 2^52 stays in int64."""
+    if chunk << 52 > 1 << 63:
+        raise VerificationError(
+            f"the pruned kernel sums {chunk} products below 2^52 in int64"
+            f" before exact_sum; more than 2^11 can reach 2^63"
         )
 
 
@@ -407,11 +455,10 @@ def lambda_plus4_direct(
     if strategy == "dense" and n > 4:
         raise BudgetError("dense plus4 needs the full matrix in int64; use pruned")
     V = layer.values
-    reps, gammas = _rep_array(classes)
-    rep_duals = vecbits.dual_array(reps, n)
     table = build_full_table(n, budget_mb)
     _require_exact_products(int(table.counts.max()))
     if strategy == "dense":
+        reps, gammas = _rep_array(classes)
         tasks = list(range(len(classes)))
         shared = {
             "values": V,
@@ -419,26 +466,34 @@ def lambda_plus4_direct(
             "lut": _value_index_lut(V, n),
             "re": table.counts.astype(np.int64),
             "reps": reps,
-            "rep_duals": rep_duals,
+            "rep_duals": vecbits.dual_array(reps, n),
             "gammas": gammas,
         }
         parts = parallel.run_tasks(_plus4_dense_class, tasks, workers, shared=shared)
     else:
+        _require_exact_chunk_sums(_PRUNED_CHUNK)
+        kept, mult = fold_dual_classes(classes, n)
+        reps, gammas = _rep_array(kept)
+        rep_duals = vecbits.dual_array(reps, n)
         tops, intervals = _tops_and_intervals(V, n)
-        terms = _pruned_class_terms(V, tops, intervals, reps, rep_duals)
-        tasks = np.argsort(-terms, kind="stable").tolist()  # longest first
+        terms = _pruned_terms(V, tops, intervals, reps, rep_duals).sum(axis=0)
+        order = np.argsort(-terms, kind="stable")  # longest first
+        order = order[terms[order] > 0]
         shared = {
             "values": V,
             "join_idx": _join_index_table(V, n),
             "re": table.counts,
             "dual_idx": np.searchsorted(V, vecbits.dual_array(V, n)).astype(np.int32),
-            "tops": tops,
             "intervals": intervals,
-            "top_values": V[tops],
-            "rep_idx": np.searchsorted(V, reps).astype(np.int32),
-            "gammas": gammas,
+            "rep_joins": reps | rep_duals,
+            "rep_idx": np.searchsorted(V, reps),
+            "rep_dual_idx": np.searchsorted(V, rep_duals),
+            "class_weights": [g * k for g, k in zip(gammas.tolist(), mult)],
         }
-        parts = parallel.run_tasks(_plus4_pruned_class, tasks, workers, shared=shared)
+        parts = parallel.run_tasks(
+            _plus4_pruned_top, tops[order].tolist(), workers, shared=shared,
+            weights=terms[order].tolist(),
+        )
     value = sum(parts)
     return LambdaResult(n + 4, "plus4", value, n, time.perf_counter() - t0)
 

@@ -8,9 +8,11 @@ the outcome is independent of worker count and scheduling by construction.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 ENV_THREADS = "MBFCOUNT_THREADS"
@@ -40,13 +42,16 @@ def state() -> dict:
     return _STATE
 
 
-def run_tasks(fn, tasks, workers: int = 1, shared: dict | None = None) -> list:
+def run_tasks(fn, tasks, workers: int = 1, shared: dict | None = None, weights=None) -> list:
     """Map a module-level fn over tasks, results in task order.
 
     With workers <= 1 (or a single task, or no fork support) this runs
     inline; otherwise forked processes inherit the shared state.  The
     prior state is restored on return, so the shared arrays are not kept
-    alive past the call.
+    alive past the call.  With MBFCOUNT_PROGRESS=1 a line goes to stderr
+    at each hundredth of the work and after the last task: tasks done out
+    of all, or, when weights gives the exact term count of each task,
+    terms done out of the total with the rate and the time left.
     """
     global _STATE
     prior = _STATE
@@ -54,23 +59,49 @@ def run_tasks(fn, tasks, workers: int = 1, shared: dict | None = None) -> list:
         _STATE = shared
     try:
         tasks = list(tasks)
-        progress = os.environ.get(ENV_PROGRESS, "") == "1" and len(tasks) > 1
-        every = max(1, len(tasks) // 100)
+        report = _Progress(len(tasks), weights) if os.environ.get(ENV_PROGRESS, "") == "1" else None
         if workers <= 1 or len(tasks) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
             out = []
-            for i, t in enumerate(tasks):
-                out.append(fn(t))
-                if progress and (i + 1) % every == 0:
-                    print(f"[mbfcount] {i + 1}/{len(tasks)} tasks done", file=sys.stderr, flush=True)
+            for res in map(fn, tasks):
+                out.append(res)
+                if report is not None:
+                    report.done(len(out))
             return out
         ctx = multiprocessing.get_context("fork")
         nworkers = min(workers, len(tasks))
         with ProcessPoolExecutor(max_workers=nworkers, mp_context=ctx) as ex:
             out = []
-            for i, res in enumerate(ex.map(fn, tasks)):
+            for res in ex.map(fn, tasks):
                 out.append(res)
-                if progress and (i + 1) % every == 0:
-                    print(f"[mbfcount] {i + 1}/{len(tasks)} tasks done", file=sys.stderr, flush=True)
+                if report is not None:
+                    report.done(len(out))
             return out
     finally:
         _STATE = prior
+
+
+class _Progress:
+    """Progress lines for run_tasks: one per hundredth of the tasks, or of
+    the total weight when per-task weights are given, and one at the end."""
+
+    def __init__(self, n: int, weights) -> None:
+        self.n = n
+        self.weighted = weights is not None
+        self.cumulative = list(itertools.accumulate(weights if self.weighted else [1] * n))
+        self.shown = 0  # hundredths reported so far
+        self.t0 = time.perf_counter()
+
+    def done(self, i: int) -> None:
+        """Report after the i-th task (1-based) has finished."""
+        work, total = self.cumulative[i - 1], self.cumulative[-1]
+        hundredths = 100 * work // total if total else 100
+        if self.n <= 1 or (hundredths == self.shown and i != self.n):
+            return
+        self.shown = hundredths
+        if self.weighted:
+            rate = work / max(time.perf_counter() - self.t0, 1e-9)
+            eta = (total - work) / rate if rate else 0.0
+            line = f"{work:,}/{total:,} terms done, {rate:.3g} terms/s, ETA {eta:,.0f} s"
+        else:
+            line = f"{i}/{self.n} tasks done"
+        print(f"[mbfcount] {line}", file=sys.stderr, flush=True)

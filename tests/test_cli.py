@@ -1,13 +1,16 @@
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from mbfcount import cli, counting
 from mbfcount.cli import (
     EXIT_BUDGET,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    EXIT_WORKER,
     RunConfig,
     main,
 )
@@ -139,8 +142,33 @@ def test_lambda9_note_gives_exact_term_count(monkeypatch, capsys):
     assert code == EXIT_OK
     assert out.startswith(f"lambda n=9 method=plus4 value={counting.LAMBDA_KNOWN[9]}")
     assert "417,628,327,127 four-way interval products" in err
-    assert "about half, one per pair b <= c" in err
+    assert "dual class have equal sums, so 227,793,759,723 are summed" in err
+    assert "about half of those, one per pair b <= c" in err
     assert "1.1e12" not in err and "days" not in err
+
+
+def _raising(exc):
+    def handler(cfg):
+        raise exc
+
+    return handler
+
+
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [
+        (KeyboardInterrupt(), EXIT_INTERRUPTED, "mbfcount: interrupted"),
+        (MemoryError(), EXIT_BUDGET, "mbfcount: refused: out of memory"),
+        (BrokenProcessPool("gone"), EXIT_WORKER, "mbfcount: a worker process died"),
+    ],
+    ids=["interrupt", "memory", "worker"],
+)
+def test_failures_exit_without_traceback(exc, code, message, monkeypatch, capsys):
+    monkeypatch.setitem(cli._HANDLERS, "gen", _raising(exc))
+    got, out, err = run(capsys, "gen", "--n", "2")
+    assert (got, out) == (code, "")
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_usage_errors(tmp_path, capsys):

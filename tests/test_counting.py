@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from mbfcount import counting, parallel, vecbits
+from mbfcount import counting, orbits, parallel, vecbits
 from mbfcount.counting import (
     LAMBDA_KNOWN,
     LambdaResult,
@@ -147,19 +147,87 @@ def test_plus4_pruned_half_sum_over_many_chunks(n, chunk, classes, monkeypatch):
 
 def test_plus4_pruned_schedules_longest_first(classes, monkeypatch):
     layer, cl = setup(4, classes)
-    submitted = []
+    V = layer.values
+    duals = vecbits.dual_array(V, 4)
+    calls = []
     real = parallel.run_tasks
 
     def spy(fn, tasks, *args, **kwargs):
-        submitted.extend(tasks)
+        calls.append((list(tasks), kwargs["weights"]))
         return real(fn, tasks, *args, **kwargs)
 
     monkeypatch.setattr(parallel, "run_tasks", spy)
     assert lambda_plus4_direct(layer, cl, strategy="pruned").value == LAMBDA_KNOWN[8]
-    assert sorted(submitted) == list(range(len(cl)))
-    terms = [plus4_pruned_term_count(layer, [cl[ci]]) for ci in submitted]
-    assert terms == sorted(terms, reverse=True)
-    assert terms[0] > terms[-1]
+    [(submitted, weights)] = calls
+    # one task per top block h with dual(h) <= h and some kept class under it
+    kept, _ = counting.fold_dual_classes(cl, 4)
+    spans = [c.representative.bits | c.representative.dual().bits for c in kept]
+    assert len(set(submitted)) == len(submitted)
+    for ih, w in zip(submitted, weights):
+        h = int(V[ih])
+        assert int(duals[ih]) & ~h == 0
+        size = sum(1 for z in V.tolist() if int(duals[ih]) & ~z == 0 and z & ~h == 0)
+        under = sum(1 for u in spans if u & ~h == 0)
+        assert under > 0 and w == size * size * under
+    assert weights == sorted(weights, reverse=True)
+    assert weights[0] > weights[-1]
+    assert sum(weights) == plus4_pruned_term_count(layer, kept)
+
+
+def _dual_class(c, cl):
+    dual_rep = orbits.canonical(c.representative.dual()).bits
+    [match] = [d for d in cl if d.representative.bits == dual_rep]
+    return match
+
+
+def test_plus4_pruned_dual_classes_have_equal_partials(classes):
+    layer, cl = setup(4, classes)
+    partial = {
+        c.representative.bits: lambda_plus4_direct(layer, [c], strategy="pruned").value for c in cl
+    }
+    self_dual = 0
+    for c in cl:
+        d = _dual_class(c, cl)
+        self_dual += d is c
+        assert partial[c.representative.bits] == partial[d.representative.bits]
+    assert 0 < self_dual < len(cl)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_plus4_pruned_grouped_call_equals_single_calls(seed, classes):
+    layer, cl = setup(4, classes)
+    rng = random.Random(seed)
+    pair = rng.choice([c for c in cl if _dual_class(c, cl) is not c])
+    self_dual = rng.choice([c for c in cl if _dual_class(c, cl) is c])
+    subset = [pair, _dual_class(pair, cl), self_dual] + rng.sample(cl, 6)
+    rng.shuffle(subset)
+    single = sum(lambda_plus4_direct(layer, [c], strategy="pruned").value for c in subset)
+    assert lambda_plus4_direct(layer, subset, strategy="pruned").value == single
+
+
+@pytest.fixture(scope="module")
+def base5():
+    layer = generate_layer(5)
+    return layer, orbits.classify(layer)
+
+
+def test_fold_dual_classes_n5(base5):
+    layer, cl = base5
+    kept, mult = counting.fold_dual_classes(cl, 5)
+    assert (len(kept), mult.count(1), mult.count(2)) == (112, 14, 98)
+    assert sum(c.gamma * k for c, k in zip(kept, mult)) == len(layer)
+    assert plus4_pruned_term_count(layer, cl) == 417_628_327_127
+    assert plus4_pruned_term_count(layer, kept) == 227_793_759_723
+
+
+def test_plus4_pruned_base5_class_and_its_dual(base5):
+    # partial sums from perfbench/lambda9_sample.json
+    layer, cl = base5
+    by_rep = {c.representative.bits: c for c in cl}
+    bottom, top = by_rep[0x00000000], by_rep[0xFFFFFFFF]
+    partial = 2_414_682_040_998
+    assert lambda_plus4_direct(layer, [bottom], strategy="pruned").value == partial
+    assert lambda_plus4_direct(layer, [bottom, top], strategy="pruned").value == 2 * partial
 
 
 def test_exact_product_bound_at_the_edge():
@@ -185,6 +253,19 @@ def test_plus4_refuses_counts_beyond_exact_range(strategy, classes, monkeypatch)
     layer, cl = setup(2, classes)
     with pytest.raises(VerificationError):
         lambda_plus4_direct(layer, cl, strategy=strategy)
+
+
+def test_plus4_pruned_refuses_chunks_beyond_exact_sums(classes, monkeypatch):
+    counting._require_exact_chunk_sums(2048)  # 2^11 * 2^52 = 2^63
+    monkeypatch.setattr(counting, "_PRUNED_CHUNK", 4096)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a task was submitted")
+
+    monkeypatch.setattr(parallel, "run_tasks", never)
+    layer, cl = setup(2, classes)
+    with pytest.raises(VerificationError, match="2\\^63"):
+        lambda_plus4_direct(layer, cl, strategy="pruned")
 
 
 def test_plus4_pruned_term_count_matches_direct_loop(classes):
@@ -267,6 +348,9 @@ def test_exact_sum():
     assert exact_sum(np.array([], dtype=np.int64)) == 0
     big = np.full(10_000, (1 << 52) - 1, dtype=np.int64)
     assert exact_sum(big) == 10_000 * ((1 << 52) - 1)
+    # the pruned kernel's chunk sums: up to 2^11 products below 2^52 each
+    chunk_sums = np.full(7_581, (1 << 63) - 1, dtype=np.int64)
+    assert exact_sum(chunk_sums) == 7_581 * ((1 << 63) - 1)
 
 
 def test_record_format():

@@ -24,3 +24,45 @@ def test_run_tasks_restores_state_when_a_task_raises(workers):
     with pytest.raises(ValueError):
         parallel.run_tasks(_fail, [1, 2, 3], workers, shared={"k": 5})
     assert parallel.state() is before
+
+
+def _square(task):
+    return task * task
+
+
+def _progress_lines(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith("[mbfcount] ") for line in lines)
+    return [line.removeprefix("[mbfcount] ") for line in lines]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_counts_weighted_terms(workers, monkeypatch, capsys):
+    monkeypatch.setenv(parallel.ENV_PROGRESS, "1")
+    weights = [4000, 1500] + [1] * 249
+    tasks = list(range(len(weights)))
+    assert parallel.run_tasks(_square, tasks, workers, weights=weights) == [t * t for t in tasks]
+    lines = _progress_lines(capsys)
+    done = [int(line.split("/")[0].replace(",", "")) for line in lines]
+    # a line per hundredth of the terms crossed: the two long tasks each
+    # cross many, the last 249 cross five between them
+    assert done[:2] == [4000, 5500] and len(done) == 7
+    assert done == sorted(set(done))
+    assert all("terms/s, ETA" in line for line in lines)
+    assert lines[-1].startswith("5,749/5,749 terms done,")
+    assert lines[-1].endswith("ETA 0 s")
+
+
+def test_progress_counts_tasks_without_weights(monkeypatch, capsys):
+    monkeypatch.setenv(parallel.ENV_PROGRESS, "1")
+    parallel.run_tasks(_square, list(range(251)), 1)
+    lines = _progress_lines(capsys)
+    assert lines[0] == "3/251 tasks done"
+    assert lines[-1] == "251/251 tasks done"
+    assert len(lines) == 100
+
+
+def test_no_progress_unless_asked(monkeypatch, capsys):
+    monkeypatch.delenv(parallel.ENV_PROGRESS, raising=False)
+    parallel.run_tasks(_square, [1, 2, 3], 1, weights=[3, 2, 1])
+    assert capsys.readouterr().err == ""
