@@ -177,7 +177,7 @@ def cmd_retable(cfg: RunConfig) -> int:
             kind = fh.readline().split(" ", 1)[0]
         if kind == "mbf-classes":
             n, classes = orbits.load_classes(cfg.in_path)
-            table = intervals.build_upward_table(classes, n, cfg.budget_mb, cfg.threads)
+            table = intervals.build_upward_table(classes, n, workers=cfg.threads)
         elif kind == "mbf-layer":
             layer = layers.load_layer(cfg.in_path)
             table = intervals.build_upward_table(layer, workers=cfg.threads)

@@ -39,6 +39,13 @@ that constraint into closed sums over a smaller layer:
           classes with dual(h) <= h, weight(h) > 2^(n-1), plus the
           closed weight-equal term (again the count for n itself).
 
+Both k = 4 routes, and both plus4 strategies, read one representation,
+built by one helper (_k4_tables): the uint16 interval matrix, the
+join-index table J (the index of x | y) and the index of each dual.  A
+factor such as re(a | b | c, h) is the matrix entry at row J[J[a, b], c];
+a column re(x, h) is the row of h* gathered through the dual index, since
+re(x, h) = re(h*, x*).  Entries are widened only where they are multiplied.
+
 Every accumulator is an exact integer: numpy partial sums stay below
 2^63 by construction (wide blocks are split 26 bits at a time before
 summing), and the final folds are Python ints, so results are identical
@@ -107,12 +114,15 @@ def exact_sum(a: np.ndarray) -> int:
     parts sum below len(a) * 2^26 < 2^63 and the high parts below
     len(a) * max(a) / 2^26 < 2^63; they recombine in Python integers.
     The callers guarantee the bound.  plus2 sums gamma times an upward
-    count, below 6! * d_6 < 2^33, over at most 16,353 classes.  The pruned
-    plus4 kernel sums at most d_5 = 7,581 < 2^13 entries, each a sum of at
-    most _PRUNED_CHUNK four-way products; lambda_plus4_direct raises before
-    any task runs unless every interval count c has c^4 < 2^52
-    (_require_exact_products) and _PRUNED_CHUNK * 2^52 <= 2^63
-    (_require_exact_chunk_sums), so len(a) * max(a) < 2^76.
+    count, below 6! * d_6 < 2^33, over at most 16,353 classes.  The k = 4
+    kernels sum four-way products of interval counts, and _k4_tables
+    raises before any task runs unless every count c has c^4 < 2^52
+    (_require_exact_products).  The pruned kernel sums at most
+    d_5 = 7,581 < 2^13 entries, each a sum of at most _PRUNED_CHUNK
+    products, and raises unless _PRUNED_CHUNK * 2^52 <= 2^63
+    (_require_exact_chunk_sums), so len(a) * max(a) < 2^76.  Dense plus4
+    and plus4c run at n <= 4 and sum at most d_4 = 168 entries, each a sum
+    of at most 168 products, so len(a) * max(a) < 2^67.
     """
     lo = int((a & np.int64((1 << 26) - 1)).sum())
     hi = int((a >> np.int64(26)).sum())
@@ -245,28 +255,23 @@ def lambda_plus3(
     )
 
 
-# -- plus4, dense strategy (full interval matrix, n <= 4) --------------------
-
-
-def _value_index_lut(V: np.ndarray, n: int) -> np.ndarray:
-    lut = np.full(1 << table_width(n), -1, dtype=np.int32)
-    lut[V] = np.arange(len(V), dtype=np.int32)
-    return lut
+# -- plus4, dense strategy (every (a, b, c, h), n <= 4) ----------------------
 
 
 def _plus4_dense_class(ci: int) -> int:
     st = parallel.state()
-    V, Vd, lut, RE = st["values"], st["duals"], st["lut"], st["re"]
-    a = st["reps"][ci]
-    da = st["rep_duals"][ci]
+    J, RE, dual_idx = st["join_idx"], st["re"], st["dual_idx"]
+    ia, ida = int(st["rep_idx"][ci]), int(st["rep_dual_idx"][ci])
     total = 0
-    for bi in range(len(V)):
-        b, db = V[bi], Vd[bi]
-        rows_bot = RE[lut[(a | b) | V]]  # rows: one block per c, columns h
-        rows_a = RE[lut[(a | db) | Vd]]
-        rows_b = RE[lut[(b | da) | Vd]]
-        rows_c = RE[lut[(da | db) | V]]
-        total += int((rows_bot * rows_a * rows_b * rows_c).sum())
+    for ib in range(len(J)):
+        idb = dual_idx[ib]
+        # one row per c (the row of J of a | b is its join with every c),
+        # columns h; c* runs over the layer in order through dual_idx.
+        # Entries are below 2^13, so a product of two fits int32
+        p = np.multiply(RE[J[J[ia, ib]]], RE[J[J[ia, idb]][dual_idx]], dtype=np.int32)  # a|b|c, a|b*|c*
+        q = np.multiply(RE[J[J[ida, ib]][dual_idx]], RE[J[J[ida, idb]]], dtype=np.int32)  # a*|b|c*, a*|b*|c
+        # one sum per h over the d <= 168 rows, each below 168 * 2^52
+        total += exact_sum(np.einsum("ij,ij->j", p, q, dtype=np.int64))
     return int(st["gammas"][ci]) * total
 
 
@@ -436,6 +441,26 @@ def _require_exact_chunk_sums(chunk: int) -> None:
         )
 
 
+def _k4_tables(layer: Layer, budget_mb: int | None) -> dict:
+    """The tables every k = 4 route reads, as shared state for its tasks.
+
+    "re" is the uint16 interval matrix, "join_idx" the join-index table J
+    (the index of x | y in the layer) and "dual_idx" the index of each
+    element's dual.  The matrix is built first: its float32 working set
+    is freed before J is allocated.  Raises before any task runs unless
+    four-way products of interval counts stay below 2^52.
+    """
+    V, n = layer.values, layer.n
+    counts = build_full_table(n, budget_mb).counts
+    _require_exact_products(int(counts.max()))
+    return {
+        "values": V,
+        "re": counts,
+        "join_idx": _join_index_table(V, n),
+        "dual_idx": np.searchsorted(V, vecbits.dual_array(V, n)).astype(np.int32),
+    }
+
+
 def lambda_plus4_direct(
     layer: Layer,
     classes: list[OrbitClass],
@@ -453,22 +478,20 @@ def lambda_plus4_direct(
     if strategy == "auto":
         strategy = "dense" if n <= 4 else "pruned"
     if strategy == "dense" and n > 4:
-        raise BudgetError("dense plus4 needs the full matrix in int64; use pruned")
+        raise BudgetError(
+            f"dense plus4 gathers a {len(layer)} x {len(layer)} block of the matrix"
+            f" per b, {len(layer)} times per class; use pruned"
+        )
     V = layer.values
-    table = build_full_table(n, budget_mb)
-    _require_exact_products(int(table.counts.max()))
+    shared = _k4_tables(layer, budget_mb)
     if strategy == "dense":
         reps, gammas = _rep_array(classes)
+        shared.update(
+            rep_idx=np.searchsorted(V, reps),
+            rep_dual_idx=np.searchsorted(V, vecbits.dual_array(reps, n)),
+            gammas=gammas,
+        )
         tasks = list(range(len(classes)))
-        shared = {
-            "values": V,
-            "duals": vecbits.dual_array(V, n),
-            "lut": _value_index_lut(V, n),
-            "re": table.counts.astype(np.int64),
-            "reps": reps,
-            "rep_duals": vecbits.dual_array(reps, n),
-            "gammas": gammas,
-        }
         parts = parallel.run_tasks(_plus4_dense_class, tasks, workers, shared=shared)
     else:
         _require_exact_chunk_sums(_PRUNED_CHUNK)
@@ -479,17 +502,13 @@ def lambda_plus4_direct(
         terms = _pruned_terms(V, tops, intervals, reps, rep_duals).sum(axis=0)
         order = np.argsort(-terms, kind="stable")  # longest first
         order = order[terms[order] > 0]
-        shared = {
-            "values": V,
-            "join_idx": _join_index_table(V, n),
-            "re": table.counts,
-            "dual_idx": np.searchsorted(V, vecbits.dual_array(V, n)).astype(np.int32),
-            "intervals": intervals,
-            "rep_joins": reps | rep_duals,
-            "rep_idx": np.searchsorted(V, reps),
-            "rep_dual_idx": np.searchsorted(V, rep_duals),
-            "class_weights": [g * k for g, k in zip(gammas.tolist(), mult)],
-        }
+        shared.update(
+            intervals=intervals,
+            rep_joins=reps | rep_duals,
+            rep_idx=np.searchsorted(V, reps),
+            rep_dual_idx=np.searchsorted(V, rep_duals),
+            class_weights=[g * k for g, k in zip(gammas.tolist(), mult)],
+        )
         parts = parallel.run_tasks(
             _plus4_pruned_top, tops[order].tolist(), workers, shared=shared,
             weights=terms[order].tolist(),
@@ -503,21 +522,23 @@ def lambda_plus4_direct(
 
 def _plus4c_class(ci: int) -> int:
     st = parallel.state()
-    V, lut, RE, n = st["values"], st["lut"], st["re"], st["n"]
-    h = st["reps"][ci]
-    hstar = st["rep_duals"][ci]
-    ih = int(np.searchsorted(V, h))
-    col = np.ascontiguousarray(RE[:, ih])
-    I = V if st["widen"] else _interval_values(V, hstar, h)
-    Id = vecbits.dual_array(I, n)
+    V, J, RE, dual_idx = st["values"], st["join_idx"], st["re"], st["dual_idx"]
+    ih = int(st["rep_idx"][ci])
+    # col[x] = re(x, h) = re(h*, x*), a gather from the row of h*
+    col = RE[dual_idx[ih]][dual_idx]
+    if st["widen"]:
+        I = np.arange(len(V))
+    else:  # the indices of [dual(h), h]
+        I = np.nonzero(((V[dual_idx[ih]] & ~V) == 0) & ((V & ~V[ih]) == 0))[0]
+    Id = dual_idx[I]
     F = 0
-    for ai in range(len(I)):
-        a, da = I[ai], Id[ai]
-        x_bot = lut[(a | I)[:, None] | I[None, :]]  # a|b|c, rows b, cols c
-        x_a = lut[(a | Id)[:, None] | Id[None, :]]  # a|b*|c*
-        x_b = lut[(I | da)[:, None] | Id[None, :]]  # b|a*|c*
-        x_c = lut[(Id | da)[:, None] | I[None, :]]  # c|a*|b*
-        F += int((col[x_bot] * col[x_a] * col[x_b] * col[x_c]).sum())
+    for ia in I:
+        ida = dual_idx[ia]
+        # rows b, columns c: the rows of J of a | b (a | b*, ...) hold their
+        # joins with every element, of which the columns keep c or c*
+        p = np.multiply(col[J[J[ia, I]][:, I]], col[J[J[ia, Id]][:, Id]], dtype=np.int32)  # a|b|c, a|b*|c*
+        q = np.multiply(col[J[J[ida, I]][:, Id]], col[J[J[ida, Id]][:, I]], dtype=np.int32)  # a*|b|c*, a*|b*|c
+        F += exact_sum(np.einsum("ij,ij->j", p, q, dtype=np.int64))
     return int(st["gammas"][ci]) * F
 
 
@@ -545,17 +566,12 @@ def lambda_plus4_classes(
     rep_duals = vecbits.dual_array(reps, n)
     sel = ((rep_duals & ~reps) == 0) & (2 * vecbits.popcount(reps) > table_width(n))
     base_value, base_source = _base_lambda(n, lambda_base)
-    table = build_full_table(n, budget_mb)
-    shared = {
-        "values": V,
-        "n": n,
-        "lut": _value_index_lut(V, n),
-        "re": table.counts.astype(np.int64),
-        "reps": reps,
-        "rep_duals": rep_duals,
-        "gammas": gammas,
-        "widen": widen,
-    }
+    shared = _k4_tables(layer, budget_mb)
+    shared.update(
+        rep_idx=np.searchsorted(V, reps),
+        gammas=gammas,
+        widen=widen,
+    )
     tasks = [ci for ci in range(len(classes)) if sel[ci]]
     parts = parallel.run_tasks(_plus4c_class, tasks, workers, shared=shared)
     value = base_value + sum(parts)

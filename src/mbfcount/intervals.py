@@ -10,13 +10,16 @@ Two independent routes compute |{z : x <= z <= y}|:
     (n, x, y); empty intervals count 0 by convention so callers never
     branch on comparability.
 
-Bulk tables: upward counts (to the top element) for a given element
-list, and the full all-pairs matrix for small n, computed exactly as a
-product of the 0/1 order relation with itself.  The layer is sorted
-ascending and x <= z as sets implies x <= z as integers, so the relation
-and the matrix are upper triangular: the product runs over blocks on and
-above the diagonal only, and for block (i, j) only the z between the two
-blocks can lie between an x of block i and a y of block j.
+Bulk tables, each an IntervalTable: upward counts (to the top element)
+for a given element list, which up() answers and which have a text file
+format; and the full all-pairs uint16 matrix for small n, which callers
+index by layer ordinal (the k = 4 counts read it through the join-index
+table).  The matrix is computed exactly as a product of the 0/1 order
+relation with itself.  The layer is sorted ascending and x <= z as sets
+implies x <= z as integers, so the relation and the matrix are upper
+triangular: the product runs over blocks on and above the diagonal only,
+and for block (i, j) only the z between the two blocks can lie between
+an x of block i and a y of block j.
 """
 
 from __future__ import annotations
@@ -49,10 +52,6 @@ def re_scan(layer: Layer, x, y) -> int:
 
 def clear_memo() -> None:
     _memo.clear()
-
-
-def memo_entries() -> int:
-    return len(_memo)
 
 
 def re_fast(x: Mbf, y: Mbf, max_memo: int | None = None) -> int:
@@ -158,44 +157,27 @@ def upward_counts(n: int, xs: np.ndarray, workers: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntervalTable:
-    """Precomputed interval counts: full matrix, upward column, or memo view."""
+    """Interval counts by element: the upward column re(x, top) over listed
+    elements, or the full all-pairs matrix over the layer (counts[i, j] =
+    re(V[i], V[j]), indexed by layer ordinal)."""
 
     n: int
-    mode: str  # "full" | "upward" | "on-demand"
+    mode: str  # "upward" | "full"
     elements: np.ndarray | None = field(default=None, repr=False)
     counts: np.ndarray | None = field(default=None, repr=False)
 
     def up(self, x) -> int:
-        """re(x, top) for a listed element (upward/full modes)."""
+        """re(x, top) for a listed element of an upward table."""
+        if self.mode != "upward":
+            raise ValueError("only upward tables answer up() queries")
         xb = _bits(x)
-        if self.mode == "upward":
-            i = int(np.searchsorted(self.elements, np.uint64(xb)))
-            if i >= len(self.elements) or int(self.elements[i]) != xb:
-                raise KeyError(f"0x{xb:x} not in the table")
-            return int(self.counts[i])
-        if self.mode == "full":
-            return self.re(xb, (1 << table_width(self.n)) - 1)
-        return re_fast(Mbf(self.n, xb), Mbf(self.n, (1 << table_width(self.n)) - 1))
-
-    def re(self, x, y) -> int:
-        """re(x, y); full mode indexes the matrix, on-demand falls back."""
-        xb, yb = _bits(x), _bits(y)
-        if self.mode == "full":
-            ix = int(np.searchsorted(self.elements, np.uint64(xb)))
-            iy = int(np.searchsorted(self.elements, np.uint64(yb)))
-            return int(self.counts[ix, iy])
-        if self.mode == "on-demand":
-            return re_fast(Mbf(self.n, xb), Mbf(self.n, yb))
-        raise ValueError("upward tables only answer up() queries")
+        i = int(np.searchsorted(self.elements, np.uint64(xb)))
+        if i >= len(self.elements) or int(self.elements[i]) != xb:
+            raise KeyError(f"0x{xb:x} not in the table")
+        return int(self.counts[i])
 
 
-def memo_table(n: int) -> IntervalTable:
-    """The on-demand mode: queries are answered by the shared re_fast memo."""
-    return IntervalTable(n, "on-demand")
-
-
-def build_upward_table(source, n: int | None = None, budget_mb: int | None = None,
-                       workers: int = 1) -> IntervalTable:
+def build_upward_table(source, n: int | None = None, workers: int = 1) -> IntervalTable:
     """Upward counts for a Layer, a list of orbit classes, or a value array."""
     if isinstance(source, Layer):
         xs, n = source.values, source.n

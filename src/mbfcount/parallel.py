@@ -8,6 +8,7 @@ the outcome is independent of worker count and scheduling by construction.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import os
@@ -61,17 +62,13 @@ def run_tasks(fn, tasks, workers: int = 1, shared: dict | None = None, weights=N
         tasks = list(tasks)
         report = _Progress(len(tasks), weights) if os.environ.get(ENV_PROGRESS, "") == "1" else None
         if workers <= 1 or len(tasks) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+            pool = contextlib.nullcontext()
+        else:
+            ctx = multiprocessing.get_context("fork")
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=ctx)
+        with pool as ex:
             out = []
-            for res in map(fn, tasks):
-                out.append(res)
-                if report is not None:
-                    report.done(len(out))
-            return out
-        ctx = multiprocessing.get_context("fork")
-        nworkers = min(workers, len(tasks))
-        with ProcessPoolExecutor(max_workers=nworkers, mp_context=ctx) as ex:
-            out = []
-            for res in ex.map(fn, tasks):
+            for res in (map if ex is None else ex.map)(fn, tasks):
                 out.append(res)
                 if report is not None:
                     report.done(len(out))

@@ -102,6 +102,14 @@ def test_plus4_strategies_agree(n, classes):
     assert dense == pruned
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_plus4_strategies_agree_class_by_class(n, classes):
+    layer, cl = setup(n, classes)
+    for c in cl:
+        dense = lambda_plus4_direct(layer, [c], strategy="dense").value
+        assert dense == lambda_plus4_direct(layer, [c], strategy="pruned").value
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_plus4c_known_values(n, classes):
     layer, cl = setup(n, classes)
@@ -237,8 +245,8 @@ def test_exact_product_bound_at_the_edge():
         counting._require_exact_products(8192)  # 8192^4 = 2^52
 
 
-@pytest.mark.parametrize("strategy", ["dense", "pruned"])
-def test_plus4_refuses_counts_beyond_exact_range(strategy, classes, monkeypatch):
+@pytest.mark.parametrize("route", ["dense", "pruned", "plus4c"])
+def test_plus4_refuses_counts_beyond_exact_range(route, classes, monkeypatch):
     real_table = counting.build_full_table
 
     def inflated(n, budget_mb=None):
@@ -252,7 +260,10 @@ def test_plus4_refuses_counts_beyond_exact_range(strategy, classes, monkeypatch)
     monkeypatch.setattr(parallel, "run_tasks", never)
     layer, cl = setup(2, classes)
     with pytest.raises(VerificationError):
-        lambda_plus4_direct(layer, cl, strategy=strategy)
+        if route == "plus4c":
+            lambda_plus4_classes(layer, cl)
+        else:
+            lambda_plus4_direct(layer, cl, strategy=route)
 
 
 def test_plus4_pruned_refuses_chunks_beyond_exact_sums(classes, monkeypatch):
@@ -385,6 +396,8 @@ def test_method_budget_refusals(classes):
     layer5, cl5 = setup(5, classes)
     with pytest.raises(BudgetError):
         lambda_plus4_direct(layer5, cl5, budget_mb=50)  # full n=5 matrix refused
+    with pytest.raises(BudgetError, match="per b"):
+        lambda_plus4_direct(layer5, cl5, strategy="dense")
     with pytest.raises(BudgetError):
         lambda_plus4_classes(layer5, cl5)
     with pytest.raises(BudgetError):

@@ -132,13 +132,18 @@ def test_upward_table_from_classes():
         assert table.up(c.representative) == re_scan(layer, c.representative, top(3))
 
 
+def _full_re(table, layer, x, y):
+    """The full table's entry for the pair, indexed by layer ordinal."""
+    return int(table.counts[layer.index(x.bits), layer.index(y.bits)])
+
+
 def test_full_table_matches_scan():
     for n in range(4):
         layer = generate_layer(n)
         table = build_full_table(n)
         for x in layer:
             for y in layer:
-                assert table.re(x, y) == re_scan(layer, x, y)
+                assert _full_re(table, layer, x, y) == re_scan(layer, x, y)
 
 
 def test_full_table_n4_sampled():
@@ -147,7 +152,7 @@ def test_full_table_n4_sampled():
     rng = np.random.default_rng(3)
     for i, j in rng.integers(0, len(layer), size=(500, 2)):
         x, y = layer.mbf(int(i)), layer.mbf(int(j))
-        assert table.re(x, y) == re_scan(layer, x, y)
+        assert _full_re(table, layer, x, y) == re_scan(layer, x, y)
 
 
 @pytest.fixture(scope="module")
@@ -163,8 +168,8 @@ def test_full_table_n5_exactness_sampled(table5):
     rng = np.random.default_rng(11)
     for i, j in rng.integers(0, len(layer), size=(300, 2)):
         x, y = layer.mbf(int(i)), layer.mbf(int(j))
-        assert table.re(x, y) == re_fast(x, y)
-    assert table.re(bottom(5), top(5)) == len(layer)
+        assert _full_re(table, layer, x, y) == re_fast(x, y)
+    assert _full_re(table, layer, bottom(5), top(5)) == len(layer)
 
 
 def test_full_table_n5_whole_matrix(table5):
@@ -196,17 +201,9 @@ def test_full_table_refuses_inexact_sizes(monkeypatch):
         build_full_table(5)
 
 
-def test_on_demand_table():
-    t = intervals.memo_table(3)
-    assert t.mode == "on-demand"
-    assert t.re(bottom(3), top(3)) == 20
-    assert t.up(bottom(3)) == 20
-
-
-def test_upward_mode_rejects_re_queries():
-    table = build_upward_table(generate_layer(2))
+def test_up_answers_upward_tables_only():
     with pytest.raises(ValueError):
-        table.re(bottom(2), top(2))
+        build_full_table(2).up(bottom(2))
     with pytest.raises(KeyError):
         IntervalTable(2, "upward", np.array([8], dtype=np.uint64), np.array([5])).up(0)
 
