@@ -27,19 +27,21 @@ that constraint into closed sums over a smaller layer:
           blocks, each ranging over one interval ending at h; the count
           is the sum over (a, b, c, h) of the product of four interval
           counts.  The product vanishes unless dual(h) <= a, b, c <= h,
-          which the pruned strategy exploits with one task per top block
+          which the pruned kernel exploits with one task per top block
           h: per chunk of c it builds the rows re(c | x, h) and
           re(c* | x, h) over x in [dual(h), h] once, and every class a
           under h takes its four factors from them.  Swapping b and c
           swaps two factors, so it sums only b <= c and counts b < c
           twice; c -> c* maps the sum for a* onto the sum for a, so a
           class and its dual class are summed once, with twice the weight.
+          Pruned is the plus4 route at every base; strategy="dense", the
+          unpruned sum (n <= 4), is a reference that checks name.
 
   plus4c  the same k = 4 sum regrouped per top block h over orbit
           classes with dual(h) <= h, weight(h) > 2^(n-1), plus the
           closed weight-equal term (again the count for n itself).
 
-Both k = 4 routes, and both plus4 strategies, read one representation,
+Both k = 4 routes, and the dense reference, read one representation,
 built by one helper (_k4_tables): the uint16 interval matrix, the
 join-index table J (the index of x | y) and the index of each dual.  A
 factor such as re(a | b | c, h) is the matrix entry at row J[J[a, b], c];
@@ -120,9 +122,9 @@ def exact_sum(a: np.ndarray) -> int:
     (_require_exact_products).  The pruned kernel sums at most
     d_5 = 7,581 < 2^13 entries, each a sum of at most _PRUNED_CHUNK
     products, and raises unless _PRUNED_CHUNK * 2^52 <= 2^63
-    (_require_exact_chunk_sums), so len(a) * max(a) < 2^76.  Dense plus4
-    and plus4c run at n <= 4 and sum at most d_4 = 168 entries, each a sum
-    of at most 168 products, so len(a) * max(a) < 2^67.
+    (_require_exact_chunk_sums), so len(a) * max(a) < 2^76.  plus4c and
+    the dense plus4 reference run at n <= 4 and sum at most d_4 = 168
+    entries, each a sum of at most 168 products, so len(a) * max(a) < 2^67.
     """
     lo = int((a & np.int64((1 << 26) - 1)).sum())
     hi = int((a >> np.int64(26)).sum())
@@ -135,12 +137,16 @@ def _rep_array(classes: list[OrbitClass]) -> tuple[np.ndarray, np.ndarray]:
     return reps, gammas
 
 
+def _require_base(method: str, n: int) -> None:
+    """Raise unless base layer n is within the method's reach (_BASE_MAX)."""
+    if n > _BASE_MAX[method]:
+        raise BudgetError(f"{method} over base n={n} is out of budget (n <= {_BASE_MAX[method]})")
+
+
 def _base_lambda(n: int, given: int | None) -> tuple[int, str]:
     if given is not None:
         return given, "given"
-    if n <= 6:
-        return self_dual_brute(n), "brute"
-    return LAMBDA_KNOWN[n], "table"
+    return self_dual_brute(n), "brute"
 
 
 def lambda_brute(n: int, budget_mb: int | None = None) -> LambdaResult:
@@ -225,10 +231,7 @@ def lambda_plus3(
         raise ValueError(f"unknown loop order {loop_order!r}")
     t0 = time.perf_counter()
     n = layer.n
-    if n > 5:
-        raise BudgetError(
-            f"plus3 over base n={n} is out of budget (intervals up to d_{n} wide)"
-        )
+    _require_base("plus3", n)
     reps, gammas = _rep_array(classes)
     rep_duals = vecbits.dual_array(reps, n)
     below_dual = (reps & ~rep_duals) == 0
@@ -255,7 +258,7 @@ def lambda_plus3(
     )
 
 
-# -- plus4, dense strategy (every (a, b, c, h), n <= 4) ----------------------
+# -- plus4, dense reference (every (a, b, c, h), n <= 4) ---------------------
 
 
 def _plus4_dense_class(ci: int) -> int:
@@ -275,7 +278,7 @@ def _plus4_dense_class(ci: int) -> int:
     return int(st["gammas"][ci]) * total
 
 
-# -- plus4, pruned strategy (per top block, n <= 5) ---------------------------
+# -- plus4, pruned (per top block, n <= 5) -----------------------------------
 
 
 def _tops_and_intervals(V: np.ndarray, n: int):
@@ -466,17 +469,15 @@ def lambda_plus4_direct(
     classes: list[OrbitClass],
     workers: int = 1,
     budget_mb: int | None = None,
-    strategy: str = "auto",
+    strategy: str = "pruned",
 ) -> LambdaResult:
-    """Count for n+4 by the direct sum over (a, b, c, top block)."""
-    if strategy not in ("auto", "dense", "pruned"):
+    """Count for n+4 by the direct sum over (a, b, c, top block); only
+    checks name strategy="dense", the unpruned reference (bases up to 4)."""
+    if strategy not in ("dense", "pruned"):
         raise ValueError(f"unknown strategy {strategy!r}")
     t0 = time.perf_counter()
     n = layer.n
-    if n > 5:
-        raise BudgetError(f"plus4 over base n={n} is out of budget")
-    if strategy == "auto":
-        strategy = "dense" if n <= 4 else "pruned"
+    _require_base("plus4", n)
     if strategy == "dense" and n > 4:
         raise BudgetError(
             f"dense plus4 gathers a {len(layer)} x {len(layer)} block of the matrix"
@@ -559,8 +560,7 @@ def lambda_plus4_classes(
     """
     t0 = time.perf_counter()
     n = layer.n
-    if n > 4:
-        raise BudgetError(f"plus4c over base n={n} is out of budget")
+    _require_base("plus4c", n)
     V = layer.values
     reps, gammas = _rep_array(classes)
     rep_duals = vecbits.dual_array(reps, n)

@@ -12,23 +12,25 @@ Two independent routes compute |{z : x <= z <= y}|:
 
 Bulk tables, each an IntervalTable: upward counts (to the top element)
 for a given element list, which up() answers and which have a text file
-format; and the full all-pairs uint16 matrix for small n, which callers
-index by layer ordinal (the k = 4 counts read it through the join-index
-table).  The matrix is computed exactly as a product of the 0/1 order
-relation with itself.  The layer is sorted ascending and x <= z as sets
-implies x <= z as integers, so the relation and the matrix are upper
-triangular: the product runs over blocks on and above the diagonal only,
-and for block (i, j) only the z between the two blocks can lie between
-an x of block i and a y of block j.
+format, from one recurrence over the same half-split down to D_0; and the
+full all-pairs uint16 matrix for small n, which callers index by layer
+ordinal (the k = 4 counts read it through the join-index table).  The
+matrix is computed exactly as a product of the 0/1 order relation with
+itself.  The layer is sorted ascending and x <= z as sets implies x <= z
+as integers, so the relation and the matrix are upper triangular: the
+product runs over blocks on and above the diagonal only, and for block
+(i, j) only the z between the two blocks can lie between an x of block i
+and a y of block j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from . import parallel
+from . import parallel, vecbits
 from .core import Mbf, table_width, to_hex
 from .errors import BudgetError, VerificationError, WidthError
 from .layers import DEFAULT_BUDGET_MB, Layer, generate_layer
@@ -89,49 +91,34 @@ def _re(n: int, x: int, y: int, max_memo: int) -> int:
     return total
 
 
-_full_upward_cache: dict[int, np.ndarray] = {}
-
-
-def _scan_upward(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    out = np.empty(len(xs), dtype=np.int64)
-    for i, x in enumerate(xs):
-        out[i] = np.count_nonzero((values & x) == x)
-    return out
-
-
+@lru_cache(maxsize=None)
 def _full_upward(n: int) -> np.ndarray:
-    """Upward counts for every element of the layer, n <= 5."""
-    cached = _full_upward_cache.get(n)
-    if cached is None:
-        V = generate_layer(n).values
-        cached = _scan_upward(V, V)
-        _full_upward_cache[n] = cached
-    return cached
+    """Upward counts for every element of the layer D_n, n <= 5, by
+    upward_counts itself at 1 worker; cached per process."""
+    return upward_counts(n, generate_layer(n).values)
 
 
 def _upward_chunk(task) -> np.ndarray:
     lo, hi = task
     st = parallel.state()
-    n, xs = st["n"], st["xs"][lo:hi]
-    if n <= 5:
-        return _scan_upward(st["values"], xs)
-    # n == 6: z >= x splits into z0 >= x0 (scan the half layer) and
-    # z1 >= x1 | z0 (precomputed upward count one level down)
-    prev = st["prev"]
-    up_prev = st["up_prev"]
-    halfw = np.uint64(32)
-    mask = np.uint64(0xFFFF_FFFF)
+    xs, prev, up_prev = st["xs"][lo:hi], st["prev"], st["up_prev"]
+    halfw = np.uint64(st["halfw"])
+    mask = np.uint64((1 << st["halfw"]) - 1)
     out = np.empty(len(xs), dtype=np.int64)
     for i, x in enumerate(xs):
         x0, x1 = x & mask, x >> halfw
         mids = prev[(prev & x0) == x0]
-        idx = np.searchsorted(prev, x1 | mids)
-        out[i] = up_prev[idx].sum()
+        out[i] = up_prev[np.searchsorted(prev, x1 | mids)].sum()
     return out
 
 
 def upward_counts(n: int, xs: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Count z >= x over the layer for each x in xs (int64 array)."""
+    """Count z >= x over the layer D_n for each x in xs (int64 array).
+
+    z = z0.z1 is a pair z0 <= z1 in D_{n-1}, and z >= x iff z0 >= x0 and
+    z1 >= x1 | z0: the count sums, over z0 >= x0, the upward count of
+    x1 | z0 in D_{n-1} (_full_upward).  D_0 = {0, 1} has counts 2 and 1.
+    """
     if n > 6:
         raise WidthError("upward counts need materializable layers (n <= 6)")
     if n == 6 and len(xs) > 200_000:
@@ -139,14 +126,18 @@ def upward_counts(n: int, xs: np.ndarray, workers: int = 1) -> np.ndarray:
             f"upward counts for {len(xs)} elements at n=6 are out of budget"
         )
     xs = np.asarray(xs, dtype=np.uint64)
+    if not vecbits.monotone_mask(xs, n).all():
+        raise ValueError(f"upward counts take elements of D_{n}; some are not monotone")
+    if n == 0:
+        return 2 - xs.astype(np.int64)
     if len(xs) == 0:
         return np.empty(0, dtype=np.int64)
-    shared: dict = {"n": n, "xs": xs}
-    if n <= 5:
-        shared["values"] = generate_layer(n).values
-    else:
-        shared["prev"] = generate_layer(5).values
-        shared["up_prev"] = _full_upward(5)
+    shared = {
+        "xs": xs,
+        "halfw": table_width(n - 1),
+        "prev": generate_layer(n - 1).values,
+        "up_prev": _full_upward(n - 1),
+    }
     if workers > 1 and len(xs) > 1024:
         step = -(-len(xs) // (workers * 4))
     else:

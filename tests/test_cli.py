@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +197,26 @@ def test_selfcheck_small(capsys):
     code, out, _ = run(capsys, "selfcheck", "3")
     assert code == EXIT_OK
     lines = out.splitlines()
+    assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_retable_refuses_non_monotone_classes(tmp_path, capsys):
+    path = tmp_path / "bad.classes"
+    path.write_text("mbf-classes n=3 count=1\n10 1\n")
+    code, out, err = run(capsys, "retable", "--in", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert "not monotone" in err
+
+
+def test_python_m_mbfcount_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mbfcount", "selfcheck", "2"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lines = proc.stdout.splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
 
 

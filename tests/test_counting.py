@@ -102,6 +102,16 @@ def test_plus4_strategies_agree(n, classes):
     assert dense == pruned
 
 
+def test_plus4_routes_run_pruned_unless_dense_is_named(classes, monkeypatch):
+    def never(ci):
+        raise AssertionError("the dense reference ran")
+
+    monkeypatch.setattr(counting, "_plus4_dense_class", never)
+    assert lambda_any(8, "plus4").value == LAMBDA_KNOWN[8]
+    layer, cl = setup(4, classes)
+    assert lambda_plus4_direct(layer, cl).value == LAMBDA_KNOWN[8]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_plus4_strategies_agree_class_by_class(n, classes):
     layer, cl = setup(n, classes)

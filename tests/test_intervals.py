@@ -105,6 +105,21 @@ def test_upward_counts_sum_is_next_layer_size():
         assert int(upward_counts(n, layer.values).sum()) == len(generate_layer(n + 1))
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_upward_counts_whole_layer_match_definition(n):
+    intervals._full_upward.cache_clear()  # rebuild the chain of layers below n
+    V = generate_layer(n).values
+    expect = np.array([np.count_nonzero((x & ~V) == 0) for x in V])
+    assert np.array_equal(upward_counts(n, V), expect)
+
+
+def test_upward_counts_refuse_non_monotone_elements():
+    # the recurrence looks up halves in D_{n-1}: 0x10 at n=3 is the pair
+    # (0, 1), and its high half 1 is not in D_2
+    with pytest.raises(ValueError, match="not monotone"):
+        upward_counts(3, np.array([0x10], dtype=np.uint64))
+
+
 def test_upward_counts_n6_recursion_matches_scan():
     layer = generate_layer(6)
     rng = np.random.default_rng(7)
@@ -178,7 +193,7 @@ def test_full_table_n5_whole_matrix(table5):
     d = len(V)
     assert not np.tril(C, -1).any()
     assert (np.diagonal(C) == 1).all()
-    assert np.array_equal(C[:, -1], intervals._scan_upward(V, V))
+    assert np.array_equal(C[:, -1], [np.count_nonzero((x & ~V) == 0) for x in V])
     below = np.array([np.count_nonzero((V & ~y) == 0) for y in V])
     assert np.array_equal(C[0], below)
     # re(x, y) = re(dual(y), dual(x)): the dual reverses the order
