@@ -143,12 +143,6 @@ def _require_base(method: str, n: int) -> None:
         raise BudgetError(f"{method} over base n={n} is out of budget (n <= {_BASE_MAX[method]})")
 
 
-def _base_lambda(n: int, given: int | None) -> tuple[int, str]:
-    if given is not None:
-        return given, "given"
-    return self_dual_brute(n), "brute"
-
-
 def lambda_brute(n: int, budget_mb: int | None = None) -> LambdaResult:
     """Count by scanning the layer for fixed points of the dual map."""
     t0 = time.perf_counter()
@@ -224,7 +218,6 @@ def lambda_plus3(
     workers: int = 1,
     refined: bool = True,
     loop_order: str = "pairs-first",
-    lambda_base: int | None = None,
 ) -> LambdaResult:
     """Count for n+3 from the 4-tuple sum over orbit classes."""
     if loop_order not in ("pairs-first", "d-first"):
@@ -237,7 +230,7 @@ def lambda_plus3(
     below_dual = (reps & ~rep_duals) == 0
     if refined:
         sel = below_dual & (2 * vecbits.popcount(reps) < table_width(n))
-        base_value, base_source = _base_lambda(n, lambda_base)
+        base_value, base_source = self_dual_brute(n), "brute"
     else:
         sel = below_dual
         base_value, base_source = 0, None
@@ -304,13 +297,13 @@ def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
     table of D_{n-1} (built the same way, one layer down) and one flat
     lookup from the pair of half indices to the index in D_n, filled
     _JOIN_CHUNK rows at a time.  D_0 = {0, 1} has no lower layer; there
-    the join is the larger index.
+    the join is the larger index.  Entries are uint16: the only caller,
+    _k4_tables, runs after build_full_table has refused d >= 2^16.
     """
     d = len(V)
-    dtype = np.uint16 if d < (1 << 16) else np.int32
     if n == 0:
         idx = np.arange(d)
-        return np.maximum(idx[:, None], idx[None, :]).astype(dtype)
+        return np.maximum(idx[:, None], idx[None, :]).astype(np.uint16)
     P = generate_layer(n - 1).values
     dp = len(P)
     halfw = table_width(n - 1)
@@ -319,9 +312,9 @@ def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
     Jp = _join_index_table(P, n - 1).astype(np.int32)  # dp * dp < 2^31
     low = Jp[:, i0] * dp  # row p: (index of p | x0) * dp, per x in D_n
     high = Jp[:, i1]  # row p: index of p | x1
-    pair = np.zeros(dp * dp, dtype=dtype)
+    pair = np.zeros(dp * dp, dtype=np.uint16)
     pair[i0 * dp + i1] = np.arange(d)
-    J = np.empty((d, d), dtype=dtype)
+    J = np.empty((d, d), dtype=np.uint16)
     for lo in range(0, d, _JOIN_CHUNK):
         hi = lo + _JOIN_CHUNK
         J[lo:hi] = pair[low[i0[lo:hi]] + high[i1[lo:hi]]]
@@ -487,9 +480,10 @@ def lambda_plus4_direct(
     shared = _k4_tables(layer, budget_mb)
     if strategy == "dense":
         reps, gammas = _rep_array(classes)
+        rep_idx = np.searchsorted(V, reps)
         shared.update(
-            rep_idx=np.searchsorted(V, reps),
-            rep_dual_idx=np.searchsorted(V, vecbits.dual_array(reps, n)),
+            rep_idx=rep_idx,
+            rep_dual_idx=shared["dual_idx"][rep_idx],
             gammas=gammas,
         )
         tasks = list(range(len(classes)))
@@ -503,11 +497,12 @@ def lambda_plus4_direct(
         terms = _pruned_terms(V, tops, intervals, reps, rep_duals).sum(axis=0)
         order = np.argsort(-terms, kind="stable")  # longest first
         order = order[terms[order] > 0]
+        rep_idx = np.searchsorted(V, reps)
         shared.update(
             intervals=intervals,
             rep_joins=reps | rep_duals,
-            rep_idx=np.searchsorted(V, reps),
-            rep_dual_idx=np.searchsorted(V, rep_duals),
+            rep_idx=rep_idx,
+            rep_dual_idx=shared["dual_idx"][rep_idx],
             class_weights=[g * k for g, k in zip(gammas.tolist(), mult)],
         )
         parts = parallel.run_tasks(
@@ -546,7 +541,6 @@ def _plus4c_class(ci: int) -> int:
 def lambda_plus4_classes(
     layer: Layer,
     classes: list[OrbitClass],
-    lambda_base: int | None = None,
     workers: int = 1,
     widen: bool = False,
     budget_mb: int | None = None,
@@ -565,7 +559,7 @@ def lambda_plus4_classes(
     reps, gammas = _rep_array(classes)
     rep_duals = vecbits.dual_array(reps, n)
     sel = ((rep_duals & ~reps) == 0) & (2 * vecbits.popcount(reps) > table_width(n))
-    base_value, base_source = _base_lambda(n, lambda_base)
+    base_value, base_source = self_dual_brute(n), "brute"
     shared = _k4_tables(layer, budget_mb)
     shared.update(
         rep_idx=np.searchsorted(V, reps),
@@ -629,7 +623,7 @@ def lambda_any(
         elif method == "plus4":
             result = lambda_plus4_direct(layer, classes, workers, budget_mb)
         else:
-            result = lambda_plus4_classes(layer, classes, None, workers, budget_mb=budget_mb)
+            result = lambda_plus4_classes(layer, classes, workers, budget_mb=budget_mb)
     result = replace(result, seconds=time.perf_counter() - t0)
     if verify:
         verify_result(result)

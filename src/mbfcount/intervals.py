@@ -56,16 +56,16 @@ def clear_memo() -> None:
     _memo.clear()
 
 
-def re_fast(x: Mbf, y: Mbf, max_memo: int | None = None) -> int:
+def re_fast(x: Mbf, y: Mbf) -> int:
     """Count z with x <= z <= y via the memoized half-split recursion."""
     if x.n != y.n:
         raise WidthError(f"width mismatch: n={x.n} vs n={y.n}")
     if x.n > 6:
         raise WidthError(f"interval recursion needs materializable layers (n <= 6)")
-    return _re(x.n, x.bits, y.bits, MAX_MEMO_ENTRIES if max_memo is None else max_memo)
+    return _re(x.n, x.bits, y.bits)
 
 
-def _re(n: int, x: int, y: int, max_memo: int) -> int:
+def _re(n: int, x: int, y: int) -> int:
     if x & ~y:
         return 0
     if n == 0:
@@ -82,11 +82,9 @@ def _re(n: int, x: int, y: int, max_memo: int) -> int:
     mids = prev[((prev & x0) == x0) & ((prev & y0) == prev)]
     total = 0
     for z0 in mids:
-        total += _re(n - 1, x1 | int(z0), y1, max_memo)
-    if len(_memo) >= max_memo:
-        raise BudgetError(
-            f"interval memo would exceed {max_memo} entries; raise the budget"
-        )
+        total += _re(n - 1, x1 | int(z0), y1)
+    if len(_memo) >= MAX_MEMO_ENTRIES:
+        raise BudgetError(f"interval memo would exceed {MAX_MEMO_ENTRIES} entries")
     _memo[key] = total
     return total
 
@@ -236,7 +234,7 @@ def save_upward_table(table: IntervalTable, path: str) -> None:
 
 
 def load_upward_table(path: str) -> IntervalTable:
-    """Read an upward table file back."""
+    """Read an upward table file back; refuses non-members and counts below 1."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "mbf-retable" or header[2] != "mode=upward":
@@ -250,6 +248,9 @@ def load_upward_table(path: str) -> IntervalTable:
             counts.append(int(c))
     if len(elements) != count:
         raise ValueError(f"{path}: header says {count} entries, found {len(elements)}")
-    return IntervalTable(
-        n, "upward", np.array(elements, dtype=np.uint64), np.array(counts, dtype=np.int64)
-    )
+    elements, counts = np.array(elements, dtype=np.uint64), np.array(counts, dtype=np.int64)
+    if not vecbits.monotone_mask(elements, n).all():
+        raise ValueError(f"{path}: contains elements that are not monotone")
+    if np.any(counts < 1):
+        raise ValueError(f"{path}: contains counts below 1")
+    return IntervalTable(n, "upward", elements, counts)

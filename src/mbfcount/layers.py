@@ -2,8 +2,10 @@
 
 A layer for n+1 is built from the layer for n as all concatenations
 lo . hi with lo <= hi pointwise (lo in bit positions 0..2^n-1, hi above),
-starting from the two constants at n=0.  Layers are immutable uint64
-arrays sorted ascending, so membership and ordinals are binary searches.
+starting from the two constants at n=0.  The high half dominates the
+integer order, so with hi as the outer loop and both loops ascending the
+layer comes out sorted, written into one array of its exact size.  Layers
+are immutable uint64 arrays, so membership and ordinals are binary searches.
 
 Only n <= 6 is materializable (64-bit tables, 7.8M elements); the next
 layer has ~2.4e12 elements and is refused outright.
@@ -17,13 +19,13 @@ import numpy as np
 
 from . import vecbits
 from .core import Mbf, table_width, to_hex
-from .errors import BudgetError, WidthError
+from .errors import BudgetError, VerificationError, WidthError
 
 DEFAULT_BUDGET_MB = 4096
 
-# element counts, used for refusing oversized requests before any work;
-# correctness of generated layers is established by the test oracles
-_SIZE_ESTIMATE = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7_581, 6: 7_828_354}
+# exact element counts (Dedekind numbers): they refuse oversized requests
+# before any work and size each layer's array, which a build must fill
+_LAYER_SIZE = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7_581, 6: 7_828_354}
 
 _CACHE: dict[int, "Layer"] = {}
 
@@ -67,7 +69,7 @@ def check_layer_budget(n: int, budget_mb: int | None = None) -> None:
             " and the element count is astronomically large)"
         )
     budget = DEFAULT_BUDGET_MB if budget_mb is None else budget_mb
-    need_mb = _SIZE_ESTIMATE[n] * 8 / 1e6
+    need_mb = _LAYER_SIZE[n] * 8 / 1e6
     if need_mb > budget:
         raise BudgetError(
             f"layer for n={n} needs ~{need_mb:.0f} MB, over the {budget} MB budget"
@@ -85,11 +87,15 @@ def generate_layer(n: int, budget_mb: int | None = None) -> Layer:
     else:
         prev = generate_layer(n - 1, budget_mb).values
         half = np.uint64(table_width(n - 1))
-        parts = []
-        for lo in prev:
-            his = prev[(lo & ~prev) == 0]
-            parts.append(lo | (his << half))
-        values = np.sort(np.concatenate(parts))
+        values = np.empty(_LAYER_SIZE[n], dtype=np.uint64)
+        end = 0
+        for hi in prev:
+            los = prev[(prev & ~hi) == 0]
+            end += len(los)
+            if end <= len(values):
+                values[end - len(los):end] = los | (hi << half)
+        if end != len(values):
+            raise VerificationError(f"layer for n={n} has {end} elements, not {len(values)}")
     layer = Layer(n, values)
     _CACHE[n] = layer
     return layer

@@ -257,7 +257,7 @@ def save_classes(classes: list[OrbitClass], n: int, path: str) -> None:
 
 
 def load_classes(path: str) -> tuple[int, list[OrbitClass]]:
-    """Read a classes file back; returns (n, classes)."""
+    """Read a classes file back; returns (n, classes) after checking each."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "mbf-classes":
@@ -267,7 +267,10 @@ def load_classes(path: str) -> tuple[int, list[OrbitClass]]:
         classes = []
         for line in fh:
             h, g = line.split()
-            classes.append(OrbitClass(Mbf(n, int(h, 16)), int(g)))
+            rep, gamma = Mbf.from_hex(n, h), int(g)  # from_hex refuses non-monotone values
+            if gamma < 1 or factorial(n) % gamma:
+                raise ValueError(f"{path}: orbit size {gamma} of {h} is not a positive divisor of {n}!")
+            classes.append(OrbitClass(rep, gamma))
     if len(classes) != count:
         raise ValueError(f"{path}: header says {count} classes, found {len(classes)}")
     return n, classes

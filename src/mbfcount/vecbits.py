@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import reverse_bits, table_width
+from .core import _cover_masks, reverse_bits, table_width
 from .errors import WidthError
 
 U64_ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -55,22 +55,13 @@ def dual_array(a: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _cover_masks64(n: int) -> tuple[np.uint64, ...]:
-    w = table_width(n)
-    masks = []
-    for k in range(n):
-        half = 1 << k
-        block = (1 << half) - 1
-        m = 0
-        for base in range(0, w, 2 * half):
-            m |= block << base
-        masks.append(np.uint64(m))
-    return tuple(masks)
+    return tuple(np.uint64(m) for m in _cover_masks(n))
 
 
 def monotone_mask(a: np.ndarray, n: int) -> np.ndarray:
-    """Boolean array: which elements are monotone (covering-pairs check)."""
+    """Boolean array: which elements fit 2^n bits and are monotone there."""
     check_vector_n(n)
-    ok = np.ones(a.shape, dtype=bool)
+    ok = (a & ~window_mask(table_width(n))) == 0
     for k, m in enumerate(_cover_masks64(n)):
         half = np.uint64(1 << k)
         ok &= ((a & m) & ~(a >> half)) == 0

@@ -200,6 +200,19 @@ def test_selfcheck_small(capsys):
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["mbf-layer n=2 count=2\n0\nff\n", "mbf-classes n=2 count=1\n8 0\n"],
+    ids=["layer-wider-than-window", "classes-gamma-zero"],
+)
+def test_retable_refuses_values_outside_the_layer(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "retable", "--in", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("mbfcount: error:") and len(err.splitlines()) == 1
+
+
 def test_retable_refuses_non_monotone_classes(tmp_path, capsys):
     path = tmp_path / "bad.classes"
     path.write_text("mbf-classes n=3 count=1\n10 1\n")
@@ -208,11 +221,14 @@ def test_retable_refuses_non_monotone_classes(tmp_path, capsys):
     assert "not monotone" in err
 
 
-def test_python_m_mbfcount_runs_the_cli():
+@pytest.mark.parametrize(
+    "flags", [[], ["-O"]], ids=["plain", "optimized"]  # -O strips assert statements
+)
+def test_python_m_mbfcount_runs_the_cli(flags):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
-        [sys.executable, "-m", "mbfcount", "selfcheck", "2"],
+        [sys.executable, *flags, "-m", "mbfcount", "selfcheck", "2"],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == EXIT_OK, proc.stderr

@@ -81,13 +81,6 @@ def test_plus3_rejects_unknown_loop_order(classes):
         lambda_plus3(layer, cl, loop_order="sideways")
 
 
-def test_plus3_given_base(classes):
-    layer, cl = setup(2, classes)
-    got = lambda_plus3(layer, cl, lambda_base=2)
-    assert got.value == LAMBDA_KNOWN[5]
-    assert got.base_source == "given"
-
-
 @pytest.mark.parametrize("n", range(4))
 def test_plus4_known_values(n, classes):
     layer, cl = setup(n, classes)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mbfcount import vecbits
-from mbfcount.errors import BudgetError, WidthError
+from mbfcount import layers, vecbits
+from mbfcount.errors import BudgetError, VerificationError, WidthError
 from mbfcount.layers import generate_layer, load_layer, save_layer, self_dual_brute
 
 from oracles import slow_layer
@@ -12,8 +17,8 @@ D2_SET = {"0000", "0001", "0011", "0101", "0111", "1111"}
 
 # layer sizes re-derived below: brute filter for n <= 3 (n = 4 via the
 # vectorized validator, itself oracle-checked in test_vecbits), then the
-# ordered-pair identity for n = 5
-EXPECTED_SIZES = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
+# ordered-pair identity for n = 5 and 6
+EXPECTED_SIZES = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7_828_354}
 
 
 def test_small_listings():
@@ -37,7 +42,7 @@ def test_sizes(n):
     assert len(generate_layer(n)) == EXPECTED_SIZES[n]
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(7))
 def test_sorted_unique_monotone(n):
     V = generate_layer(n).values
     assert np.all(V[1:] > V[:-1])
@@ -51,7 +56,7 @@ def test_closed_under_dual(n):
     assert np.array_equal(duals, layer.values)
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(6))
 def test_ordered_pair_identity(n):
     # the next layer is exactly the ordered pairs lo <= hi of this one
     V = generate_layer(n).values
@@ -120,6 +125,41 @@ def test_load_rejects_corrupt_files(tmp_path):
     bad4.write_text("mbf-layer n=2 count=2\n4\n5\n")  # 4, 5 not monotone
     with pytest.raises(ValueError):
         load_layer(str(bad4))
+
+
+@pytest.mark.parametrize("wrong", [19, 21])
+def test_build_raises_unless_it_fills_the_exact_size(monkeypatch, wrong):
+    monkeypatch.setattr(layers, "_CACHE", {})
+    monkeypatch.setitem(layers._LAYER_SIZE, 3, wrong)
+    with pytest.raises(VerificationError):
+        generate_layer(3)
+
+
+def test_building_d6_holds_one_copy_of_the_layer():
+    # the layer is written in place, sorted by construction: building D_6
+    # over D_5 raises the peak by about its own 8 * 7,828,354 bytes.  A
+    # process inherits its parent's peak RSS through exec, so the build
+    # runs in a child of a small launcher, not of this process
+    measure = (
+        "import resource, sys\n"
+        "from mbfcount.layers import generate_layer\n"
+        "generate_layer(5)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "generate_layer(6)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) * (1 if sys.platform == 'darwin' else 1024))\n"
+    )
+    launch = (
+        "import subprocess, sys\n"
+        f"sys.exit(subprocess.run([sys.executable, '-c', {measure!r}]).returncode)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", launch], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < int(proc.stdout) < 1.5 * 8 * 7_828_354
 
 
 def test_refusals():

@@ -237,10 +237,20 @@ def test_retable_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "mbf-retable n=2 mode=upward count=6"
 
 
-def test_memo_budget_refusal():
-    intervals.clear_memo()
+def test_memo_budget_refusal(monkeypatch):
+    monkeypatch.setattr(intervals, "MAX_MEMO_ENTRIES", 3)
     with pytest.raises(BudgetError):
-        re_fast(bottom(4), top(4), max_memo=3)
+        re_fast(bottom(4), top(4))
+
+
+@pytest.mark.parametrize(
+    "body", ["4 3\n8 5\n", "0 6\n8 0\n"], ids=["non-monotone", "count-zero"]
+)
+def test_load_upward_table_rejects_values_outside_the_layer(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_text("mbf-retable n=2 mode=upward count=2\n" + body)
+    with pytest.raises(ValueError):
+        load_upward_table(str(path))
 
 
 def test_bulk_budget_refusals():

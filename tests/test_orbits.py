@@ -216,3 +216,14 @@ def test_classes_file_round_trip(tmp_path):
     save_classes(loaded, n, str(path))
     assert path.read_bytes() == first
     assert path.read_text().splitlines()[0] == "mbf-classes n=3 count=10"
+
+
+@pytest.mark.parametrize(
+    "line", ["10 1", "fe 0", "fe -1", "fe 4"],
+    ids=["non-monotone", "gamma-zero", "gamma-negative", "gamma-not-dividing"],
+)
+def test_load_classes_rejects_what_is_not_a_class(tmp_path, line):
+    path = tmp_path / "bad.classes"
+    path.write_text(f"mbf-classes n=3 count=1\n{line}\n")
+    with pytest.raises(ValueError):
+        load_classes(str(path))

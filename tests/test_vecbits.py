@@ -36,6 +36,11 @@ def test_dual_array_matches_scalar(n):
     assert np.array_equal(got, expect)
 
 
+def test_monotone_mask_rejects_bits_above_the_window():
+    a = np.array([0x10, 0xF0, 0x1F], dtype=np.uint64)
+    assert not vecbits.monotone_mask(a, 2).any()
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_monotone_mask_matches_scalar_exhaustive(n):
     vals = np.arange(1 << (1 << n), dtype=np.uint64)
