@@ -20,7 +20,14 @@ that constraint into closed sums over a smaller layer:
           d choices.  Classes with weight(a) = 2^(n-1) force every block
           equal to a and contribute exactly one function each, which is
           the count for n itself; the refined form adds that as a closed
-          term and restricts the sum to weight(a) < 2^(n-1).
+          term and restricts the sum to weight(a) < 2^(n-1).  A
+          relabeling that fixes a fixes a* and leaves every term
+          unchanged, so the outer loop (over b, or over d in the
+          "d-first" order) runs over one representative per orbit of
+          Stab(a) on [a, a*], weighted by the orbit size, and the
+          interval counts within [a, a*] are taken once per orbit: 16,698
+          representatives for the 92,816 elements of the 80 base-5
+          classes.
 
   plus4   with k = 4 the sixteen blocks reduce to a, b, c plus a top
           block h >= a|b|c|dual(a)|dual(b)|dual(c) and four free middle
@@ -39,7 +46,10 @@ that constraint into closed sums over a smaller layer:
 
   plus4c  the same k = 4 sum regrouped per top block h over orbit
           classes with dual(h) <= h, weight(h) > 2^(n-1), plus the
-          closed weight-equal term (again the count for n itself).
+          closed weight-equal term (again the count for n itself).  The
+          outer a runs over one representative per orbit of Stab(h) on
+          [dual(h), h] (or on the whole layer with widen), weighted by
+          the orbit size, as in plus3.
 
 Both k = 4 routes, and the dense reference, read one representation,
 built by one helper (_k4_tables): the uint16 interval matrix, the
@@ -61,7 +71,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import parallel, vecbits
+from . import orbits, parallel, vecbits
 from .core import table_width
 from .errors import BudgetError, UnsupportedCombinationError, VerificationError
 from .intervals import build_full_table, upward_counts
@@ -171,22 +181,6 @@ def _interval_values(V: np.ndarray, lo, hi) -> np.ndarray:
     return V[((V & lo) == lo) & ((V & hi) == V)]
 
 
-def _downward_within(I: np.ndarray) -> np.ndarray:
-    """out[j] = |{z in I : z <= I[j]}|."""
-    out = np.empty(len(I), dtype=np.int64)
-    for j, w in enumerate(I):
-        out[j] = np.count_nonzero((I & ~w) == 0)
-    return out
-
-
-def _upward_within(I: np.ndarray) -> np.ndarray:
-    """out[j] = |{z in I : z >= I[j]}|."""
-    out = np.empty(len(I), dtype=np.int64)
-    for j, w in enumerate(I):
-        out[j] = np.count_nonzero((w & ~I) == 0)
-    return out
-
-
 def _plus3_class(ci: int) -> int:
     st = parallel.state()
     V, n = st["values"], st["n"]
@@ -194,21 +188,24 @@ def _plus3_class(ci: int) -> int:
     a_star = st["rep_duals"][ci]
     I = _interval_values(V, a, a_star)
     Id = vecbits.dual_array(I, n)
+    # a relabeling that fixes a fixes a*, maps [a, a*] onto itself and
+    # leaves every term unchanged: the outer loop runs over one
+    # representative per orbit, weighted by the orbit's size, and the
+    # interval counts are orbit invariants, counted once per orbit
+    reps, inverse, sizes = orbits.stabilizer_orbits(int(a), I, n)
     G = 0
     if st["loop_order"] == "pairs-first":
         # for each b <= c in [a, a*], the d choices fill [a, c & dual(b)]
-        rea = _downward_within(I)
-        for bi in range(len(I)):
+        rea = np.array([np.count_nonzero((I & ~I[r]) == 0) for r in reps])[inverse]
+        for bi, size in zip(reps, sizes.tolist()):
             cs = I[(I[bi] & ~I) == 0]
-            idx = np.searchsorted(I, cs & Id[bi])
-            G += int(rea[idx].sum())
+            G += size * int(rea[np.searchsorted(I, cs & Id[bi])].sum())
     else:
         # "d-first": pick d in [a, a*], then b <= dual(d), then c >= b | d
-        upI = _upward_within(I)
-        for di in range(len(I)):
+        upI = np.array([np.count_nonzero((I[r] & ~I) == 0) for r in reps])[inverse]
+        for di, size in zip(reps, sizes.tolist()):
             bs = I[(I & ~(a_star & Id[di])) == 0]
-            idx = np.searchsorted(I, bs | I[di])
-            G += int(upI[idx].sum())
+            G += size * int(upI[np.searchsorted(I, bs | I[di])].sum())
     return int(st["gammas"][ci]) * G
 
 
@@ -527,14 +524,17 @@ def _plus4c_class(ci: int) -> int:
     else:  # the indices of [dual(h), h]
         I = np.nonzero(((V[dual_idx[ih]] & ~V) == 0) & ((V & ~V[ih]) == 0))[0]
     Id = dual_idx[I]
+    # a relabeling that fixes h maps I onto itself and leaves the sum over
+    # b, c unchanged: a runs over one representative per orbit, weighted
+    reps, _, sizes = orbits.stabilizer_orbits(int(V[ih]), V[I], st["n"])
     F = 0
-    for ia in I:
+    for ia, size in zip(I[reps], sizes.tolist()):
         ida = dual_idx[ia]
         # rows b, columns c: the rows of J of a | b (a | b*, ...) hold their
         # joins with every element, of which the columns keep c or c*
         p = np.multiply(col[J[J[ia, I]][:, I]], col[J[J[ia, Id]][:, Id]], dtype=np.int32)  # a|b|c, a|b*|c*
         q = np.multiply(col[J[J[ida, I]][:, Id]], col[J[J[ida, Id]][:, I]], dtype=np.int32)  # a*|b|c*, a*|b*|c
-        F += exact_sum(np.einsum("ij,ij->j", p, q, dtype=np.int64))
+        F += size * exact_sum(np.einsum("ij,ij->j", p, q, dtype=np.int64))
     return int(st["gammas"][ci]) * F
 
 
@@ -562,6 +562,7 @@ def lambda_plus4_classes(
     base_value, base_source = self_dual_brute(n), "brute"
     shared = _k4_tables(layer, budget_mb)
     shared.update(
+        n=n,
         rep_idx=np.searchsorted(V, reps),
         gammas=gammas,
         widen=widen,

@@ -33,7 +33,7 @@ import numpy as np
 from . import parallel, vecbits
 from .core import Mbf, table_width, to_hex
 from .errors import BudgetError, VerificationError, WidthError
-from .layers import DEFAULT_BUDGET_MB, Layer, generate_layer
+from .layers import DEFAULT_BUDGET_MB, Layer, generate_layer, hex_array
 
 MAX_MEMO_ENTRIES = 10_000_000
 
@@ -244,11 +244,11 @@ def load_upward_table(path: str) -> IntervalTable:
         elements, counts = [], []
         for line in fh:
             h, c = line.split()
-            elements.append(int(h, 16))
+            elements.append(h)
             counts.append(int(c))
     if len(elements) != count:
         raise ValueError(f"{path}: header says {count} entries, found {len(elements)}")
-    elements, counts = np.array(elements, dtype=np.uint64), np.array(counts, dtype=np.int64)
+    elements, counts = hex_array(path, elements), np.array(counts, dtype=np.int64)
     if not vecbits.monotone_mask(elements, n).all():
         raise ValueError(f"{path}: contains elements that are not monotone")
     if np.any(counts < 1):

@@ -123,6 +123,18 @@ def save_layer(layer: Layer, path: str) -> None:
         write_layer(layer, fh)
 
 
+def hex_array(path: str, texts) -> np.ndarray:
+    """The hex values read from a file as uint64; raises ValueError naming
+    the file and the value unless each lies in 0..2^64-1."""
+    values = []
+    for t in texts:
+        v = int(t, 16)
+        if not 0 <= v < 1 << 64:
+            raise ValueError(f"{path}: value {t} is negative or wider than 64 bits")
+        values.append(v)
+    return np.array(values, dtype=np.uint64)
+
+
 def load_layer(path: str) -> Layer:
     """Read a layer file back; validates shape, order and monotonicity."""
     with open(path) as fh:
@@ -131,7 +143,7 @@ def load_layer(path: str) -> Layer:
             raise ValueError(f"{path}: not a layer file")
         n = int(header[1].removeprefix("n="))
         count = int(header[2].removeprefix("count="))
-        values = np.array([int(line, 16) for line in fh], dtype=np.uint64)
+        values = hex_array(path, [line.strip() for line in fh])
     if len(values) != count:
         raise ValueError(f"{path}: header says {count} elements, found {len(values)}")
     if np.any(values[1:] <= values[:-1]):

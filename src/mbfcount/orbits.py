@@ -15,6 +15,12 @@ prefilter of n-1 passes keeps only such elements (46,107 of the 7,828,354
 at n=6).  Walking the survivors, the ones equal to their own image minimum
 are the representatives (16,353 at n=6); each orbit size is the number of
 its distinct images found in the layer.
+
+The counting kernels reduce their inner loops by the relabelings that fix
+one element (its stabilizer).  stabilizer_orbits walks the same sequence
+over that element and a value set the stabilizer maps to itself, and keeps
+a running minimum over the arrangements that leave the element in place;
+it holds one arrangement at a time, not a table of all n! images.
 """
 
 from __future__ import annotations
@@ -170,6 +176,44 @@ def canonical_array(values: np.ndarray, n: int) -> np.ndarray:
     for lo in range(0, len(values), WALK_BATCH):
         _orbit_images(values[lo:lo + WALK_BATCH], n).min(axis=0, out=out[lo:lo + WALK_BATCH])
     return out
+
+
+def stabilizer_orbits(fixed: int, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the relabelings that fix `fixed`, on a set they map to itself.
+
+    values must be distinct; orbits are numbered by ascending minimum.
+    Returns (reps, inverse, sizes): reps[k] is the position in values of
+    the minimum of orbit k, values[i] lies in orbit inverse[i], and
+    sizes[k] is the number of values in orbit k.
+
+    One plain-changes walk over [fixed, *values] keeps a running minimum
+    over the arrangements that leave fixed in place: O(n! * len) time,
+    O(len) memory.  Raises VerificationError unless each value's orbit
+    holds the stabilizer's order over the number of its arrangements that
+    fix the value (orbit-stabilizer), which holds exactly when the set is
+    closed under the stabilizer; every size then divides that order.
+    """
+    vecbits.check_vector_n(n)
+    fixed = np.uint64(fixed)
+    cur = np.concatenate((np.array([fixed]), values))
+    low = cur[1:].copy()
+    fixes = np.ones(len(values), dtype=np.int64)  # stabilizer arrangements fixing each value
+    order = 1
+    for k in adjacent_swap_sequence(n):
+        cur = vecbits.digit_transpose(cur, k, k + 1, n)
+        if cur[0] == fixed:
+            order += 1
+            np.minimum(low, cur[1:], out=low)
+            fixes += cur[1:] == values
+    _, inverse = np.unique(low, return_inverse=True)
+    sizes = np.bincount(inverse)
+    if np.any(sizes[inverse] * fixes != order):
+        raise VerificationError(
+            f"values are not closed under the {order} relabelings that fix"
+            f" {int(fixed):#x}: some orbit is only partly present"
+        )
+    reps = np.nonzero(low == values)[0]
+    return reps[np.argsort(values[reps])], inverse, sizes
 
 
 def _minimum_candidates(values: np.ndarray, n: int) -> np.ndarray:

@@ -3,9 +3,10 @@
 Each suite re-derives a structural fact by an independent route and
 compares: dual algebra on whole layers, permutation equivariance, the
 interval recursion against the definition scan, orbit size bookkeeping,
-and the counting-method identities (refinement, loop order, widening,
-class folding).  A build that passes all of these and the reference
-table is very hard to get wrong silently.
+stabilizer orbits against classification, and the counting-method
+identities (refinement, loop order, widening, class folding).  A build
+that passes all of these and the reference table is very hard to get
+wrong silently.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from .counting import (
 )
 from .intervals import re_fast, re_scan, upward_counts
 from .layers import generate_layer
-from .orbits import all_permutations, apply_permutation, canonical, classify, compose
+from .orbits import (
+    all_permutations,
+    apply_permutation,
+    canonical,
+    classify,
+    compose,
+    stabilizer_orbits,
+)
 
 RNG_SEED = 20240901
 
@@ -140,6 +148,20 @@ def check_canonicality(max_n: int) -> bool:
     return True
 
 
+def check_stabilizer_orbits(max_n: int) -> bool:
+    """Every relabeling fixes the bottom element, so its stabilizer orbits
+    over a whole layer are classify's classes, with gamma as sizes; n <= 5."""
+    for n in range(min(max_n, 5) + 1):
+        layer = generate_layer(n)
+        reps, _, sizes = stabilizer_orbits(0, layer.values, n)
+        classes = classify(layer)
+        if layer.values[reps].tolist() != [c.representative.bits for c in classes]:
+            return False
+        if sizes.tolist() != [c.gamma for c in classes]:
+            return False
+    return True
+
+
 def check_selfdual_weight(max_n: int) -> bool:
     """Every self-dual element has exactly half its table set, n <= 4."""
     for n in range(min(max_n, 4) + 1):
@@ -239,6 +261,7 @@ SUITES = (
     ("group-action-law", check_action_law),
     ("gamma-sums", check_gamma_sums),
     ("canonical-representatives", check_canonicality),
+    ("stabilizer-orbits", check_stabilizer_orbits),
     ("self-dual-weight", check_selfdual_weight),
     ("interval-oracle", check_interval_oracle),
     ("plus2-class-fold", check_plus2_class_fold),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mbfcount import cli, counting
+from mbfcount import cli, counting, intervals
 from mbfcount.cli import (
     EXIT_BUDGET,
     EXIT_INTERRUPTED,
@@ -211,6 +211,29 @@ def test_retable_refuses_values_outside_the_layer(tmp_path, capsys, text):
     code, out, err = run(capsys, "retable", "--in", str(path))
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("mbfcount: error:") and len(err.splitlines()) == 1
+
+
+OUT_OF_UINT64 = pytest.mark.parametrize("value", ["-1", "1" + "0" * 16], ids=["negative", "2^64"])
+
+
+@OUT_OF_UINT64
+def test_retable_refuses_layer_values_outside_64_bits(tmp_path, capsys, value):
+    path = tmp_path / "bad.layer"
+    path.write_text(f"mbf-layer n=2 count=1\n{value}\n")
+    code, out, err = run(capsys, "retable", "--in", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("mbfcount: error:") and len(err.splitlines()) == 1
+    assert str(path) in err and f"value {value} " in err
+
+
+@OUT_OF_UINT64
+def test_upward_table_refuses_values_outside_64_bits(tmp_path, value):
+    # no command reads an upward table back; the loader raises the
+    # ValueError that the CLI reports as one usage-error line
+    path = tmp_path / "bad.retable"
+    path.write_text(f"mbf-retable n=2 mode=upward count=1\n{value} 1\n")
+    with pytest.raises(ValueError, match=f"{path}: value {value} "):
+        intervals.load_upward_table(str(path))
 
 
 def test_retable_refuses_non_monotone_classes(tmp_path, capsys):

@@ -314,6 +314,49 @@ def test_cross_method_agreement_small(classes):
         assert len(values) == 1
 
 
+def partials_and_value(run, stabilizer_orbits):
+    """The per-class partial sums and the value of run(), with the given
+    orbit helper in place of orbits.stabilizer_orbits."""
+    real = parallel.run_tasks
+    parts = []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        parts.extend(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(parallel, "run_tasks", recording)
+        m.setattr(orbits, "stabilizer_orbits", stabilizer_orbits)
+        return parts, run().value
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_orbit_reduction_equals_the_unreduced_sum(n, classes):
+    # the trivial partition, every value its own orbit of size 1, turns each
+    # reduced loop back into the plain loop over every element
+    calls = []
+
+    def trivial(fixed, values, n):
+        calls.append(fixed)
+        k = len(values)
+        return np.arange(k), np.arange(k), np.ones(k, dtype=np.int64)
+
+    layer, cl = setup(n, classes)
+    runs = {
+        n + 3: [lambda o=order: lambda_plus3(layer, cl, loop_order=o) for order in ("pairs-first", "d-first")],
+        n + 4: [lambda w=widen: lambda_plus4_classes(layer, cl, widen=w) for widen in (False, True)],
+    }
+    for target, routes in runs.items():
+        for run in routes:
+            calls.clear()
+            reduced = partials_and_value(run, orbits.stabilizer_orbits)
+            unreduced = partials_and_value(run, trivial)
+            assert len(calls) == len(unreduced[0])  # one walk per class task
+            assert reduced == unreduced
+            assert reduced[1] == LAMBDA_KNOWN[target]
+
+
 def test_partial_sums_order_independent(classes):
     # per-class contributions merged in any order give the same exact value
     layer, cl = setup(4, classes)

@@ -21,9 +21,10 @@ from mbfcount.orbits import (
     orbit_size,
     orbit_values,
     save_classes,
+    stabilizer_orbits,
 )
 
-from oracles import permute_value, slow_classes, slow_orbit
+from oracles import permute_value, slow_classes, slow_orbit, slow_dual
 
 
 def test_position_map_is_popcount_preserving_bijection():
@@ -227,3 +228,72 @@ def test_load_classes_rejects_what_is_not_a_class(tmp_path, line):
     path.write_text(f"mbf-classes n=3 count=1\n{line}\n")
     with pytest.raises(ValueError):
         load_classes(str(path))
+
+
+def plus3_classes(n):
+    """Representatives a of the plus3 outer classes (a <= a*, weight below
+    half the table) and the ascending interval [a, a*] of each."""
+    V = generate_layer(n).values
+    out = []
+    for c in classify(generate_layer(n)):
+        a = c.representative.bits
+        ad = slow_dual(n, a)
+        if a & ~ad == 0 and 2 * a.bit_count() < 1 << n:
+            out.append((c, V[((V & np.uint64(a)) == a) & ((V & ~np.uint64(ad)) == 0)]))
+    return out
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_stabilizer_orbits_of_the_bottom_are_the_classes(n):
+    # every relabeling fixes the bottom element, so the orbits are classify's
+    layer = generate_layer(n)
+    reps, inverse, sizes = stabilizer_orbits(0, layer.values, n)
+    classes = classify(layer)
+    assert layer.values[reps].tolist() == [c.representative.bits for c in classes]
+    assert sizes.tolist() == [c.gamma for c in classes]
+    assert np.array_equal(layer.values[reps][inverse], canonical_array(layer.values, n))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_stabilizer_orbits_match_the_permutation_oracle(n):
+    for c, interval in plus3_classes(n):
+        a = c.representative.bits
+        stab = [m for m in permutations(range(n)) if permute_value(n, a, m) == a]
+        assert len(stab) == factorial(n) // c.gamma
+        reps, inverse, sizes = stabilizer_orbits(a, interval, n)
+        values = interval.tolist()
+        for i, v in enumerate(values):
+            orbit = {permute_value(n, v, m) for m in stab}
+            members = {values[j] for j in np.nonzero(inverse == inverse[i])[0]}
+            assert members == orbit
+            assert values[reps[inverse[i]]] == min(orbit)
+        assert sizes.sum() == len(interval)
+        assert all(len(stab) % s == 0 for s in sizes.tolist())
+
+
+def test_stabilizer_orbits_refuse_a_set_that_is_not_closed():
+    V = generate_layer(3).values
+    x01, x02, x12 = 0x88, 0xA0, 0xC0  # x0 & x1, x0 & x2, x1 & x2: one S_3 orbit
+
+    def u64(*xs):
+        return np.array(xs, dtype=np.uint64)
+
+    # two of the three: the size found, 2, divides 3! = 6 but is not the orbit's
+    with pytest.raises(VerificationError, match="not closed"):
+        stabilizer_orbits(0, u64(x01, x02), 3)
+    with pytest.raises(VerificationError, match="not closed"):
+        stabilizer_orbits(0, u64(0x80, x12), 3)
+    # the relabelings fixing x0 & x1 swap x0 and x1 and so x0 & x2 with x1 & x2
+    assert stabilizer_orbits(x01, u64(x01), 3)[2].tolist() == [1]
+    assert stabilizer_orbits(x01, u64(x02, x12), 3)[2].tolist() == [2]
+    with pytest.raises(VerificationError):
+        stabilizer_orbits(x01, u64(x01, x02), 3)
+    assert stabilizer_orbits(0, V, 3)[2].sum() == len(V)
+
+
+def test_stabilizer_orbits_over_the_base5_plus3_classes():
+    found = plus3_classes(5)
+    assert len(found) == 80
+    assert sum(len(interval) for _, interval in found) == 92_816
+    reps = sum(len(stabilizer_orbits(c.representative.bits, interval, 5)[0]) for c, interval in found)
+    assert reps == 16_698
