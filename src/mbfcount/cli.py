@@ -61,6 +61,8 @@ class RunConfig:
     max_n: int = 5
 
     def __post_init__(self) -> None:
+        if self.max_n < 0:
+            raise ValueError(f"selfcheck needs a max n >= 0, got {self.max_n}")
         if self.threads < 1:
             raise ValueError(f"worker count must be >= 1, got {self.threads}")
         if self.budget_mb <= 0:
@@ -124,24 +126,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
+    def either(flag: str, pos: str):  # the --flag form wins; 0 is a value
+        v = getattr(args, flag, None)
+        return getattr(args, pos, None) if v is None else v
+
     threads = getattr(args, "threads", None)
     if threads is None:
         threads = parallel.default_workers()
-    cfg = RunConfig(
+    max_n = either("max_n", "max_n_pos")
+    return RunConfig(
         command=args.command,
         n=getattr(args, "n", None),
-        target=getattr(args, "target", None) or getattr(args, "target_pos", None),
-        method=getattr(args, "method", None) or getattr(args, "method_pos", None),
+        target=either("target", "target_pos"),
+        method=either("method", "method_pos"),
         threads=threads,
         budget_mb=getattr(args, "budget_mb", layers.DEFAULT_BUDGET_MB),
         in_path=getattr(args, "in_path", None),
         out_path=getattr(args, "out", None),
         verify=not getattr(args, "no_verify", False),
+        max_n=5 if max_n is None else max_n,
     )
-    if args.command == "selfcheck":
-        mx = args.max_n if args.max_n is not None else args.max_n_pos
-        cfg.max_n = 5 if mx is None else mx
-    return cfg
 
 
 def _emit(cfg: RunConfig, writer) -> None:

@@ -34,29 +34,30 @@ that constraint into closed sums over a smaller layer:
           blocks, each ranging over one interval ending at h; the count
           is the sum over (a, b, c, h) of the product of four interval
           counts.  The product vanishes unless dual(h) <= a, b, c <= h,
-          which the pruned kernel exploits with one task per top block
-          h: per chunk of c it builds the rows re(c | x, h) and
-          re(c* | x, h) over x in [dual(h), h] once, and every class a
-          under h takes its four factors from them.  Swapping b and c
-          swaps two factors, so it sums only b <= c and counts b < c
-          twice; c -> c* maps the sum for a* onto the sum for a, so a
-          class and its dual class are summed once, with twice the weight.
-          Pruned is the plus4 route at every base; strategy="dense", the
-          unpruned sum (n <= 4), is a reference that checks name.
+          so per top block h and a in [dual(h), h] the kernel
+          (_top_block_sums) sums S(a, h) over b, c in [dual(h), h]: per
+          chunk of c it builds the rows re(c | x, h) and re(c* | x, h)
+          over x in [dual(h), h] once, and every a takes its four
+          factors from them.  Swapping b and c swaps two factors, so it
+          sums only b <= c and counts b < c twice.  Pruned plus4 runs
+          one task per h over the classes a under it; c -> c* maps the
+          sum for a* onto the sum for a, so a class and its dual class
+          are summed once, with twice the weight.  Pruned is the plus4
+          route at every base; strategy="dense", the sum over every
+          (a, b, c, h) (n <= 4), is the reference for the kernel.
 
   plus4c  the same k = 4 sum regrouped per top block h over orbit
           classes with dual(h) <= h, weight(h) > 2^(n-1), plus the
           closed weight-equal term (again the count for n itself).  The
-          outer a runs over one representative per orbit of Stab(h) on
-          [dual(h), h] (or on the whole layer with widen), weighted by
-          the orbit size, as in plus3.
+          kernel's a runs over one representative per orbit of Stab(h)
+          on [dual(h), h], weighted by the orbit size, as in plus3.
 
 Both k = 4 routes, and the dense reference, read one representation,
 built by one helper (_k4_tables): the uint16 interval matrix, the
 join-index table J (the index of x | y) and the index of each dual.  A
 factor such as re(a | b | c, h) is the matrix entry at row J[J[a, b], c];
 a column re(x, h) is the row of h* gathered through the dual index, since
-re(x, h) = re(h*, x*).  Entries are widened only where they are multiplied.
+re(x, h) = re(h*, x*).  Entries are cast up only where multiplied.
 
 Every accumulator is an exact integer: numpy partial sums stay below
 2^63 by construction (wide blocks are split 26 bits at a time before
@@ -129,12 +130,13 @@ def exact_sum(a: np.ndarray) -> int:
     count, below 6! * d_6 < 2^33, over at most 16,353 classes.  The k = 4
     kernels sum four-way products of interval counts, and _k4_tables
     raises before any task runs unless every count c has c^4 < 2^52
-    (_require_exact_products).  The pruned kernel sums at most
+    (_require_exact_products).  _top_block_sums sums at most
     d_5 = 7,581 < 2^13 entries, each a sum of at most _PRUNED_CHUNK
-    products, and raises unless _PRUNED_CHUNK * 2^52 <= 2^63
-    (_require_exact_chunk_sums), so len(a) * max(a) < 2^76.  plus4c and
-    the dense plus4 reference run at n <= 4 and sum at most d_4 = 168
-    entries, each a sum of at most 168 products, so len(a) * max(a) < 2^67.
+    products, and both its routes (pruned plus4, plus4c) raise unless
+    _PRUNED_CHUNK * 2^52 <= 2^63 (_require_exact_chunk_sums), so
+    len(a) * max(a) < 2^76.  The dense plus4 reference runs at n <= 4 and
+    sums at most d_4 = 168 entries, each a sum of at most 168 products,
+    so len(a) * max(a) < 2^67.
     """
     lo = int((a & np.int64((1 << 26) - 1)).sum())
     hi = int((a >> np.int64(26)).sum())
@@ -254,7 +256,8 @@ def lambda_plus3(
 def _plus4_dense_class(ci: int) -> int:
     st = parallel.state()
     J, RE, dual_idx = st["join_idx"], st["re"], st["dual_idx"]
-    ia, ida = int(st["rep_idx"][ci]), int(st["rep_dual_idx"][ci])
+    ia = int(st["rep_idx"][ci])
+    ida = dual_idx[ia]
     total = 0
     for ib in range(len(J)):
         idb = dual_idx[ib]
@@ -321,25 +324,28 @@ def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
 _PRUNED_CHUNK = 64
 
 
-def _plus4_pruned_top(ih: int) -> int:
+def _top_block_sums(ih: int, a_idx) -> list[int]:
+    """S(a, h) for the top block h = V[ih] and each layer index a in
+    [dual(h), h]: the sum over b, c in [dual(h), h] of
+    re(a|b|c, h) re(a|b*|c*, h) re(a*|b|c*, h) re(a*|b*|c, h).  Reads
+    the state of _k4_tables plus the intervals of _tops_and_intervals."""
     st = parallel.state()
     V, J, RE, dual_idx = st["values"], st["join_idx"], st["re"], st["dual_idx"]
     cidx = st["intervals"][ih]
     dcidx = dual_idx[cidx]
     m = len(cidx)
-    under = np.nonzero((st["rep_joins"] & ~V[ih]) == 0)[0]  # classes with a | a* <= h
     # col[x] = re(x, h) = re(h*, x*): dual reverses the order, so the
     # column of h is a gather from the contiguous row of h*; entries are
-    # below 2^13 (lambda_plus4_direct checks), so they fit int16, a product
-    # of two fits int32 and of four stays below 2^52
+    # below 2^13 (_k4_tables checks), so they fit int16, a product of two
+    # fits int32 and of four stays below 2^52
     col = RE[dual_idx[ih]][dual_idx].astype(np.int16)
     # a, a*, b and b* all lie in [h*, h], so each join of two does too;
     # pos gives its column in the factor rows below
     pos = np.zeros(len(V), dtype=np.intp)
     pos[cidx] = np.arange(m)
     joins = []
-    for ci in under:
-        ia, ida = int(st["rep_idx"][ci]), int(st["rep_dual_idx"][ci])
+    for ia in a_idx:
+        ida = dual_idx[ia]
         joins.append((
             pos[J[ia, cidx]],  # a | b, per b in the interval
             pos[J[ia, dcidx]],  # a | b*
@@ -349,13 +355,13 @@ def _plus4_pruned_top(ih: int) -> int:
     # the product is symmetric in b and c, so sum only b <= c by interval
     # index: per chunk of c in [lo, hi), the b in [0, lo) lie above the
     # diagonal and count twice, the square of b, c in [lo, hi) counts once
-    off = [0] * len(under)
-    diag = [0] * len(under)
+    off = [0] * len(joins)
+    diag = [0] * len(joins)
     for lo in range(0, m, _PRUNED_CHUNK):
         hi = lo + _PRUNED_CHUNK
         # J is symmetric, so row k holds the joins with c = cidx[lo + k]:
         # Mc[k, x] = re(c | x, h) and Mdc[k, x] = re(c* | x, h) for every x
-        # in the interval, shared by all classes under h
+        # in the interval, shared by every a
         Mc = col[J[cidx[lo:hi]][:, cidx]]
         Mdc = col[J[dcidx[lo:hi]][:, cidx]]
         for k, (j_bot, j_a, j_b, j_c) in enumerate(joins):
@@ -366,8 +372,15 @@ def _plus4_pruned_top(ih: int) -> int:
             if lo:
                 off[k] += exact_sum(sums[:lo])
             diag[k] += exact_sum(sums[lo:])
+    return [2 * o + d for o, d in zip(off, diag)]
+
+
+def _plus4_pruned_top(ih: int) -> int:
+    st = parallel.state()
+    under = np.nonzero((st["rep_joins"] & ~st["values"][ih]) == 0)[0]  # classes with a | a* <= h
+    sums = _top_block_sums(ih, st["rep_idx"][under])
     weights = st["class_weights"]  # gamma, doubled for a folded dual pair
-    return sum(weights[ci] * (2 * o + d) for ci, o, d in zip(under, off, diag))
+    return sum(weights[ci] * s for ci, s in zip(under, sums))
 
 
 def fold_dual_classes(classes: list[OrbitClass], n: int) -> tuple[list[OrbitClass], list[int]]:
@@ -477,12 +490,7 @@ def lambda_plus4_direct(
     shared = _k4_tables(layer, budget_mb)
     if strategy == "dense":
         reps, gammas = _rep_array(classes)
-        rep_idx = np.searchsorted(V, reps)
-        shared.update(
-            rep_idx=rep_idx,
-            rep_dual_idx=shared["dual_idx"][rep_idx],
-            gammas=gammas,
-        )
+        shared.update(rep_idx=np.searchsorted(V, reps), gammas=gammas)
         tasks = list(range(len(classes)))
         parts = parallel.run_tasks(_plus4_dense_class, tasks, workers, shared=shared)
     else:
@@ -494,12 +502,10 @@ def lambda_plus4_direct(
         terms = _pruned_terms(V, tops, intervals, reps, rep_duals).sum(axis=0)
         order = np.argsort(-terms, kind="stable")  # longest first
         order = order[terms[order] > 0]
-        rep_idx = np.searchsorted(V, reps)
         shared.update(
             intervals=intervals,
             rep_joins=reps | rep_duals,
-            rep_idx=rep_idx,
-            rep_dual_idx=shared["dual_idx"][rep_idx],
+            rep_idx=np.searchsorted(V, reps),
             class_weights=[g * k for g, k in zip(gammas.tolist(), mult)],
         )
         parts = parallel.run_tasks(
@@ -515,26 +521,12 @@ def lambda_plus4_direct(
 
 def _plus4c_class(ci: int) -> int:
     st = parallel.state()
-    V, J, RE, dual_idx = st["values"], st["join_idx"], st["re"], st["dual_idx"]
     ih = int(st["rep_idx"][ci])
-    # col[x] = re(x, h) = re(h*, x*), a gather from the row of h*
-    col = RE[dual_idx[ih]][dual_idx]
-    if st["widen"]:
-        I = np.arange(len(V))
-    else:  # the indices of [dual(h), h]
-        I = np.nonzero(((V[dual_idx[ih]] & ~V) == 0) & ((V & ~V[ih]) == 0))[0]
-    Id = dual_idx[I]
-    # a relabeling that fixes h maps I onto itself and leaves the sum over
-    # b, c unchanged: a runs over one representative per orbit, weighted
-    reps, _, sizes = orbits.stabilizer_orbits(int(V[ih]), V[I], st["n"])
-    F = 0
-    for ia, size in zip(I[reps], sizes.tolist()):
-        ida = dual_idx[ia]
-        # rows b, columns c: the rows of J of a | b (a | b*, ...) hold their
-        # joins with every element, of which the columns keep c or c*
-        p = np.multiply(col[J[J[ia, I]][:, I]], col[J[J[ia, Id]][:, Id]], dtype=np.int32)  # a|b|c, a|b*|c*
-        q = np.multiply(col[J[J[ida, I]][:, Id]], col[J[J[ida, Id]][:, I]], dtype=np.int32)  # a*|b|c*, a*|b*|c
-        F += size * exact_sum(np.einsum("ij,ij->j", p, q, dtype=np.int64))
+    I = st["intervals"][ih]  # the indices of [dual(h), h]
+    # a relabeling that fixes h maps I onto itself and leaves S(a, h)
+    # unchanged: a runs over one representative per orbit, weighted
+    reps, _, sizes = orbits.stabilizer_orbits(int(st["values"][ih]), st["values"][I], st["n"])
+    F = sum(size * s for size, s in zip(sizes.tolist(), _top_block_sums(ih, I[reps])))
     return int(st["gammas"][ci]) * F
 
 
@@ -542,19 +534,17 @@ def lambda_plus4_classes(
     layer: Layer,
     classes: list[OrbitClass],
     workers: int = 1,
-    widen: bool = False,
     budget_mb: int | None = None,
 ) -> LambdaResult:
     """Count for n+4 grouped per top block h over orbit classes.
 
     Only classes with dual(h) <= h and weight(h) > 2^(n-1) are summed;
     the weight-equal top blocks contribute the closed n-count term.
-    With widen=True the middle blocks range over the whole layer instead
-    of [dual(h), h], which must not change the result (zero factors).
     """
     t0 = time.perf_counter()
     n = layer.n
     _require_base("plus4c", n)
+    _require_exact_chunk_sums(_PRUNED_CHUNK)
     V = layer.values
     reps, gammas = _rep_array(classes)
     rep_duals = vecbits.dual_array(reps, n)
@@ -563,9 +553,9 @@ def lambda_plus4_classes(
     shared = _k4_tables(layer, budget_mb)
     shared.update(
         n=n,
+        intervals=_tops_and_intervals(V, n)[1],
         rep_idx=np.searchsorted(V, reps),
         gammas=gammas,
-        widen=widen,
     )
     tasks = [ci for ci in range(len(classes)) if sel[ci]]
     parts = parallel.run_tasks(_plus4c_class, tasks, workers, shared=shared)

@@ -167,15 +167,13 @@ class IntervalTable:
 
 
 def build_upward_table(source, n: int | None = None, workers: int = 1) -> IntervalTable:
-    """Upward counts for a Layer, a list of orbit classes, or a value array."""
+    """Upward counts for a Layer, or for a list of orbit classes of D_n."""
     if isinstance(source, Layer):
         xs, n = source.values, source.n
     elif n is None:
         raise ValueError("n is required unless source is a Layer")
-    elif source and hasattr(source[0], "representative"):
-        xs = np.array([c.representative.bits for c in source], dtype=np.uint64)
     else:
-        xs = np.asarray(source, dtype=np.uint64)
+        xs = np.array([c.representative.bits for c in source], dtype=np.uint64)
     return IntervalTable(n, "upward", xs, upward_counts(n, xs, workers))
 
 

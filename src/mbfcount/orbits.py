@@ -35,7 +35,7 @@ import numpy as np
 from . import vecbits
 from .core import Mbf, check_n, table_width
 from .errors import BudgetError, VerificationError, WidthError
-from .layers import Layer
+from .layers import Layer, hex_array
 
 ORBIT_MAX_N = 7  # 5040 images per element is the single-value ceiling
 # elements per image walk: n! * 2048 uint64 images is 11.8 MB at n=6.  A
@@ -308,13 +308,14 @@ def load_classes(path: str) -> tuple[int, list[OrbitClass]]:
             raise ValueError(f"{path}: not a classes file")
         n = int(header[1].removeprefix("n="))
         count = int(header[2].removeprefix("count="))
-        classes = []
-        for line in fh:
-            h, g = line.split()
-            rep, gamma = Mbf.from_hex(n, h), int(g)  # from_hex refuses non-monotone values
-            if gamma < 1 or factorial(n) % gamma:
-                raise ValueError(f"{path}: orbit size {gamma} of {h} is not a positive divisor of {n}!")
-            classes.append(OrbitClass(rep, gamma))
-    if len(classes) != count:
-        raise ValueError(f"{path}: header says {count} classes, found {len(classes)}")
-    return n, classes
+        rows = [line.split() for line in fh]
+    if len(rows) != count:
+        raise ValueError(f"{path}: header says {count} classes, found {len(rows)}")
+    reps = hex_array(path, [h for h, _ in rows])
+    gammas = [int(g) for _, g in rows]
+    for (h, _), gamma, ok in zip(rows, gammas, vecbits.monotone_mask(reps, n).tolist()):
+        if not ok:
+            raise ValueError(f"{path}: representative {h} is not monotone in {n} variables")
+        if gamma < 1 or factorial(n) % gamma:
+            raise ValueError(f"{path}: orbit size {gamma} of {h} is not a positive divisor of {n}!")
+    return n, [OrbitClass(Mbf(n, r), g) for r, g in zip(reps.tolist(), gammas)]

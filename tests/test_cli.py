@@ -116,6 +116,12 @@ def test_lambda_flags(capsys):
     assert out.startswith("lambda n=4 method=plus4 value=12 base_n=0 seconds=")
 
 
+def test_lambda_flags_target_zero(capsys):
+    code, out, _ = run(capsys, "lambda", "--target", "0", "--method", "brute")
+    assert code == EXIT_OK
+    assert out.startswith("lambda n=0 method=brute value=0 base_n=0 seconds=")
+
+
 def test_lambda_7_plus2(capsys):
     code, out, _ = run(capsys, "lambda", "7", "plus2")
     assert code == EXIT_OK
@@ -200,6 +206,12 @@ def test_selfcheck_small(capsys):
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+def test_selfcheck_refuses_negative_max_n(capsys):
+    code, out, err = run(capsys, "selfcheck", "--max-n", "-1")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("mbfcount: error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "text",
     ["mbf-layer n=2 count=2\n0\nff\n", "mbf-classes n=2 count=1\n8 0\n"],
@@ -220,6 +232,18 @@ OUT_OF_UINT64 = pytest.mark.parametrize("value", ["-1", "1" + "0" * 16], ids=["n
 def test_retable_refuses_layer_values_outside_64_bits(tmp_path, capsys, value):
     path = tmp_path / "bad.layer"
     path.write_text(f"mbf-layer n=2 count=1\n{value}\n")
+    code, out, err = run(capsys, "retable", "--in", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("mbfcount: error:") and len(err.splitlines()) == 1
+    assert str(path) in err and f"value {value} " in err
+
+
+@pytest.mark.parametrize(
+    "n, value", [(2, "-1"), (2, "1" + "0" * 16), (7, "f" * 32)], ids=["negative", "2^64", "n7-128-bit"]
+)
+def test_retable_refuses_classes_values_outside_64_bits(tmp_path, capsys, n, value):
+    path = tmp_path / "bad.classes"
+    path.write_text(f"mbf-classes n={n} count=1\n{value} 1\n")
     code, out, err = run(capsys, "retable", "--in", str(path))
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("mbfcount: error:") and len(err.splitlines()) == 1

@@ -120,12 +120,14 @@ def test_plus4c_known_values(n, classes):
     assert got.value == LAMBDA_KNOWN[n + 4]
 
 
-@pytest.mark.parametrize("n", range(3))
-def test_plus4c_widening_equivalence(n, classes):
+@pytest.mark.parametrize("n", range(4))
+def test_plus4c_equals_dense_plus4(n, classes):
+    # plus4c reads b, c only in [dual(h), h]; dense sums every (a, b, c, h),
+    # so the terms plus4c skips must have a zero factor
     layer, cl = setup(n, classes)
     assert (
-        lambda_plus4_classes(layer, cl, widen=False).value
-        == lambda_plus4_classes(layer, cl, widen=True).value
+        lambda_plus4_classes(layer, cl).value
+        == lambda_plus4_direct(layer, cl, strategy="dense").value
     )
 
 
@@ -149,11 +151,12 @@ def test_join_index_table_n5_rows():
 @pytest.mark.parametrize("n", [3, 4])
 def test_plus4_pruned_half_sum_over_many_chunks(n, chunk, classes, monkeypatch):
     # intervals span several chunks of c, so pairs b < c in different
-    # chunks count twice; with 7 most intervals end in a ragged chunk
+    # chunks count twice; with 7 most intervals end in a ragged chunk.
+    # plus4c sums through the same kernel
     monkeypatch.setattr(counting, "_PRUNED_CHUNK", chunk)
     layer, cl = setup(n, classes)
-    got = lambda_plus4_direct(layer, cl, strategy="pruned")
-    assert got.value == LAMBDA_KNOWN[n + 4]
+    assert lambda_plus4_direct(layer, cl, strategy="pruned").value == LAMBDA_KNOWN[n + 4]
+    assert lambda_plus4_classes(layer, cl).value == LAMBDA_KNOWN[n + 4]
 
 
 def test_plus4_pruned_schedules_longest_first(classes, monkeypatch):
@@ -280,6 +283,8 @@ def test_plus4_pruned_refuses_chunks_beyond_exact_sums(classes, monkeypatch):
     layer, cl = setup(2, classes)
     with pytest.raises(VerificationError, match="2\\^63"):
         lambda_plus4_direct(layer, cl, strategy="pruned")
+    with pytest.raises(VerificationError, match="2\\^63"):
+        lambda_plus4_classes(layer, cl)
 
 
 def test_plus4_pruned_term_count_matches_direct_loop(classes):
@@ -345,7 +350,7 @@ def test_orbit_reduction_equals_the_unreduced_sum(n, classes):
     layer, cl = setup(n, classes)
     runs = {
         n + 3: [lambda o=order: lambda_plus3(layer, cl, loop_order=o) for order in ("pairs-first", "d-first")],
-        n + 4: [lambda w=widen: lambda_plus4_classes(layer, cl, widen=w) for widen in (False, True)],
+        n + 4: [lambda: lambda_plus4_classes(layer, cl)],
     }
     for target, routes in runs.items():
         for run in routes:
