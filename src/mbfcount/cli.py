@@ -22,6 +22,8 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import intervals, layers, orbits, parallel, selfcheck
 from .counting import (
     METHODS,
@@ -160,7 +162,7 @@ def cmd_gen(cfg: RunConfig) -> int:
     if cfg.n is None:
         raise ValueError("gen needs --n")
     layer = layers.generate_layer(cfg.n, cfg.budget_mb)
-    _emit(cfg, lambda fh: layers.write_layer(layer, fh))
+    _emit(cfg, lambda fh: layers.write_records(fh, "layer", layer.n, layer.values[:, None]))
     return EXIT_OK
 
 
@@ -171,28 +173,23 @@ def cmd_classes(cfg: RunConfig) -> int:
     classes = orbits.classify(layer, cfg.threads)
     if not orbits.gammas_consistent(classes, layer):
         raise VerificationError(f"orbit sizes inconsistent for n={cfg.n}")
-    _emit(cfg, lambda fh: orbits.write_classes(classes, cfg.n, fh))
+    rows = np.array([(c.representative.bits, c.gamma) for c in classes], dtype=np.uint64)
+    _emit(cfg, lambda fh: layers.write_records(fh, "classes", cfg.n, rows))
     return EXIT_OK
 
 
 def cmd_retable(cfg: RunConfig) -> int:
-    if cfg.in_path:
-        with open(cfg.in_path) as fh:
-            kind = fh.readline().split(" ", 1)[0]
-        if kind == "mbf-classes":
-            n, classes = orbits.load_classes(cfg.in_path)
-            table = intervals.build_upward_table(classes, n, workers=cfg.threads)
-        elif kind == "mbf-layer":
-            layer = layers.load_layer(cfg.in_path)
-            table = intervals.build_upward_table(layer, workers=cfg.threads)
-        else:
-            raise ValueError(f"{cfg.in_path}: unrecognized file header {kind!r}")
-    elif cfg.n is not None:
-        layer = layers.generate_layer(cfg.n, cfg.budget_mb)
-        table = intervals.build_upward_table(layer, workers=cfg.threads)
-    else:
-        raise ValueError("retable needs --n or --in")
-    _emit(cfg, lambda fh: intervals.write_upward_table(table, fh))
+    if (cfg.n is None) == (cfg.in_path is None):
+        raise ValueError("retable needs exactly one of --n and --in")
+    if cfg.in_path is None:
+        n, source = None, layers.generate_layer(cfg.n, cfg.budget_mb)
+    elif layers.record_kind(cfg.in_path) == "classes":
+        n, source = orbits.load_classes(cfg.in_path)
+    else:  # a layer file, or a header that the layer reader refuses
+        n, source = None, layers.load_layer(cfg.in_path)
+    table = intervals.build_upward_table(source, n, workers=cfg.threads)
+    rows = np.column_stack((table.elements, table.counts.astype(np.uint64)))
+    _emit(cfg, lambda fh: layers.write_records(fh, "retable", table.n, rows))
     return EXIT_OK
 
 

@@ -31,9 +31,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import parallel, vecbits
-from .core import Mbf, table_width, to_hex
+from .core import Mbf, table_width
 from .errors import BudgetError, VerificationError, WidthError
-from .layers import DEFAULT_BUDGET_MB, Layer, generate_layer, hex_array
+from .layers import DEFAULT_BUDGET_MB, Layer, generate_layer, read_records
 
 MAX_MEMO_ENTRIES = 10_000_000
 
@@ -217,38 +217,11 @@ def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
     return IntervalTable(n, "full", V, counts)
 
 
-def write_upward_table(table: IntervalTable, fh) -> None:
-    """Write the text format: header, then 'element_hex count' per line."""
-    if table.mode != "upward":
-        raise ValueError("only upward tables have a file format")
-    fh.write(f"mbf-retable n={table.n} mode=upward count={len(table.elements)}\n")
-    for v, c in zip(table.elements, table.counts):
-        fh.write(f"{to_hex(table.n, int(v))} {int(c)}\n")
-
-
-def save_upward_table(table: IntervalTable, path: str) -> None:
-    with open(path, "w") as fh:
-        write_upward_table(table, fh)
-
-
 def load_upward_table(path: str) -> IntervalTable:
-    """Read an upward table file back; refuses non-members and counts below 1."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "mbf-retable" or header[2] != "mode=upward":
-            raise ValueError(f"{path}: not an upward interval table file")
-        n = int(header[1].removeprefix("n="))
-        count = int(header[3].removeprefix("count="))
-        elements, counts = [], []
-        for line in fh:
-            h, c = line.split()
-            elements.append(h)
-            counts.append(int(c))
-    if len(elements) != count:
-        raise ValueError(f"{path}: header says {count} entries, found {len(elements)}")
-    elements, counts = hex_array(path, elements), np.array(counts, dtype=np.int64)
-    if not vecbits.monotone_mask(elements, n).all():
-        raise ValueError(f"{path}: contains elements that are not monotone")
-    if np.any(counts < 1):
-        raise ValueError(f"{path}: contains counts below 1")
+    """Read an upward table file back; refuses counts below 1."""
+    n, elements, (counts,) = read_records(path, "retable")
+    counts = np.array(counts, dtype=np.int64)
+    bad = np.flatnonzero(counts < 1)
+    if len(bad):
+        raise ValueError(f"{path}:{bad[0] + 2}: interval count {counts[bad[0]]} is below 1")
     return IntervalTable(n, "upward", elements, counts)

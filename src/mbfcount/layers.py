@@ -13,6 +13,7 @@ layer has ~2.4e12 elements and is refused outright.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,43 +112,87 @@ def self_dual_brute(n: int, budget_mb: int | None = None) -> int:
     return int(np.count_nonzero(layer.values == vecbits.dual_array(layer.values, n)))
 
 
-def write_layer(layer: Layer, fh) -> None:
-    """Write the text format: header line, then one hex value per line."""
-    fh.write(f"mbf-layer n={layer.n} count={len(layer)}\n")
-    for v in layer.values:
-        fh.write(to_hex(layer.n, int(v)) + "\n")
+# The three text formats: a header line, then one row per line, a hex
+# value and then the kind's decimal columns, named here (none or one)
+_RECORD_KINDS = {
+    "layer": ("", ()),
+    "classes": ("", ("orbit size",)),
+    "retable": (" mode=upward", ("count",)),
+}
+_HEX = re.compile(r"[0-9a-fA-F]+")
+_DECIMAL = re.compile(r"[0-9]+")
 
 
-def save_layer(layer: Layer, path: str) -> None:
-    with open(path, "w") as fh:
-        write_layer(layer, fh)
+def write_records(fh, kind: str, n: int, rows: np.ndarray) -> None:
+    """Write a file of one kind: the header, then one line per row of the
+    2-D integer array rows, the value column in hex and the rest in decimal."""
+    mode, names = _RECORD_KINDS[kind]
+    fh.write(f"mbf-{kind} n={n}{mode} count={len(rows)}\n")
+    line = f"{{:0{len(to_hex(n, 0))}x}}" + " {}" * len(names) + "\n"  # to_hex's width
+    for lo in range(0, len(rows), 1 << 16):  # Python ints, one block at a time
+        for row in rows[lo:lo + (1 << 16)].tolist():
+            fh.write(line.format(*row))
 
 
-def hex_array(path: str, texts) -> np.ndarray:
-    """The hex values read from a file as uint64; raises ValueError naming
-    the file and the value unless each lies in 0..2^64-1."""
-    values = []
-    for t in texts:
-        v = int(t, 16)
-        if not 0 <= v < 1 << 64:
-            raise ValueError(f"{path}: value {t} is negative or wider than 64 bits")
-        values.append(v)
-    return np.array(values, dtype=np.uint64)
+def record_kind(path: str) -> str:
+    """The kind a file's header names; read_records checks the rest."""
+    with open(path, encoding="ascii", errors="replace") as fh:
+        return fh.readline().split(" ", 1)[0].removeprefix("mbf-")
+
+
+def read_records(path: str, kind: str) -> tuple[int, np.ndarray, list[list[int]]]:
+    """Read a file of one kind back: (n, values, columns), the values as
+    uint64 and each decimal column as a list of ints.
+
+    Raises ValueError("<path>:<line>: ...") for a header off the grammar
+    'mbf-<kind> n=<n> [mode=upward] count=<count>' (mode=upward exactly for
+    retable files), a row without exactly the kind's columns, a value that
+    is not hex below 2^64, a decimal that is not digits below 2^63, a row
+    count other than count=, n outside 0..6, and a value outside D_n.
+    """
+    mode, names = _RECORD_KINDS[kind]
+    fields = [("value", _HEX, 16, 64)] + [(name, _DECIMAL, 10, 63) for name in names]
+    # the formats are ASCII: another byte reads as U+FFFD and fails on its line
+    with open(path, encoding="ascii", errors="replace") as fh:
+        header = " ".join(fh.readline().split())
+        m = re.fullmatch(rf"mbf-{kind} n=([0-9]+){mode} count=([0-9]+)", header)
+        if m is None:
+            raise ValueError(
+                f"{path}:1: expected the header 'mbf-{kind} n=<n>{mode} count=<count>',"
+                f" found {header!r}"
+            )
+        columns = [[] for _ in fields]
+        for line, text in enumerate(fh, 2):
+            row = text.split()
+            if len(row) != len(fields):
+                raise ValueError(
+                    f"{path}:{line}: expected {len(fields)} column(s), found {len(row)}"
+                )
+            for (name, digits, base, bits), column, t in zip(fields, columns, row):
+                if not digits.fullmatch(t) or (v := int(t, base)) >> bits:
+                    raise ValueError(
+                        f"{path}:{line}: {name} {t} is not a base-{base} number below 2^{bits}"
+                    )
+                column.append(v)
+    n, count = int(m[1]), int(m[2])
+    if len(columns[0]) != count:
+        raise ValueError(f"{path}:1: header says count={count}, found {len(columns[0])} rows")
+    if n > 6:
+        raise ValueError(f"{path}:1: n={n} is outside 0..6")
+    values = np.array(columns[0], dtype=np.uint64)
+    bad = np.flatnonzero(~vecbits.monotone_mask(values, n))
+    if len(bad):
+        raise ValueError(
+            f"{path}:{bad[0] + 2}: value {to_hex(n, int(values[bad[0]]))} is not"
+            f" monotone in {n} variables"
+        )
+    return n, values, columns[1:]
 
 
 def load_layer(path: str) -> Layer:
-    """Read a layer file back; validates shape, order and monotonicity."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "mbf-layer":
-            raise ValueError(f"{path}: not a layer file")
-        n = int(header[1].removeprefix("n="))
-        count = int(header[2].removeprefix("count="))
-        values = hex_array(path, [line.strip() for line in fh])
-    if len(values) != count:
-        raise ValueError(f"{path}: header says {count} elements, found {len(values)}")
-    if np.any(values[1:] <= values[:-1]):
-        raise ValueError(f"{path}: elements are not strictly ascending")
-    if not np.all(vecbits.monotone_mask(values, n)):
-        raise ValueError(f"{path}: contains non-monotone elements")
+    """Read a layer file back; refuses values out of strictly ascending order."""
+    n, values, _ = read_records(path, "layer")
+    bad = np.flatnonzero(values[1:] <= values[:-1])
+    if len(bad):
+        raise ValueError(f"{path}:{bad[0] + 3}: elements are not strictly ascending")
     return Layer(n, values)

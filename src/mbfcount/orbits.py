@@ -35,7 +35,7 @@ import numpy as np
 from . import vecbits
 from .core import Mbf, check_n, table_width
 from .errors import BudgetError, VerificationError, WidthError
-from .layers import Layer, hex_array
+from .layers import Layer, read_records
 
 ORBIT_MAX_N = 7  # 5040 images per element is the single-value ceiling
 # elements per image walk: n! * 2048 uint64 images is 11.8 MB at n=6.  A
@@ -288,34 +288,12 @@ def gammas_consistent(classes: list[OrbitClass], layer: Layer) -> bool:
     )
 
 
-def write_classes(classes: list[OrbitClass], n: int, fh) -> None:
-    """Write the text format: header, then 'rep_hex gamma' per line."""
-    fh.write(f"mbf-classes n={n} count={len(classes)}\n")
-    for c in classes:
-        fh.write(f"{c.representative.to_hex()} {c.gamma}\n")
-
-
-def save_classes(classes: list[OrbitClass], n: int, path: str) -> None:
-    with open(path, "w") as fh:
-        write_classes(classes, n, fh)
-
-
 def load_classes(path: str) -> tuple[int, list[OrbitClass]]:
-    """Read a classes file back; returns (n, classes) after checking each."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "mbf-classes":
-            raise ValueError(f"{path}: not a classes file")
-        n = int(header[1].removeprefix("n="))
-        count = int(header[2].removeprefix("count="))
-        rows = [line.split() for line in fh]
-    if len(rows) != count:
-        raise ValueError(f"{path}: header says {count} classes, found {len(rows)}")
-    reps = hex_array(path, [h for h, _ in rows])
-    gammas = [int(g) for _, g in rows]
-    for (h, _), gamma, ok in zip(rows, gammas, vecbits.monotone_mask(reps, n).tolist()):
-        if not ok:
-            raise ValueError(f"{path}: representative {h} is not monotone in {n} variables")
+    """Read a classes file back; refuses an orbit size that does not divide n!."""
+    n, reps, (gammas,) = read_records(path, "classes")
+    for line, gamma in enumerate(gammas, 2):
         if gamma < 1 or factorial(n) % gamma:
-            raise ValueError(f"{path}: orbit size {gamma} of {h} is not a positive divisor of {n}!")
+            raise ValueError(
+                f"{path}:{line}: orbit size {gamma} is not a positive divisor of {n}!"
+            )
     return n, [OrbitClass(Mbf(n, r), g) for r, g in zip(reps.tolist(), gammas)]

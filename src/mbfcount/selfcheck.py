@@ -174,13 +174,14 @@ def check_selfdual_weight(max_n: int) -> bool:
 
 
 def check_interval_oracle(max_n: int) -> bool:
-    """re_fast equals the definition scan: exhaustive on the n=3 layer,
-    and on 10^4 seeded random pairs of the n=5 layer."""
-    layer3 = generate_layer(3)
-    for x in layer3:
-        for y in layer3:
-            if re_fast(x, y) != re_scan(layer3, x, y):
-                return False
+    """re_fast equals the definition scan: exhaustive on each layer up to
+    n=3, and on 10^4 seeded random pairs of the n=5 layer."""
+    for n in range(min(max_n, 3) + 1):
+        layer = generate_layer(n)
+        for x in layer:
+            for y in layer:
+                if re_fast(x, y) != re_scan(layer, x, y):
+                    return False
     if max_n >= 5:
         layer5 = generate_layer(5)
         rng = np.random.default_rng(RNG_SEED)

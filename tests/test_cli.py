@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mbfcount import cli, counting, intervals
+from mbfcount import cli, counting, intervals, layers, orbits, selfcheck
 from mbfcount.cli import (
     EXIT_BUDGET,
     EXIT_INTERRUPTED,
@@ -212,6 +212,18 @@ def test_selfcheck_refuses_negative_max_n(capsys):
     assert err.startswith("mbfcount: error:") and len(err.splitlines()) == 1
 
 
+def test_interval_oracle_scans_only_layers_up_to_max_n(monkeypatch):
+    asked = []
+
+    def recording(n, *args):
+        asked.append(n)
+        return layers.generate_layer(n, *args)
+
+    monkeypatch.setattr(selfcheck, "generate_layer", recording)
+    assert selfcheck.check_interval_oracle(1)
+    assert asked == [0, 1]
+
+
 @pytest.mark.parametrize(
     "text",
     ["mbf-layer n=2 count=2\n0\nff\n", "mbf-classes n=2 count=1\n8 0\n"],
@@ -256,7 +268,7 @@ def test_upward_table_refuses_values_outside_64_bits(tmp_path, value):
     # ValueError that the CLI reports as one usage-error line
     path = tmp_path / "bad.retable"
     path.write_text(f"mbf-retable n=2 mode=upward count=1\n{value} 1\n")
-    with pytest.raises(ValueError, match=f"{path}: value {value} "):
+    with pytest.raises(ValueError, match=f"{path}:2: value {value} "):
         intervals.load_upward_table(str(path))
 
 
@@ -266,6 +278,70 @@ def test_retable_refuses_non_monotone_classes(tmp_path, capsys):
     code, out, err = run(capsys, "retable", "--in", str(path))
     assert code == EXIT_USAGE and out == ""
     assert "not monotone" in err
+
+
+# one well-formed file of each kind, and the loader that reads it back
+GOOD_FILES = {
+    "layer": (["mbf-layer n=2 count=2", "0", "8"], layers.load_layer),
+    "classes": (["mbf-classes n=2 count=2", "0 1", "8 1"], orbits.load_classes),
+    "retable": (["mbf-retable n=2 mode=upward count=2", "0 6", "8 5"], intervals.load_upward_table),
+}
+
+
+def _on_row_2(make):  # break the second row (line 3) of a good file
+    return lambda lines: [*lines[:2], make(lines[2]), *lines[3:]]
+
+
+def _on_header(make):
+    return lambda lines: [make(lines[0]), *lines[1:]]
+
+
+# each case breaks a good file, and names the line the fault is on
+MALFORMED = {
+    "blank-line": (lambda lines: [*lines[:2], "", *lines[2:]], 3),
+    "one-column-too-many": (_on_row_2(lambda row: row + " 1"), 3),
+    "one-column-too-few": (_on_row_2(lambda row: " ".join(row.split()[:-1])), 3),
+    "row-missing": (lambda lines: lines[:2], 1),
+    "header-without-keys": (_on_header(lambda h: " ".join(t.split("=")[-1] for t in h.split())), 1),
+    "n-not-a-number": (_on_header(lambda h: h.replace("n=2", "n=x")), 1),
+    "n-beyond-6": (_on_header(lambda h: h.replace("n=2", "n=7")), 1),
+    "value-not-hex": (_on_row_2(lambda row: row.replace("8", "g", 1)), 3),
+    "value-with-underscore": (_on_row_2(lambda row: row.replace("8", "1_0", 1)), 3),
+    "value-not-monotone": (_on_row_2(lambda row: row.replace("8", "4", 1)), 3),
+    "value-not-ascii": (_on_row_2(lambda row: row.replace("8", "\u00e9", 1)), 3),
+    "count-not-decimal": (_on_row_2(lambda row: row.split()[0] + " x"), 3),
+    "count-with-sign": (_on_row_2(lambda row: row.split()[0] + " +1"), 3),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [(k, c) for k in GOOD_FILES for c in MALFORMED if k != "layer" or not c.startswith("count-")],
+)
+def test_malformed_files_name_their_file_and_line(tmp_path, capsys, kind, case):
+    lines, load = GOOD_FILES[kind]
+    path = tmp_path / f"bad.{kind}"
+    path.write_text("\n".join(lines) + "\n")
+    load(str(path))  # the unbroken file reads back
+    breaks, line = MALFORMED[case]
+    path.write_text("\n".join(breaks(lines)) + "\n", encoding="utf-8")
+    where = f"{path}:{line}: "
+    if kind == "retable":  # no command reads an upward table back
+        with pytest.raises(ValueError) as e:
+            load(str(path))
+        assert str(e.value).startswith(where)
+    else:
+        code, out, err = run(capsys, "retable", "--in", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"mbfcount: error: {where}") and len(err.splitlines()) == 1
+
+
+def test_retable_refuses_both_n_and_in(tmp_path, capsys):
+    cpath = tmp_path / "classes.txt"
+    assert run(capsys, "classes", "--n", "2", "--out", str(cpath))[0] == EXIT_OK
+    code, out, err = run(capsys, "retable", "--n", "3", "--in", str(cpath))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("mbfcount: error:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

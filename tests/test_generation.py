@@ -8,7 +8,7 @@ import pytest
 
 from mbfcount import layers, vecbits
 from mbfcount.errors import BudgetError, VerificationError, WidthError
-from mbfcount.layers import generate_layer, load_layer, save_layer, self_dual_brute
+from mbfcount.layers import generate_layer, load_layer, self_dual_brute, write_records
 
 from oracles import slow_layer
 
@@ -79,6 +79,11 @@ def test_index_lookup():
 )
 def test_self_dual_brute_known_values(n, expect):
     assert self_dual_brute(n) == expect
+
+
+def save_layer(layer, path):
+    with open(path, "w") as fh:
+        write_records(fh, "layer", layer.n, layer.values[:, None])
 
 
 def test_layer_file_round_trip(tmp_path):

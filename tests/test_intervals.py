@@ -11,10 +11,9 @@ from mbfcount.intervals import (
     load_upward_table,
     re_fast,
     re_scan,
-    save_upward_table,
     upward_counts,
 )
-from mbfcount.layers import Layer, generate_layer
+from mbfcount.layers import Layer, generate_layer, write_records
 
 from oracles import slow_interval_count
 
@@ -221,6 +220,12 @@ def test_up_answers_upward_tables_only():
         build_full_table(2).up(bottom(2))
     with pytest.raises(KeyError):
         IntervalTable(2, "upward", np.array([8], dtype=np.uint64), np.array([5])).up(0)
+
+
+def save_upward_table(table, path):
+    rows = np.column_stack((table.elements, table.counts.astype(np.uint64)))
+    with open(path, "w") as fh:
+        write_records(fh, "retable", table.n, rows)
 
 
 def test_retable_round_trip(tmp_path):

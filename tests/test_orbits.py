@@ -6,7 +6,7 @@ import pytest
 
 from mbfcount.core import Mbf, bottom, top
 from mbfcount.errors import BudgetError, VerificationError, WidthError
-from mbfcount.layers import Layer, generate_layer
+from mbfcount.layers import Layer, generate_layer, write_records
 from mbfcount.orbits import (
     VariablePermutation,
     adjacent_swap_sequence,
@@ -20,7 +20,6 @@ from mbfcount.orbits import (
     load_classes,
     orbit_size,
     orbit_values,
-    save_classes,
     stabilizer_orbits,
 )
 
@@ -204,6 +203,12 @@ def test_canonical_invariance():
         for cls in classify(generate_layer(n)):
             for pi in all_permutations(n):
                 assert canonical(apply_permutation(pi, cls.representative)) == cls.representative
+
+
+def save_classes(classes, n, path):
+    rows = np.array([(c.representative.bits, c.gamma) for c in classes], dtype=np.uint64)
+    with open(path, "w") as fh:
+        write_records(fh, "classes", n, rows)
 
 
 def test_classes_file_round_trip(tmp_path):

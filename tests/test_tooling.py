@@ -19,6 +19,13 @@ def test_no_assert_statements_in_the_package():
     assert not found, f"assert statements in the package: {', '.join(found)}"
 
 
+def test_file_formats_have_one_owner():
+    # the three text formats are written and read only through
+    # layers.write_records and layers.read_records
+    owners = [path.name for path in sorted(SRC.glob("*.py")) if "mbf-" in path.read_text()]
+    assert owners == ["layers.py"], f"the header literal appears in {owners}"
+
+
 # -- the benchmark's use of the package ---------------------------------------
 # perfbench/ is read as source only: a change to the package that removes a
 # name or a parameter the benchmark uses fails here, not in the benchmark run
