@@ -28,13 +28,7 @@ from .errors import (
     VerificationError,
     WidthError,
 )
-from .intervals import (
-    IntervalTable,
-    build_full_table,
-    build_upward_table,
-    re_fast,
-    re_scan,
-)
+from .intervals import IntervalTable, build_full_table, re_scan
 from .layers import Layer, generate_layer, self_dual_brute
 from .orbits import (
     OrbitClass,

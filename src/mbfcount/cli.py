@@ -182,14 +182,21 @@ def cmd_retable(cfg: RunConfig) -> int:
     if (cfg.n is None) == (cfg.in_path is None):
         raise ValueError("retable needs exactly one of --n and --in")
     if cfg.in_path is None:
-        n, source = None, layers.generate_layer(cfg.n, cfg.budget_mb)
-    elif layers.record_kind(cfg.in_path) == "classes":
-        n, source = orbits.load_classes(cfg.in_path)
-    else:  # a layer file, or a header that the layer reader refuses
-        n, source = None, layers.load_layer(cfg.in_path)
-    table = intervals.build_upward_table(source, n, workers=cfg.threads)
-    rows = np.column_stack((table.elements, table.counts.astype(np.uint64)))
-    _emit(cfg, lambda fh: layers.write_records(fh, "retable", table.n, rows))
+        n = cfg.n
+        layers.check_layer_budget(n, cfg.budget_mb)
+        intervals.check_upward_budget(n, layers.LAYER_SIZE[n])
+        xs = layers.generate_layer(n, cfg.budget_mb).values
+    else:
+        kind, n, count = layers.record_header(cfg.in_path)
+        intervals.check_upward_budget(n, count)  # before any row is read
+        if kind == "classes":
+            _, classes = orbits.load_classes(cfg.in_path)
+            xs = np.array([c.representative.bits for c in classes], dtype=np.uint64)
+        else:  # a layer file, or a header that the layer reader refuses
+            xs = layers.load_layer(cfg.in_path).values
+    counts = intervals.upward_counts(n, xs, cfg.threads)
+    rows = np.column_stack((xs, counts.astype(np.uint64)))
+    _emit(cfg, lambda fh: layers.write_records(fh, "retable", n, rows))
     return EXIT_OK
 
 

@@ -1,26 +1,22 @@
 """Interval cardinalities: how many layer elements lie between x and y.
 
-Two independent routes compute |{z : x <= z <= y}|:
+Three routes compute |{z : x <= z <= y}|, one for each job:
 
-  * re_scan: a linear scan of the materialized layer (the definition;
-    also the test oracle).
-  * re_fast: recursion over the half-split.  z = z0.z1 lies in [x, y]
-    iff x0 <= z0 <= y0 and z1 ranges over [x1 | z0, y1], so the count is
-    the sum over admissible z0 of the next-lower count.  Memoized on
-    (n, x, y); empty intervals count 0 by convention so callers never
-    branch on comparability.
+  * re_scan: a linear scan of the materialized layer, the definition and
+    the oracle that selfcheck and the tests hold the other two against.
+  * upward_counts: the count up to the top element for a list of
+    elements of D_n (plus2 reads it, and `retable` writes it), by a
+    recurrence over the half-split down to D_0.
+  * build_full_table: the all-pairs uint16 matrix for n <= 5, indexed by
+    layer ordinal (the k = 4 counts read it through the join-index
+    table).  It is computed exactly as a product of the 0/1 order
+    relation with itself.  The layer is sorted ascending and x <= z as
+    sets implies x <= z as integers, so the relation and the matrix are
+    upper triangular: the product runs over blocks on and above the
+    diagonal only, and for block (i, j) only the z between the two blocks
+    can lie between an x of block i and a y of block j.
 
-Bulk tables, each an IntervalTable: upward counts (to the top element)
-for a given element list, which up() answers and which have a text file
-format, from one recurrence over the same half-split down to D_0; and the
-full all-pairs uint16 matrix for small n, which callers index by layer
-ordinal (the k = 4 counts read it through the join-index table).  The
-matrix is computed exactly as a product of the 0/1 order relation with
-itself.  The layer is sorted ascending and x <= z as sets implies x <= z
-as integers, so the relation and the matrix are upper triangular: the
-product runs over blocks on and above the diagonal only, and for block
-(i, j) only the z between the two blocks can lie between an x of block i
-and a y of block j.
+Empty intervals count 0, so callers never branch on comparability.
 """
 
 from __future__ import annotations
@@ -35,11 +31,6 @@ from .core import Mbf, table_width
 from .errors import BudgetError, VerificationError, WidthError
 from .layers import DEFAULT_BUDGET_MB, Layer, generate_layer, read_records
 
-MAX_MEMO_ENTRIES = 10_000_000
-
-_memo: dict[tuple[int, int, int], int] = {}
-
-
 def _bits(v) -> int:
     return v.bits if isinstance(v, Mbf) else int(v)
 
@@ -50,43 +41,6 @@ def re_scan(layer: Layer, x, y) -> int:
     V = layer.values
     # subset tests: x <= z iff z & x == x, z <= y iff z & y == z
     return int(np.count_nonzero(((V & xb) == xb) & ((V & yb) == V)))
-
-
-def clear_memo() -> None:
-    _memo.clear()
-
-
-def re_fast(x: Mbf, y: Mbf) -> int:
-    """Count z with x <= z <= y via the memoized half-split recursion."""
-    if x.n != y.n:
-        raise WidthError(f"width mismatch: n={x.n} vs n={y.n}")
-    if x.n > 6:
-        raise WidthError(f"interval recursion needs materializable layers (n <= 6)")
-    return _re(x.n, x.bits, y.bits)
-
-
-def _re(n: int, x: int, y: int) -> int:
-    if x & ~y:
-        return 0
-    if n == 0:
-        return y - x + 1
-    key = (n, x, y)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    halfw = table_width(n - 1)
-    mask = (1 << halfw) - 1
-    x0, x1 = x & mask, x >> halfw
-    y0, y1 = y & mask, y >> halfw
-    prev = generate_layer(n - 1).values
-    mids = prev[((prev & x0) == x0) & ((prev & y0) == prev)]
-    total = 0
-    for z0 in mids:
-        total += _re(n - 1, x1 | int(z0), y1)
-    if len(_memo) >= MAX_MEMO_ENTRIES:
-        raise BudgetError(f"interval memo would exceed {MAX_MEMO_ENTRIES} entries")
-    _memo[key] = total
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -110,6 +64,13 @@ def _upward_chunk(task) -> np.ndarray:
     return out
 
 
+def check_upward_budget(n: int, count: int) -> None:
+    """Refuse upward counts for more than 200,000 elements at n=6, from the
+    element count alone (a file header gives it before any row is read)."""
+    if n == 6 and count > 200_000:
+        raise BudgetError(f"upward counts for {count} elements at n=6 are out of budget")
+
+
 def upward_counts(n: int, xs: np.ndarray, workers: int = 1) -> np.ndarray:
     """Count z >= x over the layer D_n for each x in xs (int64 array).
 
@@ -119,10 +80,7 @@ def upward_counts(n: int, xs: np.ndarray, workers: int = 1) -> np.ndarray:
     """
     if n > 6:
         raise WidthError("upward counts need materializable layers (n <= 6)")
-    if n == 6 and len(xs) > 200_000:
-        raise BudgetError(
-            f"upward counts for {len(xs)} elements at n=6 are out of budget"
-        )
+    check_upward_budget(n, len(xs))
     xs = np.asarray(xs, dtype=np.uint64)
     if not vecbits.monotone_mask(xs, n).all():
         raise ValueError(f"upward counts take elements of D_{n}; some are not monotone")
@@ -146,35 +104,12 @@ def upward_counts(n: int, xs: np.ndarray, workers: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntervalTable:
-    """Interval counts by element: the upward column re(x, top) over listed
-    elements, or the full all-pairs matrix over the layer (counts[i, j] =
-    re(V[i], V[j]), indexed by layer ordinal)."""
+    """The full all-pairs matrix over the layer D_n: counts[i, j] =
+    re(V[i], V[j]), indexed by layer ordinal.  It is a class, not the bare
+    array, only because the benchmark reads `build_full_table(n).counts`."""
 
     n: int
-    mode: str  # "upward" | "full"
-    elements: np.ndarray | None = field(default=None, repr=False)
-    counts: np.ndarray | None = field(default=None, repr=False)
-
-    def up(self, x) -> int:
-        """re(x, top) for a listed element of an upward table."""
-        if self.mode != "upward":
-            raise ValueError("only upward tables answer up() queries")
-        xb = _bits(x)
-        i = int(np.searchsorted(self.elements, np.uint64(xb)))
-        if i >= len(self.elements) or int(self.elements[i]) != xb:
-            raise KeyError(f"0x{xb:x} not in the table")
-        return int(self.counts[i])
-
-
-def build_upward_table(source, n: int | None = None, workers: int = 1) -> IntervalTable:
-    """Upward counts for a Layer, or for a list of orbit classes of D_n."""
-    if isinstance(source, Layer):
-        xs, n = source.values, source.n
-    elif n is None:
-        raise ValueError("n is required unless source is a Layer")
-    else:
-        xs = np.array([c.representative.bits for c in source], dtype=np.uint64)
-    return IntervalTable(n, "upward", xs, upward_counts(n, xs, workers))
+    counts: np.ndarray = field(repr=False)
 
 
 _FULL_BLOCK = 512
@@ -214,14 +149,15 @@ def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
     for i in range(0, d, B):
         for j in range(i, d, B):
             counts[i:i + B, j:j + B] = Lf[i:i + B, i:j + B] @ Lf[i:j + B, j:j + B]
-    return IntervalTable(n, "full", V, counts)
+    return IntervalTable(n, counts)
 
 
-def load_upward_table(path: str) -> IntervalTable:
-    """Read an upward table file back; refuses counts below 1."""
+def load_upward_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """Read an upward table file back as (n, elements, counts); refuses
+    counts below 1."""
     n, elements, (counts,) = read_records(path, "retable")
     counts = np.array(counts, dtype=np.int64)
     bad = np.flatnonzero(counts < 1)
     if len(bad):
         raise ValueError(f"{path}:{bad[0] + 2}: interval count {counts[bad[0]]} is below 1")
-    return IntervalTable(n, "upward", elements, counts)
+    return n, elements, counts

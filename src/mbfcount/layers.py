@@ -26,7 +26,7 @@ DEFAULT_BUDGET_MB = 4096
 
 # exact element counts (Dedekind numbers): they refuse oversized requests
 # before any work and size each layer's array, which a build must fill
-_LAYER_SIZE = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7_581, 6: 7_828_354}
+LAYER_SIZE = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7_581, 6: 7_828_354}
 
 _CACHE: dict[int, "Layer"] = {}
 
@@ -70,7 +70,7 @@ def check_layer_budget(n: int, budget_mb: int | None = None) -> None:
             " and the element count is astronomically large)"
         )
     budget = DEFAULT_BUDGET_MB if budget_mb is None else budget_mb
-    need_mb = _LAYER_SIZE[n] * 8 / 1e6
+    need_mb = LAYER_SIZE[n] * 8 / 1e6
     if need_mb > budget:
         raise BudgetError(
             f"layer for n={n} needs ~{need_mb:.0f} MB, over the {budget} MB budget"
@@ -88,7 +88,7 @@ def generate_layer(n: int, budget_mb: int | None = None) -> Layer:
     else:
         prev = generate_layer(n - 1, budget_mb).values
         half = np.uint64(table_width(n - 1))
-        values = np.empty(_LAYER_SIZE[n], dtype=np.uint64)
+        values = np.empty(LAYER_SIZE[n], dtype=np.uint64)
         end = 0
         for hi in prev:
             los = prev[(prev & ~hi) == 0]
@@ -134,10 +134,28 @@ def write_records(fh, kind: str, n: int, rows: np.ndarray) -> None:
             fh.write(line.format(*row))
 
 
-def record_kind(path: str) -> str:
-    """The kind a file's header names; read_records checks the rest."""
+def _read_header(fh, path: str, kind: str | None = None) -> tuple[str, int, int]:
+    """Parse the header line: (kind, n, count).  With no kind given, the
+    header's own word names it, and a word that names no kind reads as a
+    layer header, which it then fails to be."""
+    header = " ".join(fh.readline().split())
+    if kind is None:
+        kind = header.split(" ", 1)[0].removeprefix("mbf-")
+        kind = kind if kind in _RECORD_KINDS else "layer"
+    mode = _RECORD_KINDS[kind][0]
+    m = re.fullmatch(rf"mbf-{kind} n=([0-9]+){mode} count=([0-9]+)", header)
+    if m is None:
+        raise ValueError(
+            f"{path}:1: expected the header 'mbf-{kind} n=<n>{mode} count=<count>',"
+            f" found {header!r}"
+        )
+    return kind, int(m[1]), int(m[2])
+
+
+def record_header(path: str) -> tuple[str, int, int]:
+    """A file's header alone, as (kind, n, count); read_records checks the rest."""
     with open(path, encoding="ascii", errors="replace") as fh:
-        return fh.readline().split(" ", 1)[0].removeprefix("mbf-")
+        return _read_header(fh, path)
 
 
 def read_records(path: str, kind: str) -> tuple[int, np.ndarray, list[list[int]]]:
@@ -150,17 +168,11 @@ def read_records(path: str, kind: str) -> tuple[int, np.ndarray, list[list[int]]
     is not hex below 2^64, a decimal that is not digits below 2^63, a row
     count other than count=, n outside 0..6, and a value outside D_n.
     """
-    mode, names = _RECORD_KINDS[kind]
+    names = _RECORD_KINDS[kind][1]
     fields = [("value", _HEX, 16, 64)] + [(name, _DECIMAL, 10, 63) for name in names]
     # the formats are ASCII: another byte reads as U+FFFD and fails on its line
     with open(path, encoding="ascii", errors="replace") as fh:
-        header = " ".join(fh.readline().split())
-        m = re.fullmatch(rf"mbf-{kind} n=([0-9]+){mode} count=([0-9]+)", header)
-        if m is None:
-            raise ValueError(
-                f"{path}:1: expected the header 'mbf-{kind} n=<n>{mode} count=<count>',"
-                f" found {header!r}"
-            )
+        _, n, count = _read_header(fh, path, kind)
         columns = [[] for _ in fields]
         for line, text in enumerate(fh, 2):
             row = text.split()
@@ -174,7 +186,6 @@ def read_records(path: str, kind: str) -> tuple[int, np.ndarray, list[list[int]]
                         f"{path}:{line}: {name} {t} is not a base-{base} number below 2^{bits}"
                     )
                 column.append(v)
-    n, count = int(m[1]), int(m[2])
     if len(columns[0]) != count:
         raise ValueError(f"{path}:1: header says count={count}, found {len(columns[0])} rows")
     if n > 6:
@@ -190,8 +201,15 @@ def read_records(path: str, kind: str) -> tuple[int, np.ndarray, list[list[int]]
 
 
 def load_layer(path: str) -> Layer:
-    """Read a layer file back; refuses values out of strictly ascending order."""
+    """Read a layer file back; refuses values out of strictly ascending
+    order, and a file of other than all |D_n| elements (distinct elements
+    of D_n, as many as D_n has, are all of D_n)."""
     n, values, _ = read_records(path, "layer")
+    if len(values) != LAYER_SIZE[n]:
+        raise ValueError(
+            f"{path}:1: a layer file for n={n} holds all {LAYER_SIZE[n]} elements"
+            f" of D_{n}, not count={len(values)}"
+        )
     bad = np.flatnonzero(values[1:] <= values[:-1])
     if len(bad):
         raise ValueError(f"{path}:{bad[0] + 3}: elements are not strictly ascending")

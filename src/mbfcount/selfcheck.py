@@ -2,12 +2,12 @@
 
 Each suite re-derives a structural fact by an independent route and
 compares: dual algebra on whole layers, permutation equivariance, the
-interval recursion against the definition scan, orbit size bookkeeping,
-stabilizer orbits against classification, and the counting-method
-identities (refinement, loop order, class folding, and plus4c and pruned
-plus4, which share one kernel, against the dense k = 4 sum).  A build
-that passes all of these and the reference table is very hard to get
-wrong silently.
+upward counts and the all-pairs interval matrix that the counts read
+against the definition scan, orbit size bookkeeping, stabilizer orbits
+against classification, and the counting-method identities (refinement,
+loop order, class folding, and plus4c and pruned plus4, which share one
+kernel, against the dense k = 4 sum).  A build that passes all of these
+and the reference table is very hard to get wrong silently.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .counting import (
     lambda_plus4_classes,
     lambda_plus4_direct,
 )
-from .intervals import re_fast, re_scan, upward_counts
+from .intervals import build_full_table, re_scan, upward_counts
 from .layers import generate_layer
 from .orbits import (
     all_permutations,
@@ -174,21 +174,24 @@ def check_selfdual_weight(max_n: int) -> bool:
 
 
 def check_interval_oracle(max_n: int) -> bool:
-    """re_fast equals the definition scan: exhaustive on each layer up to
-    n=3, and on 10^4 seeded random pairs of the n=5 layer."""
-    for n in range(min(max_n, 3) + 1):
+    """The interval counts that the counting methods read equal the
+    definition scan: upward_counts over each whole layer up to n = 5, and
+    the matrix of build_full_table on every pair up to n = 4 and on 10^4
+    seeded random pairs at n = 5."""
+    for n in range(min(max_n, 5) + 1):
         layer = generate_layer(n)
-        for x in layer:
-            for y in layer:
-                if re_fast(x, y) != re_scan(layer, x, y):
-                    return False
-    if max_n >= 5:
-        layer5 = generate_layer(5)
-        rng = np.random.default_rng(RNG_SEED)
-        idx = rng.integers(0, len(layer5), size=(10_000, 2))
-        for i, j in idx:
-            x, y = layer5.mbf(int(i)), layer5.mbf(int(j))
-            if re_fast(x, y) != re_scan(layer5, x, y):
+        V = layer.values
+        top = V[-1]  # the layer ascends, and the top is its largest element
+        if upward_counts(n, V).tolist() != [re_scan(layer, x, top) for x in V]:
+            return False
+        d = len(V)
+        if n < 5:
+            pairs = np.ndindex(d, d)
+        else:
+            pairs = np.random.default_rng(RNG_SEED).integers(0, d, size=(10_000, 2))
+        C = build_full_table(n).counts
+        for i, j in pairs:
+            if C[i, j] != re_scan(layer, V[i], V[j]):
                 return False
     return True
 

@@ -199,6 +199,36 @@ def test_budget_refusals(capsys):
     assert run(capsys, "retable", "--n", "6")[0] == EXIT_BUDGET
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the budget refusal comes first")
+
+
+def test_retable_n6_refused_before_the_layer_is_built(monkeypatch, capsys):
+    monkeypatch.setattr(layers, "generate_layer", _must_not_run)
+    code, out, err = run(capsys, "retable", "--n", "6")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "mbfcount: refused: upward counts for 7828354 elements at n=6 are out of budget\n"
+
+
+def test_retable_refuses_n6_layer_file_from_its_header(tmp_path, monkeypatch, capsys):
+    # the header alone sets the budget: no row is read, and here there are none
+    path = tmp_path / "d6.layer"
+    path.write_text("mbf-layer n=6 count=7828354\n")
+    monkeypatch.setattr(layers, "read_records", _must_not_run)
+    code, out, err = run(capsys, "retable", "--in", str(path))
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "mbfcount: refused: upward counts for 7828354 elements at n=6 are out of budget\n"
+
+
+def test_retable_refuses_a_layer_file_of_part_of_the_layer(tmp_path, capsys):
+    path = tmp_path / "part.layer"
+    path.write_text("mbf-layer n=2 count=2\n0\n8\n")
+    code, out, err = run(capsys, "retable", "--in", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"mbfcount: error: {path}:1: ") and len(err.splitlines()) == 1
+    assert "all 6 elements of D_2" in err
+
+
 def test_selfcheck_small(capsys):
     code, out, _ = run(capsys, "selfcheck", "3")
     assert code == EXIT_OK
@@ -222,6 +252,25 @@ def test_interval_oracle_scans_only_layers_up_to_max_n(monkeypatch):
     monkeypatch.setattr(selfcheck, "generate_layer", recording)
     assert selfcheck.check_interval_oracle(1)
     assert asked == [0, 1]
+
+
+def _off_by_one_at_n2(route):
+    def wrong(n, *args, **kwargs):
+        got = route(n, *args, **kwargs)
+        if n == 2:
+            counts = got.counts if isinstance(got, intervals.IntervalTable) else got
+            counts[-1] += 1
+        return got
+
+    return wrong
+
+
+@pytest.mark.parametrize("route", ["upward_counts", "build_full_table"])
+def test_interval_oracle_fails_on_a_wrong_production_route(monkeypatch, route):
+    # the suite checks the interval counts that the counting methods read
+    monkeypatch.setattr(selfcheck, route, _off_by_one_at_n2(getattr(intervals, route)))
+    assert selfcheck.check_interval_oracle(1)
+    assert not selfcheck.check_interval_oracle(2)
 
 
 @pytest.mark.parametrize(
@@ -282,7 +331,7 @@ def test_retable_refuses_non_monotone_classes(tmp_path, capsys):
 
 # one well-formed file of each kind, and the loader that reads it back
 GOOD_FILES = {
-    "layer": (["mbf-layer n=2 count=2", "0", "8"], layers.load_layer),
+    "layer": (["mbf-layer n=2 count=6", "0", "8", "a", "c", "e", "f"], layers.load_layer),
     "classes": (["mbf-classes n=2 count=2", "0 1", "8 1"], orbits.load_classes),
     "retable": (["mbf-retable n=2 mode=upward count=2", "0 6", "8 5"], intervals.load_upward_table),
 }

@@ -135,7 +135,7 @@ def test_load_rejects_corrupt_files(tmp_path):
 @pytest.mark.parametrize("wrong", [19, 21])
 def test_build_raises_unless_it_fills_the_exact_size(monkeypatch, wrong):
     monkeypatch.setattr(layers, "_CACHE", {})
-    monkeypatch.setitem(layers._LAYER_SIZE, 3, wrong)
+    monkeypatch.setitem(layers.LAYER_SIZE, 3, wrong)
     with pytest.raises(VerificationError):
         generate_layer(3)
 

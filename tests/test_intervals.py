@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from mbfcount import intervals, vecbits
-from mbfcount.core import Mbf, bottom, dual, top
+from mbfcount.core import Mbf, bottom, top
 from mbfcount.errors import BudgetError, VerificationError
 from mbfcount.intervals import (
-    IntervalTable,
     build_full_table,
-    build_upward_table,
+    check_upward_budget,
     load_upward_table,
-    re_fast,
     re_scan,
     upward_counts,
 )
@@ -20,12 +18,6 @@ from oracles import slow_interval_count
 # upward counts for the six n=2 elements in ascending order, frozen from
 # the definition scan (recomputed against the oracle below)
 D2_UPWARD = [6, 5, 3, 3, 2, 1]
-
-
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    intervals.clear_memo()
-    yield
 
 
 def test_re_scan_examples():
@@ -44,58 +36,38 @@ def test_re_scan_matches_slow_oracle():
             assert re_scan(layer, x, y) == slow_interval_count(layer.values, x.bits, y.bits)
 
 
-def test_re_fast_examples():
-    assert re_fast(bottom(2), top(2)) == 6
-    assert re_fast(Mbf.from_string("0001"), Mbf.from_string("0111")) == 4
-    assert re_fast(Mbf.from_string("0011"), Mbf.from_string("0101")) == 0
-
-
-def test_re_fast_equals_scan_exhaustive_d3():
-    layer = generate_layer(3)
-    for x in layer:
-        for y in layer:
-            assert re_fast(x, y) == re_scan(layer, x, y)
-
-
-def test_re_fast_equals_scan_random_d5():
-    layer = generate_layer(5)
-    rng = np.random.default_rng(42)
-    idx = rng.integers(0, len(layer), size=(2000, 2))
-    for i, j in idx:
-        x, y = layer.mbf(int(i)), layer.mbf(int(j))
-        assert re_fast(x, y) == re_scan(layer, x, y)
-
-
 def test_duality_symmetry_d3():
-    layer = generate_layer(3)
-    for x in layer:
-        for y in layer:
-            assert re_fast(x, y) == re_fast(dual(y), dual(x))
+    # re(x, y) = re(dual(y), dual(x)) on the n=3 matrix the k=4 routes read
+    V = generate_layer(3).values
+    C = build_full_table(3).counts
+    dual_idx = np.searchsorted(V, vecbits.dual_array(V, 3))
+    for i in range(len(V)):
+        for j in range(len(V)):
+            assert C[i, j] == C[dual_idx[j], dual_idx[i]]
 
 
 def test_monotone_in_upper_end():
-    layer = generate_layer(3)
-    for x in layer:
-        for y1 in layer:
-            for y2 in layer:
-                if y1 <= y2:
-                    assert re_fast(x, y1) <= re_fast(x, y2)
+    V = generate_layer(3).values
+    C = build_full_table(3).counts
+    for x in range(len(V)):
+        for y1 in range(len(V)):
+            for y2 in range(len(V)):
+                if V[y1] & ~V[y2] == 0:  # y1 <= y2
+                    assert C[x, y1] <= C[x, y2]
 
 
 def test_upward_table_d2_frozen_values():
     layer = generate_layer(2)
     by_scan = [re_scan(layer, x, top(2)) for x in layer]
     assert by_scan == D2_UPWARD
-    table = build_upward_table(layer)
-    assert [table.up(x) for x in layer] == D2_UPWARD
+    assert upward_counts(2, layer.values).tolist() == D2_UPWARD
 
 
 def test_upward_table_extremes():
     for n in range(5):
         layer = generate_layer(n)
-        table = build_upward_table(layer)
-        assert table.up(top(n)) == 1
-        assert table.up(bottom(n)) == len(layer)
+        ups = upward_counts(n, np.array([top(n).bits, bottom(n).bits], dtype=np.uint64))
+        assert ups.tolist() == [1, len(layer)]
 
 
 def test_upward_counts_sum_is_next_layer_size():
@@ -140,10 +112,9 @@ def test_upward_table_from_classes():
     from mbfcount.orbits import classify
 
     layer = generate_layer(3)
-    classes = classify(layer)
-    table = build_upward_table(classes, 3)
-    for c in classes:
-        assert table.up(c.representative) == re_scan(layer, c.representative, top(3))
+    reps = [c.representative for c in classify(layer)]
+    ups = upward_counts(3, np.array([r.bits for r in reps], dtype=np.uint64))
+    assert ups.tolist() == [re_scan(layer, r, top(3)) for r in reps]
 
 
 def _full_re(table, layer, x, y):
@@ -182,12 +153,13 @@ def test_full_table_n5_exactness_sampled(table5):
     rng = np.random.default_rng(11)
     for i, j in rng.integers(0, len(layer), size=(300, 2)):
         x, y = layer.mbf(int(i)), layer.mbf(int(j))
-        assert _full_re(table, layer, x, y) == re_fast(x, y)
+        assert _full_re(table, layer, x, y) == re_scan(layer, x, y)
     assert _full_re(table, layer, bottom(5), top(5)) == len(layer)
 
 
 def test_full_table_n5_whole_matrix(table5):
-    V = generate_layer(5).values
+    layer = generate_layer(5)
+    V = layer.values
     C = table5.counts
     d = len(V)
     assert not np.tril(C, -1).any()
@@ -204,7 +176,7 @@ def test_full_table_n5_whole_matrix(table5):
         edges += [e - 1, e]
     for i in edges:
         for j in edges:
-            assert C[i, j] == re_fast(Mbf(5, int(V[i])), Mbf(5, int(V[j])))
+            assert C[i, j] == re_scan(layer, V[i], V[j])
 
 
 def test_full_table_refuses_inexact_sizes(monkeypatch):
@@ -215,37 +187,25 @@ def test_full_table_refuses_inexact_sizes(monkeypatch):
         build_full_table(5)
 
 
-def test_up_answers_upward_tables_only():
-    with pytest.raises(ValueError):
-        build_full_table(2).up(bottom(2))
-    with pytest.raises(KeyError):
-        IntervalTable(2, "upward", np.array([8], dtype=np.uint64), np.array([5])).up(0)
-
-
-def save_upward_table(table, path):
-    rows = np.column_stack((table.elements, table.counts.astype(np.uint64)))
+def save_upward_table(n, elements, counts, path):
+    rows = np.column_stack((elements, counts.astype(np.uint64)))
     with open(path, "w") as fh:
-        write_records(fh, "retable", table.n, rows)
+        write_records(fh, "retable", n, rows)
 
 
 def test_retable_round_trip(tmp_path):
-    table = build_upward_table(generate_layer(2))
+    elements = generate_layer(2).values
+    counts = upward_counts(2, elements)
     path = tmp_path / "re2.txt"
-    save_upward_table(table, str(path))
+    save_upward_table(2, elements, counts, str(path))
     first = path.read_bytes()
-    loaded = load_upward_table(str(path))
-    assert loaded.n == 2
-    assert np.array_equal(loaded.elements, table.elements)
-    assert np.array_equal(loaded.counts, table.counts)
-    save_upward_table(loaded, str(path))
+    n, loaded_elements, loaded_counts = load_upward_table(str(path))
+    assert n == 2
+    assert np.array_equal(loaded_elements, elements)
+    assert np.array_equal(loaded_counts, counts)
+    save_upward_table(n, loaded_elements, loaded_counts, str(path))
     assert path.read_bytes() == first
     assert path.read_text().splitlines()[0] == "mbf-retable n=2 mode=upward count=6"
-
-
-def test_memo_budget_refusal(monkeypatch):
-    monkeypatch.setattr(intervals, "MAX_MEMO_ENTRIES", 3)
-    with pytest.raises(BudgetError):
-        re_fast(bottom(4), top(4))
 
 
 @pytest.mark.parametrize(
@@ -261,6 +221,10 @@ def test_load_upward_table_rejects_values_outside_the_layer(tmp_path, body):
 def test_bulk_budget_refusals():
     with pytest.raises(BudgetError):
         upward_counts(6, np.zeros(200_001, dtype=np.uint64))
+    with pytest.raises(BudgetError, match="7828354 elements at n=6"):
+        check_upward_budget(6, 7_828_354)
+    check_upward_budget(6, 200_000)
+    check_upward_budget(5, 7_581)
     with pytest.raises(BudgetError):
         build_full_table(6)
     with pytest.raises(BudgetError):

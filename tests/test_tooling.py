@@ -67,6 +67,15 @@ def test_benchmark_calls_match_package_signatures():
     assert "lambda_plus4_direct(strategy=)" in checked
 
 
+def test_full_table_counts_are_the_matrix_the_benchmark_reads():
+    # perfbench/spans.py reports counting.build_full_table(n).counts.nbytes
+    from mbfcount import counting, layers
+
+    counts = counting.build_full_table(2).counts
+    d = len(layers.generate_layer(2))
+    assert counts.shape == (d, d) and counts.dtype.name == "uint16"
+
+
 def _loop_bindings(tree) -> dict[str, list[ast.expr]]:
     """Each for-loop variable over a literal tuple, bound to its items."""
     return {
