@@ -4,23 +4,26 @@ A permutation of the n input variables permutes the binary digits of every
 table position, hence the bits of every packed function.  Orbit
 representatives are the minimal orbit members under the integer order.
 
-Images are enumerated with a plain-changes (Johnson-Trotter) walk: each
-successive relabeling differs from the previous one by one adjacent digit
-transposition, so one pass per group element yields all n! images of a
-batch of values, stacked row by row.
+Every orbit job walks the relabelings in plain-changes (Johnson-Trotter)
+order: each successive arrangement differs from the previous one by one
+adjacent digit transposition, so one pass per group element steps a whole
+array of values to its next images.  The walk holds one arrangement at a
+time, O(len) memory, never a table of all n! images.
 
 Classification enumerates orbits rather than canonicalizing every element.
 An orbit minimum is not lowered by any adjacent transposition, so a
 prefilter of n-1 passes keeps only such elements (46,107 of the 7,828,354
-at n=6).  Walking the survivors, the ones equal to their own image minimum
-are the representatives (16,353 at n=6); each orbit size is the number of
-its distinct images found in the layer.
+at n=6).  One walk over the survivors keeps, for each, its running
+minimum, the arrangements that fix it and the arrangements whose image is
+at most the layer's last element.  The survivors equal to their minimum
+are the representatives (16,353 at n=6).  Each distinct image occurs once
+per fixing arrangement, so the orbit size is the second count over the
+first.
 
 The counting kernels reduce their inner loops by the relabelings that fix
 one element (its stabilizer).  stabilizer_orbits walks the same sequence
 over that element and a value set the stabilizer maps to itself, and keeps
-a running minimum over the arrangements that leave the element in place;
-it holds one arrangement at a time, not a table of all n! images.
+a running minimum over the arrangements that leave the element in place.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from .errors import BudgetError, VerificationError, WidthError
 from .layers import Layer, read_records
 
 ORBIT_MAX_N = 7  # 5040 images per element is the single-value ceiling
-# elements per image walk: n! * 2048 uint64 images is 11.8 MB at n=6.  A
-# larger set is prefiltered first, which keeps 254 of the 7,581 elements at n=5
-WALK_BATCH = 2048
+# classify walks a set this small directly; a larger one is prefiltered
+# first, which keeps 254 of the 7,581 elements at n=5
+DIRECT_WALK_MAX = 2048
 PREFILTER_CHUNK = 1 << 16  # elements per prefilter step
 
 
@@ -159,23 +162,21 @@ def adjacent_swap_sequence(n: int) -> tuple[int, ...]:
             direction[v] = -direction[v]
 
 
-def _orbit_images(values: np.ndarray, n: int) -> np.ndarray:
-    """All n! relabelings of each element: row r is the r-th arrangement of
-    the plain-changes walk, row 0 the elements themselves."""
-    images = np.empty((factorial(n), len(values)), dtype=np.uint64)
-    images[0] = values
-    for r, k in enumerate(adjacent_swap_sequence(n), 1):
-        images[r] = vecbits.digit_transpose(images[r - 1], k, k + 1, n)
-    return images
+def _walk(values: np.ndarray, n: int):
+    """The n!-1 further arrangements of values along the plain-changes
+    walk, one relabeled array at a time."""
+    vecbits.check_vector_n(n)
+    for k in adjacent_swap_sequence(n):
+        values = vecbits.digit_transpose(values, k, k + 1, n)
+        yield values
 
 
 def canonical_array(values: np.ndarray, n: int) -> np.ndarray:
     """Per-element orbit minimum over all n! digit relabelings."""
-    vecbits.check_vector_n(n)
-    out = np.empty_like(values)
-    for lo in range(0, len(values), WALK_BATCH):
-        _orbit_images(values[lo:lo + WALK_BATCH], n).min(axis=0, out=out[lo:lo + WALK_BATCH])
-    return out
+    low = values.copy()
+    for image in _walk(values, n):
+        np.minimum(low, image, out=low)
+    return low
 
 
 def stabilizer_orbits(fixed: int, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,14 +194,11 @@ def stabilizer_orbits(fixed: int, values: np.ndarray, n: int) -> tuple[np.ndarra
     fix the value (orbit-stabilizer), which holds exactly when the set is
     closed under the stabilizer; every size then divides that order.
     """
-    vecbits.check_vector_n(n)
     fixed = np.uint64(fixed)
-    cur = np.concatenate((np.array([fixed]), values))
-    low = cur[1:].copy()
+    low = values.copy()
     fixes = np.ones(len(values), dtype=np.int64)  # stabilizer arrangements fixing each value
     order = 1
-    for k in adjacent_swap_sequence(n):
-        cur = vecbits.digit_transpose(cur, k, k + 1, n)
+    for cur in _walk(np.concatenate((np.array([fixed]), values)), n):
         if cur[0] == fixed:
             order += 1
             np.minimum(low, cur[1:], out=low)
@@ -231,46 +229,45 @@ def _minimum_candidates(values: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(keep)
 
 
-def _present(needles: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Which needles occur in the ascending array values."""
-    # ascending keys walk values in order: ~11x faster than unsorted lookups
-    order = np.argsort(needles)
-    keys = needles[order]
-    at = np.minimum(np.searchsorted(values, keys), len(values) - 1)
-    found = np.empty(len(needles), dtype=bool)
-    found[order] = values[at] == keys
-    return found
-
-
 def classify(layer: Layer, workers: int = 1) -> list[OrbitClass]:
     """Partition a layer into orbits, ascending by representative.
 
-    The representatives are the elements that are their own orbit minimum;
-    gamma of each class is the number of its distinct images in the layer,
-    i.e. the orbit size.  On a sorted prefix of a layer, which holds the
-    orbit minimum of each of its elements, this is the number of prefix
-    elements in the orbit.  Classification runs in this process; workers is
-    accepted for call compatibility and unused.
+    layer may also hold a sorted prefix of D_n, which holds the orbit
+    minimum of each of its elements; gamma is then the number of prefix
+    elements in the orbit, and the whole orbit size on a whole layer.
+
+    One walk over the candidates counts, per candidate, the arrangements
+    that fix it and those whose image is at most the last value.  Every
+    image of an element of D_n lies in D_n, so the latter are the images
+    in the layer, and each distinct image occurs once per fixing
+    arrangement: gamma is the quotient.  Raises VerificationError on a
+    nonzero remainder, or unless the gammas add up to len(layer), as when
+    a member below the last value is missing.  Classification runs in this
+    process; workers is accepted for call compatibility and unused.
     """
     n = layer.n
     if n > 6:
         raise BudgetError(f"classification over n={n} is out of budget")
     values = layer.values
-    # one batch walks directly: the prefilter pays only on larger layers
-    cands = values if len(values) <= WALK_BATCH else _minimum_candidates(values, n)
-    classes = []
-    for lo in range(0, len(cands), WALK_BATCH):
-        images = _orbit_images(cands[lo:lo + WALK_BATCH], n)
-        own_min = images.min(axis=0) == images[0]
-        sorted_orbits = np.sort(images[:, own_min].T, axis=1)
-        distinct = np.ones(sorted_orbits.shape, dtype=bool)
-        np.not_equal(sorted_orbits[:, 1:], sorted_orbits[:, :-1], out=distinct[:, 1:])
-        row = np.repeat(np.arange(len(sorted_orbits)), distinct.sum(axis=1))
-        found = _present(sorted_orbits[distinct], values)
-        gammas = np.bincount(row[found], minlength=len(sorted_orbits))
-        reps = images[0, own_min]
-        classes += [OrbitClass(Mbf(n, int(r)), int(g)) for r, g in zip(reps, gammas)]
-    total = sum(c.gamma for c in classes)
+    # a small set walks directly: the prefilter pays only on larger layers
+    cands = values if len(values) <= DIRECT_WALK_MAX else _minimum_candidates(values, n)
+    low = cands.copy()
+    fixes = np.ones(len(cands), dtype=np.int64)
+    inside = np.ones(len(cands), dtype=np.int64)
+    last = values[-1]
+    for image in _walk(cands, n):
+        np.minimum(low, image, out=low)
+        fixes += image == cands
+        inside += image <= last
+    own = low == cands
+    gammas, rest = np.divmod(inside[own], fixes[own])
+    if rest.any():
+        raise VerificationError(
+            f"the images in the n={n} layer of some representative are not"
+            " a whole multiple of the relabelings that fix it"
+        )
+    classes = [OrbitClass(Mbf(n, int(r)), int(g)) for r, g in zip(cands[own], gammas)]
+    total = int(gammas.sum())
     if total != len(values):
         raise VerificationError(
             f"orbit sizes of the {len(classes)} classes add up to {total},"

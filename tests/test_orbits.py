@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -8,6 +9,7 @@ from mbfcount.core import Mbf, bottom, top
 from mbfcount.errors import BudgetError, VerificationError, WidthError
 from mbfcount.layers import Layer, generate_layer, write_records
 from mbfcount.orbits import (
+    DIRECT_WALK_MAX,
     VariablePermutation,
     adjacent_swap_sequence,
     all_permutations,
@@ -170,10 +172,19 @@ def test_classify_d6_class_count():
     assert gammas_consistent(cl, layer)
 
 
-def test_classify_prefix_matches_per_element_grouping():
-    prefix = generate_layer(6).values[: 1 << 16]
-    reps, counts = np.unique(canonical_array(prefix, 6), return_counts=True)
-    got = classify(Layer(6, prefix))
+# every cut of D_4, and seeded cuts of D_5 on both sides of the direct-walk
+# size (2048), some of which split an orbit; the n=6 cut is prefiltered
+_D5_CUTS = sorted({2048, 2049, 7581, *np.random.default_rng(5).integers(
+    [1] * 4 + [2050] * 4, [2048] * 4 + [7581] * 4).tolist()})
+
+
+@pytest.mark.parametrize(
+    "n, cut", [(4, c) for c in range(1, 169)] + [(5, c) for c in _D5_CUTS] + [(6, 1 << 16)]
+)
+def test_classify_prefix_matches_per_element_grouping(n, cut):
+    prefix = generate_layer(n).values[:cut]
+    reps, counts = np.unique(canonical_array(prefix, n), return_counts=True)
+    got = classify(Layer(n, prefix))
     assert [c.representative.bits for c in got] == reps.tolist()
     assert [c.gamma for c in got] == counts.tolist()
 
@@ -184,6 +195,41 @@ def test_classify_raises_when_a_representative_is_missing():
     damaged = Layer(5, layer.values[layer.values != np.uint64(rep)])
     with pytest.raises(VerificationError):
         classify(damaged)
+
+
+def test_classify_raises_when_a_member_is_missing():
+    # the member lies below the last value, so its orbit's gamma still counts it
+    layer = generate_layer(5)
+    rep = next(c.representative for c in classify(layer) if c.gamma > 1)
+    member = max(orbit_values(rep))
+    damaged = Layer(5, layer.values[layer.values != np.uint64(member)])
+    with pytest.raises(VerificationError):
+        classify(damaged)
+
+
+@pytest.mark.parametrize("n, sample", [(5, None), (6, 20)])
+def test_classify_prefilter_path_matches_the_scalar_orbits(n, sample):
+    layer = generate_layer(n)
+    assert len(layer) > DIRECT_WALK_MAX
+    found = classify(layer)
+    if sample is not None:
+        pick = np.random.default_rng(6).choice(len(found), size=sample, replace=False)
+        found = [found[i] for i in pick]
+    for c in found:
+        orbit = orbit_values(c.representative)
+        assert min(orbit) == c.representative.bits
+        assert len(orbit) == c.gamma
+
+
+def test_classify_d6_stays_within_16_mb():
+    layer = generate_layer(6)
+    tracemalloc.start()
+    try:
+        classify(layer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"classify(D_6) peaked at {peak / 1e6:.1f} MB"
 
 
 def test_classify_workers_deterministic():

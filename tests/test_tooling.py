@@ -26,6 +26,21 @@ def test_file_formats_have_one_owner():
     assert owners == ["layers.py"], f"the header literal appears in {owners}"
 
 
+def test_one_relabeling_walk():
+    # every orbit job steps through the n! relabelings by iterating orbits._walk
+    name = "adjacent_swap_sequence"
+    found = [
+        f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}"
+        for path in sorted(SRC.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), str(path)).body
+        if any(
+            name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            for node in ast.walk(stmt)
+        )
+    ]
+    assert found == ["orbits.py:adjacent_swap_sequence", "orbits.py:_walk"], found
+
+
 # -- the benchmark's use of the package ---------------------------------------
 # perfbench/ is read as source only: a change to the package that removes a
 # name or a parameter the benchmark uses fails here, not in the benchmark run
