@@ -17,15 +17,14 @@ that constraint into closed sums over a smaller layer:
   plus3   with k = 3 the blocks are a, b, d, c, c*, d*, b*, a* with
           a <= b <= c <= dual(a) and a <= d <= c & dual(b); summing the
           interval count re(a, c & dual(b)) over b, c pairs counts the
-          d choices.  Classes with weight(a) = 2^(n-1) force every block
-          equal to a and contribute exactly one function each, which is
-          the count for n itself; the refined form adds that as a closed
-          term and restricts the sum to weight(a) < 2^(n-1).  A
-          relabeling that fixes a fixes a* and leaves every term
-          unchanged, so the outer loop (over b, or over d in the
-          "d-first" order) runs over one representative per orbit of
-          Stab(a) on [a, a*], weighted by the orbit size, and the
-          interval counts within [a, a*] are taken once per orbit: 16,698
+          d choices.  The sum runs over the classes of h = dual(a) with
+          dual(h) <= h, so [a, a*] = [dual(h), h].  Classes with
+          weight(h) = 2^(n-1) are self-dual, force every block equal to
+          a and contribute exactly one function each, which is the count
+          for n itself; the refined form adds that as a closed term and
+          restricts the sum to weight(h) > 2^(n-1).  The outer loop runs
+          over b, or over d in the "d-first" order, and the interval
+          counts within [a, a*] are taken once per Stab(h)-orbit: 16,698
           representatives for the 92,816 elements of the 80 base-5
           classes.
 
@@ -46,11 +45,16 @@ that constraint into closed sums over a smaller layer:
           route at every base; strategy="dense", the sum over every
           (a, b, c, h) (n <= 4), is the reference for the kernel.
 
-  plus4c  the same k = 4 sum regrouped per top block h over orbit
-          classes with dual(h) <= h, weight(h) > 2^(n-1), plus the
-          closed weight-equal term (again the count for n itself).  The
-          kernel's a runs over one representative per orbit of Stab(h)
-          on [dual(h), h], weighted by the orbit size, as in plus3.
+  plus4c  the same k = 4 sum regrouped per top block h over the classes
+          plus3 sums, with the same closed term (again the count for n
+          itself); the kernel's a runs over one representative per orbit
+          of Stab(h) on [dual(h), h].
+
+plus3 and plus4c run one driver (_run_class_tasks): one task per class
+h, longest interval [dual(h), h] first.  A relabeling that fixes h fixes
+dual(h), maps the interval onto itself and leaves every term unchanged,
+so each task walks the orbits of Stab(h) once and weights the route's
+kernel at one representative per orbit by the orbit size.
 
 Both k = 4 routes, and the dense reference, read one representation,
 built by one helper (_k4_tables): the uint16 interval matrix, the
@@ -176,39 +180,78 @@ def lambda_plus2(layer: Layer, classes: list[OrbitClass], workers: int = 1) -> L
     return LambdaResult(n + 2, "plus2", value, n, time.perf_counter() - t0)
 
 
+# -- the class-task driver (plus3, plus4c) -----------------------------------
+
+
+def _dual_intervals(V: np.ndarray, n: int, tops) -> dict[int, np.ndarray]:
+    """The ascending index array of [dual(h), h] in the layer V, for each
+    given top index ih (h = V[ih], dual(h) <= h)."""
+    duals = vecbits.dual_array(V[tops], n)
+    return {
+        ih: np.nonzero(((hd & ~V) == 0) & ((V & ~V[ih]) == 0))[0].astype(np.int32)
+        for ih, hd in zip(tops.tolist(), duals)
+    }
+
+
+def _class_task(ci: int) -> int:
+    """gamma(h) times the sum, over the orbits of Stab(h) on [dual(h), h],
+    of the orbit size times the route's kernel at the orbit representative."""
+    st = parallel.state()
+    V = st["values"]
+    ih = int(st["rep_idx"][ci])
+    I = st["intervals"][ih]
+    reps, inverse, sizes = orbits.stabilizer_orbits(int(V[ih]), V[I], st["n"])
+    sums = st["kernel"](ih, I, reps, inverse)
+    return int(st["gammas"][ci]) * sum(size * s for size, s in zip(sizes.tolist(), sums))
+
+
+def _run_class_tasks(layer: Layer, classes, workers: int, kernel, shared: dict, refined=True):
+    """Sum _class_task over the classes h with dual(h) <= h and weight(h)
+    > 2^(n-1), longest interval first, plus the closed term for the
+    weight-equal (self-dual) classes, which is the count for n itself.
+    Unrefined, the weight-equal classes are summed as tasks instead.
+    kernel(ih, I, reps, inverse) gives the value at each orbit
+    representative (positions in the interval I); inverse maps each
+    position to its orbit, so a kernel counts an orbit invariant once per
+    orbit.  Returns the value and the closed term's source.
+    """
+    V, n = layer.values, layer.n
+    reps, gammas = _rep_array(classes)
+    rep_idx = np.searchsorted(V, reps)
+    sel = (vecbits.dual_array(reps, n) & ~reps) == 0
+    if refined:
+        sel &= 2 * vecbits.popcount(reps) > table_width(n)
+    intervals = _dual_intervals(V, n, rep_idx[sel])
+    tasks = sorted(np.nonzero(sel)[0].tolist(), key=lambda ci: -len(intervals[int(rep_idx[ci])]))
+    shared.update(values=V, n=n, rep_idx=rep_idx, gammas=gammas, intervals=intervals, kernel=kernel)
+    value = sum(parallel.run_tasks(_class_task, tasks, workers, shared=shared))
+    return (value + self_dual_brute(n), "brute") if refined else (value, None)
+
+
 # -- plus3 ------------------------------------------------------------------
 
 
-def _interval_values(V: np.ndarray, lo, hi) -> np.ndarray:
-    return V[((V & lo) == lo) & ((V & hi) == V)]
-
-
-def _plus3_class(ci: int) -> int:
+def _plus3_pairs_first(ih: int, I: np.ndarray, reps, inverse) -> list[int]:
+    """Per representative b: the c >= b in [a, a*], each counting the d
+    choices, which fill [a, c & dual(b)]."""
     st = parallel.state()
-    V, n = st["values"], st["n"]
-    a = st["reps"][ci]
-    a_star = st["rep_duals"][ci]
-    I = _interval_values(V, a, a_star)
-    Id = vecbits.dual_array(I, n)
-    # a relabeling that fixes a fixes a*, maps [a, a*] onto itself and
-    # leaves every term unchanged: the outer loop runs over one
-    # representative per orbit, weighted by the orbit's size, and the
-    # interval counts are orbit invariants, counted once per orbit
-    reps, inverse, sizes = orbits.stabilizer_orbits(int(a), I, n)
-    G = 0
-    if st["loop_order"] == "pairs-first":
-        # for each b <= c in [a, a*], the d choices fill [a, c & dual(b)]
-        rea = np.array([np.count_nonzero((I & ~I[r]) == 0) for r in reps])[inverse]
-        for bi, size in zip(reps, sizes.tolist()):
-            cs = I[(I[bi] & ~I) == 0]
-            G += size * int(rea[np.searchsorted(I, cs & Id[bi])].sum())
-    else:
-        # "d-first": pick d in [a, a*], then b <= dual(d), then c >= b | d
-        upI = np.array([np.count_nonzero((I[r] & ~I) == 0) for r in reps])[inverse]
-        for di, size in zip(reps, sizes.tolist()):
-            bs = I[(I & ~(a_star & Id[di])) == 0]
-            G += size * int(upI[np.searchsorted(I, bs | I[di])].sum())
-    return int(st["gammas"][ci]) * G
+    X = st["values"][I]
+    Xd = vecbits.dual_array(X, st["n"])
+    rea = np.array([np.count_nonzero((X & ~b) == 0) for b in X[reps]])[inverse]
+    return [int(rea[np.searchsorted(X, X[(X[r] & ~X) == 0] & Xd[r])].sum()) for r in reps]
+
+
+def _plus3_d_first(ih: int, I: np.ndarray, reps, inverse) -> list[int]:
+    """Per representative d: the b <= dual(d) in [a, a*], each counting
+    the c >= b | d."""
+    st = parallel.state()
+    X = st["values"][I]
+    Xd = vecbits.dual_array(X, st["n"])
+    up = np.array([np.count_nonzero((d & ~X) == 0) for d in X[reps]])[inverse]
+    return [int(up[np.searchsorted(X, X[(X & ~Xd[r]) == 0] | X[r])].sum()) for r in reps]
+
+
+_PLUS3_KERNELS = {"pairs-first": _plus3_pairs_first, "d-first": _plus3_d_first}
 
 
 def lambda_plus3(
@@ -219,35 +262,13 @@ def lambda_plus3(
     loop_order: str = "pairs-first",
 ) -> LambdaResult:
     """Count for n+3 from the 4-tuple sum over orbit classes."""
-    if loop_order not in ("pairs-first", "d-first"):
+    if loop_order not in _PLUS3_KERNELS:
         raise ValueError(f"unknown loop order {loop_order!r}")
     t0 = time.perf_counter()
     n = layer.n
     _require_base("plus3", n)
-    reps, gammas = _rep_array(classes)
-    rep_duals = vecbits.dual_array(reps, n)
-    below_dual = (reps & ~rep_duals) == 0
-    if refined:
-        sel = below_dual & (2 * vecbits.popcount(reps) < table_width(n))
-        base_value, base_source = self_dual_brute(n), "brute"
-    else:
-        sel = below_dual
-        base_value, base_source = 0, None
-    order = np.argsort(-vecbits.popcount(rep_duals) + vecbits.popcount(reps))
-    tasks = [int(ci) for ci in order if sel[ci]]  # widest intervals first
-    shared = {
-        "values": layer.values,
-        "n": n,
-        "reps": reps,
-        "rep_duals": rep_duals,
-        "gammas": gammas,
-        "loop_order": loop_order,
-    }
-    parts = parallel.run_tasks(_plus3_class, tasks, workers, shared=shared)
-    value = base_value + sum(parts)
-    return LambdaResult(
-        n + 3, "plus3", value, n, time.perf_counter() - t0, base_source
-    )
+    value, source = _run_class_tasks(layer, classes, workers, _PLUS3_KERNELS[loop_order], {}, refined)
+    return LambdaResult(n + 3, "plus3", value, n, time.perf_counter() - t0, source)
 
 
 # -- plus4, dense reference (every (a, b, c, h), n <= 4) ---------------------
@@ -272,18 +293,6 @@ def _plus4_dense_class(ci: int) -> int:
 
 
 # -- plus4, pruned (per top block, n <= 5) -----------------------------------
-
-
-def _tops_and_intervals(V: np.ndarray, n: int):
-    """Indices of h with dual(h) <= h, and the index array of [dual(h), h]."""
-    Vd = vecbits.dual_array(V, n)
-    tops = np.nonzero((Vd & ~V) == 0)[0].astype(np.int32)
-    intervals = {}
-    for ih in tops:
-        ih = int(ih)
-        m = ((Vd[ih] & ~V) == 0) & ((V & ~V[ih]) == 0)
-        intervals[ih] = np.nonzero(m)[0].astype(np.int32)
-    return tops, intervals
 
 
 _JOIN_CHUNK = 128
@@ -328,7 +337,7 @@ def _top_block_sums(ih: int, a_idx) -> list[int]:
     """S(a, h) for the top block h = V[ih] and each layer index a in
     [dual(h), h]: the sum over b, c in [dual(h), h] of
     re(a|b|c, h) re(a|b*|c*, h) re(a*|b|c*, h) re(a*|b*|c, h).  Reads
-    the state of _k4_tables plus the intervals of _tops_and_intervals."""
+    the state of _k4_tables plus the intervals of _dual_intervals."""
     st = parallel.state()
     V, J, RE, dual_idx = st["values"], st["join_idx"], st["re"], st["dual_idx"]
     cidx = st["intervals"][ih]
@@ -406,12 +415,16 @@ def fold_dual_classes(classes: list[OrbitClass], n: int) -> tuple[list[OrbitClas
     return kept, mult
 
 
-def _pruned_terms(V, tops, intervals, reps, rep_duals) -> np.ndarray:
-    """Ordered (b, c) pairs per class a and top block h: the squared size
-    of [dual(h), h] where h >= a | dual(a), else 0 (one row per class)."""
-    squares = np.array([len(intervals[int(ih)]) ** 2 for ih in tops], dtype=np.int64)
-    under = ((reps | rep_duals)[:, None] & ~V[tops][None, :]) == 0
-    return under * squares
+def _pruned_terms(V: np.ndarray, n: int, rep_joins: np.ndarray):
+    """The top indices ih with dual(h) <= h, the interval [dual(h), h] of
+    each, and the ordered (b, c) pairs per class a and top block h: the
+    squared size of the interval where h >= a | dual(a) (one entry of
+    rep_joins), else 0 (one row per class)."""
+    tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
+    intervals = _dual_intervals(V, n, tops)
+    squares = np.array([len(intervals[ih]) ** 2 for ih in tops.tolist()], dtype=np.int64)
+    under = (rep_joins[:, None] & ~V[tops][None, :]) == 0
+    return tops, intervals, under * squares
 
 
 def plus4_pruned_term_count(layer: Layer, classes: list[OrbitClass]) -> int:
@@ -423,10 +436,9 @@ def plus4_pruned_term_count(layer: Layer, classes: list[OrbitClass]) -> int:
     classes the fold keeps; and since the products are symmetric in b and
     c, it evaluates about half of those, one per pair b <= c.
     """
-    V, n = layer.values, layer.n
     reps, _ = _rep_array(classes)
-    tops, intervals = _tops_and_intervals(V, n)
-    return int(_pruned_terms(V, tops, intervals, reps, vecbits.dual_array(reps, n)).sum())
+    joins = reps | vecbits.dual_array(reps, layer.n)
+    return int(_pruned_terms(layer.values, layer.n, joins)[2].sum())
 
 
 def _require_exact_products(max_count: int) -> None:
@@ -497,14 +509,14 @@ def lambda_plus4_direct(
         _require_exact_chunk_sums(_PRUNED_CHUNK)
         kept, mult = fold_dual_classes(classes, n)
         reps, gammas = _rep_array(kept)
-        rep_duals = vecbits.dual_array(reps, n)
-        tops, intervals = _tops_and_intervals(V, n)
-        terms = _pruned_terms(V, tops, intervals, reps, rep_duals).sum(axis=0)
+        rep_joins = reps | vecbits.dual_array(reps, n)
+        tops, intervals, terms = _pruned_terms(V, n, rep_joins)
+        terms = terms.sum(axis=0)
         order = np.argsort(-terms, kind="stable")  # longest first
         order = order[terms[order] > 0]
         shared.update(
             intervals=intervals,
-            rep_joins=reps | rep_duals,
+            rep_joins=rep_joins,
             rep_idx=np.searchsorted(V, reps),
             class_weights=[g * k for g, k in zip(gammas.tolist(), mult)],
         )
@@ -519,15 +531,9 @@ def lambda_plus4_direct(
 # -- plus4c (per top block over orbit classes) --------------------------------
 
 
-def _plus4c_class(ci: int) -> int:
-    st = parallel.state()
-    ih = int(st["rep_idx"][ci])
-    I = st["intervals"][ih]  # the indices of [dual(h), h]
-    # a relabeling that fixes h maps I onto itself and leaves S(a, h)
-    # unchanged: a runs over one representative per orbit, weighted
-    reps, _, sizes = orbits.stabilizer_orbits(int(st["values"][ih]), st["values"][I], st["n"])
-    F = sum(size * s for size, s in zip(sizes.tolist(), _top_block_sums(ih, I[reps])))
-    return int(st["gammas"][ci]) * F
+def _plus4c_sums(ih: int, I: np.ndarray, reps, inverse) -> list[int]:
+    """S(a, h) for each representative a: the shared k = 4 kernel."""
+    return _top_block_sums(ih, I[reps])
 
 
 def lambda_plus4_classes(
@@ -545,24 +551,9 @@ def lambda_plus4_classes(
     n = layer.n
     _require_base("plus4c", n)
     _require_exact_chunk_sums(_PRUNED_CHUNK)
-    V = layer.values
-    reps, gammas = _rep_array(classes)
-    rep_duals = vecbits.dual_array(reps, n)
-    sel = ((rep_duals & ~reps) == 0) & (2 * vecbits.popcount(reps) > table_width(n))
-    base_value, base_source = self_dual_brute(n), "brute"
     shared = _k4_tables(layer, budget_mb)
-    shared.update(
-        n=n,
-        intervals=_tops_and_intervals(V, n)[1],
-        rep_idx=np.searchsorted(V, reps),
-        gammas=gammas,
-    )
-    tasks = [ci for ci in range(len(classes)) if sel[ci]]
-    parts = parallel.run_tasks(_plus4c_class, tasks, workers, shared=shared)
-    value = base_value + sum(parts)
-    return LambdaResult(
-        n + 4, "plus4c", value, n, time.perf_counter() - t0, base_source
-    )
+    value, source = _run_class_tasks(layer, classes, workers, _plus4c_sums, shared)
+    return LambdaResult(n + 4, "plus4c", value, n, time.perf_counter() - t0, source)
 
 
 # -- dispatch -----------------------------------------------------------------

@@ -9,6 +9,7 @@ the outcome is independent of worker count and scheduling by construction.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import multiprocessing
 import os
@@ -60,43 +61,57 @@ def run_tasks(fn, tasks, workers: int = 1, shared: dict | None = None, weights=N
         _STATE = shared
     try:
         tasks = list(tasks)
-        report = _Progress(len(tasks), weights) if os.environ.get(ENV_PROGRESS, "") == "1" else None
         if workers <= 1 or len(tasks) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-            pool = contextlib.nullcontext()
+            pool, used = contextlib.nullcontext(), 1
         else:
             ctx = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=ctx)
+            used = min(workers, len(tasks))
+            pool = ProcessPoolExecutor(max_workers=used, mp_context=ctx)
+        report = _Progress(len(tasks), weights, used) if os.environ.get(ENV_PROGRESS, "") == "1" else None
         with pool as ex:
             out = []
-            for res in (map if ex is None else ex.map)(fn, tasks):
+            for res, seconds in (map if ex is None else ex.map)(functools.partial(_timed, fn), tasks):
                 out.append(res)
                 if report is not None:
-                    report.done(len(out))
+                    report.done(len(out), seconds)
             return out
     finally:
         _STATE = prior
 
 
+def _timed(fn, task):
+    """fn(task) and its run time in seconds, measured where it runs."""
+    t0 = time.perf_counter()
+    return fn(task), time.perf_counter() - t0
+
+
 class _Progress:
     """Progress lines for run_tasks: one per hundredth of the tasks, or of
-    the total weight when per-task weights are given, and one at the end."""
+    the total weight when per-task weights are given, and one at the end.
 
-    def __init__(self, n: int, weights) -> None:
+    The rate is the work of the finished tasks over their summed run time,
+    times the workers in use, so tasks still running when a line is
+    written do not lower it."""
+
+    def __init__(self, n: int, weights, workers: int) -> None:
         self.n = n
+        self.workers = workers
         self.weighted = weights is not None
         self.cumulative = list(itertools.accumulate(weights if self.weighted else [1] * n))
         self.shown = 0  # hundredths reported so far
-        self.t0 = time.perf_counter()
+        self.busy = 0.0  # summed run time of the finished tasks
 
-    def done(self, i: int) -> None:
-        """Report after the i-th task (1-based) has finished."""
+    def done(self, i: int, seconds: float) -> None:
+        """Report after the i-th task (1-based) has finished, having run
+        for the given seconds."""
+        self.busy += seconds
         work, total = self.cumulative[i - 1], self.cumulative[-1]
         hundredths = 100 * work // total if total else 100
         if self.n <= 1 or (hundredths == self.shown and i != self.n):
             return
         self.shown = hundredths
         if self.weighted:
-            rate = work / max(time.perf_counter() - self.t0, 1e-9)
+            rate = work / max(self.busy, 1e-9) * self.workers
             eta = (total - work) / rate if rate else 0.0
             line = f"{work:,}/{total:,} terms done, {rate:.3g} terms/s, ETA {eta:,.0f} s"
         else:

@@ -188,6 +188,39 @@ def test_plus4_pruned_schedules_longest_first(classes, monkeypatch):
     assert sum(weights) == plus4_pruned_term_count(layer, kept)
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_plus3_and_plus4c_submit_the_same_class_tasks(n, classes, monkeypatch):
+    # both routes run one task per class h with dual(h) <= h and weight(h)
+    # > 2^(n-1), longest interval [dual(h), h] first, ties by class index
+    layer, cl = setup(n, classes)
+    submitted = []
+    real = parallel.run_tasks
+
+    def spy(fn, tasks, *args, **kwargs):
+        if fn.__module__ == counting.__name__:
+            submitted.append(list(tasks))
+        return real(fn, tasks, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_tasks", spy)
+    assert lambda_plus3(layer, cl).value == LAMBDA_KNOWN[n + 3]
+    assert lambda_plus4_classes(layer, cl).value == LAMBDA_KNOWN[n + 4]
+    plus3_tasks, plus4c_tasks = submitted
+    assert plus3_tasks == plus4c_tasks
+
+    def interval(h):
+        hd = int(vecbits.dual_array(np.array([h], dtype=np.uint64), n)[0])
+        return [z for z in layer.values.tolist() if hd & ~z == 0 and z & ~h == 0]
+
+    tops = {
+        ci: c.representative.bits
+        for ci, c in enumerate(cl)
+        if c.representative.dual().bits & ~c.representative.bits == 0
+        and 2 * c.representative.bits.bit_count() > 1 << n
+    }
+    expected = sorted(tops, key=lambda ci: (-len(interval(tops[ci])), ci))
+    assert plus3_tasks == expected
+
+
 def _dual_class(c, cl):
     dual_rep = orbits.canonical(c.representative.dual()).bits
     [match] = [d for d in cl if d.representative.bits == dual_rep]
@@ -358,6 +391,9 @@ def test_orbit_reduction_equals_the_unreduced_sum(n, classes):
             reduced = partials_and_value(run, orbits.stabilizer_orbits)
             unreduced = partials_and_value(run, trivial)
             assert len(calls) == len(unreduced[0])  # one walk per class task
+            # each walk fixes the top block h of its task, h >= dual(h)
+            duals = vecbits.dual_array(np.array(calls, dtype=np.uint64), n).tolist()
+            assert all(hd & ~h == 0 for h, hd in zip(calls, duals))
             assert reduced == unreduced
             assert reduced[1] == LAMBDA_KNOWN[target]
 
@@ -365,22 +401,24 @@ def test_orbit_reduction_equals_the_unreduced_sum(n, classes):
 def test_partial_sums_order_independent(classes):
     # per-class contributions merged in any order give the same exact value
     layer, cl = setup(4, classes)
+    V = layer.values
     reps = np.array([c.representative.bits for c in cl], dtype=np.uint64)
     duals = vecbits.dual_array(reps, 4)
-    shared = {
-        "values": layer.values,
-        "n": 4,
-        "reps": reps,
-        "rep_duals": duals,
-        "gammas": np.array([c.gamma for c in cl], dtype=np.int64),
-        "loop_order": "pairs-first",
-    }
+    rep_idx = np.searchsorted(V, reps)
     tasks = [
         ci
         for ci in range(len(cl))
-        if int(reps[ci]) & ~int(duals[ci]) == 0 and 2 * int(reps[ci]).bit_count() < 16
+        if int(duals[ci]) & ~int(reps[ci]) == 0 and 2 * int(reps[ci]).bit_count() > 16
     ]
-    parts = parallel.run_tasks(counting._plus3_class, tasks, 1, shared=shared)
+    shared = {
+        "values": V,
+        "n": 4,
+        "rep_idx": rep_idx,
+        "gammas": np.array([c.gamma for c in cl], dtype=np.int64),
+        "intervals": counting._dual_intervals(V, 4, rep_idx[tasks]),
+        "kernel": counting._plus3_pairs_first,
+    }
+    parts = parallel.run_tasks(counting._class_task, tasks, 1, shared=shared)
     base = counting.self_dual_brute(4)
     reference = lambda_plus3(layer, cl).value
     assert base + sum(parts) == reference

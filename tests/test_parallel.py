@@ -66,3 +66,20 @@ def test_no_progress_unless_asked(monkeypatch, capsys):
     monkeypatch.delenv(parallel.ENV_PROGRESS, raising=False)
     parallel.run_tasks(_square, [1, 2, 3], 1, weights=[3, 2, 1])
     assert capsys.readouterr().err == ""
+
+
+def test_progress_rate_counts_run_time_per_worker(capsys):
+    # 600 terms in 3 s on one of 2 workers is 400 terms/s for the pair,
+    # whatever the wall clock says while the other tasks still run
+    report = parallel._Progress(3, [600, 300, 100], workers=2)
+    report.done(1, 3.0)
+    report.done(2, 1.5)
+    report.done(3, 0.5)
+    assert _progress_lines(capsys) == [
+        "600/1,000 terms done, 400 terms/s, ETA 1 s",
+        "900/1,000 terms done, 400 terms/s, ETA 0 s",
+        "1,000/1,000 terms done, 400 terms/s, ETA 0 s",
+    ]
+    one = parallel._Progress(2, [300, 100], workers=1)
+    one.done(1, 2.0)
+    assert _progress_lines(capsys) == ["300/400 terms done, 150 terms/s, ETA 1 s"]

@@ -41,6 +41,45 @@ def test_one_relabeling_walk():
     assert found == ["orbits.py:adjacent_swap_sequence", "orbits.py:_walk"], found
 
 
+def _statements_where(path, found) -> list[str]:
+    """The top-level statements of path (by name, else line) holding a
+    node for which found holds."""
+    return [
+        f"{getattr(stmt, 'name', stmt.lineno)}"
+        for stmt in ast.parse(path.read_text(), str(path)).body
+        if any(found(node) for node in ast.walk(stmt))
+    ]
+
+
+def _is_subset_test(node) -> bool:
+    # (x & y) == z, one half of an interval test
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], ast.Eq)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.BitAnd)
+    )
+
+
+def test_one_driver_for_the_stabilizer_orbit_routes():
+    # plus3 and plus4c walk Stab(h)-orbits only in the driver's task
+    # function, and only _dual_intervals builds the [dual(h), h] mask
+    path = SRC / "counting.py"
+    name = "stabilizer_orbits"
+    walks = _statements_where(
+        path, lambda node: name in (getattr(node, "id", None), getattr(node, "attr", None))
+    )
+    assert walks == ["_class_task"], walks
+    masks = _statements_where(
+        path,
+        lambda node: isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and _is_subset_test(node.left)
+        and _is_subset_test(node.right),
+    )
+    assert masks == ["_dual_intervals"], masks
+
+
 # -- the benchmark's use of the package ---------------------------------------
 # perfbench/ is read as source only: a change to the package that removes a
 # name or a parameter the benchmark uses fails here, not in the benchmark run
