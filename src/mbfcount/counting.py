@@ -79,8 +79,8 @@ import numpy as np
 from . import orbits, parallel, vecbits
 from .core import table_width
 from .errors import BudgetError, UnsupportedCombinationError, VerificationError
-from .intervals import build_full_table, upward_counts
-from .layers import Layer, generate_layer, self_dual_brute
+from .intervals import build_full_table, full_table_bytes, upward_counts
+from .layers import Layer, check_budget, generate_layer, self_dual_brute
 from .orbits import OrbitClass, canonical_array, classify
 
 # reference values for verification (OEIS A001206); counts of self-dual
@@ -464,11 +464,12 @@ def _k4_tables(layer: Layer, budget_mb: int | None) -> dict:
 
     "re" is the uint16 interval matrix, "join_idx" the join-index table J
     (the index of x | y in the layer) and "dual_idx" the index of each
-    element's dual.  The matrix is built first: its float32 working set
-    is freed before J is allocated.  Raises before any task runs unless
+    element's dual.  Refuses the matrix and J together (d^2 * 2 bytes
+    more) before building either, and raises before any task runs unless
     four-way products of interval counts stay below 2^52.
     """
-    V, n = layer.values, layer.n
+    V, n, d = layer.values, layer.n, len(layer)
+    check_budget(f"matrix and join index for n={n}", full_table_bytes(d) + d * d * 2, budget_mb)
     counts = build_full_table(n, budget_mb).counts
     _require_exact_products(int(counts.max()))
     return {

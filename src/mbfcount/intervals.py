@@ -9,12 +9,8 @@ Three routes compute |{z : x <= z <= y}|, one for each job:
     recurrence over the half-split down to D_0.
   * build_full_table: the all-pairs uint16 matrix for n <= 5, indexed by
     layer ordinal (the k = 4 counts read it through the join-index
-    table).  It is computed exactly as a product of the 0/1 order
-    relation with itself.  The layer is sorted ascending and x <= z as
-    sets implies x <= z as integers, so the relation and the matrix are
-    upper triangular: the product runs over blocks on and above the
-    diagonal only, and for block (i, j) only the z between the two blocks
-    can lie between an x of block i and a y of block j.
+    table): |[x, y]| = sum_z [x <= z][z <= y], summed one block of middle
+    elements z at a time as float32 products of 0/1 blocks.
 
 Empty intervals count 0, so callers never branch on comparability.
 """
@@ -29,7 +25,7 @@ import numpy as np
 from . import parallel, vecbits
 from .core import Mbf, table_width
 from .errors import BudgetError, VerificationError, WidthError
-from .layers import DEFAULT_BUDGET_MB, Layer, generate_layer, read_records
+from .layers import Layer, check_budget, generate_layer, read_records
 
 def _bits(v) -> int:
     return v.bits if isinstance(v, Mbf) else int(v)
@@ -115,40 +111,40 @@ class IntervalTable:
 _FULL_BLOCK = 512
 
 
+def full_table_bytes(d: int) -> int:
+    """Estimated peak of build_full_table over d elements: the matrix, and per step
+    d x min(d, _FULL_BLOCK) entries each of a uint64 subset test, its bool and two float32
+    blocks of x <= z (this one, and the last one until it is replaced)."""
+    return d * d * 2 + d * min(d, _FULL_BLOCK) * (8 + 1 + 4 + 4)
+
+
 def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
     """All-pairs interval matrix, uint16; n <= 5 (above that it cannot fit).
 
-    counts = L @ L for the 0/1 order relation L[x, z] = (x <= z), taken in
-    float32 over square blocks of _FULL_BLOCK indices: block (i, j) with
-    j >= i is L[i, i..j] @ L[i..j, j], and blocks below the diagonal stay
-    zero.  Exact while d < 2^16: entries fit uint16, float32 sums of 0/1
-    products stay below 2^24.
+    counts[x, y] = sum_z [x <= z][z <= y], over blocks of B = _FULL_BLOCK
+    middle elements z.  The layer is ascending and x <= z as sets implies
+    x <= z as integers, so a block of z reaches only the rows x before its
+    end and the columns y from its start: per block of B such columns it
+    adds (x <= z) @ (z <= y), taken in float32.  Exact while d < 2^16:
+    each product sums B terms of 0 or 1 (float32 holds integers below
+    2^24), and the uint16 partial sums never exceed the final count, <= d.
     """
     if n > 5:
         raise BudgetError(f"full interval table for n={n} is out of budget")
     layer = generate_layer(n, budget_mb)
     d = len(layer)
     if d >= 1 << 16:
-        raise VerificationError(
-            f"full interval table for n={n} has {d} >= 2^16 rows, beyond what"
-            f" uint16 entries and float32 sums hold exactly"
-        )
-    budget = DEFAULT_BUDGET_MB if budget_mb is None else budget_mb
-    need_mb = d * d * 10 / 1e6
-    if need_mb > budget:
-        raise BudgetError(
-            f"full interval table for n={n} needs ~{need_mb:.0f} MB, over the"
-            f" {budget} MB budget"
-        )
+        raise VerificationError(f"full interval table for n={n} has {d} >= 2^16 rows")
+    check_budget(f"full interval table for n={n}", full_table_bytes(d), budget_mb)
     V = layer.values
     B = _FULL_BLOCK
-    Lf = np.empty((d, d), dtype=np.float32)
-    for lo in range(0, d, B):
-        Lf[lo:lo + B] = (V[lo:lo + B, None] & ~V[None, :]) == 0
     counts = np.zeros((d, d), dtype=np.uint16)
-    for i in range(0, d, B):
-        for j in range(i, d, B):
-            counts[i:i + B, j:j + B] = Lf[i:i + B, i:j + B] @ Lf[i:j + B, j:j + B]
+    for k in range(0, d, B):
+        z = V[k:k + B]
+        below = ((V[:k + B, None] & ~z) == 0).astype(np.float32)
+        for j in range(k, d, B):
+            above = ((z[:, None] & ~V[j:j + B]) == 0).astype(np.float32)
+            counts[:k + B, j:j + B] += (below @ above).astype(np.uint16)
     return IntervalTable(n, counts)
 
 

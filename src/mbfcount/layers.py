@@ -24,6 +24,14 @@ from .errors import BudgetError, VerificationError, WidthError
 
 DEFAULT_BUDGET_MB = 4096
 
+
+def check_budget(what: str, need_bytes: int, budget_mb: int | None = None) -> None:
+    """Refuse a step estimated at need_bytes over budget_mb (default DEFAULT_BUDGET_MB)."""
+    budget = DEFAULT_BUDGET_MB if budget_mb is None else budget_mb
+    if need_bytes / 1e6 > budget:
+        raise BudgetError(f"{what} needs ~{need_bytes / 1e6:.0f} MB, over the {budget} MB budget")
+
+
 # exact element counts (Dedekind numbers): they refuse oversized requests
 # before any work and size each layer's array, which a build must fill
 LAYER_SIZE = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7_581, 6: 7_828_354}
@@ -69,12 +77,7 @@ def check_layer_budget(n: int, budget_mb: int | None = None) -> None:
             f"layers for n={n} are not materializable (tables exceed 64 bits"
             " and the element count is astronomically large)"
         )
-    budget = DEFAULT_BUDGET_MB if budget_mb is None else budget_mb
-    need_mb = LAYER_SIZE[n] * 8 / 1e6
-    if need_mb > budget:
-        raise BudgetError(
-            f"layer for n={n} needs ~{need_mb:.0f} MB, over the {budget} MB budget"
-        )
+    check_budget(f"layer for n={n}", LAYER_SIZE[n] * 8, budget_mb)
 
 
 def generate_layer(n: int, budget_mb: int | None = None) -> Layer:
@@ -149,6 +152,8 @@ def _read_header(fh, path: str, kind: str | None = None) -> tuple[str, int, int]
             f"{path}:1: expected the header 'mbf-{kind} n=<n>{mode} count=<count>',"
             f" found {header!r}"
         )
+    if int(m[1]) > 6:  # refused before any row is read
+        raise ValueError(f"{path}:1: n={int(m[1])} is outside 0..6")
     return kind, int(m[1]), int(m[2])
 
 
@@ -164,9 +169,9 @@ def read_records(path: str, kind: str) -> tuple[int, np.ndarray, list[list[int]]
 
     Raises ValueError("<path>:<line>: ...") for a header off the grammar
     'mbf-<kind> n=<n> [mode=upward] count=<count>' (mode=upward exactly for
-    retable files), a row without exactly the kind's columns, a value that
-    is not hex below 2^64, a decimal that is not digits below 2^63, a row
-    count other than count=, n outside 0..6, and a value outside D_n.
+    retable files) or with n outside 0..6, before any row is read; then for
+    a row without exactly the kind's columns, a value not hex below 2^64, a
+    decimal not digits below 2^63, a wrong row count, a value outside D_n.
     """
     names = _RECORD_KINDS[kind][1]
     fields = [("value", _HEX, 16, 64)] + [(name, _DECIMAL, 10, 63) for name in names]
@@ -188,8 +193,6 @@ def read_records(path: str, kind: str) -> tuple[int, np.ndarray, list[list[int]]
                 column.append(v)
     if len(columns[0]) != count:
         raise ValueError(f"{path}:1: header says count={count}, found {len(columns[0])} rows")
-    if n > 6:
-        raise ValueError(f"{path}:1: n={n} is outside 0..6")
     values = np.array(columns[0], dtype=np.uint64)
     bad = np.flatnonzero(~vecbits.monotone_mask(values, n))
     if len(bad):

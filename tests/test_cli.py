@@ -300,7 +300,7 @@ def test_retable_refuses_layer_values_outside_64_bits(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize(
-    "n, value", [(2, "-1"), (2, "1" + "0" * 16), (7, "f" * 32)], ids=["negative", "2^64", "n7-128-bit"]
+    "n, value", [(2, "-1"), (2, "1" + "0" * 16), (6, "f" * 32)], ids=["negative", "2^64", "n6-128-bit"]
 )
 def test_retable_refuses_classes_values_outside_64_bits(tmp_path, capsys, n, value):
     path = tmp_path / "bad.classes"
@@ -354,6 +354,10 @@ MALFORMED = {
     "header-without-keys": (_on_header(lambda h: " ".join(t.split("=")[-1] for t in h.split())), 1),
     "n-not-a-number": (_on_header(lambda h: h.replace("n=2", "n=x")), 1),
     "n-beyond-6": (_on_header(lambda h: h.replace("n=2", "n=7")), 1),
+    "n-beyond-6-before-a-bad-row": (
+        lambda lines: [lines[0].replace("n=2", "n=7"), " ".join(["zz", *lines[1].split()[1:]]), *lines[2:]],
+        1,
+    ),
     "value-not-hex": (_on_row_2(lambda row: row.replace("8", "g", 1)), 3),
     "value-with-underscore": (_on_row_2(lambda row: row.replace("8", "1_0", 1)), 3),
     "value-not-monotone": (_on_row_2(lambda row: row.replace("8", "4", 1)), 3),

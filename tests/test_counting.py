@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from mbfcount import counting, orbits, parallel, vecbits
+from mbfcount import counting, intervals, orbits, parallel, vecbits
 from mbfcount.counting import (
     LAMBDA_KNOWN,
     LambdaResult,
@@ -491,6 +491,22 @@ def test_method_budget_refusals(classes):
         lambda_plus4_classes(layer5, cl5)
     with pytest.raises(BudgetError):
         lambda_plus3(generate_layer(6), [])
+
+
+def test_k4_tables_refuse_the_matrix_and_join_index_together(classes, monkeypatch):
+    # the budget holds the n=5 matrix's build, but not the matrix and J
+    layer5, cl5 = setup(5, classes)
+    d = len(layer5)
+    budget_mb = 200
+    assert intervals.full_table_bytes(d) / 1e6 <= budget_mb
+    assert (intervals.full_table_bytes(d) + d * d * 2) / 1e6 > budget_mb
+
+    def never(*args, **kwargs):
+        raise AssertionError("the matrix was built")
+
+    monkeypatch.setattr(counting, "build_full_table", never)
+    with pytest.raises(BudgetError, match="matrix and join index"):
+        lambda_plus4_direct(layer5, cl5, budget_mb=budget_mb)
 
 
 def test_verify_result():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,21 +142,66 @@ def test_full_table_n4_sampled():
         assert _full_re(table, layer, x, y) == re_scan(layer, x, y)
 
 
+@pytest.mark.parametrize("block", [7, 50])
+def test_full_table_sums_over_many_middle_blocks(monkeypatch, block):
+    # 168 = 24 * 7 = 3 * 50 + 18 elements: 24 blocks of z, or 4 with a ragged last one
+    layer = generate_layer(4)
+    default = build_full_table(4).counts
+    monkeypatch.setattr(intervals, "_FULL_BLOCK", block)
+    counts = build_full_table(4).counts
+    assert np.array_equal(counts, default)
+    V = layer.values
+    assert np.array_equal(counts, [[re_scan(layer, x, y) for y in V] for x in V])
+
+
 @pytest.fixture(scope="module")
-def table5():
-    return build_full_table(5)
+def table5_and_peak():
+    generate_layer(5)  # cached, so the peak is the build's own
+    tracemalloc.start()
+    try:
+        table = build_full_table(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return table, peak
 
 
-def test_full_table_n5_exactness_sampled(table5):
-    # the n=5 matrix is built through float32 matmul; spot-check hard
+@pytest.fixture(scope="module")
+def table5(table5_and_peak):
+    return table5_and_peak[0]
+
+
+def test_full_table_n5_stays_below_twice_the_matrix(table5_and_peak):
+    # no d x d order relation is held beside the uint16 result
+    table, peak = table5_and_peak
+    assert peak < 2 * table.counts.nbytes, f"build_full_table(5) peaked at {peak / 1e6:.1f} MB"
+
+
+def test_full_table_budget_estimate_covers_the_peak(table5_and_peak):
+    table, peak = table5_and_peak
+    need = intervals.full_table_bytes(len(table.counts))
+    assert peak <= need <= 1.5 * peak, f"estimate {need / 1e6:.1f} MB, peak {peak / 1e6:.1f} MB"
+
+
+def _check_seeded_pairs(table):
     layer = generate_layer(5)
-    table = table5
     assert table.counts.dtype == np.uint16
     rng = np.random.default_rng(11)
     for i, j in rng.integers(0, len(layer), size=(300, 2)):
         x, y = layer.mbf(int(i)), layer.mbf(int(j))
         assert _full_re(table, layer, x, y) == re_scan(layer, x, y)
     assert _full_re(table, layer, bottom(5), top(5)) == len(layer)
+
+
+def test_full_table_n5_exactness_sampled(table5):
+    # the n=5 matrix is summed through float32 products; spot-check hard
+    _check_seeded_pairs(table5)
+
+
+def test_full_table_n5_with_a_ragged_last_block(monkeypatch):
+    # 7,581 = 7 * 1000 + 581: eight blocks of z, the last one ragged
+    monkeypatch.setattr(intervals, "_FULL_BLOCK", 1000)
+    _check_seeded_pairs(build_full_table(5))
 
 
 def test_full_table_n5_whole_matrix(table5):
