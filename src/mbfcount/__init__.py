@@ -30,13 +30,6 @@ from .errors import (
 )
 from .intervals import IntervalTable, build_full_table, re_scan
 from .layers import Layer, generate_layer, self_dual_brute
-from .orbits import (
-    OrbitClass,
-    VariablePermutation,
-    apply_permutation,
-    canonical,
-    classify,
-    orbit_size,
-)
+from .orbits import OrbitClass, classify
 
 __version__ = "0.1.0"

@@ -8,7 +8,9 @@ Every orbit job walks the relabelings in plain-changes (Johnson-Trotter)
 order: each successive arrangement differs from the previous one by one
 adjacent digit transposition, so one pass per group element steps a whole
 array of values to its next images.  The walk holds one arrangement at a
-time, O(len) memory, never a table of all n! images.
+time, O(len) memory, never a table of all n! images.  It is the package's
+one implementation of the action; selfcheck checks it over every
+relabeling against an independent position map.
 
 Classification enumerates orbits rather than canonicalizing every element.
 An orbit minimum is not lowered by any adjacent transposition, so a
@@ -28,7 +30,6 @@ a running minimum over the arrangements that leave the element in place.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -36,98 +37,14 @@ from math import factorial
 import numpy as np
 
 from . import vecbits
-from .core import Mbf, check_n, table_width
-from .errors import BudgetError, VerificationError, WidthError
+from .core import Mbf
+from .errors import BudgetError, VerificationError
 from .layers import Layer, read_records
 
-ORBIT_MAX_N = 7  # 5040 images per element is the single-value ceiling
 # classify walks a set this small directly; a larger one is prefiltered
 # first, which keeps 254 of the 7,581 elements at n=5
 DIRECT_WALK_MAX = 2048
 PREFILTER_CHUNK = 1 << 16  # elements per prefilter step
-
-
-@dataclass(frozen=True)
-class VariablePermutation:
-    """Relabeling of variables; mapping[d] is the new 0-based label of d.
-
-    position_map sends table position i to the position whose digit
-    mapping[d] equals digit d of i; it is a popcount-preserving bijection.
-    """
-
-    n: int
-    mapping: tuple[int, ...]
-    position_map: tuple[int, ...]
-
-    @classmethod
-    def of(cls, mapping) -> "VariablePermutation":
-        mapping = tuple(mapping)
-        n = len(mapping)
-        check_n(n)
-        if sorted(mapping) != list(range(n)):
-            raise ValueError(f"{mapping} is not a permutation of 0..{n - 1}")
-        pm = []
-        for pos in range(table_width(n)):
-            q = 0
-            for d in range(n):
-                if (pos >> d) & 1:
-                    q |= 1 << mapping[d]
-            pm.append(q)
-        return cls(n, mapping, tuple(pm))
-
-    @classmethod
-    def identity(cls, n: int) -> "VariablePermutation":
-        return cls.of(range(n))
-
-    @classmethod
-    def swap(cls, n: int, i: int, j: int) -> "VariablePermutation":
-        m = list(range(n))
-        m[i], m[j] = m[j], m[i]
-        return cls.of(m)
-
-
-def compose(p: VariablePermutation, q: VariablePermutation) -> VariablePermutation:
-    """Composite relabeling with apply(compose(p, q), g) == apply(p, apply(q, g))."""
-    if p.n != q.n:
-        raise WidthError(f"cannot compose permutations of {p.n} and {q.n} variables")
-    return VariablePermutation.of(tuple(p.mapping[q.mapping[d]] for d in range(p.n)))
-
-
-def all_permutations(n: int):
-    """All n! relabelings, lexicographic by mapping."""
-    for m in itertools.permutations(range(n)):
-        yield VariablePermutation.of(m)
-
-
-def apply_permutation(pi: VariablePermutation, g: Mbf) -> Mbf:
-    """Relabel the inputs of g: bit position_map[i] of the result is bit i of g."""
-    if pi.n != g.n:
-        raise WidthError(f"width mismatch: permutation n={pi.n}, function n={g.n}")
-    bits = g.bits
-    out = 0
-    pm = pi.position_map
-    while bits:
-        low = bits & -bits
-        out |= 1 << pm[low.bit_length() - 1]
-        bits ^= low
-    return Mbf(g.n, out)
-
-
-def orbit_values(g: Mbf) -> set[int]:
-    """Distinct packed values of g under all relabelings."""
-    if g.n > ORBIT_MAX_N:
-        raise BudgetError(f"orbit enumeration limited to n <= {ORBIT_MAX_N}")
-    return {apply_permutation(pi, g).bits for pi in all_permutations(g.n)}
-
-
-def orbit_size(g: Mbf) -> int:
-    """Number of distinct images of g under all n! relabelings."""
-    return len(orbit_values(g))
-
-
-def canonical(g: Mbf) -> Mbf:
-    """The minimal orbit member (the orbit's representative)."""
-    return Mbf(g.n, min(orbit_values(g)))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -271,6 +272,43 @@ def test_interval_oracle_fails_on_a_wrong_production_route(monkeypatch, route):
     monkeypatch.setattr(selfcheck, route, _off_by_one_at_n2(getattr(intervals, route)))
     assert selfcheck.check_interval_oracle(1)
     assert not selfcheck.check_interval_oracle(2)
+
+
+def _wrong_canonical_array(values, n):
+    low = orbits.canonical_array(values, n)
+    if n == 2:
+        low[-1] += 1
+    return low
+
+
+def _wrong_classify(layer):
+    classes = orbits.classify(layer)
+    if layer.n == 2:
+        classes[-1] = dataclasses.replace(classes[-1], gamma=classes[-1].gamma + 1)
+    return classes
+
+
+def _wrong_stabilizer_orbits(fixed, values, n):
+    reps, inverse, sizes = orbits.stabilizer_orbits(fixed, values, n)
+    if n == 2:
+        sizes[-1] += 1
+    return reps, inverse, sizes
+
+
+@pytest.mark.parametrize(
+    "route, wrong, suite",
+    [
+        ("canonical_array", _wrong_canonical_array, selfcheck.check_canonicality),
+        ("classify", _wrong_classify, selfcheck.check_canonicality),
+        ("stabilizer_orbits", _wrong_stabilizer_orbits, selfcheck.check_relabeling_oracle),
+    ],
+    ids=["canonical_array", "classify", "stabilizer_orbits"],
+)
+def test_relabeling_suites_fail_on_a_wrong_production_route(monkeypatch, route, wrong, suite):
+    # the suites check the walk's results against the position-map reference
+    monkeypatch.setattr(selfcheck, route, wrong)
+    assert suite(1)
+    assert not suite(2)
 
 
 @pytest.mark.parametrize(

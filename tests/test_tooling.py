@@ -39,6 +39,59 @@ def test_one_relabeling_walk():
         )
     ]
     assert found == ["orbits.py:adjacent_swap_sequence", "orbits.py:_walk"], found
+    # the one other relabeling, a digit-to-position map over
+    # itertools.permutations, is selfcheck's reference for the walk
+    perms = [
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _statements_where(path, _names_permutations)
+    ]
+    assert perms == ["selfcheck.py:_images"], perms
+    maps = [
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _statements_where(path, _maps_digits_to_positions)
+    ]
+    assert maps == ["selfcheck.py:_relabel"], maps
+
+
+def _names_permutations(node) -> bool:
+    # itertools.permutations, or from itertools import permutations
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "itertools" and any(a.name == "permutations" for a in node.names)
+    return getattr(node, "attr", None) == "permutations"
+
+
+def _is_one_shifted(node) -> bool:
+    # 1 << e
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.LShift)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 1
+    )
+
+
+def _maps_digits_to_positions(node) -> bool:
+    # a loop that reads digit d of a position p, (p >> d) & 1, and sets
+    # digit e of another position, 1 << e with e other than p
+    if not isinstance(node, (ast.For, ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+        return False
+    inner = list(ast.walk(node))
+    read = {
+        n.left.left.id
+        for n in inner
+        if isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.BitAnd)
+        and isinstance(n.right, ast.Constant)
+        and n.right.value == 1
+        and isinstance(n.left, ast.BinOp)
+        and isinstance(n.left.op, ast.RShift)
+        and isinstance(n.left.left, ast.Name)
+    }
+    return bool(read) and any(
+        _is_one_shifted(n) and getattr(n.right, "id", None) not in read for n in inner
+    )
 
 
 def _statements_where(path, found) -> list[str]:
