@@ -79,7 +79,7 @@ import numpy as np
 from . import orbits, parallel, vecbits
 from .core import table_width
 from .errors import BudgetError, UnsupportedCombinationError, VerificationError
-from .intervals import build_full_table, full_table_bytes, upward_counts
+from .intervals import _join_index_table, build_full_table, full_table_bytes, upward_counts
 from .layers import Layer, check_budget, generate_layer, self_dual_brute
 from .orbits import OrbitClass, canonical_array, classify
 
@@ -293,41 +293,6 @@ def _plus4_dense_class(ci: int) -> int:
 
 
 # -- plus4, pruned (per top block, n <= 5) -----------------------------------
-
-
-_JOIN_CHUNK = 128
-
-
-def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
-    """J[i, j] = index of V[i] | V[j] in V, the layer D_n.
-
-    Each x in D_n is the pair x0 <= x1 of its low and high halves in
-    D_{n-1}, and x | y = (x0 | y0, x1 | y1), so J comes from the join
-    table of D_{n-1} (built the same way, one layer down) and one flat
-    lookup from the pair of half indices to the index in D_n, filled
-    _JOIN_CHUNK rows at a time.  D_0 = {0, 1} has no lower layer; there
-    the join is the larger index.  Entries are uint16: the only caller,
-    _k4_tables, runs after build_full_table has refused d >= 2^16.
-    """
-    d = len(V)
-    if n == 0:
-        idx = np.arange(d)
-        return np.maximum(idx[:, None], idx[None, :]).astype(np.uint16)
-    P = generate_layer(n - 1).values
-    dp = len(P)
-    halfw = table_width(n - 1)
-    i0 = np.searchsorted(P, V & np.uint64((1 << halfw) - 1))
-    i1 = np.searchsorted(P, V >> np.uint64(halfw))
-    Jp = _join_index_table(P, n - 1).astype(np.int32)  # dp * dp < 2^31
-    low = Jp[:, i0] * dp  # row p: (index of p | x0) * dp, per x in D_n
-    high = Jp[:, i1]  # row p: index of p | x1
-    pair = np.zeros(dp * dp, dtype=np.uint16)
-    pair[i0 * dp + i1] = np.arange(d)
-    J = np.empty((d, d), dtype=np.uint16)
-    for lo in range(0, d, _JOIN_CHUNK):
-        hi = lo + _JOIN_CHUNK
-        J[lo:hi] = pair[low[i0[lo:hi]] + high[i1[lo:hi]]]
-    return J
 
 
 _PRUNED_CHUNK = 64

@@ -9,8 +9,15 @@ Three routes compute |{z : x <= z <= y}|, one for each job:
     recurrence over the half-split down to D_0.
   * build_full_table: the all-pairs uint16 matrix for n <= 5, indexed by
     layer ordinal (the k = 4 counts read it through the join-index
-    table): |[x, y]| = sum_z [x <= z][z <= y], summed one block of middle
-    elements z at a time as float32 products of 0/1 blocks.
+    table), by the same half-split: with x = (x0, x1), y = (y0, y1) and
+    z = (z0, z1) split into halves in D_{n-1}, |[x, y]| sums the matrix
+    of D_{n-1} at (x1 | z0, y1) over z0 in [x0, y0], one float32
+    product per low half x0.  Each sum in a product counts at most
+    |D_{n-1}|^2 pairs, below 2^24, so float32 is exact; a check raises
+    otherwise.
+
+The join-index table (_join_index_table) is built here too, by the same
+split: the matrix reads it one layer down, the k = 4 counts at D_n.
 
 Empty intervals count 0, so callers never branch on comparability.
 """
@@ -25,7 +32,7 @@ import numpy as np
 from . import parallel, vecbits
 from .core import Mbf, table_width
 from .errors import BudgetError, VerificationError, WidthError
-from .layers import Layer, check_budget, generate_layer, read_records
+from .layers import LAYER_SIZE, Layer, check_budget, generate_layer, read_records
 
 def _bits(v) -> int:
     return v.bits if isinstance(v, Mbf) else int(v)
@@ -108,26 +115,81 @@ class IntervalTable:
     counts: np.ndarray = field(repr=False)
 
 
-_FULL_BLOCK = 512
+def _split(V: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each x in V (elements of D_n) as the pair x0 <= x1 of its low and
+    high halves in D_{n-1}: the layer P = D_{n-1}, the indices i0 and i1
+    in P of the halves, and the flat lookup pair[a * len(P) + b] = the
+    index in V of the element with halves (P[a], P[b]), or len(V) if
+    P[a] <= P[b] fails (uint16: the tables are built only for n <= 5)."""
+    P = generate_layer(n - 1).values
+    halfw = table_width(n - 1)
+    i0 = np.searchsorted(P, V & np.uint64((1 << halfw) - 1))
+    i1 = np.searchsorted(P, V >> np.uint64(halfw))
+    pair = np.full(len(P) ** 2, len(V), dtype=np.uint16)
+    pair[i0 * len(P) + i1] = np.arange(len(V))
+    return P, i0, i1, pair
+
+
+_JOIN_CHUNK = 128
+
+
+def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
+    """J[i, j] = index of V[i] | V[j] in V, the layer D_n.
+
+    Each x in D_n is the pair x0 <= x1 of its low and high halves in
+    D_{n-1}, and x | y = (x0 | y0, x1 | y1), so J comes from the join
+    table of D_{n-1} (built the same way, one layer down) and one flat
+    lookup from the pair of half indices to the index in D_n, filled
+    _JOIN_CHUNK rows at a time.  D_0 = {0, 1} has no lower layer; there
+    the join is the larger index.  Entries are uint16: build_full_table
+    reads it one layer down, and _k4_tables after build_full_table has
+    refused d >= 2^16.
+    """
+    d = len(V)
+    if n == 0:
+        idx = np.arange(d)
+        return np.maximum(idx[:, None], idx[None, :]).astype(np.uint16)
+    P, i0, i1, pair = _split(V, n)
+    dp = len(P)
+    Jp = _join_index_table(P, n - 1).astype(np.int32)  # dp * dp < 2^31
+    low = Jp[:, i0] * dp  # row p: (index of p | x0) * dp, per x in D_n
+    high = Jp[:, i1]  # row p: index of p | x1
+    J = np.empty((d, d), dtype=np.uint16)
+    for lo in range(0, d, _JOIN_CHUNK):
+        hi = lo + _JOIN_CHUNK
+        J[lo:hi] = pair[low[i0[lo:hi]] + high[i1[lo:hi]]]
+    return J
 
 
 def full_table_bytes(d: int) -> int:
-    """Estimated peak of build_full_table over d elements: the matrix, and per step
-    d x min(d, _FULL_BLOCK) entries each of a uint64 subset test, its bool and two float32
-    blocks of x <= z (this one, and the last one until it is replaced)."""
-    return d * d * 2 + d * min(d, _FULL_BLOCK) * (8 + 1 + 4 + 4)
+    """Estimated peak of build_full_table over the d elements of D_n: the
+    uint16 matrix, and the sum of the buffers of one low half (not all
+    live at once), each at most dp x (d + 1) entries over the dp elements
+    of D_{n-1}, the largest layer below d: W and its rows z0 >= x0, the
+    float32 product and B in uint16, the index table T, and one gathered
+    block of indices and of counts."""
+    dp = max((s for s in LAYER_SIZE.values() if s < d), default=0)
+    return d * d * 2 + dp * (d + 1) * (4 + 4 + 4 + 2 + 8 + 8 + 2)
 
 
 def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
     """All-pairs interval matrix, uint16; n <= 5 (above that it cannot fit).
 
-    counts[x, y] = sum_z [x <= z][z <= y], over blocks of B = _FULL_BLOCK
-    middle elements z.  The layer is ascending and x <= z as sets implies
-    x <= z as integers, so a block of z reaches only the rows x before its
-    end and the columns y from its start: per block of B such columns it
-    adds (x <= z) @ (z <= y), taken in float32.  Exact while d < 2^16:
-    each product sums B terms of 0 or 1 (float32 holds integers below
-    2^24), and the uint16 partial sums never exceed the final count, <= d.
+    Write x = (x0, x1) and y = (y0, y1) by their halves in D_{n-1}.  An
+    element z = (z0, z1) of D_n has z0 <= z1, so x <= z <= y iff
+    x0 <= z0 <= y0 and x1 | z0 <= z1 <= y1, and
+
+        |[x, y]| = sum over z0 in [x0, y0] of |[x1 | z0, y1]| in D_{n-1}.
+
+    With the matrix of D_{n-1} (this function, one layer down; D_0 has
+    [[1, 2], [0, 1]]) and its join table, W[z0, w] = |[w0 | z0, w1]|
+    for each w = (w0, w1) in D_n, plus a zero column.  Per low half x0
+    one float32 product B = [z0 <= y0]^T W over the z0 >= x0 gives
+    B[y0, w]; row x = (x0, x1) of the matrix gathers, for each y, the
+    entry of row y0 and column (x1, y1), or the zero column unless
+    x1 <= y1.  Exact: every sum in B counts pairs (z0, z1) of D_{n-1},
+    at most dp^2 < 2^24 (float32 holds such integers), and every entry
+    is at most d < 2^16; both are checked before any product.
     """
     if n > 5:
         raise BudgetError(f"full interval table for n={n} is out of budget")
@@ -135,16 +197,29 @@ def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
     d = len(layer)
     if d >= 1 << 16:
         raise VerificationError(f"full interval table for n={n} has {d} >= 2^16 rows")
+    if n == 0:
+        return IntervalTable(0, np.array([[1, 2], [0, 1]], dtype=np.uint16))
+    dp = len(generate_layer(n - 1))
+    if dp * dp >= 1 << 24:
+        raise VerificationError(
+            f"full interval table for n={n} sums up to {dp}^2 >= 2^24 pairs in float32"
+        )
     check_budget(f"full interval table for n={n}", full_table_bytes(d), budget_mb)
-    V = layer.values
-    B = _FULL_BLOCK
-    counts = np.zeros((d, d), dtype=np.uint16)
-    for k in range(0, d, B):
-        z = V[k:k + B]
-        below = ((V[:k + B, None] & ~z) == 0).astype(np.float32)
-        for j in range(k, d, B):
-            above = ((z[:, None] & ~V[j:j + B]) == 0).astype(np.float32)
-            counts[:k + B, j:j + B] += (below @ above).astype(np.uint16)
+    P, i0, i1, pair = _split(layer.values, n)
+    inner = build_full_table(n - 1).counts
+    W = np.zeros((dp, d + 1), dtype=np.float32)
+    W[:, :d] = inner[_join_index_table(P, n - 1)[:, i0], i1]
+    # T[x1, y] = y0 * (d + 1) + the column of (x1, y1) in W, or its zero
+    # column d
+    T = i0 * (d + 1) + pair.reshape(dp, dp)[:, i1]
+    leq = (P[:, None] & ~P[None, :]) == 0  # leq[a, b]: P[a] <= P[b]
+    leq_f = leq.astype(np.float32)
+    counts = np.empty((d, d), dtype=np.uint16)
+    for x0 in range(dp):
+        above = leq[x0]  # the z0 >= x0
+        B = (leq_f[above].T @ W[above]).astype(np.uint16)
+        rows = np.flatnonzero(i0 == x0)
+        counts[rows] = np.take(B, T[i1[rows]])
     return IntervalTable(n, counts)
 
 

@@ -5,11 +5,12 @@ compares: dual algebra on whole layers, permutation equivariance and the
 relabeling walk's results (canonical_array, classify, stabilizer_orbits)
 against _relabel, a position map applied for every relabeling, the upward
 counts and the all-pairs interval matrix that the counts read against the
-definition scan, orbit size bookkeeping, stabilizer orbits against
-classification, and the counting-method identities (refinement,
-loop order, class folding, and plus4c and pruned plus4, which share one
-kernel, against the dense k = 4 sum).  A build that passes all of these
-and the reference table is very hard to get wrong silently.
+definition scan and the Dedekind numbers, orbit size bookkeeping,
+stabilizer orbits against classification, and the counting-method
+identities (refinement, loop order, class folding, and plus4c and pruned
+plus4, which share one kernel, against the dense k = 4 sum).  A build
+that passes all of these and the reference table is very hard to get
+wrong silently.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .counting import (
     lambda_plus4_direct,
 )
 from .intervals import build_full_table, re_scan, upward_counts
-from .layers import generate_layer
+from .layers import LAYER_SIZE, generate_layer
 from .orbits import canonical_array, classify, stabilizer_orbits
 
 RNG_SEED = 20240901
@@ -192,7 +193,9 @@ def check_interval_oracle(max_n: int) -> bool:
     """The interval counts that the counting methods read equal the
     definition scan: upward_counts over each whole layer up to n = 5, and
     the matrix of build_full_table on every pair up to n = 4 and on 10^4
-    seeded random pairs at n = 5."""
+    seeded random pairs at n = 5.  The matrix is nonzero exactly on the
+    pairs x <= y, which are the elements of D_{n+1}, so its support
+    counts the next Dedekind number."""
     for n in range(min(max_n, 5) + 1):
         layer = generate_layer(n)
         V = layer.values
@@ -205,6 +208,8 @@ def check_interval_oracle(max_n: int) -> bool:
         else:
             pairs = np.random.default_rng(RNG_SEED).integers(0, d, size=(10_000, 2))
         C = build_full_table(n).counts
+        if np.count_nonzero(C) != LAYER_SIZE[n + 1]:
+            return False
         for i, j in pairs:
             if C[i, j] != re_scan(layer, V[i], V[j]):
                 return False

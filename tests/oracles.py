@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 
 def slow_is_monotone(n: int, bits: int) -> bool:
     """All-pairs check straight from the definition (O(4^n))."""
@@ -78,3 +80,25 @@ def slow_interval_count(values, x: int, y: int) -> int:
         if x & ~z == 0 and z & ~y == 0:
             total += 1
     return total
+
+
+def interval_matrix(values) -> np.ndarray:
+    """|{z : x <= z <= y}| for every pair of an ascending list of functions,
+    as sum_z [x <= z][z <= y]: the subset relation times itself in float32
+    (exact, since every sum counts at most len(values) < 2^24 ones), one
+    block of 512 rows x and one block of 512 middle elements z at a time.
+    A superset is the larger integer, so a block of rows needs only the z
+    and y from its first row on."""
+    v = np.asarray(values, dtype=np.uint64)
+    d = len(v)
+    out = np.zeros((d, d), dtype=np.min_scalar_type(d))
+    for lo in range(0, d, 512):
+        x, rest = v[lo:lo + 512], v[lo:]
+        acc = np.zeros((len(x), len(rest)), dtype=np.float32)
+        for zlo in range(0, len(rest), 512):
+            z = rest[zlo:zlo + 512]
+            x_below_z = (x[:, None] & ~z[None, :]) == 0
+            z_below_y = (z[:, None] & ~rest[None, :]) == 0
+            acc += x_below_z.astype(np.float32) @ z_below_y.astype(np.float32)
+        out[lo:lo + 512, lo:] = acc
+    return out

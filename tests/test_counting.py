@@ -136,14 +136,14 @@ def test_plus4c_equals_dense_plus4(n, classes):
 @pytest.mark.parametrize("n", range(5))
 def test_join_index_table_is_the_join(n):
     V = generate_layer(n).values
-    J = counting._join_index_table(V, n)
+    J = intervals._join_index_table(V, n)
     assert np.array_equal(V[J], V[:, None] | V[None, :])
     assert np.array_equal(J, J.T)
 
 
 def test_join_index_table_n5_rows():
     V = generate_layer(5).values
-    J = counting._join_index_table(V, 5)
+    J = intervals._join_index_table(V, 5)
     rows = [0, len(V) - 1] + np.random.default_rng(5).integers(0, len(V), 100).tolist()
     for i in rows:
         assert np.array_equal(J[i], np.searchsorted(V, V[i] | V))

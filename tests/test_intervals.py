@@ -13,9 +13,9 @@ from mbfcount.intervals import (
     re_scan,
     upward_counts,
 )
-from mbfcount.layers import Layer, generate_layer, write_records
+from mbfcount.layers import LAYER_SIZE, Layer, generate_layer, write_records
 
-from oracles import slow_interval_count
+from oracles import interval_matrix, slow_interval_count
 
 # upward counts for the six n=2 elements in ascending order, frozen from
 # the definition scan (recomputed against the oracle below)
@@ -142,16 +142,11 @@ def test_full_table_n4_sampled():
         assert _full_re(table, layer, x, y) == re_scan(layer, x, y)
 
 
-@pytest.mark.parametrize("block", [7, 50])
-def test_full_table_sums_over_many_middle_blocks(monkeypatch, block):
-    # 168 = 24 * 7 = 3 * 50 + 18 elements: 24 blocks of z, or 4 with a ragged last one
-    layer = generate_layer(4)
-    default = build_full_table(4).counts
-    monkeypatch.setattr(intervals, "_FULL_BLOCK", block)
-    counts = build_full_table(4).counts
-    assert np.array_equal(counts, default)
-    V = layer.values
-    assert np.array_equal(counts, [[re_scan(layer, x, y) for y in V] for x in V])
+@pytest.mark.parametrize("n", range(5))
+def test_full_table_equals_the_oracle_matrix(n):
+    counts = build_full_table(n).counts
+    assert counts.dtype == np.uint16
+    assert np.array_equal(counts, interval_matrix(generate_layer(n).values))
 
 
 @pytest.fixture(scope="module")
@@ -198,17 +193,9 @@ def test_full_table_n5_exactness_sampled(table5):
     _check_seeded_pairs(table5)
 
 
-def test_full_table_n5_with_a_ragged_last_block(monkeypatch):
-    # 7,581 = 7 * 1000 + 581: eight blocks of z, the last one ragged
-    monkeypatch.setattr(intervals, "_FULL_BLOCK", 1000)
-    _check_seeded_pairs(build_full_table(5))
-
-
 def test_full_table_n5_whole_matrix(table5):
-    layer = generate_layer(5)
-    V = layer.values
+    V = generate_layer(5).values
     C = table5.counts
-    d = len(V)
     assert not np.tril(C, -1).any()
     assert (np.diagonal(C) == 1).all()
     assert np.array_equal(C[:, -1], [np.count_nonzero((x & ~V) == 0) for x in V])
@@ -217,13 +204,7 @@ def test_full_table_n5_whole_matrix(table5):
     # re(x, y) = re(dual(y), dual(x)): the dual reverses the order
     dual_idx = np.searchsorted(V, vecbits.dual_array(V, 5))
     assert np.array_equal(C, C[dual_idx][:, dual_idx].T)
-    # every pair among the indices on either side of a block edge
-    edges = [0, d - 1]
-    for e in range(intervals._FULL_BLOCK, d, intervals._FULL_BLOCK):
-        edges += [e - 1, e]
-    for i in edges:
-        for j in edges:
-            assert C[i, j] == re_scan(layer, V[i], V[j])
+    assert np.array_equal(C, interval_matrix(V))
 
 
 def test_full_table_refuses_inexact_sizes(monkeypatch):
@@ -232,6 +213,74 @@ def test_full_table_refuses_inexact_sizes(monkeypatch):
     monkeypatch.setattr(intervals, "generate_layer", lambda n, budget_mb=None: big)
     with pytest.raises(VerificationError):
         build_full_table(5)
+
+
+def test_full_table_refuses_inexact_float32_sums(monkeypatch):
+    # B sums pairs of D_{n-1}: 4,096^2 = 2^24 of them could round in
+    # float32, so the build refuses before it splits or joins anything
+    sizes = {5: 5_000, 4: 4_096}
+
+    def fake(n, budget_mb=None):
+        return Layer(n, np.arange(sizes[n], dtype=np.uint64))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(intervals, "generate_layer", fake)
+    monkeypatch.setattr(intervals, "_split", never)
+    monkeypatch.setattr(intervals, "_join_index_table", never)
+    with pytest.raises(VerificationError, match="2\\^24"):
+        build_full_table(5)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_full_table_support_is_the_next_dedekind_number(n):
+    # re(x, y) > 0 exactly when x <= y, and the pairs x <= y are D_{n+1}
+    assert np.count_nonzero(build_full_table(n).counts) == LAYER_SIZE[n + 1]
+
+
+D7 = 2_414_682_040_998  # the Dedekind number D_7, one past LAYER_SIZE
+
+
+def _four_block_count(C, J, dual_idx) -> int:
+    """sum over x, y of re[0, x & y] * re[x | y, top]: an element of
+    D_{n+2} is four blocks a <= x, y <= e of D_n, and fixing the middle
+    blocks x, y leaves a in [0, x & y] and e in [x | y, top].  The meet
+    comes through the join of the duals: x & y = (x* | y*)*."""
+    down, up = C[0].astype(np.int64), C[:, -1].astype(np.int64)
+    total = 0
+    for lo in range(0, len(J), 512):
+        joins = J[lo:lo + 512]
+        meets = dual_idx[J[dual_idx[lo:lo + 512]][:, dual_idx]]
+        total += int((down[meets] * up[joins]).sum())
+    return total
+
+
+def _join_and_dual(n):
+    V = generate_layer(n).values
+    return intervals._join_index_table(V, n), np.searchsorted(V, vecbits.dual_array(V, n))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_tables_count_the_dedekind_number_two_up(n):
+    J, dual_idx = _join_and_dual(n)
+    expect = LAYER_SIZE[n + 2] if n + 2 in LAYER_SIZE else D7
+    assert _four_block_count(build_full_table(n).counts, J, dual_idx) == expect
+
+
+def test_one_wrong_join_breaks_the_dedekind_identity():
+    # moving a join to the top lowers its own term (up = 1) and the term
+    # of the dual pair (down = 1); moving it to the bottom raises both
+    C = build_full_table(3).counts
+    J, dual_idx = _join_and_dual(3)
+    top = len(J) - 1
+    assert _four_block_count(C, J, dual_idx) == LAYER_SIZE[5]
+    for i, j in np.ndindex(J.shape):
+        for wrong in (0, top):
+            if J[i, j] != wrong:
+                bad = J.copy()
+                bad[i, j] = wrong
+                assert _four_block_count(C, bad, dual_idx) != LAYER_SIZE[5], (i, j, wrong)
 
 
 def save_upward_table(n, elements, counts, path):
