@@ -21,11 +21,10 @@ that constraint into closed sums over a smaller layer:
           dual(h) <= h, so [a, a*] = [dual(h), h].  Classes with
           weight(h) = 2^(n-1) are self-dual, force every block equal to
           a and contribute exactly one function each, which is the count
-          for n itself; the refined form adds that as a closed term and
-          restricts the sum to weight(h) > 2^(n-1).  The outer loop runs
-          over b, or over d in the "d-first" order, and the interval
-          counts within [a, a*] are taken once per Stab(h)-orbit: 16,698
-          representatives for the 92,816 elements of the 80 base-5
+          for n itself, added as a closed term; the sum runs over
+          weight(h) > 2^(n-1).  The outer loop runs over b, and the
+          interval counts within [a, a*] are taken once per Stab(h)-orbit:
+          16,698 representatives for the 92,816 elements of the 80 base-5
           classes.
 
   plus4   with k = 4 the sixteen blocks reduce to a, b, c plus a top
@@ -205,33 +204,30 @@ def _class_task(ci: int) -> int:
     return int(st["gammas"][ci]) * sum(size * s for size, s in zip(sizes.tolist(), sums))
 
 
-def _run_class_tasks(layer: Layer, classes, workers: int, kernel, shared: dict, refined=True):
+def _run_class_tasks(layer: Layer, classes, workers: int, kernel, shared: dict) -> int:
     """Sum _class_task over the classes h with dual(h) <= h and weight(h)
     > 2^(n-1), longest interval first, plus the closed term for the
     weight-equal (self-dual) classes, which is the count for n itself.
-    Unrefined, the weight-equal classes are summed as tasks instead.
     kernel(ih, I, reps, inverse) gives the value at each orbit
     representative (positions in the interval I); inverse maps each
     position to its orbit, so a kernel counts an orbit invariant once per
-    orbit.  Returns the value and the closed term's source.
+    orbit.
     """
     V, n = layer.values, layer.n
     reps, gammas = _rep_array(classes)
     rep_idx = np.searchsorted(V, reps)
     sel = (vecbits.dual_array(reps, n) & ~reps) == 0
-    if refined:
-        sel &= 2 * vecbits.popcount(reps) > table_width(n)
+    sel &= 2 * vecbits.popcount(reps) > table_width(n)
     intervals = _dual_intervals(V, n, rep_idx[sel])
     tasks = sorted(np.nonzero(sel)[0].tolist(), key=lambda ci: -len(intervals[int(rep_idx[ci])]))
     shared.update(values=V, n=n, rep_idx=rep_idx, gammas=gammas, intervals=intervals, kernel=kernel)
-    value = sum(parallel.run_tasks(_class_task, tasks, workers, shared=shared))
-    return (value + self_dual_brute(n), "brute") if refined else (value, None)
+    return sum(parallel.run_tasks(_class_task, tasks, workers, shared=shared)) + self_dual_brute(n)
 
 
 # -- plus3 ------------------------------------------------------------------
 
 
-def _plus3_pairs_first(ih: int, I: np.ndarray, reps, inverse) -> list[int]:
+def _plus3_sums(ih: int, I: np.ndarray, reps, inverse) -> list[int]:
     """Per representative b: the c >= b in [a, a*], each counting the d
     choices, which fill [a, c & dual(b)]."""
     st = parallel.state()
@@ -241,34 +237,13 @@ def _plus3_pairs_first(ih: int, I: np.ndarray, reps, inverse) -> list[int]:
     return [int(rea[np.searchsorted(X, X[(X[r] & ~X) == 0] & Xd[r])].sum()) for r in reps]
 
 
-def _plus3_d_first(ih: int, I: np.ndarray, reps, inverse) -> list[int]:
-    """Per representative d: the b <= dual(d) in [a, a*], each counting
-    the c >= b | d."""
-    st = parallel.state()
-    X = st["values"][I]
-    Xd = vecbits.dual_array(X, st["n"])
-    up = np.array([np.count_nonzero((d & ~X) == 0) for d in X[reps]])[inverse]
-    return [int(up[np.searchsorted(X, X[(X & ~Xd[r]) == 0] | X[r])].sum()) for r in reps]
-
-
-_PLUS3_KERNELS = {"pairs-first": _plus3_pairs_first, "d-first": _plus3_d_first}
-
-
-def lambda_plus3(
-    layer: Layer,
-    classes: list[OrbitClass],
-    workers: int = 1,
-    refined: bool = True,
-    loop_order: str = "pairs-first",
-) -> LambdaResult:
+def lambda_plus3(layer: Layer, classes: list[OrbitClass], workers: int = 1) -> LambdaResult:
     """Count for n+3 from the 4-tuple sum over orbit classes."""
-    if loop_order not in _PLUS3_KERNELS:
-        raise ValueError(f"unknown loop order {loop_order!r}")
     t0 = time.perf_counter()
     n = layer.n
     _require_base("plus3", n)
-    value, source = _run_class_tasks(layer, classes, workers, _PLUS3_KERNELS[loop_order], {}, refined)
-    return LambdaResult(n + 3, "plus3", value, n, time.perf_counter() - t0, source)
+    value = _run_class_tasks(layer, classes, workers, _plus3_sums, {})
+    return LambdaResult(n + 3, "plus3", value, n, time.perf_counter() - t0, "brute")
 
 
 # -- plus4, dense reference (every (a, b, c, h), n <= 4) ---------------------
@@ -518,8 +493,8 @@ def lambda_plus4_classes(
     _require_base("plus4c", n)
     _require_exact_chunk_sums(_PRUNED_CHUNK)
     shared = _k4_tables(layer, budget_mb)
-    value, source = _run_class_tasks(layer, classes, workers, _plus4c_sums, shared)
-    return LambdaResult(n + 4, "plus4c", value, n, time.perf_counter() - t0, source)
+    value = _run_class_tasks(layer, classes, workers, _plus4c_sums, shared)
+    return LambdaResult(n + 4, "plus4c", value, n, time.perf_counter() - t0, "brute")
 
 
 # -- dispatch -----------------------------------------------------------------

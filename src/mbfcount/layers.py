@@ -35,6 +35,9 @@ def check_budget(what: str, need_bytes: int, budget_mb: int | None = None) -> No
 # exact element counts (Dedekind numbers): they refuse oversized requests
 # before any work and size each layer's array, which a build must fill
 LAYER_SIZE = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7_581, 6: 7_828_354}
+# the Dedekind number D_7, one past the layers above: the k = 4 tables of
+# D_5 count it (selfcheck's dedekind-two-up)
+DEDEKIND_7 = 2_414_682_040_998
 
 _CACHE: dict[int, "Layer"] = {}
 

@@ -5,12 +5,13 @@ compares: dual algebra on whole layers, permutation equivariance and the
 relabeling walk's results (canonical_array, classify, stabilizer_orbits)
 against _relabel, a position map applied for every relabeling, the upward
 counts and the all-pairs interval matrix that the counts read against the
-definition scan and the Dedekind numbers, orbit size bookkeeping,
-stabilizer orbits against classification, and the counting-method
-identities (refinement, loop order, class folding, and plus4c and pruned
-plus4, which share one kernel, against the dense k = 4 sum).  A build
-that passes all of these and the reference table is very hard to get
-wrong silently.
+definition scan and the Dedekind numbers, the matrix with the join and
+dual indices against D_{n+2}, orbit size bookkeeping, stabilizer orbits
+against classification, and the counting methods (class folding, each
+plus3 class task against the definition, and plus4c and pruned plus4,
+which share one kernel, against the dense k = 4 sum).  A build that
+passes all of these and the reference table is very hard to get wrong
+silently.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ import numpy as np
 from . import vecbits
 from .core import table_width
 from .counting import (
+    LAMBDA_KNOWN,
     exact_sum,
     lambda_plus2,
     lambda_plus3,
     lambda_plus4_classes,
     lambda_plus4_direct,
 )
-from .intervals import build_full_table, re_scan, upward_counts
-from .layers import LAYER_SIZE, generate_layer
+from .intervals import _join_index_table, build_full_table, re_scan, upward_counts
+from .layers import DEDEKIND_7, LAYER_SIZE, generate_layer, self_dual_brute
 from .orbits import canonical_array, classify, stabilizer_orbits
 
 RNG_SEED = 20240901
@@ -216,6 +218,33 @@ def check_interval_oracle(max_n: int) -> bool:
     return True
 
 
+def _four_block_count(C: np.ndarray, J: np.ndarray, dual_idx: np.ndarray) -> int:
+    """Sum over x, y of re[0, x & y] * re[x | y, top]: an element of
+    D_{n+2} is four blocks a <= x, y <= e of D_n, and fixing the middle
+    blocks x, y leaves a in [0, x & y] and e in [x | y, top].  The meet
+    comes through the join of the duals: x & y = (x* | y*)*."""
+    down, up = C[0].astype(np.int64), C[:, -1].astype(np.int64)
+    total = 0
+    for lo in range(0, len(J), 512):
+        joins = J[lo:lo + 512]
+        meets = dual_idx[J[dual_idx[lo:lo + 512]][:, dual_idx]]
+        total += int((down[meets] * up[joins]).sum())
+    return total
+
+
+def check_dedekind_two_up(max_n: int) -> bool:
+    """The interval matrix, read through the join index and the dual
+    index, counts D_{n+2} by _four_block_count, n <= 5."""
+    for n in range(min(max_n, 5) + 1):
+        V = generate_layer(n).values
+        J = _join_index_table(V, n)
+        dual_idx = np.searchsorted(V, vecbits.dual_array(V, n))
+        expect = LAYER_SIZE.get(n + 2, DEDEKIND_7)
+        if _four_block_count(build_full_table(n).counts, J, dual_idx) != expect:
+            return False
+    return True
+
+
 def check_plus2_class_fold(max_n: int) -> bool:
     """Class-weighted plus2 equals the plain sum over all elements, n <= 4."""
     for n in range(min(max_n, 4) + 1):
@@ -228,26 +257,41 @@ def check_plus2_class_fold(max_n: int) -> bool:
     return True
 
 
-def check_plus3_refinement(max_n: int) -> bool:
-    """Refined plus3 (closed base term) equals the unrefined sum, n <= 3."""
-    for n in range(min(max_n, 3) + 1):
-        layer = generate_layer(n)
-        classes = classify(layer)
-        a = lambda_plus3(layer, classes, refined=True).value
-        b = lambda_plus3(layer, classes, refined=False).value
-        if a != b:
-            return False
-    return True
+def _table_dual(x: int, w: int) -> int:
+    """The dual of a truth table of w bits: reversed, then complemented."""
+    return int(f"{x:0{w}b}"[::-1], 2) ^ ((1 << w) - 1)
 
 
-def check_plus3_loop_order(max_n: int) -> bool:
-    """Both nesting orders of the plus3 inner sum agree, n <= 4."""
+def _plus3_definition(values: np.ndarray, n: int, h: int) -> int:
+    """The plus3 sum of the top block h, for a = dual(h), by subset tests:
+    over b <= c in [a, h], the d in [a, h] with d <= c & dual(b)."""
+    w = table_width(n)
+    a = _table_dual(h, w)
+    X = np.array([x for x in values.tolist() if a & ~x == 0 and x & ~h == 0], dtype=np.uint64)
+    total = 0
+    for b in X.tolist():
+        tops = X[(X & np.uint64(b)) == b] & np.uint64(_table_dual(b, w))  # c & dual(b), c >= b
+        total += int(np.count_nonzero((X[None, :] & ~tops[:, None]) == 0))
+    return total
+
+
+def check_plus3_classes(max_n: int) -> bool:
+    """Each plus3 class task, n <= 4: lambda_plus3 over the one class,
+    less the closed term, is gamma times the definition's sum for a top
+    block h with dual(h) <= h and weight(h) > 2^(n-1), and 0 for any
+    other class; with the closed term the partials add up to the count."""
     for n in range(min(max_n, 4) + 1):
         layer = generate_layer(n)
-        classes = classify(layer)
-        a = lambda_plus3(layer, classes, loop_order="pairs-first").value
-        b = lambda_plus3(layer, classes, loop_order="d-first").value
-        if a != b:
+        w = table_width(n)
+        total = closed = self_dual_brute(n)
+        for c in classify(layer):
+            h = c.representative.bits
+            summed = _table_dual(h, w) & ~h == 0 and 2 * h.bit_count() > w
+            expect = c.gamma * _plus3_definition(layer.values, n, h) if summed else 0
+            if lambda_plus3(layer, [c]).value - closed != expect:
+                return False
+            total += expect
+        if total != LAMBDA_KNOWN[n + 3]:
             return False
     return True
 
@@ -290,9 +334,9 @@ SUITES = (
     ("stabilizer-orbits", check_stabilizer_orbits),
     ("self-dual-weight", check_selfdual_weight),
     ("interval-oracle", check_interval_oracle),
+    ("dedekind-two-up", check_dedekind_two_up),
     ("plus2-class-fold", check_plus2_class_fold),
-    ("plus3-refinement", check_plus3_refinement),
-    ("plus3-loop-order", check_plus3_loop_order),
+    ("plus3-classes", check_plus3_classes),
     ("plus4c-against-dense", check_plus4c_against_dense),
     ("plus4-strategies", check_plus4_strategies),
 )

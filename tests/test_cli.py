@@ -295,17 +295,26 @@ def _wrong_stabilizer_orbits(fixed, values, n):
     return reps, inverse, sizes
 
 
+def _wrong_lambda_plus3(layer, classes, *args):
+    result = counting.lambda_plus3(layer, classes, *args)
+    if layer.n == 2 and classes == orbits.classify(layer)[-1:]:  # the top class
+        result = dataclasses.replace(result, value=result.value + 1)
+    return result
+
+
 @pytest.mark.parametrize(
     "route, wrong, suite",
     [
         ("canonical_array", _wrong_canonical_array, selfcheck.check_canonicality),
         ("classify", _wrong_classify, selfcheck.check_canonicality),
         ("stabilizer_orbits", _wrong_stabilizer_orbits, selfcheck.check_relabeling_oracle),
+        ("lambda_plus3", _wrong_lambda_plus3, selfcheck.check_plus3_classes),
     ],
-    ids=["canonical_array", "classify", "stabilizer_orbits"],
+    ids=["canonical_array", "classify", "stabilizer_orbits", "lambda_plus3"],
 )
 def test_relabeling_suites_fail_on_a_wrong_production_route(monkeypatch, route, wrong, suite):
-    # the suites check the walk's results against the position-map reference
+    # the suites check the walk's results against the position-map reference,
+    # and each plus3 class task against the definition
     monkeypatch.setattr(selfcheck, route, wrong)
     assert suite(1)
     assert not suite(2)

@@ -60,30 +60,6 @@ def test_plus3_known_values(n, classes):
 
 
 @pytest.mark.parametrize("n", range(4))
-def test_plus3_refined_equals_unrefined(n, classes):
-    layer, cl = setup(n, classes)
-    assert (
-        lambda_plus3(layer, cl, refined=True).value
-        == lambda_plus3(layer, cl, refined=False).value
-    )
-
-
-@pytest.mark.parametrize("n", range(5))
-def test_plus3_loop_orders_agree(n, classes):
-    layer, cl = setup(n, classes)
-    assert (
-        lambda_plus3(layer, cl, loop_order="pairs-first").value
-        == lambda_plus3(layer, cl, loop_order="d-first").value
-    )
-
-
-def test_plus3_rejects_unknown_loop_order(classes):
-    layer, cl = setup(1, classes)
-    with pytest.raises(ValueError):
-        lambda_plus3(layer, cl, loop_order="sideways")
-
-
-@pytest.mark.parametrize("n", range(4))
 def test_plus4_known_values(n, classes):
     layer, cl = setup(n, classes)
     assert lambda_plus4_direct(layer, cl).value == LAMBDA_KNOWN[n + 4]
@@ -384,20 +360,19 @@ def test_orbit_reduction_equals_the_unreduced_sum(n, classes):
 
     layer, cl = setup(n, classes)
     runs = {
-        n + 3: [lambda o=order: lambda_plus3(layer, cl, loop_order=o) for order in ("pairs-first", "d-first")],
-        n + 4: [lambda: lambda_plus4_classes(layer, cl)],
+        n + 3: lambda: lambda_plus3(layer, cl),
+        n + 4: lambda: lambda_plus4_classes(layer, cl),
     }
-    for target, routes in runs.items():
-        for run in routes:
-            calls.clear()
-            reduced = partials_and_value(run, orbits.stabilizer_orbits)
-            unreduced = partials_and_value(run, trivial)
-            assert len(calls) == len(unreduced[0])  # one walk per class task
-            # each walk fixes the top block h of its task, h >= dual(h)
-            duals = vecbits.dual_array(np.array(calls, dtype=np.uint64), n).tolist()
-            assert all(hd & ~h == 0 for h, hd in zip(calls, duals))
-            assert reduced == unreduced
-            assert reduced[1] == LAMBDA_KNOWN[target]
+    for target, run in runs.items():
+        calls.clear()
+        reduced = partials_and_value(run, orbits.stabilizer_orbits)
+        unreduced = partials_and_value(run, trivial)
+        assert len(calls) == len(unreduced[0])  # one walk per class task
+        # each walk fixes the top block h of its task, h >= dual(h)
+        duals = vecbits.dual_array(np.array(calls, dtype=np.uint64), n).tolist()
+        assert all(hd & ~h == 0 for h, hd in zip(calls, duals))
+        assert reduced == unreduced
+        assert reduced[1] == LAMBDA_KNOWN[target]
 
 
 def test_partial_sums_order_independent(classes):
@@ -418,7 +393,7 @@ def test_partial_sums_order_independent(classes):
         "rep_idx": rep_idx,
         "gammas": np.array([c.gamma for c in cl], dtype=np.int64),
         "intervals": counting._dual_intervals(V, 4, rep_idx[tasks]),
-        "kernel": counting._plus3_pairs_first,
+        "kernel": counting._plus3_sums,
     }
     parts = parallel.run_tasks(counting._class_task, tasks, 1, shared=shared)
     base = counting.self_dual_brute(4)

@@ -13,7 +13,8 @@ from mbfcount.intervals import (
     re_scan,
     upward_counts,
 )
-from mbfcount.layers import LAYER_SIZE, Layer, generate_layer, write_records
+from mbfcount.layers import DEDEKIND_7, LAYER_SIZE, Layer, generate_layer, write_records
+from mbfcount.selfcheck import _four_block_count
 
 from oracles import interval_matrix, slow_interval_count
 
@@ -239,23 +240,6 @@ def test_full_table_support_is_the_next_dedekind_number(n):
     assert np.count_nonzero(build_full_table(n).counts) == LAYER_SIZE[n + 1]
 
 
-D7 = 2_414_682_040_998  # the Dedekind number D_7, one past LAYER_SIZE
-
-
-def _four_block_count(C, J, dual_idx) -> int:
-    """sum over x, y of re[0, x & y] * re[x | y, top]: an element of
-    D_{n+2} is four blocks a <= x, y <= e of D_n, and fixing the middle
-    blocks x, y leaves a in [0, x & y] and e in [x | y, top].  The meet
-    comes through the join of the duals: x & y = (x* | y*)*."""
-    down, up = C[0].astype(np.int64), C[:, -1].astype(np.int64)
-    total = 0
-    for lo in range(0, len(J), 512):
-        joins = J[lo:lo + 512]
-        meets = dual_idx[J[dual_idx[lo:lo + 512]][:, dual_idx]]
-        total += int((down[meets] * up[joins]).sum())
-    return total
-
-
 def _join_and_dual(n):
     V = generate_layer(n).values
     return intervals._join_index_table(V, n), np.searchsorted(V, vecbits.dual_array(V, n))
@@ -264,7 +248,7 @@ def _join_and_dual(n):
 @pytest.mark.parametrize("n", range(6))
 def test_tables_count_the_dedekind_number_two_up(n):
     J, dual_idx = _join_and_dual(n)
-    expect = LAYER_SIZE[n + 2] if n + 2 in LAYER_SIZE else D7
+    expect = LAYER_SIZE.get(n + 2, DEDEKIND_7)
     assert _four_block_count(build_full_table(n).counts, J, dual_idx) == expect
 
 
@@ -281,6 +265,24 @@ def test_one_wrong_join_breaks_the_dedekind_identity():
                 bad = J.copy()
                 bad[i, j] = wrong
                 assert _four_block_count(C, bad, dual_idx) != LAYER_SIZE[5], (i, j, wrong)
+
+
+def test_one_wrong_dual_breaks_the_dedekind_identity():
+    # the meets come through the dual index, so every single wrong entry,
+    # and every swap of two entries, miscounts D_5
+    C = build_full_table(3).counts
+    J, dual_idx = _join_and_dual(3)
+    d = len(dual_idx)
+    for i, wrong in np.ndindex(d, d):
+        if dual_idx[i] != wrong:
+            bad = dual_idx.copy()
+            bad[i] = wrong
+            assert _four_block_count(C, J, bad) != LAYER_SIZE[5], (i, wrong)
+    for i in range(d):
+        for j in range(i + 1, d):
+            bad = dual_idx.copy()
+            bad[[i, j]] = bad[[j, i]]
+            assert _four_block_count(C, J, bad) != LAYER_SIZE[5], (i, j)
 
 
 def save_upward_table(n, elements, counts, path):

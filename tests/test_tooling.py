@@ -131,6 +131,18 @@ def test_one_driver_for_the_stabilizer_orbit_routes():
         and _is_subset_test(node.right),
     )
     assert masks == ["_dual_intervals"], masks
+    # plus3 is one kernel with no options, summed over the weight-heavy
+    # classes with the closed term always added
+    from mbfcount import counting
+
+    assert list(inspect.signature(counting.lambda_plus3).parameters) == ["layer", "classes", "workers"]
+    assert "refined" not in inspect.signature(counting._run_class_tasks).parameters
+    kernels = _statements_where(
+        path,
+        lambda node: isinstance(node, ast.FunctionDef)
+        and [a.arg for a in node.args.args] == ["ih", "I", "reps", "inverse"],
+    )
+    assert kernels == ["_plus3_sums", "_plus4c_sums"], kernels
 
 
 # -- the benchmark's use of the package ---------------------------------------
