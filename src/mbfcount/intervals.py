@@ -5,8 +5,10 @@ Three routes compute |{z : x <= z <= y}|, one for each job:
   * re_scan: a linear scan of the materialized layer, the definition and
     the oracle that selfcheck and the tests hold the other two against.
   * upward_counts: the count up to the top element for a list of
-    elements of D_n (plus2 reads it, and `retable` writes it), by a
-    recurrence over the half-split down to D_0.
+    elements of D_n (plus2 reads it, and `retable` writes it), by the
+    half-split: the distinct points grouped by low half x0, and each
+    count a sum over z0 >= x0 of upward counts in D_{n-1}, read through
+    the join table of D_{n-2} and a table indexed by pairs of halves.
   * build_full_table: the all-pairs uint16 matrix for n <= 5, indexed by
     layer ordinal (the k = 4 counts read it through the join-index
     table), by the same half-split: with x = (x0, x1), y = (y0, y1) and
@@ -17,7 +19,8 @@ Three routes compute |{z : x <= z <= y}|, one for each job:
     otherwise.
 
 The join-index table (_join_index_table) is built here too, by the same
-split: the matrix reads it one layer down, the k = 4 counts at D_n.
+split: upward counts read it two layers down, the matrix one layer down,
+the k = 4 counts at D_n.
 
 Empty intervals count 0, so callers never branch on comparability.
 """
@@ -53,18 +56,32 @@ def _full_upward(n: int) -> np.ndarray:
     return upward_counts(n, generate_layer(n).values)
 
 
-def _upward_chunk(task) -> np.ndarray:
+_UPWARD_BLOCK = 1 << 17  # (point, z0) pairs gathered at once
+
+
+def _upward_groups(task) -> np.ndarray:
+    """Upward counts of the points in a range of low-half groups, in group
+    order: per group one mask z0 >= x0 over D_{n-1}, then blocks of
+    (point, z0) pairs read through the join table of D_{n-2}."""
     lo, hi = task
     st = parallel.state()
-    xs, prev, up_prev = st["xs"][lo:hi], st["prev"], st["up_prev"]
-    halfw = np.uint64(st["halfw"])
-    mask = np.uint64((1 << st["halfw"]) - 1)
-    out = np.empty(len(xs), dtype=np.int64)
-    for i, x in enumerate(xs):
-        x0, x1 = x & mask, x >> halfw
-        mids = prev[(prev & x0) == x0]
-        out[i] = up_prev[np.searchsorted(prev, x1 | mids)].sum()
-    return out
+    prev, starts, low = st["prev"], st["starts"], st["low"]
+    j0, j1, J, U = st["j0"], st["j1"], st["J"], st["U"]
+    a0, a1 = st["a0"], st["a1"]
+    dp2 = len(J)
+    out = []
+    for g in range(lo, hi):
+        x0 = prev[low[g]]
+        zs = np.flatnonzero((prev & x0) == x0)
+        b0, b1 = j0[zs], j1[zs]
+        rows = max(1, _UPWARD_BLOCK // len(zs))
+        for r in range(starts[g], starts[g + 1], rows):
+            r1 = min(r + rows, starts[g + 1])
+            # x1 | z0 has the halves (a0 | b0, a1 | b1) in D_{n-2}
+            joined = np.take(J[a0[r:r1]] * dp2, b0, axis=1)
+            joined += np.take(J[a1[r:r1]], b1, axis=1)
+            out.append(np.take(U, joined).sum(axis=1, dtype=np.int64))
+    return np.concatenate(out)
 
 
 def check_upward_budget(n: int, count: int) -> None:
@@ -75,11 +92,16 @@ def check_upward_budget(n: int, count: int) -> None:
 
 
 def upward_counts(n: int, xs: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Count z >= x over the layer D_n for each x in xs (int64 array).
+    """Count z >= x over the layer D_n for each x in xs (int64 array, in
+    the order of xs).
 
-    z = z0.z1 is a pair z0 <= z1 in D_{n-1}, and z >= x iff z0 >= x0 and
-    z1 >= x1 | z0: the count sums, over z0 >= x0, the upward count of
-    x1 | z0 in D_{n-1} (_full_upward).  D_0 = {0, 1} has counts 2 and 1.
+    z = (z0, z1) is a pair z0 <= z1 in D_{n-1}, and z >= x = (x0, x1) iff
+    z0 >= x0 and z1 >= x1 | z0: the count sums, over z0 >= x0, the upward
+    count of x1 | z0 in D_{n-1} (_full_upward).  The distinct points are
+    grouped by x0, so each group masks the z0 >= x0 once; x1 | z0 is
+    joined half by half in D_{n-2} (_join_index_table) and its count read
+    from a table indexed by that pair of halves.  n <= 1 counts over the
+    layer directly (D_0 has no halves).
     """
     if n > 6:
         raise WidthError("upward counts need materializable layers (n <= 6)")
@@ -87,22 +109,47 @@ def upward_counts(n: int, xs: np.ndarray, workers: int = 1) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.uint64)
     if not vecbits.monotone_mask(xs, n).all():
         raise ValueError(f"upward counts take elements of D_{n}; some are not monotone")
-    if n == 0:
-        return 2 - xs.astype(np.int64)
+    if n <= 1:
+        V = generate_layer(n).values
+        return np.count_nonzero((xs[:, None] & ~V) == 0, axis=1).astype(np.int64)
     if len(xs) == 0:
         return np.empty(0, dtype=np.int64)
+    points, inverse = np.unique(xs, return_inverse=True)
+    prev = generate_layer(n - 1).values
+    halfw = table_width(n - 1)
+    x0 = np.searchsorted(prev, points & np.uint64((1 << halfw) - 1))
+    x1 = np.searchsorted(prev, points >> np.uint64(halfw))
+    order = np.argsort(x0)
+    starts = np.flatnonzero(np.diff(x0[order], prepend=-1, append=len(prev)))
+    low = x0[order[starts[:-1]]]
+    up_prev = _full_upward(n - 1)
+    group_pairs = np.diff(starts) * up_prev[low]  # (point, z0) pairs per group
+    P, j0, j1, pair = _split(prev, n - 1)
     shared = {
-        "xs": xs,
-        "halfw": table_width(n - 1),
-        "prev": generate_layer(n - 1).values,
-        "up_prev": _full_upward(n - 1),
+        "prev": prev,
+        "starts": starts,
+        "low": low,
+        "j0": j0,
+        "j1": j1,
+        "a0": j0[x1[order]],  # the halves of each point's x1, in group order
+        "a1": j1[x1[order]],
+        "J": _join_index_table(P, n - 2).astype(np.int32),
+        # U[p * dp2 + q]: the upward count in D_{n-1} of the element with
+        # halves (P[p], P[q]), or 0; every count is at most d_5 < 2^31
+        "U": np.append(up_prev, 0).astype(np.int32)[pair],
     }
-    if workers > 1 and len(xs) > 1024:
-        step = -(-len(xs) // (workers * 4))
-    else:
-        step = len(xs)
-    tasks = [(lo, min(lo + step, len(xs))) for lo in range(0, len(xs), step)]
-    return np.concatenate(parallel.run_tasks(_upward_chunk, tasks, workers, shared=shared))
+    # ranges of groups cut at equal shares of the pairs; done[g] counts the
+    # pairs of the groups before g
+    done = np.concatenate(([0], np.cumsum(group_pairs)))
+    parts = workers * 4 if workers > 1 and len(points) > 1024 else 1
+    bounds = np.unique(np.searchsorted(done, done[-1] * np.arange(parts + 1) // parts)).tolist()
+    tasks = list(zip(bounds[:-1], bounds[1:]))
+    weights = [int(done[hi] - done[lo]) for lo, hi in tasks]
+    counts = np.empty(len(points), dtype=np.int64)
+    counts[order] = np.concatenate(
+        parallel.run_tasks(_upward_groups, tasks, workers, shared=shared, weights=weights)
+    )
+    return counts[inverse]
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,20 @@ from .orbits import canonical_array, classify, stabilizer_orbits
 
 RNG_SEED = 20240901
 
+# The interval matrices built during one run_selfcheck, by n: the
+# interval-oracle and dedekind-two-up suites read the same ones.  None
+# outside a run, so a suite called on its own builds its own.
+_RUN_MATRICES: dict | None = None
+
+
+def _matrix(n: int) -> np.ndarray:
+    """build_full_table(n).counts, built once per run_selfcheck."""
+    if _RUN_MATRICES is None:
+        return build_full_table(n).counts
+    if n not in _RUN_MATRICES:
+        _RUN_MATRICES[n] = build_full_table(n).counts
+    return _RUN_MATRICES[n]
+
 
 def check_dual_involution(max_n: int) -> bool:
     """dual(dual(x)) == x for every element, n <= 4."""
@@ -209,7 +223,7 @@ def check_interval_oracle(max_n: int) -> bool:
             pairs = np.ndindex(d, d)
         else:
             pairs = np.random.default_rng(RNG_SEED).integers(0, d, size=(10_000, 2))
-        C = build_full_table(n).counts
+        C = _matrix(n)
         if np.count_nonzero(C) != LAYER_SIZE[n + 1]:
             return False
         for i, j in pairs:
@@ -240,7 +254,7 @@ def check_dedekind_two_up(max_n: int) -> bool:
         J = _join_index_table(V, n)
         dual_idx = np.searchsorted(V, vecbits.dual_array(V, n))
         expect = LAYER_SIZE.get(n + 2, DEDEKIND_7)
-        if _four_block_count(build_full_table(n).counts, J, dual_idx) != expect:
+        if _four_block_count(_matrix(n), J, dual_idx) != expect:
             return False
     return True
 
@@ -344,9 +358,14 @@ SUITES = (
 
 def run_selfcheck(max_n: int = 5, report=print) -> bool:
     """Run every suite up to max_n; report one line each; True iff all pass."""
-    all_ok = True
-    for name, fn in SUITES:
-        ok = fn(max_n)
-        all_ok &= ok
-        report(f"{'PASS' if ok else 'FAIL'} {name}")
-    return all_ok
+    global _RUN_MATRICES
+    _RUN_MATRICES = {}
+    try:
+        all_ok = True
+        for name, fn in SUITES:
+            ok = fn(max_n)
+            all_ok &= ok
+            report(f"{'PASS' if ok else 'FAIL'} {name}")
+        return all_ok
+    finally:
+        _RUN_MATRICES = None

@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mbfcount import intervals, vecbits
-from mbfcount.core import Mbf, bottom, top
+from mbfcount import intervals, parallel, vecbits
+from mbfcount.core import Mbf, bottom, table_width, top
 from mbfcount.errors import BudgetError, VerificationError
 from mbfcount.intervals import (
     build_full_table,
@@ -74,9 +75,21 @@ def test_upward_table_extremes():
 
 
 def test_upward_counts_sum_is_next_layer_size():
-    for n in range(5):
+    # the pairs x <= z of D_n are the elements of D_{n+1}
+    for n in range(6):
         layer = generate_layer(n)
-        assert int(upward_counts(n, layer.values).sum()) == len(generate_layer(n + 1))
+        assert int(upward_counts(n, layer.values).sum()) == LAYER_SIZE[n + 1]
+
+
+def _shared_low_halves(V, n, rng, size, lows=3):
+    """size seeded elements of the layer V = D_n, n >= 1, drawn from those
+    whose low half is one of `lows` seeded elements of D_{n-1} (all of
+    them if D_{n-1} has fewer)."""
+    halfw = table_width(n - 1)
+    low = V & np.uint64((1 << halfw) - 1)
+    halves = np.unique(low)
+    chosen = rng.choice(halves, size=min(lows, len(halves)), replace=False)
+    return rng.choice(V[np.isin(low, chosen)], size=size)
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -85,6 +98,19 @@ def test_upward_counts_whole_layer_match_definition(n):
     V = generate_layer(n).values
     expect = np.array([np.count_nonzero((x & ~V) == 0) for x in V])
     assert np.array_equal(upward_counts(n, V), expect)
+    # shuffled, with duplicates, and many points on a few low halves
+    rng = np.random.default_rng(n)
+    xs = np.concatenate((V, rng.choice(V, size=len(V))))
+    if n >= 1:
+        xs = np.concatenate((xs, _shared_low_halves(V, n, rng, len(V))))
+    rng.shuffle(xs)
+    assert np.array_equal(upward_counts(n, xs), expect[np.searchsorted(V, xs)])
+
+
+def test_upward_counts_of_no_points():
+    for n in range(7):
+        got = upward_counts(n, np.empty(0, dtype=np.uint64))
+        assert got.dtype == np.int64 and got.shape == (0,)
 
 
 def test_upward_counts_refuse_non_monotone_elements():
@@ -95,13 +121,17 @@ def test_upward_counts_refuse_non_monotone_elements():
 
 
 def test_upward_counts_n6_recursion_matches_scan():
-    layer = generate_layer(6)
+    # most points share one of five low halves, some repeat, and the
+    # rest are spread over the layer
+    V = generate_layer(6).values
     rng = np.random.default_rng(7)
-    xs = layer.values[rng.choice(len(layer), size=50, replace=False)]
+    xs = np.concatenate((_shared_low_halves(V, 6, rng, 150, lows=5), rng.choice(V, size=50)))
+    xs = np.concatenate((xs, xs[:40]))
+    rng.shuffle(xs)
     got = upward_counts(6, xs)
-    V = layer.values
-    expect = [int(np.count_nonzero((x & ~V) == 0)) for x in xs]
-    assert got.tolist() == expect
+    above = ~V  # x <= z iff x & ~z == 0
+    expect = {x: int(np.count_nonzero((above & x) == 0)) for x in set(xs.tolist())}
+    assert got.tolist() == [expect[x] for x in xs.tolist()]
 
 
 def test_upward_counts_workers_deterministic():
@@ -109,6 +139,29 @@ def test_upward_counts_workers_deterministic():
     a = upward_counts(4, layer.values, workers=1)
     b = upward_counts(4, layer.values, workers=2)
     assert np.array_equal(a, b)
+    # at n = 6, over more than 1024 distinct points, so the work is split
+    V = generate_layer(6).values
+    rng = np.random.default_rng(11)
+    xs = rng.choice(V, size=2000)
+    xs = np.concatenate((xs, rng.choice(xs, size=1000)))
+    a = upward_counts(6, xs, workers=1)
+    b = upward_counts(6, xs, workers=2)
+    assert np.array_equal(a, b)
+
+
+def test_upward_counts_progress_counts_point_pairs(monkeypatch, capsys):
+    # the progress total is the number of (point, z0) pairs summed: per
+    # distinct point x = (x0, x1), the z0 >= x0 in D_{n-1}
+    monkeypatch.setenv(parallel.ENV_PROGRESS, "1")
+    V = generate_layer(5).values
+    xs = np.concatenate((V, V[:500]))
+    upward_counts(5, xs, workers=2)
+    prev = generate_layer(4).values
+    low = V & np.uint64((1 << table_width(4)) - 1)
+    expect = sum(int(np.count_nonzero((x0 & ~prev) == 0)) for x0 in low)
+    last = capsys.readouterr().err.splitlines()[-1]
+    total = re.match(r"\[mbfcount\] [\d,]+/([\d,]+) terms done", last).group(1)
+    assert int(total.replace(",", "")) == expect
 
 
 def test_upward_table_from_classes():
