@@ -170,7 +170,7 @@ def cmd_classes(cfg: RunConfig) -> int:
     if cfg.n is None:
         raise ValueError("classes needs --n")
     layer = layers.generate_layer(cfg.n, cfg.budget_mb)
-    classes = orbits.classify(layer, cfg.threads)
+    classes = orbits.classify(layer)
     if not orbits.gammas_consistent(classes, layer):
         raise VerificationError(f"orbit sizes inconsistent for n={cfg.n}")
     rows = np.array([(c.representative.bits, c.gamma) for c in classes], dtype=np.uint64)
@@ -194,7 +194,7 @@ def cmd_retable(cfg: RunConfig) -> int:
             xs = np.array([c.representative.bits for c in classes], dtype=np.uint64)
         else:  # a layer file, or a header that the layer reader refuses
             xs = layers.load_layer(cfg.in_path).values
-    counts = intervals.upward_counts(n, xs, cfg.threads)
+    counts = intervals.upward_counts(n, xs)
     rows = np.column_stack((xs, counts.astype(np.uint64)))
     _emit(cfg, lambda fh: layers.write_records(fh, "retable", n, rows))
     return EXIT_OK

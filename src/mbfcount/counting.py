@@ -169,12 +169,15 @@ def lambda_brute(n: int, budget_mb: int | None = None) -> LambdaResult:
 
 
 def lambda_plus2(layer: Layer, classes: list[OrbitClass], workers: int = 1) -> LambdaResult:
-    """Count for n+2: per class, gamma times |{h >= rep | dual(rep)}|."""
+    """Count for n+2: per class, gamma times |{h >= rep | dual(rep)}|.
+
+    The upward counts run in this process; workers is accepted for call
+    compatibility and unused."""
     t0 = time.perf_counter()
     n = layer.n
     reps, gammas = _rep_array(classes)
     points = reps | vecbits.dual_array(reps, n)
-    ups = upward_counts(n, points, workers)
+    ups = upward_counts(n, points)
     value = exact_sum(gammas * ups)
     return LambdaResult(n + 2, "plus2", value, n, time.perf_counter() - t0)
 
@@ -538,7 +541,7 @@ def lambda_any(
         result = lambda_brute(base, budget_mb)
     else:
         layer = generate_layer(base, budget_mb)
-        classes = classify(layer, workers)
+        classes = classify(layer)
         if method == "plus2":
             result = lambda_plus2(layer, classes, workers)
         elif method == "plus3":

@@ -8,7 +8,8 @@ Three routes compute |{z : x <= z <= y}|, one for each job:
     elements of D_n (plus2 reads it, and `retable` writes it), by the
     half-split: the distinct points grouped by low half x0, and each
     count a sum over z0 >= x0 of upward counts in D_{n-1}, read through
-    the join table of D_{n-2} and a table indexed by pairs of halves.
+    the join table of D_{n-2} and a table indexed by pairs of halves, in
+    the calling process.
   * build_full_table: the all-pairs uint16 matrix for n <= 5, indexed by
     layer ordinal (the k = 4 counts read it through the join-index
     table), by the same half-split: with x = (x0, x1), y = (y0, y1) and
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import parallel, vecbits
+from . import vecbits
 from .core import Mbf, table_width
 from .errors import BudgetError, VerificationError, WidthError
 from .layers import LAYER_SIZE, Layer, check_budget, generate_layer, read_records
@@ -52,36 +53,11 @@ def re_scan(layer: Layer, x, y) -> int:
 @lru_cache(maxsize=None)
 def _full_upward(n: int) -> np.ndarray:
     """Upward counts for every element of the layer D_n, n <= 5, by
-    upward_counts itself at 1 worker; cached per process."""
+    upward_counts itself; cached per process."""
     return upward_counts(n, generate_layer(n).values)
 
 
 _UPWARD_BLOCK = 1 << 17  # (point, z0) pairs gathered at once
-
-
-def _upward_groups(task) -> np.ndarray:
-    """Upward counts of the points in a range of low-half groups, in group
-    order: per group one mask z0 >= x0 over D_{n-1}, then blocks of
-    (point, z0) pairs read through the join table of D_{n-2}."""
-    lo, hi = task
-    st = parallel.state()
-    prev, starts, low = st["prev"], st["starts"], st["low"]
-    j0, j1, J, U = st["j0"], st["j1"], st["J"], st["U"]
-    a0, a1 = st["a0"], st["a1"]
-    dp2 = len(J)
-    out = []
-    for g in range(lo, hi):
-        x0 = prev[low[g]]
-        zs = np.flatnonzero((prev & x0) == x0)
-        b0, b1 = j0[zs], j1[zs]
-        rows = max(1, _UPWARD_BLOCK // len(zs))
-        for r in range(starts[g], starts[g + 1], rows):
-            r1 = min(r + rows, starts[g + 1])
-            # x1 | z0 has the halves (a0 | b0, a1 | b1) in D_{n-2}
-            joined = np.take(J[a0[r:r1]] * dp2, b0, axis=1)
-            joined += np.take(J[a1[r:r1]], b1, axis=1)
-            out.append(np.take(U, joined).sum(axis=1, dtype=np.int64))
-    return np.concatenate(out)
 
 
 def check_upward_budget(n: int, count: int) -> None:
@@ -91,7 +67,7 @@ def check_upward_budget(n: int, count: int) -> None:
         raise BudgetError(f"upward counts for {count} elements at n=6 are out of budget")
 
 
-def upward_counts(n: int, xs: np.ndarray, workers: int = 1) -> np.ndarray:
+def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
     """Count z >= x over the layer D_n for each x in xs (int64 array, in
     the order of xs).
 
@@ -100,8 +76,9 @@ def upward_counts(n: int, xs: np.ndarray, workers: int = 1) -> np.ndarray:
     count of x1 | z0 in D_{n-1} (_full_upward).  The distinct points are
     grouped by x0, so each group masks the z0 >= x0 once; x1 | z0 is
     joined half by half in D_{n-2} (_join_index_table) and its count read
-    from a table indexed by that pair of halves.  n <= 1 counts over the
-    layer directly (D_0 has no halves).
+    from a table indexed by that pair of halves, in blocks of at most
+    _UPWARD_BLOCK (point, z0) pairs.  n <= 1 counts over the layer
+    directly (D_0 has no halves).  Runs in this process.
     """
     if n > 6:
         raise WidthError("upward counts need materializable layers (n <= 6)")
@@ -115,40 +92,28 @@ def upward_counts(n: int, xs: np.ndarray, workers: int = 1) -> np.ndarray:
     if len(xs) == 0:
         return np.empty(0, dtype=np.int64)
     points, inverse = np.unique(xs, return_inverse=True)
-    prev = generate_layer(n - 1).values
-    halfw = table_width(n - 1)
-    x0 = np.searchsorted(prev, points & np.uint64((1 << halfw) - 1))
-    x1 = np.searchsorted(prev, points >> np.uint64(halfw))
+    prev, x0, x1 = _halves(points, n)
     order = np.argsort(x0)
     starts = np.flatnonzero(np.diff(x0[order], prepend=-1, append=len(prev)))
-    low = x0[order[starts[:-1]]]
-    up_prev = _full_upward(n - 1)
-    group_pairs = np.diff(starts) * up_prev[low]  # (point, z0) pairs per group
     P, j0, j1, pair = _split(prev, n - 1)
-    shared = {
-        "prev": prev,
-        "starts": starts,
-        "low": low,
-        "j0": j0,
-        "j1": j1,
-        "a0": j0[x1[order]],  # the halves of each point's x1, in group order
-        "a1": j1[x1[order]],
-        "J": _join_index_table(P, n - 2).astype(np.int32),
-        # U[p * dp2 + q]: the upward count in D_{n-1} of the element with
-        # halves (P[p], P[q]), or 0; every count is at most d_5 < 2^31
-        "U": np.append(up_prev, 0).astype(np.int32)[pair],
-    }
-    # ranges of groups cut at equal shares of the pairs; done[g] counts the
-    # pairs of the groups before g
-    done = np.concatenate(([0], np.cumsum(group_pairs)))
-    parts = workers * 4 if workers > 1 and len(points) > 1024 else 1
-    bounds = np.unique(np.searchsorted(done, done[-1] * np.arange(parts + 1) // parts)).tolist()
-    tasks = list(zip(bounds[:-1], bounds[1:]))
-    weights = [int(done[hi] - done[lo]) for lo, hi in tasks]
+    a0, a1 = j0[x1[order]], j1[x1[order]]  # the halves of each x1, in group order
+    J = _join_index_table(P, n - 2).astype(np.int32)
+    dp2 = len(J)
+    # U[p * dp2 + q]: the upward count in D_{n-1} of the element with halves
+    # (P[p], P[q]), or 0; every count is at most d_5 < 2^31
+    U = np.append(_full_upward(n - 1), 0).astype(np.int32)[pair]
     counts = np.empty(len(points), dtype=np.int64)
-    counts[order] = np.concatenate(
-        parallel.run_tasks(_upward_groups, tasks, workers, shared=shared, weights=weights)
-    )
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        low = prev[x0[order[lo]]]
+        zs = np.flatnonzero((prev & low) == low)  # the z0 >= x0
+        b0, b1 = j0[zs], j1[zs]
+        rows = max(1, _UPWARD_BLOCK // len(zs))
+        for r in range(lo, hi, rows):
+            r1 = min(r + rows, hi)
+            # x1 | z0 has the halves (a0 | b0, a1 | b1) in D_{n-2}
+            joined = np.take(J[a0[r:r1]] * dp2, b0, axis=1)
+            joined += np.take(J[a1[r:r1]], b1, axis=1)
+            counts[order[r:r1]] = np.take(U, joined).sum(axis=1, dtype=np.int64)
     return counts[inverse]
 
 
@@ -162,16 +127,22 @@ class IntervalTable:
     counts: np.ndarray = field(repr=False)
 
 
+def _halves(V: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The layer P = D_{n-1} and the indices in P of the low and high
+    halves of each x in V (elements of D_n)."""
+    P = generate_layer(n - 1).values
+    halfw = table_width(n - 1)
+    low = np.searchsorted(P, V & np.uint64((1 << halfw) - 1))
+    return P, low, np.searchsorted(P, V >> np.uint64(halfw))
+
+
 def _split(V: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each x in V (elements of D_n) as the pair x0 <= x1 of its low and
     high halves in D_{n-1}: the layer P = D_{n-1}, the indices i0 and i1
     in P of the halves, and the flat lookup pair[a * len(P) + b] = the
     index in V of the element with halves (P[a], P[b]), or len(V) if
     P[a] <= P[b] fails (uint16: the tables are built only for n <= 5)."""
-    P = generate_layer(n - 1).values
-    halfw = table_width(n - 1)
-    i0 = np.searchsorted(P, V & np.uint64((1 << halfw) - 1))
-    i1 = np.searchsorted(P, V >> np.uint64(halfw))
+    P, i0, i1 = _halves(V, n)
     pair = np.full(len(P) ** 2, len(V), dtype=np.uint16)
     pair[i0 * len(P) + i1] = np.arange(len(V))
     return P, i0, i1, pair

@@ -1,10 +1,9 @@
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mbfcount import intervals, parallel, vecbits
+from mbfcount import intervals, vecbits
 from mbfcount.core import Mbf, bottom, table_width, top
 from mbfcount.errors import BudgetError, VerificationError
 from mbfcount.intervals import (
@@ -134,34 +133,18 @@ def test_upward_counts_n6_recursion_matches_scan():
     assert got.tolist() == [expect[x] for x in xs.tolist()]
 
 
-def test_upward_counts_workers_deterministic():
-    layer = generate_layer(4)
-    a = upward_counts(4, layer.values, workers=1)
-    b = upward_counts(4, layer.values, workers=2)
-    assert np.array_equal(a, b)
-    # at n = 6, over more than 1024 distinct points, so the work is split
-    V = generate_layer(6).values
-    rng = np.random.default_rng(11)
-    xs = rng.choice(V, size=2000)
-    xs = np.concatenate((xs, rng.choice(xs, size=1000)))
-    a = upward_counts(6, xs, workers=1)
-    b = upward_counts(6, xs, workers=2)
-    assert np.array_equal(a, b)
-
-
-def test_upward_counts_progress_counts_point_pairs(monkeypatch, capsys):
-    # the progress total is the number of (point, z0) pairs summed: per
-    # distinct point x = (x0, x1), the z0 >= x0 in D_{n-1}
-    monkeypatch.setenv(parallel.ENV_PROGRESS, "1")
-    V = generate_layer(5).values
-    xs = np.concatenate((V, V[:500]))
-    upward_counts(5, xs, workers=2)
-    prev = generate_layer(4).values
-    low = V & np.uint64((1 << table_width(4)) - 1)
-    expect = sum(int(np.count_nonzero((x0 & ~prev) == 0)) for x0 in low)
-    last = capsys.readouterr().err.splitlines()[-1]
-    total = re.match(r"\[mbfcount\] [\d,]+/([\d,]+) terms done", last).group(1)
-    assert int(total.replace(",", "")) == expect
+def test_upward_counts_across_block_boundaries(monkeypatch):
+    # a block of 3 (point, z0) pairs clamps to one point wherever a group
+    # has more than 3 z0 >= x0, so those groups span one block per point
+    monkeypatch.setattr(intervals, "_UPWARD_BLOCK", 3)
+    intervals._full_upward.cache_clear()
+    try:
+        for n in range(6):
+            V = generate_layer(n).values
+            expect = [int(np.count_nonzero((x & ~V) == 0)) for x in V]
+            assert upward_counts(n, V).tolist() == expect
+    finally:
+        intervals._full_upward.cache_clear()
 
 
 def test_upward_table_from_classes():

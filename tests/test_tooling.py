@@ -145,6 +145,30 @@ def test_one_driver_for_the_stabilizer_orbit_routes():
     assert kernels == ["_plus3_sums", "_plus4c_sums"], kernels
 
 
+def test_upward_counts_start_no_process(monkeypatch, classes):
+    # upward counts run in the calling process: a forked split lost to one
+    # process on every input the n = 6 cap lets through
+    from mbfcount import counting, intervals, layers, parallel
+
+    tree = ast.parse((SRC / "intervals.py").read_text())
+    imported = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+        if name.split(".")[-1] in ("parallel", "run_tasks")
+    ]
+    assert not imported, imported
+    assert list(inspect.signature(intervals.upward_counts).parameters) == ["n", "xs"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("upward counts started a worker pool")
+
+    layer, cl = layers.generate_layer(4), classes(4)
+    monkeypatch.setattr(parallel, "run_tasks", refuse)
+    assert counting.lambda_plus2(layer, cl, 2).value == counting.LAMBDA_KNOWN[6]
+
+
 # -- the benchmark's use of the package ---------------------------------------
 # perfbench/ is read as source only: a change to the package that removes a
 # name or a parameter the benchmark uses fails here, not in the benchmark run
