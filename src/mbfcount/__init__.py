@@ -1,17 +1,11 @@
-"""Monotone Boolean functions as bit vectors and exact self-dual counting."""
+"""Monotone Boolean functions as bit vectors and exact self-dual counting.
 
-from .core import (
-    Mbf,
-    bottom,
-    dual,
-    is_monotone,
-    is_self_dual,
-    join,
-    leq,
-    meet,
-    top,
-    weight,
-)
+One function is an Mbf, whose operators and methods are the only scalar
+API: x <= y, x | y, x & y, x.dual(), x.weight(), x.is_self_dual(), and
+Mbf.from_bits to vet a raw table.  Whole layers are uint64 arrays.
+"""
+
+from .core import Mbf, bottom, top
 from .counting import (
     LAMBDA_KNOWN,
     LambdaResult,

@@ -93,7 +93,7 @@ class Mbf:
 
     Direct construction checks the width only: every operation in this
     package preserves monotonicity, so re-validating per call would be
-    wasted work.  Use from_bits (or is_monotone) to vet raw input.
+    wasted work.  Use from_bits to vet raw input.
     """
 
     n: int
@@ -109,19 +109,17 @@ class Mbf:
     @classmethod
     def from_bits(cls, n: int, bits: int) -> "Mbf":
         """Validated constructor for raw truth tables."""
-        check_n(n)
-        if not 0 <= bits <= full_mask(n):
-            raise WidthError(f"value 0x{bits:x} does not fit in {table_width(n)} bits")
+        x = cls(n, bits)  # checks n and the width
         if not monotone_bits(bits, n):
-            raise ValueError(f"bit vector {to_string(n, bits)} is not monotone")
-        return cls(n, bits)
+            raise ValueError(f"bit vector {x} is not monotone")
+        return x
 
     @classmethod
     def from_string(cls, s: str) -> "Mbf":
         """Parse the canonical '0'/'1' text form (bit 0 leftmost)."""
         w = len(s)
         n = w.bit_length() - 1
-        if w != 1 << n:
+        if w == 0 or w != 1 << n:
             raise WidthError(f"string length {w} is not a power of two")
         bits = 0
         for i, ch in enumerate(s):
@@ -130,11 +128,6 @@ class Mbf:
             elif ch != "0":
                 raise ValueError(f"invalid character {ch!r} in bit string")
         return cls.from_bits(n, bits)
-
-    @classmethod
-    def from_hex(cls, n: int, s: str) -> "Mbf":
-        """Parse the compact hex form (bit 0 = lsb of the last digit)."""
-        return cls.from_bits(n, int(s, 16))
 
     def to_string(self) -> str:
         return to_string(self.n, self.bits)
@@ -196,40 +189,3 @@ def top(n: int) -> Mbf:
     check_n(n)
     return Mbf(n, full_mask(n))
 
-
-def leq(x: Mbf, y: Mbf) -> bool:
-    """Pointwise order: true iff x(v) <= y(v) for every input v."""
-    return x <= y
-
-
-def dual(x: Mbf) -> Mbf:
-    """Reverse-and-negate; an involution that inverts the order."""
-    return x.dual()
-
-
-def join(x: Mbf, y: Mbf) -> Mbf:
-    """Pointwise or; monotone functions are closed under it."""
-    return x | y
-
-
-def meet(x: Mbf, y: Mbf) -> Mbf:
-    """Pointwise and; monotone functions are closed under it."""
-    return x & y
-
-
-def weight(x: Mbf) -> int:
-    """Number of ones in the truth table (Hamming weight)."""
-    return x.weight()
-
-
-def is_monotone(n: int, bits: int) -> bool:
-    """Validate a raw 2^n-bit table (covering-pairs check)."""
-    check_n(n)
-    if not 0 <= bits <= full_mask(n):
-        raise WidthError(f"value 0x{bits:x} does not fit in {table_width(n)} bits")
-    return monotone_bits(bits, n)
-
-
-def is_self_dual(x: Mbf) -> bool:
-    """True iff x equals its dual."""
-    return x.is_self_dual()

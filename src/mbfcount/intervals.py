@@ -34,20 +34,18 @@ from functools import lru_cache
 import numpy as np
 
 from . import vecbits
-from .core import Mbf, table_width
+from .core import table_width
 from .errors import BudgetError, VerificationError, WidthError
 from .layers import LAYER_SIZE, Layer, check_budget, generate_layer, read_records
 
-def _bits(v) -> int:
-    return v.bits if isinstance(v, Mbf) else int(v)
 
-
-def re_scan(layer: Layer, x, y) -> int:
-    """Count z in the layer with x <= z <= y by direct scan."""
-    xb, yb = _bits(x), _bits(y)
+def re_scan(layer: Layer, x: int, y: int) -> int:
+    """Count z in the layer with x <= z <= y by direct scan; x and y are
+    packed truth tables (Python ints or uint64)."""
+    x, y = np.uint64(x), np.uint64(y)
     V = layer.values
     # subset tests: x <= z iff z & x == x, z <= y iff z & y == z
-    return int(np.count_nonzero(((V & xb) == xb) & ((V & yb) == V)))
+    return int(np.count_nonzero(((V & x) == x) & ((V & y) == V)))
 
 
 @lru_cache(maxsize=None)

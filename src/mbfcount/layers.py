@@ -4,8 +4,8 @@ A layer for n+1 is built from the layer for n as all concatenations
 lo . hi with lo <= hi pointwise (lo in bit positions 0..2^n-1, hi above),
 starting from the two constants at n=0.  The high half dominates the
 integer order, so with hi as the outer loop and both loops ascending the
-layer comes out sorted, written into one array of its exact size.  Layers
-are immutable uint64 arrays, so membership and ordinals are binary searches.
+layer comes out sorted, written into one array of its exact size.  A layer
+is that uint64 array and its n; callers index and search the array itself.
 
 Only n <= 6 is materializable (64-bit tables, 7.8M elements); the next
 layer has ~2.4e12 elements and is refused outright.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import vecbits
-from .core import Mbf, table_width, to_hex
+from .core import table_width, to_hex
 from .errors import BudgetError, VerificationError, WidthError
 
 DEFAULT_BUDGET_MB = 4096
@@ -44,31 +44,14 @@ _CACHE: dict[int, "Layer"] = {}
 
 @dataclass(frozen=True)
 class Layer:
-    """All monotone functions of n variables, ascending by integer value."""
+    """All monotone functions of n variables, ascending by integer value:
+    values is the uint64 array of packed truth tables, and len() its size."""
 
     n: int
     values: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def index(self, bits: int) -> int:
-        """Ordinal of a member value; raises KeyError for non-members."""
-        i = int(np.searchsorted(self.values, np.uint64(bits)))
-        if i >= len(self.values) or int(self.values[i]) != bits:
-            raise KeyError(f"0x{bits:x} is not in the layer for n={self.n}")
-        return i
-
-    def __contains__(self, bits: int) -> bool:
-        i = int(np.searchsorted(self.values, np.uint64(bits)))
-        return i < len(self.values) and int(self.values[i]) == bits
-
-    def mbf(self, i: int) -> Mbf:
-        return Mbf(self.n, int(self.values[i]))
-
-    def __iter__(self):
-        for v in self.values:
-            yield Mbf(self.n, int(v))
 
 
 def check_layer_budget(n: int, budget_mb: int | None = None) -> None:

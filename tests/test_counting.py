@@ -22,7 +22,7 @@ from mbfcount.errors import BudgetError, UnsupportedCombinationError, Verificati
 from mbfcount.intervals import upward_counts
 from mbfcount.layers import generate_layer
 
-from oracles import slow_orbit
+from oracles import interval_matrix, slow_dual, slow_layer, slow_orbit, top_block_sum
 
 
 def setup(n, classes):
@@ -123,6 +123,53 @@ def test_join_index_table_n5_rows():
     rows = [0, len(V) - 1] + np.random.default_rng(5).integers(0, len(V), 100).tolist()
     for i in rows:
         assert np.array_equal(J[i], np.searchsorted(V, V[i] | V))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_k4_sum_over_every_quadruple_is_lambda(n):
+    # the definition's k = 4 sum runs over every (a, b, c, h); a product
+    # is nonzero only where dual(h) <= a, b, c <= h, the range the kernels
+    # sum over
+    v = np.array(slow_layer(n), dtype=np.uint64)
+    vd = np.array([slow_dual(n, int(x)) for x in v], dtype=np.uint64)
+    RE = interval_matrix(v).astype(np.int64)  # RE[x, h] = re(v[x], v[h])
+    a, b, c = np.indices((len(v),) * 3).reshape(3, -1)
+    factors = [
+        RE[np.searchsorted(v, x | y | z)]  # one row per (a, b, c), one column per h
+        for x, y, z in [(v[a], v[b], v[c]), (v[a], vd[b], vd[c]), (vd[a], v[b], vd[c]), (vd[a], vd[b], v[c])]
+    ]
+    product = factors[0] * factors[1] * factors[2] * factors[3]
+    assert int(product.sum()) == LAMBDA_KNOWN[n + 4]
+    in_range = np.ones(product.shape, dtype=bool)
+    for x in (v[a], v[b], v[c]):
+        in_range &= ((vd[None, :] & ~x[:, None]) == 0) & ((x[:, None] & ~v[None, :]) == 0)
+    assert not product[~in_range].any()
+
+
+def _top_block_sums_task(task):
+    ih, a_idx = task
+    return counting._top_block_sums(ih, a_idx)
+
+
+def _k4_state(layer, tops):
+    shared = counting._k4_tables(layer, None)
+    shared["intervals"] = counting._dual_intervals(layer.values, layer.n, tops)
+    return shared
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_top_block_sums_match_the_definition(n):
+    # every top block h with dual(h) <= h, every a in [dual(h), h]
+    layer = generate_layer(n)
+    V = layer.values
+    tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
+    shared = _k4_state(layer, tops)
+    tasks = [(ih, shared["intervals"][ih]) for ih in tops.tolist()]
+    got = parallel.run_tasks(_top_block_sums_task, tasks, 1, shared=shared)
+    # the pairs dual(h) <= a <= h are plus2's terms, so they count lambda_{n+2}
+    assert sum(len(a_idx) for _, a_idx in tasks) == LAMBDA_KNOWN[n + 2]
+    for (ih, a_idx), sums in zip(tasks, got):
+        assert sums == [top_block_sum(V, n, int(V[ia]), int(V[ih])) for ia in a_idx]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -243,6 +290,19 @@ def test_fold_dual_classes_n5(base5):
     assert sum(c.gamma * k for c, k in zip(kept, mult)) == len(layer)
     assert plus4_pruned_term_count(layer, cl) == 417_628_327_127
     assert plus4_pruned_term_count(layer, kept) == 227_793_759_723
+
+
+def test_top_block_sums_match_the_definition_base5(base5):
+    # seeded (a, h) pairs over the top blocks with |[dual(h), h]| <= 400
+    layer, _ = base5
+    V = layer.values
+    tops = np.nonzero((vecbits.dual_array(V, 5) & ~V) == 0)[0]
+    shared = _k4_state(layer, tops)
+    small = [ih for ih in tops.tolist() if len(shared["intervals"][ih]) <= 400]
+    rng = random.Random(22)
+    tasks = [(ih, [int(rng.choice(shared["intervals"][ih]))]) for ih in rng.sample(small, 22)]
+    got = parallel.run_tasks(_top_block_sums_task, tasks, 1, shared=shared)
+    assert got == [[top_block_sum(V, 5, int(V[ia]), int(V[ih]))] for ih, [ia] in tasks]
 
 
 def test_plus4_pruned_base5_class_and_its_dual(base5):

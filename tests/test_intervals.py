@@ -25,18 +25,18 @@ D2_UPWARD = [6, 5, 3, 3, 2, 1]
 
 def test_re_scan_examples():
     layer2 = generate_layer(2)
-    assert re_scan(layer2, bottom(2), top(2)) == 6
-    assert re_scan(layer2, Mbf.from_string("0101"), top(2)) == 3
+    assert re_scan(layer2, bottom(2).bits, top(2).bits) == 6
+    assert re_scan(layer2, Mbf.from_string("0101").bits, top(2).bits) == 3
     layer3 = generate_layer(3)
-    for x in layer3:
+    for x in layer3.values:
         assert re_scan(layer3, x, x) == 1
 
 
 def test_re_scan_matches_slow_oracle():
     layer = generate_layer(3)
-    for x in layer:
-        for y in layer:
-            assert re_scan(layer, x, y) == slow_interval_count(layer.values, x.bits, y.bits)
+    for x in layer.values:
+        for y in layer.values:
+            assert re_scan(layer, x, y) == slow_interval_count(layer.values, int(x), int(y))
 
 
 def test_duality_symmetry_d3():
@@ -61,7 +61,7 @@ def test_monotone_in_upper_end():
 
 def test_upward_table_d2_frozen_values():
     layer = generate_layer(2)
-    by_scan = [re_scan(layer, x, top(2)) for x in layer]
+    by_scan = [re_scan(layer, x, top(2).bits) for x in layer.values]
     assert by_scan == D2_UPWARD
     assert upward_counts(2, layer.values).tolist() == D2_UPWARD
 
@@ -153,21 +153,17 @@ def test_upward_table_from_classes():
     layer = generate_layer(3)
     reps = [c.representative for c in classify(layer)]
     ups = upward_counts(3, np.array([r.bits for r in reps], dtype=np.uint64))
-    assert ups.tolist() == [re_scan(layer, r, top(3)) for r in reps]
-
-
-def _full_re(table, layer, x, y):
-    """The full table's entry for the pair, indexed by layer ordinal."""
-    return int(table.counts[layer.index(x.bits), layer.index(y.bits)])
+    assert ups.tolist() == [re_scan(layer, r.bits, top(3).bits) for r in reps]
 
 
 def test_full_table_matches_scan():
     for n in range(4):
         layer = generate_layer(n)
         table = build_full_table(n)
-        for x in layer:
-            for y in layer:
-                assert _full_re(table, layer, x, y) == re_scan(layer, x, y)
+        V = layer.values
+        for i in range(len(V)):
+            for j in range(len(V)):
+                assert table.counts[i, j] == re_scan(layer, V[i], V[j])
 
 
 def test_full_table_n4_sampled():
@@ -175,8 +171,7 @@ def test_full_table_n4_sampled():
     table = build_full_table(4)
     rng = np.random.default_rng(3)
     for i, j in rng.integers(0, len(layer), size=(500, 2)):
-        x, y = layer.mbf(int(i)), layer.mbf(int(j))
-        assert _full_re(table, layer, x, y) == re_scan(layer, x, y)
+        assert table.counts[i, j] == re_scan(layer, layer.values[i], layer.values[j])
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -220,9 +215,8 @@ def _check_seeded_pairs(table):
     assert table.counts.dtype == np.uint16
     rng = np.random.default_rng(11)
     for i, j in rng.integers(0, len(layer), size=(300, 2)):
-        x, y = layer.mbf(int(i)), layer.mbf(int(j))
-        assert _full_re(table, layer, x, y) == re_scan(layer, x, y)
-    assert _full_re(table, layer, bottom(5), top(5)) == len(layer)
+        assert table.counts[i, j] == re_scan(layer, layer.values[i], layer.values[j])
+    assert table.counts[0, -1] == len(layer)  # bottom(5) to top(5)
 
 
 def test_full_table_n5_exactness_sampled(table5):

@@ -23,7 +23,8 @@ from oracles import permute_value, slow_classes, slow_orbit, slow_dual
 
 def test_equivariance_with_dual():
     for n in range(4):
-        for g in generate_layer(n):
+        for v in generate_layer(n).values:
+            g = Mbf(n, int(v))
             for m in permutations(range(n)):
                 image = Mbf(n, permute_value(n, g.bits, m))
                 assert permute_value(n, g.dual().bits, m) == image.dual().bits
@@ -31,7 +32,8 @@ def test_equivariance_with_dual():
 
 def test_self_dual_orbits_stay_self_dual():
     for n in range(5):
-        for g in generate_layer(n):
+        for v in generate_layer(n).values:
+            g = Mbf(n, int(v))
             if g.is_self_dual():
                 assert all(
                     Mbf(n, v).is_self_dual() for v in slow_orbit(n, g.bits)

@@ -26,6 +26,39 @@ def test_file_formats_have_one_owner():
     assert owners == ["layers.py"], f"the header literal appears in {owners}"
 
 
+def test_core_has_no_wrappers_of_mbf_operations():
+    # each scalar operation has one spelling, Mbf's operator or method; a
+    # function that only returns x <= y or x.dual() is a second one
+    tree = ast.parse((SRC / "core.py").read_text())
+    found = [
+        stmt.name
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and _only_wraps_its_parameters(stmt)
+    ]
+    assert not found, f"core.py repeats Mbf operations as functions: {found}"
+
+
+def _only_wraps_its_parameters(fn: ast.FunctionDef) -> bool:
+    # the body, after any docstring, is one return of an operator on the
+    # parameters or of a method call on the first parameter
+    body = fn.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    params = [arg.arg for arg in fn.args.args]
+    value = body[0].value
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
+        return isinstance(value.func.value, ast.Name) and value.func.value.id == params[0]
+    if isinstance(value, ast.BinOp):
+        operands = [value.left, value.right]
+    elif isinstance(value, ast.Compare):
+        operands = [value.left, *value.comparators]
+    else:
+        return False
+    return all(isinstance(node, ast.Name) and node.id in params for node in operands)
+
+
 def test_one_relabeling_walk():
     # every orbit job steps through the n! relabelings by iterating orbits._walk
     name = "adjacent_swap_sequence"
