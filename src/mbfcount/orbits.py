@@ -193,15 +193,6 @@ def classify(layer: Layer, workers: int = 1) -> list[OrbitClass]:
     return classes
 
 
-def gammas_consistent(classes: list[OrbitClass], layer: Layer) -> bool:
-    """Orbit sizes must add up to the layer size and divide n!."""
-    nfact = factorial(layer.n)
-    return (
-        sum(c.gamma for c in classes) == len(layer)
-        and all(nfact % c.gamma == 0 for c in classes)
-    )
-
-
 def load_classes(path: str) -> tuple[int, list[OrbitClass]]:
     """Read a classes file back; refuses an orbit size that does not divide n!."""
     n, reps, (gammas,) = read_records(path, "classes")

@@ -5,13 +5,13 @@ compares: dual algebra on whole layers, permutation equivariance and the
 relabeling walk's results (canonical_array, classify, stabilizer_orbits)
 against _relabel, a position map applied for every relabeling, the upward
 counts and the all-pairs interval matrix that the counts read against the
-definition scan and the Dedekind numbers, the matrix with the join and
-dual indices against D_{n+2}, orbit size bookkeeping, stabilizer orbits
-against classification, and the counting methods (class folding, each
-plus3 class task against the definition, and plus4c and pruned plus4,
-which share one kernel, against the dense k = 4 sum).  A build that
-passes all of these and the reference table is very hard to get wrong
-silently.
+definition scan and the Dedekind numbers, the upward counts with the join
+and dual indices against D_{n+2}, orbit size bookkeeping, stabilizer
+orbits against classification, and the counting methods (class folding,
+each plus3 class task against the definition, and plus4c and pruned
+plus4, which share one kernel, against the dense k = 4 sum).  A build
+that passes all of these and the reference table is very hard to get
+wrong silently.  The suites share no state: each builds what it reads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import numpy as np
 
 from . import vecbits
-from .core import table_width
+from .core import dual_bits, table_width
 from .counting import (
     LAMBDA_KNOWN,
     exact_sum,
@@ -30,25 +30,12 @@ from .counting import (
     lambda_plus4_classes,
     lambda_plus4_direct,
 )
+from .errors import VerificationError
 from .intervals import _join_index_table, build_full_table, re_scan, upward_counts
 from .layers import DEDEKIND_7, LAYER_SIZE, generate_layer, self_dual_brute
 from .orbits import canonical_array, classify, stabilizer_orbits
 
 RNG_SEED = 20240901
-
-# The interval matrices built during one run_selfcheck, by n: the
-# interval-oracle and dedekind-two-up suites read the same ones.  None
-# outside a run, so a suite called on its own builds its own.
-_RUN_MATRICES: dict | None = None
-
-
-def _matrix(n: int) -> np.ndarray:
-    """build_full_table(n).counts, built once per run_selfcheck."""
-    if _RUN_MATRICES is None:
-        return build_full_table(n).counts
-    if n not in _RUN_MATRICES:
-        _RUN_MATRICES[n] = build_full_table(n).counts
-    return _RUN_MATRICES[n]
 
 
 def check_dual_involution(max_n: int) -> bool:
@@ -209,22 +196,28 @@ def check_interval_oracle(max_n: int) -> bool:
     """The interval counts that the counting methods read equal the
     definition scan: upward_counts over each whole layer up to n = 5, and
     the matrix of build_full_table on every pair up to n = 4 and on 10^4
-    seeded random pairs at n = 5.  The matrix is nonzero exactly on the
-    pairs x <= y, which are the elements of D_{n+1}, so its support
-    counts the next Dedekind number."""
+    seeded random pairs at n = 5.  At every n its last column is the
+    upward counts, and its first row, |[0, x]| = |[x*, top]| because dual
+    reverses the order, is the upward counts read through the dual index.
+    The matrix is nonzero exactly on the pairs x <= y, which are the
+    elements of D_{n+1}, so its support counts the next Dedekind number."""
     for n in range(min(max_n, 5) + 1):
         layer = generate_layer(n)
         V = layer.values
         top = V[-1]  # the layer ascends, and the top is its largest element
-        if upward_counts(n, V).tolist() != [re_scan(layer, x, top) for x in V]:
+        up = upward_counts(n, V)
+        if up.tolist() != [re_scan(layer, x, top) for x in V]:
             return False
         d = len(V)
         if n < 5:
             pairs = np.ndindex(d, d)
         else:
             pairs = np.random.default_rng(RNG_SEED).integers(0, d, size=(10_000, 2))
-        C = _matrix(n)
+        C = build_full_table(n).counts
         if np.count_nonzero(C) != LAYER_SIZE[n + 1]:
+            return False
+        dual_idx = np.searchsorted(V, vecbits.dual_array(V, n))
+        if not (np.array_equal(C[:, -1], up) and np.array_equal(C[0], up[dual_idx])):
             return False
         for i, j in pairs:
             if C[i, j] != re_scan(layer, V[i], V[j]):
@@ -232,12 +225,14 @@ def check_interval_oracle(max_n: int) -> bool:
     return True
 
 
-def _four_block_count(C: np.ndarray, J: np.ndarray, dual_idx: np.ndarray) -> int:
+def _four_block_count(up: np.ndarray, J: np.ndarray, dual_idx: np.ndarray) -> int:
     """Sum over x, y of re[0, x & y] * re[x | y, top]: an element of
     D_{n+2} is four blocks a <= x, y <= e of D_n, and fixing the middle
     blocks x, y leaves a in [0, x & y] and e in [x | y, top].  The meet
-    comes through the join of the duals: x & y = (x* | y*)*."""
-    down, up = C[0].astype(np.int64), C[:, -1].astype(np.int64)
+    comes through the join of the duals: x & y = (x* | y*)*.  Dual
+    reverses the order, so |[0, x]| = |[x*, top]|: both factors are
+    upward counts."""
+    down = up[dual_idx]
     total = 0
     for lo in range(0, len(J), 512):
         joins = J[lo:lo + 512]
@@ -247,14 +242,14 @@ def _four_block_count(C: np.ndarray, J: np.ndarray, dual_idx: np.ndarray) -> int
 
 
 def check_dedekind_two_up(max_n: int) -> bool:
-    """The interval matrix, read through the join index and the dual
-    index, counts D_{n+2} by _four_block_count, n <= 5."""
+    """The upward counts, read through the join index and the dual index,
+    count D_{n+2} by _four_block_count, n <= 5."""
     for n in range(min(max_n, 5) + 1):
         V = generate_layer(n).values
         J = _join_index_table(V, n)
         dual_idx = np.searchsorted(V, vecbits.dual_array(V, n))
         expect = LAYER_SIZE.get(n + 2, DEDEKIND_7)
-        if _four_block_count(_matrix(n), J, dual_idx) != expect:
+        if _four_block_count(upward_counts(n, V), J, dual_idx) != expect:
             return False
     return True
 
@@ -271,20 +266,14 @@ def check_plus2_class_fold(max_n: int) -> bool:
     return True
 
 
-def _table_dual(x: int, w: int) -> int:
-    """The dual of a truth table of w bits: reversed, then complemented."""
-    return int(f"{x:0{w}b}"[::-1], 2) ^ ((1 << w) - 1)
-
-
 def _plus3_definition(values: np.ndarray, n: int, h: int) -> int:
     """The plus3 sum of the top block h, for a = dual(h), by subset tests:
     over b <= c in [a, h], the d in [a, h] with d <= c & dual(b)."""
-    w = table_width(n)
-    a = _table_dual(h, w)
+    a = dual_bits(h, n)
     X = np.array([x for x in values.tolist() if a & ~x == 0 and x & ~h == 0], dtype=np.uint64)
     total = 0
     for b in X.tolist():
-        tops = X[(X & np.uint64(b)) == b] & np.uint64(_table_dual(b, w))  # c & dual(b), c >= b
+        tops = X[(X & np.uint64(b)) == b] & np.uint64(dual_bits(b, n))  # c & dual(b), c >= b
         total += int(np.count_nonzero((X[None, :] & ~tops[:, None]) == 0))
     return total
 
@@ -300,7 +289,7 @@ def check_plus3_classes(max_n: int) -> bool:
         total = closed = self_dual_brute(n)
         for c in classify(layer):
             h = c.representative.bits
-            summed = _table_dual(h, w) & ~h == 0 and 2 * h.bit_count() > w
+            summed = dual_bits(h, n) & ~h == 0 and 2 * h.bit_count() > w
             expect = c.gamma * _plus3_definition(layer.values, n, h) if summed else 0
             if lambda_plus3(layer, [c]).value - closed != expect:
                 return False
@@ -358,14 +347,12 @@ SUITES = (
 
 def run_selfcheck(max_n: int = 5, report=print) -> bool:
     """Run every suite up to max_n; report one line each; True iff all pass."""
-    global _RUN_MATRICES
-    _RUN_MATRICES = {}
-    try:
-        all_ok = True
-        for name, fn in SUITES:
-            ok = fn(max_n)
-            all_ok &= ok
-            report(f"{'PASS' if ok else 'FAIL'} {name}")
-        return all_ok
-    finally:
-        _RUN_MATRICES = None
+    all_ok = True
+    for name, fn in SUITES:
+        try:
+            ok, why = fn(max_n), ""
+        except VerificationError as e:  # this suite fails; the rest still run
+            ok, why = False, f": {e}"
+        all_ok &= ok
+        report(f"{'PASS' if ok else 'FAIL'} {name}{why}")
+    return all_ok

@@ -5,6 +5,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mbfcount import cli, counting, intervals, layers, orbits, selfcheck
@@ -18,6 +19,7 @@ from mbfcount.cli import (
     RunConfig,
     main,
 )
+from mbfcount.errors import VerificationError
 from mbfcount.parallel import ENV_THREADS, default_workers
 
 
@@ -237,6 +239,24 @@ def test_selfcheck_small(capsys):
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+def test_selfcheck_runs_every_suite_when_one_raises(monkeypatch, capsys):
+    # a suite whose production code raises fails on its own line with the
+    # message; the remaining suites still run, and the exit code is 1
+    def raising(layer):
+        raise VerificationError(f"no classes for n={layer.n}")
+
+    monkeypatch.setattr(selfcheck, "classify", raising)
+    code, out, err = run(capsys, "selfcheck", "3")
+    assert code == EXIT_VERIFY and err == ""
+    lines = out.splitlines()
+    assert [line.split(":")[0].split()[1] for line in lines] == [name for name, _ in selfcheck.SUITES]
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert "FAIL gamma-sums: no classes for n=0" in failed
+    assert all(line.endswith(": no classes for n=0") for line in failed)
+    # suites after the first failure still run, and pass
+    assert {"PASS self-dual-weight", "PASS interval-oracle", "PASS dedekind-two-up"} <= set(lines)
+
+
 def test_selfcheck_refuses_negative_max_n(capsys):
     code, out, err = run(capsys, "selfcheck", "--max-n", "-1")
     assert code == EXIT_USAGE and out == ""
@@ -272,6 +292,25 @@ def test_interval_oracle_fails_on_a_wrong_production_route(monkeypatch, route):
     monkeypatch.setattr(selfcheck, route, _off_by_one_at_n2(getattr(intervals, route)))
     assert selfcheck.check_interval_oracle(1)
     assert not selfcheck.check_interval_oracle(2)
+
+
+@pytest.mark.parametrize("where", ["first-row", "last-column"])
+def test_interval_oracle_checks_every_entry_of_the_first_row_and_last_column(monkeypatch, where):
+    # one wrong count at n = 5, on a pair that the 10^4 sampled pairs miss
+    d = layers.LAYER_SIZE[5]
+    k = d // 2
+    i, j = (0, k) if where == "first-row" else (k, d - 1)
+    sampled = np.random.default_rng(selfcheck.RNG_SEED).integers(0, d, size=(10_000, 2))
+    assert not np.any((sampled[:, 0] == i) & (sampled[:, 1] == j))
+
+    def wrong(n, *args, **kwargs):
+        table = intervals.build_full_table(n, *args, **kwargs)
+        if n == 5:
+            table.counts[i, j] += 1
+        return table
+
+    monkeypatch.setattr(selfcheck, "build_full_table", wrong)
+    assert not selfcheck.check_interval_oracle(5)
 
 
 def _wrong_canonical_array(values, n):
@@ -489,6 +528,8 @@ def test_runconfig_validation(tmp_path):
         RunConfig("gen", n=2, out_path=str(tmp_path))  # a directory
     with pytest.raises(ValueError):
         RunConfig("retable", in_path=str(tmp_path / "missing.txt"))
+    with pytest.raises(ValueError, match="is not a file"):
+        RunConfig("retable", in_path=str(tmp_path))  # a directory
     cfg = RunConfig("gen", n=2, out_path=str(tmp_path / "ok.txt"))
     assert cfg.verify and cfg.threads >= 1
 

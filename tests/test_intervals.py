@@ -279,40 +279,52 @@ def _join_and_dual(n):
 def test_tables_count_the_dedekind_number_two_up(n):
     J, dual_idx = _join_and_dual(n)
     expect = LAYER_SIZE.get(n + 2, DEDEKIND_7)
-    assert _four_block_count(build_full_table(n).counts, J, dual_idx) == expect
+    assert _four_block_count(upward_counts(n, generate_layer(n).values), J, dual_idx) == expect
 
 
 def test_one_wrong_join_breaks_the_dedekind_identity():
     # moving a join to the top lowers its own term (up = 1) and the term
     # of the dual pair (down = 1); moving it to the bottom raises both
-    C = build_full_table(3).counts
+    up = upward_counts(3, generate_layer(3).values)
     J, dual_idx = _join_and_dual(3)
     top = len(J) - 1
-    assert _four_block_count(C, J, dual_idx) == LAYER_SIZE[5]
+    assert _four_block_count(up, J, dual_idx) == LAYER_SIZE[5]
     for i, j in np.ndindex(J.shape):
         for wrong in (0, top):
             if J[i, j] != wrong:
                 bad = J.copy()
                 bad[i, j] = wrong
-                assert _four_block_count(C, bad, dual_idx) != LAYER_SIZE[5], (i, j, wrong)
+                assert _four_block_count(up, bad, dual_idx) != LAYER_SIZE[5], (i, j, wrong)
 
 
 def test_one_wrong_dual_breaks_the_dedekind_identity():
-    # the meets come through the dual index, so every single wrong entry,
-    # and every swap of two entries, miscounts D_5
-    C = build_full_table(3).counts
+    # the meets and the downward counts come through the dual index, so
+    # every single wrong entry, and every swap of two entries, miscounts D_5
+    up = upward_counts(3, generate_layer(3).values)
     J, dual_idx = _join_and_dual(3)
     d = len(dual_idx)
     for i, wrong in np.ndindex(d, d):
         if dual_idx[i] != wrong:
             bad = dual_idx.copy()
             bad[i] = wrong
-            assert _four_block_count(C, J, bad) != LAYER_SIZE[5], (i, wrong)
+            assert _four_block_count(up, J, bad) != LAYER_SIZE[5], (i, wrong)
     for i in range(d):
         for j in range(i + 1, d):
             bad = dual_idx.copy()
             bad[[i, j]] = bad[[j, i]]
-            assert _four_block_count(C, J, bad) != LAYER_SIZE[5], (i, j)
+            assert _four_block_count(up, J, bad) != LAYER_SIZE[5], (i, j)
+
+
+def test_one_wrong_upward_count_breaks_the_dedekind_identity():
+    # each upward count is a factor both as |[x | y, top]| and, through
+    # the dual index, as |[0, x & y]|, so one count off by one miscounts D_5
+    up = upward_counts(3, generate_layer(3).values)
+    J, dual_idx = _join_and_dual(3)
+    for i in range(len(up)):
+        for delta in (-1, 1):
+            bad = up.copy()
+            bad[i] += delta
+            assert _four_block_count(bad, J, dual_idx) != LAYER_SIZE[5], (i, delta)
 
 
 def save_upward_table(n, elements, counts, path):

@@ -13,7 +13,6 @@ from mbfcount.orbits import (
     adjacent_swap_sequence,
     canonical_array,
     classify,
-    gammas_consistent,
     load_classes,
     stabilizer_orbits,
 )
@@ -91,14 +90,15 @@ def test_classify_d5_class_count():
     cl = classify(layer)
     assert len(cl) == 210
     assert sum(c.gamma for c in cl) == len(layer)
-    assert gammas_consistent(cl, layer)
+    assert all(factorial(5) % c.gamma == 0 for c in cl)
 
 
 def test_classify_d6_class_count():
     layer = generate_layer(6)
     cl = classify(layer)
     assert len(cl) == 16_353
-    assert gammas_consistent(cl, layer)
+    assert sum(c.gamma for c in cl) == len(layer)
+    assert all(factorial(6) % c.gamma == 0 for c in cl)
 
 
 # every cut of D_4, and seeded cuts of D_5 on both sides of the direct-walk

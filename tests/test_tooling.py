@@ -26,6 +26,17 @@ def test_file_formats_have_one_owner():
     assert owners == ["layers.py"], f"the header literal appears in {owners}"
 
 
+def test_one_global_statement_in_the_package():
+    # a module global that a call rebinds is hidden state; run_tasks sets the
+    # shared state that forked workers inherit, and restores it on return
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _statements_where(path, lambda node: isinstance(node, ast.Global))
+    ]
+    assert found == ["parallel.run_tasks"], found
+
+
 def test_core_has_no_wrappers_of_mbf_operations():
     # each scalar operation has one spelling, Mbf's operator or method; a
     # function that only returns x <= y or x.dual() is a second one
