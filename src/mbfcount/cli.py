@@ -5,9 +5,14 @@ Commands
   gen        materialize the layer for n and write it (file or stdout)
   classes    classify the layer into orbit classes and write them
   retable    upward interval counts for a layer or a classes file
-  lambda     compute a self-dual count by one method, verified against
-             the known reference values unless --no-verify
+  lambda     compute a self-dual count by one method and verify it
+             against the known reference values
   selfcheck  run the cross-module invariant suites
+
+Each command accepts only the settings its handler reads: --threads only
+on lambda, the one command that starts worker processes, and no
+--budget-mb on selfcheck, whose suites build the n <= 5 tables
+unbudgeted.  A usage error prints one line, as every other failure does.
 
 Exit codes: 0 success, 1 verification/selfcheck failure, 2 usage error,
 3 budget refusal or out of memory, 4 a worker process died, 130
@@ -59,7 +64,6 @@ class RunConfig:
     budget_mb: int = layers.DEFAULT_BUDGET_MB
     in_path: str | None = None
     out_path: str | None = None
-    verify: bool = True
     max_n: int = 5
 
     def __post_init__(self) -> None:
@@ -81,100 +85,72 @@ class RunConfig:
             raise ValueError(f"input file {self.in_path} does not exist")
 
 
-def _add_shared(p: argparse.ArgumentParser, out: bool = True) -> None:
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: %(metavar)s env var or cpu count)",
-                   metavar=parallel.ENV_THREADS)
-    p.add_argument("--budget-mb", type=int, default=layers.DEFAULT_BUDGET_MB,
-                   help="memory budget; oversized steps are refused (default %(default)s)")
-    if out:
-        p.add_argument("--out", help="output file (default: stdout)")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it as one usage-error line
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    """One subcommand per handler; each argument's dest is the RunConfig
+    field it sets, and an argument left out keeps that field's default."""
+    p = _Parser(
         prog="mbfcount",
         description="monotone Boolean function layers and exact self-dual counts",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
     g = sub.add_parser("gen", help="materialize a layer")
-    g.add_argument("--n", type=int, required=True)
-    _add_shared(g)
-
     c = sub.add_parser("classes", help="orbit classes of a layer")
-    c.add_argument("--n", type=int, required=True)
-    _add_shared(c)
-
     r = sub.add_parser("retable", help="upward interval counts")
+    l = sub.add_parser("lambda", help="compute one verified self-dual count")
+    s = sub.add_parser("selfcheck", help="run the invariant suites")
+
+    for q in (g, c):
+        q.add_argument("--n", type=int, required=True)
     r.add_argument("--n", type=int)
     r.add_argument("--in", dest="in_path",
                    help="layer or classes file to take elements from")
-    _add_shared(r)
-
-    l = sub.add_parser("lambda", help="compute one self-dual count")
-    l.add_argument("target_pos", nargs="?", type=int, metavar="TARGET")
-    l.add_argument("method_pos", nargs="?", choices=METHODS, metavar="METHOD")
-    l.add_argument("--target", type=int, help="index of the count to compute")
-    l.add_argument("--method", choices=METHODS)
-    l.add_argument("--no-verify", action="store_true",
-                   help="skip the reference-table check")
-    _add_shared(l, out=False)
-
-    s = sub.add_parser("selfcheck", help="run the invariant suites")
-    s.add_argument("max_n_pos", nargs="?", type=int, metavar="MAX_N")
-    s.add_argument("--max-n", type=int, default=None)
-    _add_shared(s, out=False)
-
+    l.add_argument("target", type=int, metavar="TARGET",
+                   help="index of the count to compute")
+    l.add_argument("method", choices=METHODS, metavar="METHOD",
+                   help="one of %(choices)s")
+    l.add_argument("--threads", type=int,
+                   help="worker processes (default: %(metavar)s env var or cpu count)",
+                   metavar=parallel.ENV_THREADS)
+    for q in (g, c, r, l):
+        q.add_argument("--budget-mb", type=int,
+                       help="memory budget; oversized steps are refused"
+                       f" (default {layers.DEFAULT_BUDGET_MB})")
+    for q in (g, c, r):
+        q.add_argument("--out", dest="out_path", metavar="OUT",
+                       help="output file (default: stdout)")
+    s.add_argument("max_n", nargs="?", type=int, metavar="MAX_N",
+                   help=f"largest n to check (default {RunConfig.max_n})")
     return p
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    def either(flag: str, pos: str):  # the --flag form wins; 0 is a value
-        v = getattr(args, flag, None)
-        return getattr(args, pos, None) if v is None else v
-
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        threads = parallel.default_workers()
-    max_n = either("max_n", "max_n_pos")
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        target=either("target", "target_pos"),
-        method=either("method", "method_pos"),
-        threads=threads,
-        budget_mb=getattr(args, "budget_mb", layers.DEFAULT_BUDGET_MB),
-        in_path=getattr(args, "in_path", None),
-        out_path=getattr(args, "out", None),
-        verify=not getattr(args, "no_verify", False),
-        max_n=5 if max_n is None else max_n,
-    )
+    return RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
 
 
-def _emit(cfg: RunConfig, writer) -> None:
-    if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
+def _emit(out_path: str | None, writer) -> None:
+    if out_path:
+        with open(out_path, "w") as fh:
             writer(fh)
     else:
         writer(sys.stdout)
 
 
 def cmd_gen(cfg: RunConfig) -> int:
-    if cfg.n is None:
-        raise ValueError("gen needs --n")
     layer = layers.generate_layer(cfg.n, cfg.budget_mb)
-    _emit(cfg, lambda fh: layers.write_records(fh, "layer", layer.n, layer.values[:, None]))
+    _emit(cfg.out_path, lambda fh: layers.write_records(fh, "layer", layer.n, layer.values[:, None]))
     return EXIT_OK
 
 
 def cmd_classes(cfg: RunConfig) -> int:
-    if cfg.n is None:
-        raise ValueError("classes needs --n")
     layer = layers.generate_layer(cfg.n, cfg.budget_mb)
     classes = orbits.classify(layer)
     rows = np.array([(c.representative.bits, c.gamma) for c in classes], dtype=np.uint64)
-    _emit(cfg, lambda fh: layers.write_records(fh, "classes", cfg.n, rows))
+    _emit(cfg.out_path, lambda fh: layers.write_records(fh, "classes", cfg.n, rows))
     return EXIT_OK
 
 
@@ -196,13 +172,11 @@ def cmd_retable(cfg: RunConfig) -> int:
             xs = layers.load_layer(cfg.in_path).values
     counts = intervals.upward_counts(n, xs)
     rows = np.column_stack((xs, counts.astype(np.uint64)))
-    _emit(cfg, lambda fh: layers.write_records(fh, "retable", n, rows))
+    _emit(cfg.out_path, lambda fh: layers.write_records(fh, "retable", n, rows))
     return EXIT_OK
 
 
 def cmd_lambda(cfg: RunConfig) -> int:
-    if cfg.target is None or cfg.method is None:
-        raise ValueError("lambda needs a target index and a method")
     if cfg.method == "plus4" and cfg.target == 9:
         base = layers.generate_layer(5, cfg.budget_mb)
         classes = orbits.classify(base)
@@ -216,12 +190,9 @@ def cmd_lambda(cfg: RunConfig) -> int:
             " those, one per pair b <= c",
             file=sys.stderr,
         )
-    result = lambda_any(
-        cfg.target, cfg.method, cfg.threads, cfg.budget_mb, verify=False
-    )
-    print(result.record())
-    if cfg.verify:
-        verify_result(result)
+    result = lambda_any(cfg.target, cfg.method, cfg.threads, cfg.budget_mb, verify=False)
+    print(result.record())  # before the check, so a wrong value is still shown
+    verify_result(result)
     return EXIT_OK
 
 
@@ -240,14 +211,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_OK if e.code in (0, None) else EXIT_USAGE
-    try:
-        cfg = _config(args)
-        return _HANDLERS[args.command](cfg)
+        cfg = _config(build_parser().parse_args(argv))
+        return _HANDLERS[cfg.command](cfg)
+    except SystemExit:  # after --help, which argparse prints; no handler exits
+        return EXIT_OK
     except BudgetError as e:
         print(f"mbfcount: refused: {e}", file=sys.stderr)
         return EXIT_BUDGET

@@ -1,7 +1,11 @@
+import argparse
+import ast
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -114,13 +118,13 @@ def test_lambda_positional(capsys):
 
 
 def test_lambda_flags(capsys):
-    code, out, _ = run(capsys, "lambda", "--target", "4", "--method", "plus4")
+    code, out, _ = run(capsys, "lambda", "4", "plus4")
     assert code == EXIT_OK
     assert out.startswith("lambda n=4 method=plus4 value=12 base_n=0 seconds=")
 
 
 def test_lambda_flags_target_zero(capsys):
-    code, out, _ = run(capsys, "lambda", "--target", "0", "--method", "brute")
+    code, out, _ = run(capsys, "lambda", "0", "brute")
     assert code == EXIT_OK
     assert out.startswith("lambda n=0 method=brute value=0 base_n=0 seconds=")
 
@@ -131,20 +135,12 @@ def test_lambda_7_plus2(capsys):
     assert "value=1422564" in out
 
 
-def test_lambda_no_verify(capsys):
-    code, out, _ = run(capsys, "lambda", "5", "plus3", "--no-verify")
-    assert code == EXIT_OK
-    assert "value=81" in out
-
-
 def test_lambda_verification_failure_still_prints(monkeypatch, capsys):
     monkeypatch.setitem(counting.LAMBDA_KNOWN, 3, 999)
     code, out, err = run(capsys, "lambda", "3", "brute")
     assert code == EXIT_VERIFY
     assert out.startswith("lambda n=3 method=brute value=4")
     assert "verification failed" in err
-    code, out, _ = run(capsys, "lambda", "3", "brute", "--no-verify")
-    assert code == EXIT_OK
 
 
 def test_lambda9_note_gives_exact_term_count(monkeypatch, capsys):
@@ -195,6 +191,43 @@ def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "gen", "--n", "2", "--out", str(missing))[0] == EXIT_USAGE
     assert run(capsys, "retable", "--in", str(missing))[0] == EXIT_USAGE
     assert run(capsys, "gen", "--n", "7")[0] == EXIT_USAGE
+
+
+def _fields_read(handler) -> set[str]:
+    """The RunConfig fields that handler reads, as cfg.<field>."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cfg"
+    }
+
+
+def test_each_command_accepts_only_what_its_handler_reads():
+    # one spelling per setting, and no setting that its command ignores
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = {name: {a.dest for a in sub._actions if a.dest != "help"} for name, sub in commands.items()}
+    assert accepted == {name: _fields_read(handler) for name, handler in cli._HANDLERS.items()}
+    assert accepted["selfcheck"] == {"max_n"}
+    assert [name for name, dests in accepted.items() if "threads" in dests] == ["lambda"]
+    assert sum(len(dests) for dests in accepted.values()) == 15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selfcheck", "5", "--budget-mb", "10"],
+        ["classes", "--n", "3", "--threads", "2"],
+        ["lambda", "--target", "4", "--method", "plus4"],
+        ["lambda", "5", "plus3", "--no-verify"],
+    ],
+    ids=["selfcheck-budget", "classes-threads", "lambda-flags", "lambda-no-verify"],
+)
+def test_settings_a_command_does_not_take_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("mbfcount: error: ") and len(err.splitlines()) == 1
 
 
 def test_budget_refusals(capsys):
@@ -249,16 +282,17 @@ def test_selfcheck_runs_every_suite_when_one_raises(monkeypatch, capsys):
     code, out, err = run(capsys, "selfcheck", "3")
     assert code == EXIT_VERIFY and err == ""
     lines = out.splitlines()
-    assert [line.split(":")[0].split()[1] for line in lines] == [name for name, _ in selfcheck.SUITES]
+    assert len(lines) == 15
+    assert [line.split(":")[0].split()[1] for line in lines] == [name for name, _, _ in selfcheck.SUITES]
     failed = [line for line in lines if line.startswith("FAIL")]
-    assert "FAIL gamma-sums: no classes for n=0" in failed
+    assert "FAIL canonical-representatives: n=0: no classes for n=0" in failed
     assert all(line.endswith(": no classes for n=0") for line in failed)
     # suites after the first failure still run, and pass
     assert {"PASS self-dual-weight", "PASS interval-oracle", "PASS dedekind-two-up"} <= set(lines)
 
 
 def test_selfcheck_refuses_negative_max_n(capsys):
-    code, out, err = run(capsys, "selfcheck", "--max-n", "-1")
+    code, out, err = run(capsys, "selfcheck", "-1")
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("mbfcount: error:") and len(err.splitlines()) == 1
 
@@ -271,8 +305,11 @@ def test_interval_oracle_scans_only_layers_up_to_max_n(monkeypatch):
         return layers.generate_layer(n, *args)
 
     monkeypatch.setattr(selfcheck, "generate_layer", recording)
-    assert selfcheck.check_interval_oracle(1)
-    assert asked == [0, 1]
+    suite = next(entry for entry in selfcheck.SUITES if entry[0] == "interval-oracle")
+    monkeypatch.setattr(selfcheck, "SUITES", (suite,))
+    lines = []
+    assert selfcheck.run_selfcheck(1, report=lines.append)
+    assert lines == ["PASS interval-oracle"] and asked == [0, 1]
 
 
 def _off_by_one_at_n2(route):
@@ -286,12 +323,21 @@ def _off_by_one_at_n2(route):
     return wrong
 
 
+def _fails_first_at_n2(check, name):
+    # the check passes at n = 0, 1 and fails at n = 2, and the run's line
+    # for its suite names n = 2
+    assert check(0) and check(1)
+    assert not check(2)
+    lines = []
+    assert not selfcheck.run_selfcheck(2, report=lines.append)
+    assert f"FAIL {name}: n=2" in lines
+
+
 @pytest.mark.parametrize("route", ["upward_counts", "build_full_table"])
 def test_interval_oracle_fails_on_a_wrong_production_route(monkeypatch, route):
     # the suite checks the interval counts that the counting methods read
     monkeypatch.setattr(selfcheck, route, _off_by_one_at_n2(getattr(intervals, route)))
-    assert selfcheck.check_interval_oracle(1)
-    assert not selfcheck.check_interval_oracle(2)
+    _fails_first_at_n2(selfcheck.check_interval_oracle, "interval-oracle")
 
 
 @pytest.mark.parametrize("where", ["first-row", "last-column"])
@@ -342,21 +388,20 @@ def _wrong_lambda_plus3(layer, classes, *args):
 
 
 @pytest.mark.parametrize(
-    "route, wrong, suite",
+    "route, wrong, check, name",
     [
-        ("canonical_array", _wrong_canonical_array, selfcheck.check_canonicality),
-        ("classify", _wrong_classify, selfcheck.check_canonicality),
-        ("stabilizer_orbits", _wrong_stabilizer_orbits, selfcheck.check_relabeling_oracle),
-        ("lambda_plus3", _wrong_lambda_plus3, selfcheck.check_plus3_classes),
+        ("canonical_array", _wrong_canonical_array, selfcheck.check_canonicality, "canonical-representatives"),
+        ("classify", _wrong_classify, selfcheck.check_canonicality, "canonical-representatives"),
+        ("stabilizer_orbits", _wrong_stabilizer_orbits, selfcheck.check_relabeling_oracle, "relabeling-oracle"),
+        ("lambda_plus3", _wrong_lambda_plus3, selfcheck.check_plus3_classes, "plus3-classes"),
     ],
     ids=["canonical_array", "classify", "stabilizer_orbits", "lambda_plus3"],
 )
-def test_relabeling_suites_fail_on_a_wrong_production_route(monkeypatch, route, wrong, suite):
+def test_relabeling_suites_fail_on_a_wrong_production_route(monkeypatch, route, wrong, check, name):
     # the suites check the walk's results against the position-map reference,
     # and each plus3 class task against the definition
     monkeypatch.setattr(selfcheck, route, wrong)
-    assert suite(1)
-    assert not suite(2)
+    _fails_first_at_n2(check, name)
 
 
 @pytest.mark.parametrize(
@@ -531,7 +576,7 @@ def test_runconfig_validation(tmp_path):
     with pytest.raises(ValueError, match="is not a file"):
         RunConfig("retable", in_path=str(tmp_path))  # a directory
     cfg = RunConfig("gen", n=2, out_path=str(tmp_path / "ok.txt"))
-    assert cfg.verify and cfg.threads >= 1
+    assert cfg.threads >= 1
 
 
 def test_help_exits_zero(capsys):

@@ -189,6 +189,22 @@ def test_one_driver_for_the_stabilizer_orbit_routes():
     assert kernels == ["_plus3_sums", "_plus4c_sums"], kernels
 
 
+def test_selfcheck_has_one_loop_over_n():
+    # each suite is a check of one n with its largest n in SUITES; only
+    # run_selfcheck reads the run's max n and loops over n
+    from mbfcount import selfcheck
+
+    found = _statements_where(
+        SRC / "selfcheck.py",
+        lambda node: "max_n" in (getattr(node, "id", None), getattr(node, "arg", None)),
+    )
+    assert found == ["run_selfcheck"], found
+    assert len(selfcheck.SUITES) == 15
+    for name, cap, check in selfcheck.SUITES:
+        assert isinstance(cap, int), name
+        assert list(inspect.signature(check).parameters) == ["n"], name
+
+
 def test_upward_counts_start_no_process(monkeypatch, classes):
     # upward counts run in the calling process: a forked split lost to one
     # process on every input the n = 6 cap lets through
