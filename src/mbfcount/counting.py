@@ -53,7 +53,9 @@ plus3 and plus4c run one driver (_run_class_tasks): one task per class
 h, longest interval [dual(h), h] first.  A relabeling that fixes h fixes
 dual(h), maps the interval onto itself and leaves every term unchanged,
 so each task walks the orbits of Stab(h) once and weights the route's
-kernel at one representative per orbit by the orbit size.
+kernel at one representative per orbit by the orbit size.  Every task is
+a closure over its route's local arrays, and every kernel takes the
+tables it reads as arguments.
 
 Both k = 4 routes, and the dense reference, read one representation,
 built by one helper (_k4_tables): the uint16 interval matrix, the
@@ -195,24 +197,13 @@ def _dual_intervals(V: np.ndarray, n: int, tops) -> dict[int, np.ndarray]:
     }
 
 
-def _class_task(ci: int) -> int:
-    """gamma(h) times the sum, over the orbits of Stab(h) on [dual(h), h],
-    of the orbit size times the route's kernel at the orbit representative."""
-    st = parallel.state()
-    V = st["values"]
-    ih = int(st["rep_idx"][ci])
-    I = st["intervals"][ih]
-    reps, inverse, sizes = orbits.stabilizer_orbits(int(V[ih]), V[I], st["n"])
-    sums = st["kernel"](ih, I, reps, inverse)
-    return int(st["gammas"][ci]) * sum(size * s for size, s in zip(sizes.tolist(), sums))
-
-
-def _run_class_tasks(layer: Layer, classes, workers: int, kernel, shared: dict) -> int:
-    """Sum _class_task over the classes h with dual(h) <= h and weight(h)
-    > 2^(n-1), longest interval first, plus the closed term for the
-    weight-equal (self-dual) classes, which is the count for n itself.
-    kernel(ih, I, reps, inverse) gives the value at each orbit
-    representative (positions in the interval I); inverse maps each
+def _run_class_tasks(layer: Layer, classes, workers: int, kernel) -> int:
+    """Sum one task per class h with dual(h) <= h and weight(h) > 2^(n-1),
+    longest interval first, plus the closed term for the weight-equal
+    (self-dual) classes, which is the count for n itself.  A task is
+    gamma(h) times the sum, over the orbits of Stab(h) on [dual(h), h], of
+    the orbit size times kernel(ih, I, reps, inverse), the value at each
+    orbit representative (positions in the interval I); inverse maps each
     position to its orbit, so a kernel counts an orbit invariant once per
     orbit.
     """
@@ -223,19 +214,24 @@ def _run_class_tasks(layer: Layer, classes, workers: int, kernel, shared: dict) 
     sel &= 2 * vecbits.popcount(reps) > table_width(n)
     intervals = _dual_intervals(V, n, rep_idx[sel])
     tasks = sorted(np.nonzero(sel)[0].tolist(), key=lambda ci: -len(intervals[int(rep_idx[ci])]))
-    shared.update(values=V, n=n, rep_idx=rep_idx, gammas=gammas, intervals=intervals, kernel=kernel)
-    return sum(parallel.run_tasks(_class_task, tasks, workers, shared=shared)) + self_dual_brute(n)
+
+    def class_task(ci: int) -> int:
+        ih = int(rep_idx[ci])
+        I = intervals[ih]
+        orbit_reps, inverse, sizes = orbits.stabilizer_orbits(int(V[ih]), V[I], n)
+        sums = kernel(ih, I, orbit_reps, inverse)
+        return int(gammas[ci]) * sum(size * s for size, s in zip(sizes.tolist(), sums))
+
+    return sum(parallel.run_tasks(class_task, tasks, workers)) + self_dual_brute(n)
 
 
 # -- plus3 ------------------------------------------------------------------
 
 
-def _plus3_sums(ih: int, I: np.ndarray, reps, inverse) -> list[int]:
-    """Per representative b: the c >= b in [a, a*], each counting the d
-    choices, which fill [a, c & dual(b)]."""
-    st = parallel.state()
-    X = st["values"][I]
-    Xd = vecbits.dual_array(X, st["n"])
+def _plus3_sums(X: np.ndarray, n: int, reps, inverse) -> list[int]:
+    """Per representative b (positions in X, the interval [a, a*]): the
+    c >= b in X, each counting the d choices, which fill [a, c & dual(b)]."""
+    Xd = vecbits.dual_array(X, n)
     rea = np.array([np.count_nonzero((X & ~b) == 0) for b in X[reps]])[inverse]
     return [int(rea[np.searchsorted(X, X[(X[r] & ~X) == 0] & Xd[r])].sum()) for r in reps]
 
@@ -245,17 +241,19 @@ def lambda_plus3(layer: Layer, classes: list[OrbitClass], workers: int = 1) -> L
     t0 = time.perf_counter()
     n = layer.n
     _require_base("plus3", n)
-    value = _run_class_tasks(layer, classes, workers, _plus3_sums, {})
+    value = _run_class_tasks(
+        layer, classes, workers, lambda ih, I, reps, inverse: _plus3_sums(layer.values[I], n, reps, inverse)
+    )
     return LambdaResult(n + 3, "plus3", value, n, time.perf_counter() - t0, "brute")
 
 
 # -- plus4, dense reference (every (a, b, c, h), n <= 4) ---------------------
 
 
-def _plus4_dense_class(ci: int) -> int:
-    st = parallel.state()
-    J, RE, dual_idx = st["join_idx"], st["re"], st["dual_idx"]
-    ia = int(st["rep_idx"][ci])
+def _plus4_dense_sum(tables, ia: int) -> int:
+    """The sum over every b, c and top block h of the four factors, for the
+    layer index a; tables are those of _k4_tables."""
+    RE, J, dual_idx = tables
     ida = dual_idx[ia]
     total = 0
     for ib in range(len(J)):
@@ -267,7 +265,7 @@ def _plus4_dense_class(ci: int) -> int:
         q = np.multiply(RE[J[J[ida, ib]][dual_idx]], RE[J[J[ida, idb]]], dtype=np.int32)  # a*|b|c*, a*|b*|c
         # one sum per h over the d <= 168 rows, each below 168 * 2^52
         total += exact_sum(np.einsum("ij,ij->j", p, q, dtype=np.int64))
-    return int(st["gammas"][ci]) * total
+    return total
 
 
 # -- plus4, pruned (per top block, n <= 5) -----------------------------------
@@ -276,14 +274,13 @@ def _plus4_dense_class(ci: int) -> int:
 _PRUNED_CHUNK = 64
 
 
-def _top_block_sums(ih: int, a_idx) -> list[int]:
-    """S(a, h) for the top block h = V[ih] and each layer index a in
-    [dual(h), h]: the sum over b, c in [dual(h), h] of
-    re(a|b|c, h) re(a|b*|c*, h) re(a*|b|c*, h) re(a*|b*|c, h).  Reads
-    the state of _k4_tables plus the intervals of _dual_intervals."""
-    st = parallel.state()
-    V, J, RE, dual_idx = st["values"], st["join_idx"], st["re"], st["dual_idx"]
-    cidx = st["intervals"][ih]
+def _top_block_sums(tables, ih: int, cidx: np.ndarray, a_idx) -> list[int]:
+    """S(a, h) for the top block h at layer index ih and each layer index a
+    in [dual(h), h]: the sum over b, c in [dual(h), h] of
+    re(a|b|c, h) re(a|b*|c*, h) re(a*|b|c*, h) re(a*|b*|c, h).  tables
+    are those of _k4_tables, cidx the layer indices of [dual(h), h] in
+    ascending order (_dual_intervals)."""
+    RE, J, dual_idx = tables
     dcidx = dual_idx[cidx]
     m = len(cidx)
     # col[x] = re(x, h) = re(h*, x*): dual reverses the order, so the
@@ -293,7 +290,7 @@ def _top_block_sums(ih: int, a_idx) -> list[int]:
     col = RE[dual_idx[ih]][dual_idx].astype(np.int16)
     # a, a*, b and b* all lie in [h*, h], so each join of two does too;
     # pos gives its column in the factor rows below
-    pos = np.zeros(len(V), dtype=np.intp)
+    pos = np.zeros(len(J), dtype=np.intp)
     pos[cidx] = np.arange(m)
     joins = []
     for ia in a_idx:
@@ -325,14 +322,6 @@ def _top_block_sums(ih: int, a_idx) -> list[int]:
                 off[k] += exact_sum(sums[:lo])
             diag[k] += exact_sum(sums[lo:])
     return [2 * o + d for o, d in zip(off, diag)]
-
-
-def _plus4_pruned_top(ih: int) -> int:
-    st = parallel.state()
-    under = np.nonzero((st["rep_joins"] & ~st["values"][ih]) == 0)[0]  # classes with a | a* <= h
-    sums = _top_block_sums(ih, st["rep_idx"][under])
-    weights = st["class_weights"]  # gamma, doubled for a folded dual pair
-    return sum(weights[ci] * s for ci, s in zip(under, sums))
 
 
 def fold_dual_classes(classes: list[OrbitClass], n: int) -> tuple[list[OrbitClass], list[int]]:
@@ -402,25 +391,19 @@ def _require_exact_chunk_sums(chunk: int) -> None:
         )
 
 
-def _k4_tables(layer: Layer, budget_mb: int | None) -> dict:
-    """The tables every k = 4 route reads, as shared state for its tasks.
-
-    "re" is the uint16 interval matrix, "join_idx" the join-index table J
-    (the index of x | y in the layer) and "dual_idx" the index of each
-    element's dual.  Refuses the matrix and J together (d^2 * 2 bytes
-    more) before building either, and raises before any task runs unless
-    four-way products of interval counts stay below 2^52.
+def _k4_tables(layer: Layer, budget_mb: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables every k = 4 kernel takes: the uint16 interval matrix RE,
+    the join-index table J (the index of x | y in the layer) and the index
+    of each element's dual.  Refuses the matrix and J together (d^2 * 2
+    bytes more) before building either, and raises before any task runs
+    unless four-way products of interval counts stay below 2^52.
     """
     V, n, d = layer.values, layer.n, len(layer)
     check_budget(f"matrix and join index for n={n}", full_table_bytes(d) + d * d * 2, budget_mb)
     counts = build_full_table(n, budget_mb).counts
     _require_exact_products(int(counts.max()))
-    return {
-        "values": V,
-        "re": counts,
-        "join_idx": _join_index_table(V, n),
-        "dual_idx": np.searchsorted(V, vecbits.dual_array(V, n)).astype(np.int32),
-    }
+    dual_idx = np.searchsorted(V, vecbits.dual_array(V, n)).astype(np.int32)
+    return counts, _join_index_table(V, n), dual_idx
 
 
 def lambda_plus4_direct(
@@ -443,41 +426,37 @@ def lambda_plus4_direct(
             f" per b, {len(layer)} times per class; use pruned"
         )
     V = layer.values
-    shared = _k4_tables(layer, budget_mb)
+    tables = _k4_tables(layer, budget_mb)
     if strategy == "dense":
         reps, gammas = _rep_array(classes)
-        shared.update(rep_idx=np.searchsorted(V, reps), gammas=gammas)
-        tasks = list(range(len(classes)))
-        parts = parallel.run_tasks(_plus4_dense_class, tasks, workers, shared=shared)
+        rep_idx = np.searchsorted(V, reps)
+        parts = parallel.run_tasks(
+            lambda ci: int(gammas[ci]) * _plus4_dense_sum(tables, int(rep_idx[ci])),
+            range(len(classes)), workers,
+        )
     else:
         _require_exact_chunk_sums(_PRUNED_CHUNK)
         kept, mult = fold_dual_classes(classes, n)
         reps, gammas = _rep_array(kept)
+        rep_idx = np.searchsorted(V, reps)
         rep_joins = reps | vecbits.dual_array(reps, n)
+        class_weights = [g * k for g, k in zip(gammas.tolist(), mult)]  # doubled for a folded dual pair
         tops, intervals, terms = _pruned_terms(V, n, rep_joins)
         terms = terms.sum(axis=0)
         order = np.argsort(-terms, kind="stable")  # longest first
         order = order[terms[order] > 0]
-        shared.update(
-            intervals=intervals,
-            rep_joins=rep_joins,
-            rep_idx=np.searchsorted(V, reps),
-            class_weights=[g * k for g, k in zip(gammas.tolist(), mult)],
-        )
-        parts = parallel.run_tasks(
-            _plus4_pruned_top, tops[order].tolist(), workers, shared=shared,
-            weights=terms[order].tolist(),
-        )
+
+        def top_task(ih: int) -> int:
+            under = np.nonzero((rep_joins & ~V[ih]) == 0)[0]  # classes with a | a* <= h
+            sums = _top_block_sums(tables, ih, intervals[ih], rep_idx[under])
+            return sum(class_weights[ci] * s for ci, s in zip(under, sums))
+
+        parts = parallel.run_tasks(top_task, tops[order].tolist(), workers, weights=terms[order].tolist())
     value = sum(parts)
     return LambdaResult(n + 4, "plus4", value, n, time.perf_counter() - t0)
 
 
 # -- plus4c (per top block over orbit classes) --------------------------------
-
-
-def _plus4c_sums(ih: int, I: np.ndarray, reps, inverse) -> list[int]:
-    """S(a, h) for each representative a: the shared k = 4 kernel."""
-    return _top_block_sums(ih, I[reps])
 
 
 def lambda_plus4_classes(
@@ -495,8 +474,10 @@ def lambda_plus4_classes(
     n = layer.n
     _require_base("plus4c", n)
     _require_exact_chunk_sums(_PRUNED_CHUNK)
-    shared = _k4_tables(layer, budget_mb)
-    value = _run_class_tasks(layer, classes, workers, _plus4c_sums, shared)
+    tables = _k4_tables(layer, budget_mb)
+    value = _run_class_tasks(
+        layer, classes, workers, lambda ih, I, reps, inverse: _top_block_sums(tables, ih, I, I[reps])
+    )
     return LambdaResult(n + 4, "plus4c", value, n, time.perf_counter() - t0, "brute")
 
 

@@ -1,15 +1,16 @@
 """Deterministic fan-out of exact-integer work across local processes.
 
-Workers are forked processes: the caller stows read-only state in a module
-global, submits a fixed task list, and merges results in task order.  All
-merges in this package are exact integer sums or array concatenations, so
-the outcome is independent of worker count and scheduling by construction.
+Workers are forked processes: run_tasks maps any callable, often a closure
+over the caller's arrays, over a fixed task list and returns the results in
+task order.  The callable reaches the workers by fork, not by pickling, so
+the arrays it holds are shared copy-on-write.  All merges in this package
+are exact integer sums or array concatenations, so the outcome is
+independent of worker count and scheduling by construction.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import multiprocessing
 import os
@@ -20,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 ENV_THREADS = "MBFCOUNT_THREADS"
 ENV_PROGRESS = "MBFCOUNT_PROGRESS"
 
-_STATE: dict = {}
+_FN = None  # the callable of the innermost run_tasks call
 
 
 def default_workers() -> int:
@@ -39,26 +40,20 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def state() -> dict:
-    """Read-only shared state for worker functions."""
-    return _STATE
-
-
-def run_tasks(fn, tasks, workers: int = 1, shared: dict | None = None, weights=None) -> list:
-    """Map a module-level fn over tasks, results in task order.
+def run_tasks(fn, tasks, workers: int = 1, weights=None) -> list:
+    """Map fn over tasks, results in task order.
 
     With workers <= 1 (or a single task, or no fork support) this runs
-    inline; otherwise forked processes inherit the shared state.  The
-    prior state is restored on return, so the shared arrays are not kept
-    alive past the call.  With MBFCOUNT_PROGRESS=1 a line goes to stderr
-    at each hundredth of the work and after the last task: tasks done out
-    of all, or, when weights gives the exact term count of each task,
-    terms done out of the total with the rate and the time left.
+    inline; otherwise forked processes inherit fn, which may be any
+    callable.  The prior callable is restored on return, so the arrays fn
+    holds are not kept alive past the call.  With MBFCOUNT_PROGRESS=1 a
+    line goes to stderr at each hundredth of the work and after the last
+    task: tasks done out of all, or, when weights gives the exact term
+    count of each task, terms done out of the total with the rate and the
+    time left.
     """
-    global _STATE
-    prior = _STATE
-    if shared is not None:
-        _STATE = shared
+    global _FN
+    prior, _FN = _FN, fn
     try:
         tasks = list(tasks)
         if workers <= 1 or len(tasks) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
@@ -70,19 +65,19 @@ def run_tasks(fn, tasks, workers: int = 1, shared: dict | None = None, weights=N
         report = _Progress(len(tasks), weights, used) if os.environ.get(ENV_PROGRESS, "") == "1" else None
         with pool as ex:
             out = []
-            for res, seconds in (map if ex is None else ex.map)(functools.partial(_timed, fn), tasks):
+            for res, seconds in (map if ex is None else ex.map)(_timed, tasks):
                 out.append(res)
                 if report is not None:
                     report.done(len(out), seconds)
             return out
     finally:
-        _STATE = prior
+        _FN = prior
 
 
-def _timed(fn, task):
-    """fn(task) and its run time in seconds, measured where it runs."""
+def _timed(task):
+    """_FN(task) and its run time in seconds, measured where it runs."""
     t0 = time.perf_counter()
-    return fn(task), time.perf_counter() - t0
+    return _FN(task), time.perf_counter() - t0
 
 
 class _Progress:

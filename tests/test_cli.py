@@ -179,6 +179,17 @@ def test_failures_exit_without_traceback(exc, code, message, monkeypatch, capsys
     assert "Traceback" not in err
 
 
+def test_a_killed_worker_exits_with_the_worker_code(monkeypatch, capsys):
+    # the forked workers inherit the patched kernel and end without a result
+    def die(*args):
+        os._exit(3)
+
+    monkeypatch.setattr(counting, "_plus3_sums", die)
+    got, out, err = run(capsys, "lambda", "7", "plus3", "--threads", "2")
+    assert (got, out) == (EXIT_WORKER, "")
+    assert err.startswith("mbfcount: a worker process died") and err.count("\n") == 1
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "nonsense")[0] == EXIT_USAGE
     assert run(capsys, "gen")[0] == EXIT_USAGE

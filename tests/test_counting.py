@@ -74,10 +74,10 @@ def test_plus4_strategies_agree(n, classes):
 
 
 def test_plus4_routes_run_pruned_unless_dense_is_named(classes, monkeypatch):
-    def never(ci):
+    def never(tables, ia):
         raise AssertionError("the dense reference ran")
 
-    monkeypatch.setattr(counting, "_plus4_dense_class", never)
+    monkeypatch.setattr(counting, "_plus4_dense_sum", never)
     assert lambda_any(8, "plus4").value == LAMBDA_KNOWN[8]
     layer, cl = setup(4, classes)
     assert lambda_plus4_direct(layer, cl).value == LAMBDA_KNOWN[8]
@@ -146,29 +146,18 @@ def test_k4_sum_over_every_quadruple_is_lambda(n):
     assert not product[~in_range].any()
 
 
-def _top_block_sums_task(task):
-    ih, a_idx = task
-    return counting._top_block_sums(ih, a_idx)
-
-
-def _k4_state(layer, tops):
-    shared = counting._k4_tables(layer, None)
-    shared["intervals"] = counting._dual_intervals(layer.values, layer.n, tops)
-    return shared
-
-
 @pytest.mark.parametrize("n", [3, 4])
 def test_top_block_sums_match_the_definition(n):
     # every top block h with dual(h) <= h, every a in [dual(h), h]
     layer = generate_layer(n)
     V = layer.values
     tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
-    shared = _k4_state(layer, tops)
-    tasks = [(ih, shared["intervals"][ih]) for ih in tops.tolist()]
-    got = parallel.run_tasks(_top_block_sums_task, tasks, 1, shared=shared)
+    tables = counting._k4_tables(layer, None)
+    intervals = counting._dual_intervals(V, n, tops)
     # the pairs dual(h) <= a <= h are plus2's terms, so they count lambda_{n+2}
-    assert sum(len(a_idx) for _, a_idx in tasks) == LAMBDA_KNOWN[n + 2]
-    for (ih, a_idx), sums in zip(tasks, got):
+    assert sum(len(a_idx) for a_idx in intervals.values()) == LAMBDA_KNOWN[n + 2]
+    for ih, a_idx in intervals.items():
+        sums = counting._top_block_sums(tables, ih, a_idx, a_idx)
         assert sums == [top_block_sum(V, n, int(V[ia]), int(V[ih])) for ia in a_idx]
 
 
@@ -297,12 +286,14 @@ def test_top_block_sums_match_the_definition_base5(base5):
     layer, _ = base5
     V = layer.values
     tops = np.nonzero((vecbits.dual_array(V, 5) & ~V) == 0)[0]
-    shared = _k4_state(layer, tops)
-    small = [ih for ih in tops.tolist() if len(shared["intervals"][ih]) <= 400]
+    tables = counting._k4_tables(layer, None)
+    intervals = counting._dual_intervals(V, 5, tops)
+    small = [ih for ih in tops.tolist() if len(intervals[ih]) <= 400]
     rng = random.Random(22)
-    tasks = [(ih, [int(rng.choice(shared["intervals"][ih]))]) for ih in rng.sample(small, 22)]
-    got = parallel.run_tasks(_top_block_sums_task, tasks, 1, shared=shared)
-    assert got == [[top_block_sum(V, 5, int(V[ia]), int(V[ih]))] for ih, [ia] in tasks]
+    for ih in rng.sample(small, 22):
+        ia = int(rng.choice(intervals[ih]))
+        got = counting._top_block_sums(tables, ih, intervals[ih], [ia])
+        assert got == [top_block_sum(V, 5, int(V[ia]), int(V[ih]))]
 
 
 def test_plus4_pruned_base5_class_and_its_dual(base5):
@@ -438,27 +429,10 @@ def test_orbit_reduction_equals_the_unreduced_sum(n, classes):
 def test_partial_sums_order_independent(classes):
     # per-class contributions merged in any order give the same exact value
     layer, cl = setup(4, classes)
-    V = layer.values
-    reps = np.array([c.representative.bits for c in cl], dtype=np.uint64)
-    duals = vecbits.dual_array(reps, 4)
-    rep_idx = np.searchsorted(V, reps)
-    tasks = [
-        ci
-        for ci in range(len(cl))
-        if int(duals[ci]) & ~int(reps[ci]) == 0 and 2 * int(reps[ci]).bit_count() > 16
-    ]
-    shared = {
-        "values": V,
-        "n": 4,
-        "rep_idx": rep_idx,
-        "gammas": np.array([c.gamma for c in cl], dtype=np.int64),
-        "intervals": counting._dual_intervals(V, 4, rep_idx[tasks]),
-        "kernel": counting._plus3_sums,
-    }
-    parts = parallel.run_tasks(counting._class_task, tasks, 1, shared=shared)
+    parts, reference = partials_and_value(lambda: lambda_plus3(layer, cl), orbits.stabilizer_orbits)
+    assert len(parts) > 1
     base = counting.self_dual_brute(4)
-    reference = lambda_plus3(layer, cl).value
-    assert base + sum(parts) == reference
+    assert base + sum(parts) == reference == LAMBDA_KNOWN[7]
     rng = random.Random(5)
     for _ in range(10):
         shuffled = parts[:]
@@ -470,6 +444,8 @@ def test_workers_do_not_change_values(classes):
     layer, cl = setup(4, classes)
     for fn in (lambda_plus2, lambda_plus3, lambda_plus4_direct):
         assert fn(layer, cl, workers=1).value == fn(layer, cl, workers=2).value
+    dense = [lambda_plus4_direct(layer, cl, workers=w, strategy="dense") for w in (1, 2)]
+    assert [r.value for r in dense] == [LAMBDA_KNOWN[8]] * 2
     assert (
         lambda_plus4_classes(layer, cl, workers=1).value
         == lambda_plus4_classes(layer, cl, workers=2).value

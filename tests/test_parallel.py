@@ -1,29 +1,54 @@
+import gc
+import os
+import weakref
+from concurrent.futures.process import BrokenProcessPool
+
+import numpy as np
 import pytest
 
 from mbfcount import parallel
 
 
-def _shared_value(task):
-    return parallel.state()["k"] * task
-
-
-def _fail(task):
-    raise ValueError(f"task {task}")
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_tasks_restores_state(workers):
-    before = parallel.state()
-    assert parallel.run_tasks(_shared_value, [1, 2, 3], workers, shared={"k": 5}) == [5, 10, 15]
-    assert parallel.state() is before
+    # a closure over a local array reaches forked workers by inheritance
+    before = parallel._FN
+    k = np.array([5, 7])
+    assert parallel.run_tasks(lambda task: int(k[task % 2]) * task, [1, 2, 3], workers) == [7, 10, 21]
+    assert parallel._FN is before
+
+
+def _raising_task():
+    # a failing task that holds an array, and a weak reference to the array
+    held = np.zeros(3)
+
+    def fail(task):
+        raise ValueError(f"task {task} of {held}")
+
+    return fail, weakref.ref(held)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_tasks_restores_state_when_a_task_raises(workers):
-    before = parallel.state()
-    with pytest.raises(ValueError):
-        parallel.run_tasks(_fail, [1, 2, 3], workers, shared={"k": 5})
-    assert parallel.state() is before
+    before = parallel._FN
+    fail, held = _raising_task()
+    with pytest.raises(ValueError, match="task 1"):
+        parallel.run_tasks(fail, [1, 2, 3], workers)
+    assert parallel._FN is before
+    del fail
+    gc.collect()
+    assert held() is None
+
+
+def test_a_worker_that_dies_breaks_the_pool():
+    # only with workers: an inline task that exits would end this process
+    def die(task):
+        if task == 2:
+            os._exit(3)
+        return task
+
+    with pytest.raises(BrokenProcessPool):
+        parallel.run_tasks(die, [1, 2, 3, 4], 2)
 
 
 def _square(task):

@@ -28,7 +28,7 @@ def test_file_formats_have_one_owner():
 
 def test_one_global_statement_in_the_package():
     # a module global that a call rebinds is hidden state; run_tasks sets the
-    # shared state that forked workers inherit, and restores it on return
+    # callable that forked workers inherit, and restores the prior one on return
     found = [
         f"{path.stem}.{name}"
         for path in sorted(SRC.glob("*.py"))
@@ -160,13 +160,13 @@ def _is_subset_test(node) -> bool:
 
 def test_one_driver_for_the_stabilizer_orbit_routes():
     # plus3 and plus4c walk Stab(h)-orbits only in the driver's task
-    # function, and only _dual_intervals builds the [dual(h), h] mask
+    # closure, and only _dual_intervals builds the [dual(h), h] mask
     path = SRC / "counting.py"
     name = "stabilizer_orbits"
     walks = _statements_where(
         path, lambda node: name in (getattr(node, "id", None), getattr(node, "attr", None))
     )
-    assert walks == ["_class_task"], walks
+    assert walks == ["_run_class_tasks"], walks
     masks = _statements_where(
         path,
         lambda node: isinstance(node, ast.BinOp)
@@ -177,16 +177,16 @@ def test_one_driver_for_the_stabilizer_orbit_routes():
     assert masks == ["_dual_intervals"], masks
     # plus3 is one kernel with no options, summed over the weight-heavy
     # classes with the closed term always added
-    from mbfcount import counting
+    from mbfcount import counting, parallel
 
     assert list(inspect.signature(counting.lambda_plus3).parameters) == ["layer", "classes", "workers"]
     assert "refined" not in inspect.signature(counting._run_class_tasks).parameters
-    kernels = _statements_where(
-        path,
-        lambda node: isinstance(node, ast.FunctionDef)
-        and [a.arg for a in node.args.args] == ["ih", "I", "reps", "inverse"],
-    )
-    assert kernels == ["_plus3_sums", "_plus4c_sums"], kernels
+    # tasks are closures and kernels take their tables as arguments: no
+    # module state carries them to the workers
+    assert not hasattr(parallel, "state")
+    assert "shared" not in inspect.signature(parallel.run_tasks).parameters
+    submitters = _statements_where(path, lambda node: getattr(node, "attr", None) == "run_tasks")
+    assert submitters == ["_run_class_tasks", "lambda_plus4_direct"], submitters
 
 
 def test_selfcheck_has_one_loop_over_n():
