@@ -58,11 +58,15 @@ a closure over its route's local arrays, and every kernel takes the
 tables it reads as arguments.
 
 Both k = 4 routes, and the dense reference, read one representation,
-built by one helper (_k4_tables): the uint16 interval matrix, the
-join-index table J (the index of x | y) and the index of each dual.  A
-factor such as re(a | b | c, h) is the matrix entry at row J[J[a, b], c];
-a column re(x, h) is the row of h* gathered through the dual index, since
-re(x, h) = re(h*, x*).  Entries are cast up only where multiplied.
+built by one helper (_k4_tables): rows of the uint16 interval matrix with
+a row index, the join-index table J (the index of x | y) and the index of
+each dual.  A factor such as re(a | b | c, h) is the matrix entry at row
+J[J[a, b], c]; the shared kernel reads a column re(x, h) as the row of
+h* gathered through the dual index, since re(x, h) = re(h*, x*).  Its top
+blocks have h* <= h, so it reads only the rows of the x <= x*, and only
+those are built (2,646 of the 7,581 at n = 5, 40 MB of the 115 MB
+matrix); the dense reference reads every row, and gets the whole matrix.
+Entries are cast up only where multiplied.
 
 Every accumulator is an exact integer: numpy partial sums stay below
 2^63 by construction (wide blocks are split 26 bits at a time before
@@ -253,7 +257,7 @@ def lambda_plus3(layer: Layer, classes: list[OrbitClass], workers: int = 1) -> L
 def _plus4_dense_sum(tables, ia: int) -> int:
     """The sum over every b, c and top block h of the four factors, for the
     layer index a; tables are those of _k4_tables."""
-    RE, J, dual_idx = tables
+    RE, _, J, dual_idx = tables  # every row, in layer order
     ida = dual_idx[ia]
     total = 0
     for ib in range(len(J)):
@@ -279,15 +283,18 @@ def _top_block_sums(tables, ih: int, cidx: np.ndarray, a_idx) -> list[int]:
     in [dual(h), h]: the sum over b, c in [dual(h), h] of
     re(a|b|c, h) re(a|b*|c*, h) re(a*|b|c*, h) re(a*|b*|c, h).  tables
     are those of _k4_tables, cidx the layer indices of [dual(h), h] in
-    ascending order (_dual_intervals)."""
-    RE, J, dual_idx = tables
+    ascending order (_dual_intervals).  Every factor is an entry of the
+    column re(x, h), which is the row of h* read through the row index:
+    the one row of the matrix this kernel reads per top block."""
+    RE, row, J, dual_idx = tables
     dcidx = dual_idx[cidx]
     m = len(cidx)
     # col[x] = re(x, h) = re(h*, x*): dual reverses the order, so the
-    # column of h is a gather from the contiguous row of h*; entries are
-    # below 2^13 (_k4_tables checks), so they fit int16, a product of two
-    # fits int32 and of four stays below 2^52
-    col = RE[dual_idx[ih]][dual_idx].astype(np.int16)
+    # column of h is a gather from the contiguous row of h* (h* <= h, so
+    # _k4_tables built it); entries are below 2^13 (_k4_tables checks),
+    # so they fit int16, a product of two fits int32 and of four stays
+    # below 2^52
+    col = RE[row[dual_idx[ih]]][dual_idx].astype(np.int16)
     # a, a*, b and b* all lie in [h*, h], so each join of two does too;
     # pos gives its column in the factor rows below
     pos = np.zeros(len(J), dtype=np.intp)
@@ -391,19 +398,33 @@ def _require_exact_chunk_sums(chunk: int) -> None:
         )
 
 
-def _k4_tables(layer: Layer, budget_mb: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tables every k = 4 kernel takes: the uint16 interval matrix RE,
-    the join-index table J (the index of x | y in the layer) and the index
-    of each element's dual.  Refuses the matrix and J together (d^2 * 2
-    bytes more) before building either, and raises before any task runs
-    unless four-way products of interval counts stay below 2^52.
+def _k4_tables(
+    layer: Layer, budget_mb: int | None, every_row: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables every k = 4 kernel takes: rows RE of the uint16 interval
+    matrix, the row index (row[i] is the row of layer index i in RE), the
+    join-index table J (the index of x | y in the layer) and the index of
+    each element's dual.  _top_block_sums reads only the row of h* for a
+    top block h with h* <= h, so RE holds only the rows of the x <= x*
+    (2,646 of the 7,581 at n = 5); the dense reference reads every row
+    (every_row), and there RE is the whole matrix.  A row not built has
+    the index len(RE), so reading it raises.  Refuses the rows, their
+    build buffers and J together (d^2 * 2 bytes for J) before building
+    any of them, and raises before any task runs unless four-way products
+    of interval counts stay below 2^52.
     """
     V, n, d = layer.values, layer.n, len(layer)
-    check_budget(f"matrix and join index for n={n}", full_table_bytes(d) + d * d * 2, budget_mb)
-    counts = build_full_table(n, budget_mb).counts
+    dual = vecbits.dual_array(V, n)
+    rows = np.arange(d) if every_row else np.flatnonzero((V & ~dual) == 0)
+    check_budget(
+        f"matrix and join index for n={n}", full_table_bytes(d, len(rows)) + d * d * 2, budget_mb
+    )
+    counts = build_full_table(n, budget_mb, rows).counts
     _require_exact_products(int(counts.max()))
-    dual_idx = np.searchsorted(V, vecbits.dual_array(V, n)).astype(np.int32)
-    return counts, _join_index_table(V, n), dual_idx
+    row = np.full(d, len(rows), dtype=np.int32)
+    row[rows] = np.arange(len(rows))
+    dual_idx = np.searchsorted(V, dual).astype(np.int32)
+    return counts, row, _join_index_table(V, n), dual_idx
 
 
 def lambda_plus4_direct(
@@ -426,7 +447,7 @@ def lambda_plus4_direct(
             f" per b, {len(layer)} times per class; use pruned"
         )
     V = layer.values
-    tables = _k4_tables(layer, budget_mb)
+    tables = _k4_tables(layer, budget_mb, every_row=strategy == "dense")
     if strategy == "dense":
         reps, gammas = _rep_array(classes)
         rep_idx = np.searchsorted(V, reps)

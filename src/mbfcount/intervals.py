@@ -17,7 +17,10 @@ Three routes compute |{z : x <= z <= y}|, one for each job:
     of D_{n-1} at (x1 | z0, y1) over z0 in [x0, y0], one float32
     product per low half x0.  Each sum in a product counts at most
     |D_{n-1}|^2 pairs, below 2^24, so float32 is exact; a check raises
-    otherwise.
+    otherwise.  It builds every row by default (selfcheck, and the
+    recursion one layer down) or only the rows at the layer indices it
+    is given, running only the products of their low halves: the shared
+    k = 4 kernel reads only the rows of the x <= x*.
 
 The join-index table (_join_index_table) is built here too, by the same
 split: upward counts read it two layers down, the matrix one layer down,
@@ -117,9 +120,11 @@ def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntervalTable:
-    """The full all-pairs matrix over the layer D_n: counts[i, j] =
-    re(V[i], V[j]), indexed by layer ordinal.  It is a class, not the bare
-    array, only because the benchmark reads `build_full_table(n).counts`."""
+    """Rows of the all-pairs matrix over the layer D_n: counts[k, j] =
+    re(V[rows[k]], V[j]) for the layer indices rows build_full_table was
+    given, so counts[i, j] = re(V[i], V[j]) when it builds every row.  It
+    is a class, not the bare array, only because the benchmark reads
+    `build_full_table(n).counts`."""
 
     n: int
     counts: np.ndarray = field(repr=False)
@@ -177,19 +182,24 @@ def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
     return J
 
 
-def full_table_bytes(d: int) -> int:
-    """Estimated peak of build_full_table over the d elements of D_n: the
-    uint16 matrix, and the sum of the buffers of one low half (not all
-    live at once), each at most dp x (d + 1) entries over the dp elements
-    of D_{n-1}, the largest layer below d: W and its rows z0 >= x0, the
-    float32 product and B in uint16, the index table T, and one gathered
-    block of indices and of counts."""
+def full_table_bytes(d: int, rows: int) -> int:
+    """Estimated peak of build_full_table over the d elements of D_n when
+    it builds rows of the matrix (d for every row): the uint16 rows, and
+    the sum of the buffers of one low half (not all live at once), each
+    at most dp x (d + 1) entries over the dp elements of D_{n-1}, the
+    largest layer below d: W and its rows z0 >= x0, the float32 product
+    and B in uint16, the index table T, and one gathered block of indices
+    and of counts."""
     dp = max((s for s in LAYER_SIZE.values() if s < d), default=0)
-    return d * d * 2 + dp * (d + 1) * (4 + 4 + 4 + 2 + 8 + 8 + 2)
+    return rows * d * 2 + dp * (d + 1) * (4 + 4 + 4 + 2 + 8 + 8 + 2)
 
 
-def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
-    """All-pairs interval matrix, uint16; n <= 5 (above that it cannot fit).
+def build_full_table(
+    n: int, budget_mb: int | None = None, rows: np.ndarray | None = None
+) -> IntervalTable:
+    """Rows of the all-pairs interval matrix, uint16, one per layer index
+    in rows (every row, in layer order, by default); n <= 5 (above that it
+    cannot fit).
 
     Write x = (x0, x1) and y = (y0, y1) by their halves in D_{n-1}.  An
     element z = (z0, z1) of D_n has z0 <= z1, so x <= z <= y iff
@@ -197,15 +207,17 @@ def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
 
         |[x, y]| = sum over z0 in [x0, y0] of |[x1 | z0, y1]| in D_{n-1}.
 
-    With the matrix of D_{n-1} (this function, one layer down; D_0 has
-    [[1, 2], [0, 1]]) and its join table, W[z0, w] = |[w0 | z0, w1]|
-    for each w = (w0, w1) in D_n, plus a zero column.  Per low half x0
-    one float32 product B = [z0 <= y0]^T W over the z0 >= x0 gives
-    B[y0, w]; row x = (x0, x1) of the matrix gathers, for each y, the
-    entry of row y0 and column (x1, y1), or the zero column unless
-    x1 <= y1.  Exact: every sum in B counts pairs (z0, z1) of D_{n-1},
-    at most dp^2 < 2^24 (float32 holds such integers), and every entry
-    is at most d < 2^16; both are checked before any product.
+    With the matrix of D_{n-1} (this function, one layer down, every row;
+    D_0 has [[1, 2], [0, 1]]) and its join table, W[z0, w] =
+    |[w0 | z0, w1]| for each w = (w0, w1) in D_n, plus a zero column.  Per
+    low half x0 that owns a row to build, one float32 product
+    B = [z0 <= y0]^T W over the z0 >= x0 gives B[y0, w]; row x = (x0, x1)
+    gathers, for each y, the entry of row y0 and column (x1, y1), or the
+    zero column unless x1 <= y1.  A selection skips the products of the
+    other low halves, and its rows equal those of the whole matrix.
+    Exact: every sum in B counts pairs (z0, z1) of D_{n-1}, at most
+    dp^2 < 2^24 (float32 holds such integers), and every entry is at most
+    d < 2^16; both are checked before any product.
     """
     if n > 5:
         raise BudgetError(f"full interval table for n={n} is out of budget")
@@ -213,14 +225,15 @@ def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
     d = len(layer)
     if d >= 1 << 16:
         raise VerificationError(f"full interval table for n={n} has {d} >= 2^16 rows")
+    rows = np.arange(d) if rows is None else np.asarray(rows, dtype=np.intp)
     if n == 0:
-        return IntervalTable(0, np.array([[1, 2], [0, 1]], dtype=np.uint16))
+        return IntervalTable(0, np.array([[1, 2], [0, 1]], dtype=np.uint16)[rows])
     dp = len(generate_layer(n - 1))
     if dp * dp >= 1 << 24:
         raise VerificationError(
             f"full interval table for n={n} sums up to {dp}^2 >= 2^24 pairs in float32"
         )
-    check_budget(f"full interval table for n={n}", full_table_bytes(d), budget_mb)
+    check_budget(f"full interval table for n={n}", full_table_bytes(d, len(rows)), budget_mb)
     P, i0, i1, pair = _split(layer.values, n)
     inner = build_full_table(n - 1).counts
     W = np.zeros((dp, d + 1), dtype=np.float32)
@@ -230,12 +243,13 @@ def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
     T = i0 * (d + 1) + pair.reshape(dp, dp)[:, i1]
     leq = (P[:, None] & ~P[None, :]) == 0  # leq[a, b]: P[a] <= P[b]
     leq_f = leq.astype(np.float32)
-    counts = np.empty((d, d), dtype=np.uint16)
-    for x0 in range(dp):
+    low = i0[rows]  # the low half of each row to build
+    counts = np.empty((len(rows), d), dtype=np.uint16)
+    for x0 in np.flatnonzero(np.bincount(low, minlength=dp)).tolist():
         above = leq[x0]  # the z0 >= x0
         B = (leq_f[above].T @ W[above]).astype(np.uint16)
-        rows = np.flatnonzero(i0 == x0)
-        counts[rows] = np.take(B, T[i1[rows]])
+        at = np.flatnonzero(low == x0)
+        counts[at] = np.take(B, T[i1[rows[at]]])
     return IntervalTable(n, counts)
 
 

@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,36 @@ def test_top_block_sums_match_the_definition(n):
         assert sums == [top_block_sum(V, n, int(V[ia]), int(V[ih])) for ia in a_idx]
 
 
+def _k4_rows(layer):
+    V = layer.values
+    return np.flatnonzero((V & ~vecbits.dual_array(V, layer.n)) == 0)
+
+
+def _k4_need(layer):
+    # the x <= x* rows with their build buffers, and J
+    d = len(layer)
+    return intervals.full_table_bytes(d, len(_k4_rows(layer))) + d * d * 2
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_k4_tables_hold_the_rows_the_kernel_reads(n):
+    # the rows of the x <= x*, read through the row index; any other row
+    # is out of range, and the dense reference gets the whole matrix
+    layer = generate_layer(n)
+    full = intervals.build_full_table(n).counts
+    RE, row, _, _ = counting._k4_tables(layer, None)
+    built = np.zeros(len(layer), dtype=bool)
+    built[_k4_rows(layer)] = True
+    for i in range(len(layer)):
+        if built[i]:
+            assert np.array_equal(RE[row[i]], full[i])
+        else:
+            with pytest.raises(IndexError):
+                RE[row[i]]
+    RE, row, _, _ = counting._k4_tables(layer, None, every_row=True)
+    assert np.array_equal(RE, full) and np.array_equal(row, np.arange(len(layer)))
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 @pytest.mark.parametrize("n", [3, 4])
 def test_plus4_pruned_half_sum_over_many_chunks(n, chunk, classes, monkeypatch):
@@ -306,6 +340,15 @@ def test_plus4_pruned_base5_class_and_its_dual(base5):
     assert lambda_plus4_direct(layer, [bottom, top], strategy="pruned").value == 2 * partial
 
 
+def test_plus4_pruned_base5_sample_middle_classes(base5):
+    # partial sums from perfbench/lambda9_sample.json; these two classes
+    # reach the three largest top blocks (|[h*, h]| = 7,581, 7,579, 7,246)
+    layer, cl = base5
+    by_rep = {c.representative.bits: c for c in cl}
+    middle = [by_rep[0x80000000], by_rep[0x80008000]]
+    assert lambda_plus4_direct(layer, middle).value == 12_035_307_926_839 + 161_314_983_723_895
+
+
 def test_exact_product_bound_at_the_edge():
     counting._require_exact_products(7581)  # the widest interval at n=5
     counting._require_exact_products(8191)
@@ -317,8 +360,8 @@ def test_exact_product_bound_at_the_edge():
 def test_plus4_refuses_counts_beyond_exact_range(route, classes, monkeypatch):
     real_table = counting.build_full_table
 
-    def inflated(n, budget_mb=None):
-        table = real_table(n, budget_mb)
+    def inflated(n, budget_mb=None, rows=None):
+        table = real_table(n, budget_mb, rows)
         return dataclasses.replace(table, counts=np.full(table.counts.shape, 8192))
 
     def never(*args, **kwargs):
@@ -496,8 +539,8 @@ def test_lambda_any_unsupported_combinations():
 
 def test_method_budget_refusals(classes):
     layer5, cl5 = setup(5, classes)
-    with pytest.raises(BudgetError):
-        lambda_plus4_direct(layer5, cl5, budget_mb=50)  # full n=5 matrix refused
+    with pytest.raises(BudgetError, match="needs ~196 MB"):
+        lambda_plus4_direct(layer5, cl5, budget_mb=190)  # the n=5 k = 4 tables refused
     with pytest.raises(BudgetError, match="per b"):
         lambda_plus4_direct(layer5, cl5, strategy="dense")
     with pytest.raises(BudgetError):
@@ -507,12 +550,13 @@ def test_method_budget_refusals(classes):
 
 
 def test_k4_tables_refuse_the_matrix_and_join_index_together(classes, monkeypatch):
-    # the budget holds the n=5 matrix's build, but not the matrix and J
+    # the budget holds the n=5 rows' build, but not the rows and J together
     layer5, cl5 = setup(5, classes)
-    d = len(layer5)
-    budget_mb = 200
-    assert intervals.full_table_bytes(d) / 1e6 <= budget_mb
-    assert (intervals.full_table_bytes(d) + d * d * 2) / 1e6 > budget_mb
+    d, rows = len(layer5), len(_k4_rows(layer5))
+    budget_mb = 150
+    assert rows == LAMBDA_KNOWN[6]  # 2,646 of the 7,581 rows
+    assert intervals.full_table_bytes(d, rows) / 1e6 <= budget_mb
+    assert budget_mb < _k4_need(layer5) / 1e6 < 200
 
     def never(*args, **kwargs):
         raise AssertionError("the matrix was built")
@@ -520,6 +564,26 @@ def test_k4_tables_refuse_the_matrix_and_join_index_together(classes, monkeypatc
     monkeypatch.setattr(counting, "build_full_table", never)
     with pytest.raises(BudgetError, match="matrix and join index"):
         lambda_plus4_direct(layer5, cl5, budget_mb=budget_mb)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_k4_tables_estimate_covers_the_measured_peak():
+    # a fresh process, so ru_maxrss grows only by the n=5 tables' build
+    code = (
+        "import resource\n"
+        "from mbfcount import counting\n"
+        "from mbfcount.layers import generate_layer\n"
+        "layer = generate_layer(5)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "counting._k4_tables(layer, None)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(counting.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    grown = int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
+    need = _k4_need(generate_layer(5))
+    assert grown <= need, f"estimate {need / 1e6:.1f} MB, peak RSS grew {grown / 1e6:.1f} MB"
 
 
 def test_verify_result():

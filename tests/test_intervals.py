@@ -206,7 +206,7 @@ def test_full_table_n5_stays_below_twice_the_matrix(table5_and_peak):
 
 def test_full_table_budget_estimate_covers_the_peak(table5_and_peak):
     table, peak = table5_and_peak
-    need = intervals.full_table_bytes(len(table.counts))
+    need = intervals.full_table_bytes(len(table.counts), len(table.counts))
     assert peak <= need <= 1.5 * peak, f"estimate {need / 1e6:.1f} MB, peak {peak / 1e6:.1f} MB"
 
 
@@ -236,6 +236,30 @@ def test_full_table_n5_whole_matrix(table5):
     dual_idx = np.searchsorted(V, vecbits.dual_array(V, 5))
     assert np.array_equal(C, C[dual_idx][:, dual_idx].T)
     assert np.array_equal(C, interval_matrix(V))
+
+
+def _row_selections(n):
+    V = generate_layer(n).values
+    d = len(V)
+    rng = np.random.default_rng(25)
+    return {
+        "empty": np.empty(0, dtype=np.intp),
+        "one": np.array([d // 2]),
+        "seeded": rng.choice(d, size=min(d, 40), replace=False),  # unsorted
+        "below-dual": np.flatnonzero((V & ~vecbits.dual_array(V, n)) == 0),  # the rows k = 4 reads
+        "all": np.arange(d),
+    }
+
+
+@pytest.mark.parametrize("which", ["empty", "one", "seeded", "below-dual", "all"])
+@pytest.mark.parametrize("n", range(6))
+def test_full_table_row_selection_is_those_rows_of_the_matrix(n, which, table5):
+    full = table5.counts if n == 5 else build_full_table(n).counts
+    sel = _row_selections(n)[which]
+    got = build_full_table(n, rows=sel).counts
+    assert got.dtype == np.uint16
+    assert got.shape == (len(sel), len(full))
+    assert np.array_equal(got, full[sel])
 
 
 def test_full_table_refuses_inexact_sizes(monkeypatch):
