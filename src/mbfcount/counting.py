@@ -84,7 +84,8 @@ import numpy as np
 from . import orbits, parallel, vecbits
 from .core import table_width
 from .errors import BudgetError, UnsupportedCombinationError, VerificationError
-from .intervals import _join_index_table, build_full_table, full_table_bytes, upward_counts
+from .intervals import _join_index_table, build_full_table, upward_counts
+from .intervals import full_table_bytes, join_index_bytes
 from .layers import Layer, check_budget, generate_layer, self_dual_brute
 from .orbits import OrbitClass, canonical_array, classify
 
@@ -408,17 +409,16 @@ def _k4_tables(
     top block h with h* <= h, so RE holds only the rows of the x <= x*
     (2,646 of the 7,581 at n = 5); the dense reference reads every row
     (every_row), and there RE is the whole matrix.  A row not built has
-    the index len(RE), so reading it raises.  Refuses the rows, their
-    build buffers and J together (d^2 * 2 bytes for J) before building
-    any of them, and raises before any task runs unless four-way products
-    of interval counts stay below 2^52.
+    the index len(RE), so reading it raises.  Refuses the rows and J,
+    each with its build buffers, together before building any of them,
+    and raises before any task runs unless four-way products of interval
+    counts stay below 2^52.
     """
     V, n, d = layer.values, layer.n, len(layer)
     dual = vecbits.dual_array(V, n)
     rows = np.arange(d) if every_row else np.flatnonzero((V & ~dual) == 0)
-    check_budget(
-        f"matrix and join index for n={n}", full_table_bytes(d, len(rows)) + d * d * 2, budget_mb
-    )
+    need = full_table_bytes(d, len(rows)) + join_index_bytes(d)
+    check_budget(f"matrix and join index for n={n}", need, budget_mb)
     counts = build_full_table(n, budget_mb, rows).counts
     _require_exact_products(int(counts.max()))
     row = np.full(d, len(rows), dtype=np.int32)

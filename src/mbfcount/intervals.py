@@ -11,20 +11,14 @@ Three routes compute |{z : x <= z <= y}|, one for each job:
     the join table of D_{n-2} and a table indexed by pairs of halves, in
     the calling process.
   * build_full_table: the all-pairs uint16 matrix for n <= 5, indexed by
-    layer ordinal (the k = 4 counts read it through the join-index
-    table), by the same half-split: with x = (x0, x1), y = (y0, y1) and
-    z = (z0, z1) split into halves in D_{n-1}, |[x, y]| sums the matrix
-    of D_{n-1} at (x1 | z0, y1) over z0 in [x0, y0], one float32
-    product per low half x0.  Each sum in a product counts at most
-    |D_{n-1}|^2 pairs, below 2^24, so float32 is exact; a check raises
-    otherwise.  It builds every row by default (selfcheck, and the
-    recursion one layer down) or only the rows at the layer indices it
-    is given, running only the products of their low halves: the shared
-    k = 4 kernel reads only the rows of the x <= x*.
+    layer ordinal, by the fast zeta transform over D_n alone (Bjorklund,
+    Husfeldt, Kaski and Koivisto, SODA 2012, on Birkhoff's
+    representation: an element is an up-set of the 2^n inputs).  It
+    builds every row by default (selfcheck) or only the rows at the
+    layer indices it is given (the k = 4 kernel reads the x <= x*).
 
-The join-index table (_join_index_table) is built here too, by the same
-split: upward counts read it two layers down, the matrix one layer down,
-the k = 4 counts at D_n.
+The join-index table (_join_index_table) is built here too, by the
+half-split: upward counts read it two layers down, the k = 4 counts at D_n.
 
 Empty intervals count 0, so callers never branch on comparability.
 """
@@ -162,9 +156,8 @@ def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
     table of D_{n-1} (built the same way, one layer down) and one flat
     lookup from the pair of half indices to the index in D_n, filled
     _JOIN_CHUNK rows at a time.  D_0 = {0, 1} has no lower layer; there
-    the join is the larger index.  Entries are uint16: build_full_table
-    reads it one layer down, and _k4_tables after build_full_table has
-    refused d >= 2^16.
+    the join is the larger index.  Entries are uint16: _k4_tables builds
+    it after build_full_table has refused d >= 2^16.
     """
     d = len(V)
     if n == 0:
@@ -182,16 +175,23 @@ def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
     return J
 
 
+def join_index_bytes(d: int) -> int:
+    """Estimated peak of _join_index_table over the d elements of D_n: J,
+    the int32 low and high (dp x d each, dp = |D_{n-1}|, the largest layer
+    below d), and one chunk's two int32 gathers, their sum and lookup."""
+    dp = max((s for s in LAYER_SIZE.values() if s < d), default=0)
+    return d * d * 2 + dp * d * (4 + 4) + _JOIN_CHUNK * d * (4 + 4 + 4 + 2)
+
+
+_ZETA_BLOCK = 128  # rows transformed at once
+
+
 def full_table_bytes(d: int, rows: int) -> int:
     """Estimated peak of build_full_table over the d elements of D_n when
     it builds rows of the matrix (d for every row): the uint16 rows, and
-    the sum of the buffers of one low half (not all live at once), each
-    at most dp x (d + 1) entries over the dp elements of D_{n-1}, the
-    largest layer below d: W and its rows z0 >= x0, the float32 product
-    and B in uint16, the index table T, and one gathered block of indices
-    and of counts."""
-    dp = max((s for s in LAYER_SIZE.values() if s < d), default=0)
-    return rows * d * 2 + dp * (d + 1) * (4 + 4 + 4 + 2 + 8 + 8 + 2)
+    per entry of one _ZETA_BLOCK of rows, 16 bytes: its uint64 and bool
+    indicator beside the last block's uint16 (13) and the steps (3)."""
+    return rows * d * 2 + _ZETA_BLOCK * d * 16
 
 
 def build_full_table(
@@ -201,55 +201,50 @@ def build_full_table(
     in rows (every row, in layer order, by default); n <= 5 (above that it
     cannot fit).
 
-    Write x = (x0, x1) and y = (y0, y1) by their halves in D_{n-1}.  An
-    element z = (z0, z1) of D_n has z0 <= z1, so x <= z <= y iff
-    x0 <= z0 <= y0 and x1 | z0 <= z1 <= y1, and
+    The down-zeta transform over D_n, each element the up-set of its true
+    inputs.  Row x starts as F(y) = [x <= y]; then, per input p in
+    descending order, F[dst] += F[src] over the pairs V[dst] = V[src] |
+    bit p (one searchsorted), that is, wherever p is a minimal input of
+    y.  After the step of p, F(y) counts the z in [x, y] with y - z among
+    the inputs taken so far.  Descending order is what makes this hold:
+    an input below p in the cube is numerically smaller, so not yet
+    taken, so in z if in y, and then p is in the up-set z; so a p in
+    y - z is minimal in y.  dst is unique within a step and never a src,
+    so the in-place add is exact, and every partial sum counts a subset
+    of [x, y], at most d < 2^16 (checked), so uint16 cannot overflow.
 
-        |[x, y]| = sum over z0 in [x0, y0] of |[x1 | z0, y1]| in D_{n-1}.
-
-    With the matrix of D_{n-1} (this function, one layer down, every row;
-    D_0 has [[1, 2], [0, 1]]) and its join table, W[z0, w] =
-    |[w0 | z0, w1]| for each w = (w0, w1) in D_n, plus a zero column.  Per
-    low half x0 that owns a row to build, one float32 product
-    B = [z0 <= y0]^T W over the z0 >= x0 gives B[y0, w]; row x = (x0, x1)
-    gathers, for each y, the entry of row y0 and column (x1, y1), or the
-    zero column unless x1 <= y1.  A selection skips the products of the
-    other low halves, and its rows equal those of the whole matrix.
-    Exact: every sum in B counts pairs (z0, z1) of D_{n-1}, at most
-    dp^2 < 2^24 (float32 holds such integers), and every entry is at most
-    d < 2^16; both are checked before any product.
+    Rows go _ZETA_BLOCK at a time in layer order, column-major (F has one
+    row per y, so a step gathers contiguous rows).  x <= y as sets
+    implies x <= y as integers, so re(x, y) = 0 for y below x in layer
+    order: a block transforms only the columns from its smallest row
+    index r0 on and drops the pairs with src < r0, whose values are 0.
     """
     if n > 5:
         raise BudgetError(f"full interval table for n={n} is out of budget")
     layer = generate_layer(n, budget_mb)
-    d = len(layer)
+    V, d = layer.values, len(layer)
     if d >= 1 << 16:
         raise VerificationError(f"full interval table for n={n} has {d} >= 2^16 rows")
     rows = np.arange(d) if rows is None else np.asarray(rows, dtype=np.intp)
-    if n == 0:
-        return IntervalTable(0, np.array([[1, 2], [0, 1]], dtype=np.uint16)[rows])
-    dp = len(generate_layer(n - 1))
-    if dp * dp >= 1 << 24:
-        raise VerificationError(
-            f"full interval table for n={n} sums up to {dp}^2 >= 2^24 pairs in float32"
-        )
     check_budget(f"full interval table for n={n}", full_table_bytes(d, len(rows)), budget_mb)
-    P, i0, i1, pair = _split(layer.values, n)
-    inner = build_full_table(n - 1).counts
-    W = np.zeros((dp, d + 1), dtype=np.float32)
-    W[:, :d] = inner[_join_index_table(P, n - 1)[:, i0], i1]
-    # T[x1, y] = y0 * (d + 1) + the column of (x1, y1) in W, or its zero
-    # column d
-    T = i0 * (d + 1) + pair.reshape(dp, dp)[:, i1]
-    leq = (P[:, None] & ~P[None, :]) == 0  # leq[a, b]: P[a] <= P[b]
-    leq_f = leq.astype(np.float32)
-    low = i0[rows]  # the low half of each row to build
-    counts = np.empty((len(rows), d), dtype=np.uint16)
-    for x0 in np.flatnonzero(np.bincount(low, minlength=dp)).tolist():
-        above = leq[x0]  # the z0 >= x0
-        B = (leq_f[above].T @ W[above]).astype(np.uint16)
-        at = np.flatnonzero(low == x0)
-        counts[at] = np.take(B, T[i1[rows[at]]])
+    steps = []
+    for p in reversed(range(table_width(n))):
+        bit = np.uint64(1 << p)
+        src = np.flatnonzero((V & bit) == 0)
+        dst = np.searchsorted(V, V[src] | bit)  # < d: the top bounds every join
+        found = V[dst] == V[src] | bit
+        steps.append((src[found], dst[found]))  # both ascending
+    order = np.argsort(rows)
+    counts = np.zeros((len(rows), d), dtype=np.uint16)
+    for lo in range(0, len(rows), _ZETA_BLOCK):
+        at = order[lo:lo + _ZETA_BLOCK]
+        r0 = rows[at[0]]
+        X = V[rows[at]]
+        F = ((V[r0:, None] & X) == X).astype(np.uint16)  # F[y - r0, k] = [X[k] <= y]
+        for src, dst in steps:
+            k = np.searchsorted(src, r0)
+            F[dst[k:] - r0] += F[src[k:] - r0]
+        counts[at, r0:] = F.T
     return IntervalTable(n, counts)
 
 

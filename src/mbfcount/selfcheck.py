@@ -5,8 +5,8 @@ compares: dual algebra on whole layers, permutation equivariance and the
 relabeling walk's results (canonical_array, classify, stabilizer_orbits)
 against _relabel, a position map applied for every relabeling, the upward
 counts and the all-pairs interval matrix that the counts read against the
-definition scan and the Dedekind numbers, the upward counts with the join
-and dual indices against D_{n+2}, stabilizer orbits against
+definition scan, the Dedekind numbers and dual symmetry, the upward counts
+with the join and dual indices against D_{n+2}, stabilizer orbits against
 classification, and the counting methods (class folding, each plus3 class
 task against the definition, and plus4c and pruned plus4, which share one
 kernel, against the dense k = 4 sum).  A build that passes all of these
@@ -168,7 +168,8 @@ def check_interval_oracle(n: int) -> bool:
     first row, |[0, x]| = |[x*, top]| because dual reverses the order, is
     the upward counts read through the dual index.  The matrix is nonzero
     exactly on the pairs x <= y, which are the elements of D_{n+1}, so
-    its support counts the next Dedekind number."""
+    its support counts the next Dedekind number.  Every entry satisfies
+    re(x, y) = re(y*, x*), which the zeta transform that builds it never uses."""
     layer = generate_layer(n)
     V = layer.values
     top = V[-1]  # the layer ascends, and the top is its largest element
@@ -186,6 +187,9 @@ def check_interval_oracle(n: int) -> bool:
     dual_idx = np.searchsorted(V, vecbits.dual_array(V, n))
     if not (np.array_equal(C[:, -1], up) and np.array_equal(C[0], up[dual_idx])):
         return False
+    for k in range(0, d, 256):  # column y of C is row y* permuted by dual
+        if not np.array_equal(C[:, k:k + 256], C[dual_idx[k:k + 256]][:, dual_idx].T):
+            return False
     return all(C[i, j] == re_scan(layer, V[i], V[j]) for i, j in pairs)
 
 

@@ -370,6 +370,25 @@ def test_interval_oracle_checks_every_entry_of_the_first_row_and_last_column(mon
     assert not selfcheck.check_interval_oracle(5)
 
 
+def test_interval_oracle_checks_every_entry_by_dual_symmetry(monkeypatch):
+    # re(x, x) = 2 at n = 5, off the first row and last column, on a pair
+    # that the 10^4 sampled pairs miss; the support is unchanged, so only
+    # re(x, y) = re(y*, x*) sees it
+    d = layers.LAYER_SIZE[5]
+    k = d // 3
+    sampled = np.random.default_rng(selfcheck.RNG_SEED).integers(0, d, size=(10_000, 2))
+    assert not np.any((sampled[:, 0] == k) & (sampled[:, 1] == k))
+
+    def wrong(n, *args, **kwargs):
+        table = intervals.build_full_table(n, *args, **kwargs)
+        if n == 5:
+            table.counts[k, k] += 1
+        return table
+
+    monkeypatch.setattr(selfcheck, "build_full_table", wrong)
+    assert not selfcheck.check_interval_oracle(5)
+
+
 def _wrong_canonical_array(values, n):
     low = orbits.canonical_array(values, n)
     if n == 2:

@@ -171,9 +171,9 @@ def _k4_rows(layer):
 
 
 def _k4_need(layer):
-    # the x <= x* rows with their build buffers, and J
+    # the x <= x* rows and J, each with its build buffers
     d = len(layer)
-    return intervals.full_table_bytes(d, len(_k4_rows(layer))) + d * d * 2
+    return intervals.full_table_bytes(d, len(_k4_rows(layer))) + intervals.join_index_bytes(d)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -539,7 +539,7 @@ def test_lambda_any_unsupported_combinations():
 
 def test_method_budget_refusals(classes):
     layer5, cl5 = setup(5, classes)
-    with pytest.raises(BudgetError, match="needs ~196 MB"):
+    with pytest.raises(BudgetError, match="needs ~194 MB"):
         lambda_plus4_direct(layer5, cl5, budget_mb=190)  # the n=5 k = 4 tables refused
     with pytest.raises(BudgetError, match="per b"):
         lambda_plus4_direct(layer5, cl5, strategy="dense")

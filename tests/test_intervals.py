@@ -210,6 +210,21 @@ def test_full_table_budget_estimate_covers_the_peak(table5_and_peak):
     assert peak <= need <= 1.5 * peak, f"estimate {need / 1e6:.1f} MB, peak {peak / 1e6:.1f} MB"
 
 
+def test_full_table_budget_estimate_covers_the_k4_rows():
+    # the production call: the 2,646 rows of the x <= x* that k = 4 reads
+    V = generate_layer(5).values
+    sel = _row_selections(5)["below-dual"]
+    assert len(sel) == 2_646
+    tracemalloc.start()
+    try:
+        build_full_table(5, rows=sel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = intervals.full_table_bytes(len(V), len(sel))
+    assert peak <= need <= 1.5 * peak, f"estimate {need / 1e6:.1f} MB, peak {peak / 1e6:.1f} MB"
+
+
 def _check_seeded_pairs(table):
     layer = generate_layer(5)
     assert table.counts.dtype == np.uint16
@@ -220,7 +235,7 @@ def _check_seeded_pairs(table):
 
 
 def test_full_table_n5_exactness_sampled(table5):
-    # the n=5 matrix is summed through float32 products; spot-check hard
+    # the n=5 matrix is summed in uint16 by the zeta transform; spot-check hard
     _check_seeded_pairs(table5)
 
 
@@ -270,22 +285,24 @@ def test_full_table_refuses_inexact_sizes(monkeypatch):
         build_full_table(5)
 
 
-def test_full_table_refuses_inexact_float32_sums(monkeypatch):
-    # B sums pairs of D_{n-1}: 4,096^2 = 2^24 of them could round in
-    # float32, so the build refuses before it splits or joins anything
-    sizes = {5: 5_000, 4: 4_096}
+def test_full_table_reads_only_its_own_layer(monkeypatch, table5):
+    # no layer below, no split into halves and no join table: the whole
+    # matrix and the k = 4 rows come from D_5 alone
+    real_layer = intervals.generate_layer
 
-    def fake(n, budget_mb=None):
-        return Layer(n, np.arange(sizes[n], dtype=np.uint64))
+    def only_five(n, budget_mb=None):
+        assert n == 5, f"generate_layer({n}) was called"
+        return real_layer(n, budget_mb)
 
     def never(*args, **kwargs):
-        raise AssertionError("a product was formed")
+        raise AssertionError("a half-split table was built")
 
-    monkeypatch.setattr(intervals, "generate_layer", fake)
+    monkeypatch.setattr(intervals, "generate_layer", only_five)
     monkeypatch.setattr(intervals, "_split", never)
     monkeypatch.setattr(intervals, "_join_index_table", never)
-    with pytest.raises(VerificationError, match="2\\^24"):
-        build_full_table(5)
+    assert np.array_equal(build_full_table(5).counts, table5.counts)
+    sel = _row_selections(5)["below-dual"]
+    assert np.array_equal(build_full_table(5, rows=sel).counts, table5.counts[sel])
 
 
 @pytest.mark.parametrize("n", range(6))
