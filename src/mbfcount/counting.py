@@ -34,15 +34,16 @@ that constraint into closed sums over a smaller layer:
           counts.  The product vanishes unless dual(h) <= a, b, c <= h,
           so per top block h and a in [dual(h), h] the kernel
           (_top_block_sums) sums S(a, h) over b, c in [dual(h), h]: per
-          chunk of c it builds the rows re(c | x, h) and re(c* | x, h)
-          over x in [dual(h), h] once, and every a takes its four
-          factors from them.  Swapping b and c swaps two factors, so it
-          sums only b <= c and counts b < c twice.  Pruned plus4 runs
-          one task per h over the classes a under it; c -> c* maps the
-          sum for a* onto the sum for a, so a class and its dual class
-          are summed once, with twice the weight.  Pruned is the plus4
-          route at every base; strategy="dense", the sum over every
-          (a, b, c, h) (n <= 4), is the reference for the kernel.
+          chunk of c it builds the factors re(c | x, h) and re(c* | x, h)
+          once, stored one row per x in [dual(h), h], and every a takes
+          its four factors from them as whole rows, by `take`.
+          Swapping b and c swaps two factors, so it sums only b <= c and
+          counts b < c twice.  Pruned plus4 runs one task per h over the
+          classes a under it; c -> c* maps the sum for a* onto the sum
+          for a, so a class and its dual class are summed once, with
+          twice the weight.  Pruned is the plus4 route at every base;
+          strategy="dense", the sum over every (a, b, c, h) (n <= 4),
+          is the reference for the kernel.
 
   plus4c  the same k = 4 sum regrouped per top block h over the classes
           plus3 sums, with the same closed term (again the count for n
@@ -286,28 +287,40 @@ def _top_block_sums(tables, ih: int, cidx: np.ndarray, a_idx) -> list[int]:
     are those of _k4_tables, cidx the layer indices of [dual(h), h] in
     ascending order (_dual_intervals).  Every factor is an entry of the
     column re(x, h), which is the row of h* read through the row index:
-    the one row of the matrix this kernel reads per top block."""
+    the one row of the matrix this kernel reads per top block.
+
+    The factor rows of a chunk of c are stored transposed, one row per x
+    in the interval and one column per c, so each a takes its four
+    factors as whole contiguous rows by position.  Every gather is a
+    `take`, because numpy's fancy indexing with non-intp index arrays is
+    slower: at the top block of n = 5 (m = 7,581), on a 2-core host with
+    numpy 2.4, an entry of `col[S]` with a uint16 S cost 2.6 ns against
+    1.1 ns by `col.take(S)`, and an entry of a column gather from rows
+    stored one per c 0.51 ns against 0.07 ns by a whole-row `take` along
+    axis 0.
+    """
     RE, row, J, dual_idx = tables
-    dcidx = dual_idx[cidx]
+    dcidx = dual_idx.take(cidx)
     m = len(cidx)
     # col[x] = re(x, h) = re(h*, x*): dual reverses the order, so the
     # column of h is a gather from the contiguous row of h* (h* <= h, so
     # _k4_tables built it); entries are below 2^13 (_k4_tables checks),
     # so they fit int16, a product of two fits int32 and of four stays
     # below 2^52
-    col = RE[row[dual_idx[ih]]][dual_idx].astype(np.int16)
+    col = RE[row[dual_idx[ih]]].take(dual_idx).astype(np.int16)
     # a, a*, b and b* all lie in [h*, h], so each join of two does too;
-    # pos gives its column in the factor rows below
-    pos = np.zeros(len(J), dtype=np.intp)
+    # pos gives its position in the interval, below m <= d_5 = 7,581 <
+    # 2^13, so it fits int16
+    pos = np.zeros(len(J), dtype=np.int16)
     pos[cidx] = np.arange(m)
     joins = []
     for ia in a_idx:
-        ida = dual_idx[ia]
+        Ja, Jda = J[ia], J[dual_idx[ia]]
         joins.append((
-            pos[J[ia, cidx]],  # a | b, per b in the interval
-            pos[J[ia, dcidx]],  # a | b*
-            pos[J[ida, cidx]],  # a* | b
-            pos[J[ida, dcidx]],  # a* | b*
+            pos.take(Ja.take(cidx)),  # a | b, per b in the interval
+            pos.take(Ja.take(dcidx)),  # a | b*
+            pos.take(Jda.take(cidx)),  # a* | b
+            pos.take(Jda.take(dcidx)),  # a* | b*
         ))
     # the product is symmetric in b and c, so sum only b <= c by interval
     # index: per chunk of c in [lo, hi), the b in [0, lo) lie above the
@@ -316,16 +329,18 @@ def _top_block_sums(tables, ih: int, cidx: np.ndarray, a_idx) -> list[int]:
     diag = [0] * len(joins)
     for lo in range(0, m, _PRUNED_CHUNK):
         hi = lo + _PRUNED_CHUNK
-        # J is symmetric, so row k holds the joins with c = cidx[lo + k]:
-        # Mc[k, x] = re(c | x, h) and Mdc[k, x] = re(c* | x, h) for every x
-        # in the interval, shared by every a
-        Mc = col[J[cidx[lo:hi]][:, cidx]]
-        Mdc = col[J[dcidx[lo:hi]][:, cidx]]
+        # J is symmetric, so row k of J's chunk holds the joins with
+        # c = cidx[lo + k]; transposed, McT[x, k] = re(c | x, h) and
+        # MdcT[x, k] = re(c* | x, h) for every x in the interval, shared
+        # by every a
+        McT = np.ascontiguousarray(col.take(J.take(cidx[lo:hi], axis=0).take(cidx, axis=1)).T)
+        MdcT = np.ascontiguousarray(col.take(J.take(dcidx[lo:hi], axis=0).take(cidx, axis=1)).T)
         for k, (j_bot, j_a, j_b, j_c) in enumerate(joins):
-            p = np.multiply(Mc[:, j_bot[:hi]], Mdc[:, j_a[:hi]], dtype=np.int32)  # a|b|c, a|b*|c*
-            q = np.multiply(Mdc[:, j_b[:hi]], Mc[:, j_c[:hi]], dtype=np.int32)  # a*|b|c*, a*|b*|c
-            # one sum per b over the chunk's rows, each below _PRUNED_CHUNK * 2^52
-            sums = np.einsum("ij,ij->j", p, q, dtype=np.int64)
+            # one row per b: p pairs a|b|c with a|b*|c*, q a*|b|c* with a*|b*|c
+            p = np.multiply(McT.take(j_bot[:hi], axis=0), MdcT.take(j_a[:hi], axis=0), dtype=np.int32)
+            q = np.multiply(MdcT.take(j_b[:hi], axis=0), McT.take(j_c[:hi], axis=0), dtype=np.int32)
+            # one sum per b over the chunk's columns, each below _PRUNED_CHUNK * 2^52
+            sums = np.einsum("ij,ij->i", p, q, dtype=np.int64)
             if lo:
                 off[k] += exact_sum(sums[:lo])
             diag[k] += exact_sum(sums[lo:])

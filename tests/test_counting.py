@@ -113,8 +113,15 @@ def test_plus4c_equals_dense_plus4(n, classes):
     )
 
 
-@pytest.mark.parametrize("n", range(5))
-def test_join_index_table_is_the_join(n):
+@pytest.mark.parametrize("n, chunk", [
+    pytest.param(n, chunk, id=f"{n}-chunk{chunk}" if chunk else str(n))
+    for n in range(5) for chunk in (None, 1, 7)
+])
+def test_join_index_table_is_the_join(n, chunk, monkeypatch):
+    # the default chunk, one row a chunk, and 7 rows, where the last chunk
+    # is shorter than the others (20 = 7 + 7 + 6 rows at n = 3)
+    if chunk:
+        monkeypatch.setattr(intervals, "_JOIN_CHUNK", chunk)
     V = generate_layer(n).values
     J = intervals._join_index_table(V, n)
     assert np.array_equal(V[J], V[:, None] | V[None, :])
@@ -539,8 +546,8 @@ def test_lambda_any_unsupported_combinations():
 
 def test_method_budget_refusals(classes):
     layer5, cl5 = setup(5, classes)
-    with pytest.raises(BudgetError, match="needs ~194 MB"):
-        lambda_plus4_direct(layer5, cl5, budget_mb=190)  # the n=5 k = 4 tables refused
+    with pytest.raises(BudgetError, match="needs ~190 MB"):
+        lambda_plus4_direct(layer5, cl5, budget_mb=185)  # the n=5 k = 4 tables refused
     with pytest.raises(BudgetError, match="per b"):
         lambda_plus4_direct(layer5, cl5, strategy="dense")
     with pytest.raises(BudgetError):
@@ -568,7 +575,9 @@ def test_k4_tables_refuse_the_matrix_and_join_index_together(classes, monkeypatc
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_k4_tables_estimate_covers_the_measured_peak():
-    # a fresh process, so ru_maxrss grows only by the n=5 tables' build
+    # a fresh process, so ru_maxrss grows only by the n=5 tables' build.  A
+    # process inherits its parent's peak RSS through exec, so the build
+    # runs in a child of a small launcher, not of this process
     code = (
         "import resource\n"
         "from mbfcount import counting\n"
@@ -578,12 +587,16 @@ def test_k4_tables_estimate_covers_the_measured_peak():
         "counting._k4_tables(layer, None)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
     )
+    launch = (
+        "import subprocess, sys\n"
+        f"sys.exit(subprocess.run([sys.executable, '-c', {code!r}]).returncode)\n"
+    )
     src = str(Path(counting.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", launch], env=env, capture_output=True, text=True, check=True)
     grown = int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
     need = _k4_need(generate_layer(5))
-    assert grown <= need, f"estimate {need / 1e6:.1f} MB, peak RSS grew {grown / 1e6:.1f} MB"
+    assert grown <= need <= 1.5 * grown, f"estimate {need / 1e6:.1f} MB, peak RSS grew {grown / 1e6:.1f} MB"
 
 
 def test_verify_result():
