@@ -185,9 +185,9 @@ def cmd_lambda(cfg: RunConfig) -> int:
         print(
             f"mbfcount: note: the n=9 run sums {terms:,} four-way interval"
             f" products (pruned plus4 over the n=5 classes); a class and its"
-            f" dual class have equal sums, so {folded:,} are summed, and they"
-            " are symmetric in b and c, so the kernel evaluates about half of"
-            " those, one per pair b <= c",
+            f" dual class have equal sums, so {folded:,} are summed, and the"
+            " kernel evaluates about a quarter, one per orbit of (b, c) under"
+            " b <-> c and (b, c) -> (b*, c*)",
             file=sys.stderr,
         )
     result = lambda_any(cfg.target, cfg.method, cfg.threads, cfg.budget_mb, verify=False)

@@ -37,11 +37,13 @@ that constraint into closed sums over a smaller layer:
           chunk of c it builds the factors re(c | x, h) and re(c* | x, h)
           once, stored one row per x in [dual(h), h], and every a takes
           its four factors from them as whole rows, by `take`.
-          Swapping b and c swaps two factors, so it sums only b <= c and
-          counts b < c twice.  Pruned plus4 runs one task per h over the
-          classes a under it; c -> c* maps the sum for a* onto the sum
-          for a, so a class and its dual class are summed once, with
-          twice the weight.  Pruned is the plus4 route at every base;
+          Swapping b and c, and replacing (b, c) by (b*, c*), each
+          permute the four factors, so it evaluates about a quarter of
+          the pairs, one per orbit of (b, c) under b <-> c and
+          (b, c) -> (b*, c*), weighted by the orbit's size.  Pruned plus4 runs one task per
+          h over the classes a under it; c -> c* maps the sum for a* onto
+          the sum for a, so a class and its dual class are summed once,
+          with twice the weight.  Pruned is the plus4 route at every base;
           strategy="dense", the sum over every (a, b, c, h) (n <= 4),
           is the reference for the kernel.
 
@@ -289,18 +291,35 @@ def _top_block_sums(tables, ih: int, cidx: np.ndarray, a_idx) -> list[int]:
     column re(x, h), which is the row of h* read through the row index:
     the one row of the matrix this kernel reads per top block.
 
+    The summand is unchanged when b and c are swapped, and when (b, c) is
+    replaced by (b*, c*), which maps the first factor onto the second and
+    the third onto the fourth.  So the kernel sums one (b, c) per orbit of
+    the group these generate, weighted by the orbit's size: about a
+    quarter of the m^2 pairs.  The interval splits into L, the lower of
+    each dual pair by layer index, the self-dual elements S and dual(L).
+    The columns c run over L, and the rows b over Q = [dual(L), S, L],
+    with dual(L) in the order of L.  The chunk [lo, hi) of L reads rows
+    Q[lo : l + s + hi], with weights:
+      - 2 on its first hi - lo rows, dual(L[lo:hi]): (e*, c) and (c*, e)
+        share an orbit of 4 and both lie in that square, and (c*, c) has
+        an orbit of 2;
+      - 2 on its last hi - lo rows, L[lo:hi]: likewise (b, c) and (c, b);
+      - 4 on the rows between, whose orbits have one pair among all the
+        pairs read: (e*, c) and (c*, e) with e beyond hi, (b, c) and
+        (c, b) with b below lo, and for a self-dual b, (b, c) and (b, c*).
+    One more pass sums the columns S over the rows S at weight 1.
+
     The factor rows of a chunk of c are stored transposed, one row per x
-    in the interval and one column per c, so each a takes its four
-    factors as whole contiguous rows by position.  Every gather is a
-    `take`, because numpy's fancy indexing with non-intp index arrays is
-    slower: at the top block of n = 5 (m = 7,581), on a 2-core host with
-    numpy 2.4, an entry of `col[S]` with a uint16 S cost 2.6 ns against
-    1.1 ns by `col.take(S)`, and an entry of a column gather from rows
-    stored one per c 0.51 ns against 0.07 ns by a whole-row `take` along
-    axis 0.
+    in the interval (ascending, so the gathers keep their locality) and
+    one column per c, so each a takes its four factors as whole
+    contiguous rows by position.  Every gather is a `take`, because
+    numpy's fancy indexing with non-intp index arrays is slower: at the
+    top block of n = 5 (m = 7,581), on a 2-core host with numpy 2.4, an
+    entry of `col[S]` with a uint16 S cost 2.6 ns against 1.1 ns by
+    `col.take(S)`, and an entry of a column gather from rows stored one
+    per c 0.51 ns against 0.07 ns by a whole-row `take` along axis 0.
     """
     RE, row, J, dual_idx = tables
-    dcidx = dual_idx.take(cidx)
     m = len(cidx)
     # col[x] = re(x, h) = re(h*, x*): dual reverses the order, so the
     # column of h is a gather from the contiguous row of h* (h* <= h, so
@@ -313,38 +332,66 @@ def _top_block_sums(tables, ih: int, cidx: np.ndarray, a_idx) -> list[int]:
     # 2^13, so it fits int16
     pos = np.zeros(len(J), dtype=np.int16)
     pos[cidx] = np.arange(m)
+    dcidx = dual_idx.take(cidx)
+    low, self_dual = cidx[cidx < dcidx], cidx[cidx == dcidx]
+    l, s = len(low), len(self_dual)
+    dlow = dual_idx.take(low)
+    rows_q = np.concatenate((dlow, self_dual, low))  # Q
+    drows_q = np.concatenate((low, self_dual, dlow))  # the dual of each row of Q
     joins = []
     for ia in a_idx:
         Ja, Jda = J[ia], J[dual_idx[ia]]
         joins.append((
-            pos.take(Ja.take(cidx)),  # a | b, per b in the interval
-            pos.take(Ja.take(dcidx)),  # a | b*
-            pos.take(Jda.take(cidx)),  # a* | b
-            pos.take(Jda.take(dcidx)),  # a* | b*
+            pos.take(Ja.take(rows_q)),  # a | b, per row b of Q
+            pos.take(Ja.take(drows_q)),  # a | b*
+            pos.take(Jda.take(rows_q)),  # a* | b
+            pos.take(Jda.take(drows_q)),  # a* | b*
         ))
-    # the product is symmetric in b and c, so sum only b <= c by interval
-    # index: per chunk of c in [lo, hi), the b in [0, lo) lie above the
-    # diagonal and count twice, the square of b, c in [lo, hi) counts once
-    off = [0] * len(joins)
-    diag = [0] * len(joins)
-    for lo in range(0, m, _PRUNED_CHUNK):
-        hi = lo + _PRUNED_CHUNK
+
+    def factor_rows(cs):
         # J is symmetric, so row k of J's chunk holds the joins with
-        # c = cidx[lo + k]; transposed, McT[x, k] = re(c | x, h) and
-        # MdcT[x, k] = re(c* | x, h) for every x in the interval, shared
-        # by every a
-        McT = np.ascontiguousarray(col.take(J.take(cidx[lo:hi], axis=0).take(cidx, axis=1)).T)
-        MdcT = np.ascontiguousarray(col.take(J.take(dcidx[lo:hi], axis=0).take(cidx, axis=1)).T)
-        for k, (j_bot, j_a, j_b, j_c) in enumerate(joins):
-            # one row per b: p pairs a|b|c with a|b*|c*, q a*|b|c* with a*|b*|c
-            p = np.multiply(McT.take(j_bot[:hi], axis=0), MdcT.take(j_a[:hi], axis=0), dtype=np.int32)
-            q = np.multiply(MdcT.take(j_b[:hi], axis=0), McT.take(j_c[:hi], axis=0), dtype=np.int32)
-            # one sum per b over the chunk's columns, each below _PRUNED_CHUNK * 2^52
-            sums = np.einsum("ij,ij->i", p, q, dtype=np.int64)
-            if lo:
-                off[k] += exact_sum(sums[:lo])
-            diag[k] += exact_sum(sums[lo:])
-    return [2 * o + d for o, d in zip(off, diag)]
+        # c = cs[k]; transposed, out[x, k] = re(cs[k] | x, h) for every x
+        # in the interval, shared by every a
+        return np.ascontiguousarray(col.take(J.take(cs, axis=0).take(cidx, axis=1)).T)
+
+    def row_sums(McT, MdcT, js, rows):
+        # one row per b in rows: p pairs a|b|c with a|b*|c*, q a*|b|c*
+        # with a*|b*|c; one sum per b over the chunk's columns, each below
+        # _PRUNED_CHUNK * 2^52
+        j_bot, j_a, j_b, j_c = (j[rows] for j in js)
+        p = np.multiply(McT.take(j_bot, axis=0), MdcT.take(j_a, axis=0), dtype=np.int32)
+        q = np.multiply(MdcT.take(j_b, axis=0), McT.take(j_c, axis=0), dtype=np.int32)
+        return np.einsum("ij,ij->i", p, q, dtype=np.int64)
+
+    totals = [0] * len(joins)
+    for lo in range(0, l, _PRUNED_CHUNK):
+        hi = min(lo + _PRUNED_CHUNK, l)
+        w = hi - lo
+        McT = factor_rows(low[lo:hi])
+        MdcT = factor_rows(dlow[lo:hi])
+        for k, js in enumerate(joins):
+            sums = row_sums(McT, MdcT, js, slice(lo, l + s + hi))
+            totals[k] += 2 * (exact_sum(sums[:w]) + exact_sum(sums[-w:])) + 4 * exact_sum(sums[w:-w])
+    for lo in range(0, s, _PRUNED_CHUNK):
+        M = factor_rows(self_dual[lo:lo + _PRUNED_CHUNK])  # c* = c
+        for k, js in enumerate(joins):
+            totals[k] += exact_sum(row_sums(M, M, js, slice(l, l + s)))
+    return totals
+
+
+def _top_block_bytes(d: int, m: int, k: int) -> int:
+    """Estimated peak of the buffers one _top_block_sums call allocates,
+    for an interval of m elements of a layer of d and k values of a: 8
+    bytes per a and element for the four int16 join positions; per entry
+    of a chunk's factor rows (m x _PRUNED_CHUNK), 16 bytes: the two int16
+    blocks of the chunk before, beside the build's uint16 joins, the intp
+    copy that `take` makes of them and the int16 result; 2 bytes per
+    entry of the _PRUNED_CHUNK rows of J that the build gathers first;
+    and 16 bytes per layer element for the column and the position index.
+    Between builds, the two int32 products and two int16 row takes over a
+    window of l + s + (hi - lo) <= m rows take 12 bytes per entry beside
+    the blocks' 4, so they never set the peak."""
+    return 8 * m * k + 16 * _PRUNED_CHUNK * m + 2 * _PRUNED_CHUNK * d + 16 * d
 
 
 def fold_dual_classes(classes: list[OrbitClass], n: int) -> tuple[list[OrbitClass], list[int]]:
@@ -388,8 +435,9 @@ def plus4_pruned_term_count(layer: Layer, classes: list[OrbitClass]) -> int:
     Each listed class counts once: over all 210 classes of the n=5 layer
     that is 417,628,327,127.  The kernel sums a class and its dual class
     once (fold_dual_classes), so it is given 227,793,759,723 over the 112
-    classes the fold keeps; and since the products are symmetric in b and
-    c, it evaluates about half of those, one per pair b <= c.
+    classes the fold keeps; and it evaluates about a quarter of those,
+    one per orbit of (b, c) under b <-> c and (b, c) -> (b*, c*), which
+    leave each product unchanged.
     """
     reps, _ = _rep_array(classes)
     joins = reps | vecbits.dual_array(reps, layer.n)
@@ -415,7 +463,7 @@ def _require_exact_chunk_sums(chunk: int) -> None:
 
 
 def _k4_tables(
-    layer: Layer, budget_mb: int | None, every_row: bool = False
+    layer: Layer, budget_mb: int | None, kernel_bytes: int = 0, every_row: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The tables every k = 4 kernel takes: rows RE of the uint16 interval
     matrix, the row index (row[i] is the row of layer index i in RE), the
@@ -425,15 +473,16 @@ def _k4_tables(
     (2,646 of the 7,581 at n = 5); the dense reference reads every row
     (every_row), and there RE is the whole matrix.  A row not built has
     the index len(RE), so reading it raises.  Refuses the rows and J,
-    each with its build buffers, together before building any of them,
-    and raises before any task runs unless four-way products of interval
+    each with its build buffers, together with the kernel_bytes that the
+    tasks will allocate beside them, before building any of them, and
+    raises before any task runs unless four-way products of interval
     counts stay below 2^52.
     """
     V, n, d = layer.values, layer.n, len(layer)
     dual = vecbits.dual_array(V, n)
     rows = np.arange(d) if every_row else np.flatnonzero((V & ~dual) == 0)
-    need = full_table_bytes(d, len(rows)) + join_index_bytes(d)
-    check_budget(f"matrix and join index for n={n}", need, budget_mb)
+    need = full_table_bytes(d, len(rows)) + join_index_bytes(d) + kernel_bytes
+    check_budget(f"matrix and join index for n={n} with the kernel's buffers", need, budget_mb)
     counts = build_full_table(n, budget_mb, rows).counts
     _require_exact_products(int(counts.max()))
     row = np.full(d, len(rows), dtype=np.int32)
@@ -462,8 +511,8 @@ def lambda_plus4_direct(
             f" per b, {len(layer)} times per class; use pruned"
         )
     V = layer.values
-    tables = _k4_tables(layer, budget_mb, every_row=strategy == "dense")
     if strategy == "dense":
+        tables = _k4_tables(layer, budget_mb, every_row=True)
         reps, gammas = _rep_array(classes)
         rep_idx = np.searchsorted(V, reps)
         parts = parallel.run_tasks(
@@ -478,9 +527,14 @@ def lambda_plus4_direct(
         rep_joins = reps | vecbits.dual_array(reps, n)
         class_weights = [g * k for g, k in zip(gammas.tolist(), mult)]  # doubled for a folded dual pair
         tops, intervals, terms = _pruned_terms(V, n, rep_joins)
+        ks = np.count_nonzero(terms, axis=0)  # the classes a under each top block
         terms = terms.sum(axis=0)
         order = np.argsort(-terms, kind="stable")  # longest first
         order = order[terms[order] > 0]
+        sizes = [len(intervals[ih]) for ih in tops[order].tolist()]
+        # each worker may run the largest task at the same time
+        task_bytes = max((_top_block_bytes(len(V), m, k) for m, k in zip(sizes, ks[order].tolist())), default=0)
+        tables = _k4_tables(layer, budget_mb, min(max(workers, 1), len(order)) * task_bytes)
 
         def top_task(ih: int) -> int:
             under = np.nonzero((rep_joins & ~V[ih]) == 0)[0]  # classes with a | a* <= h
@@ -510,7 +564,9 @@ def lambda_plus4_classes(
     n = layer.n
     _require_base("plus4c", n)
     _require_exact_chunk_sums(_PRUNED_CHUNK)
-    tables = _k4_tables(layer, budget_mb)
+    # a task's interval lies in D_n, and its a are at most one per element
+    d = len(layer)
+    tables = _k4_tables(layer, budget_mb, max(workers, 1) * _top_block_bytes(d, d, d))
     value = _run_class_tasks(
         layer, classes, workers, lambda ih, I, reps, inverse: _top_block_sums(tables, ih, I, I[reps])
     )

@@ -8,9 +8,10 @@ counts and the all-pairs interval matrix that the counts read against the
 definition scan, the Dedekind numbers and dual symmetry, the upward counts
 with the join and dual indices against D_{n+2}, stabilizer orbits against
 classification, and the counting methods (class folding, each plus3 class
-task against the definition, and plus4c and pruned plus4, which share one
-kernel, against the dense k = 4 sum).  A build that passes all of these
-and the reference table is very hard to get wrong silently.
+task against the definition, the kernel that plus4c and pruned plus4
+share against the definition at every (a, h), and both routes against
+the dense k = 4 sum).  A build that passes all of these and the
+reference table is very hard to get wrong silently.
 
 A suite is a check of one n.  SUITES gives each its largest n, and
 run_selfcheck is the one loop over n: it stops a suite at its first
@@ -28,6 +29,9 @@ from . import vecbits
 from .core import dual_bits, table_width
 from .counting import (
     LAMBDA_KNOWN,
+    _dual_intervals,
+    _k4_tables,
+    _top_block_sums,
     exact_sum,
     lambda_plus2,
     lambda_plus3,
@@ -256,6 +260,55 @@ def check_plus3_classes(n: int) -> bool:
     return total == LAMBDA_KNOWN[n + 3]
 
 
+def top_block_products(values: np.ndarray, n: int, a: int, h: int) -> np.ndarray:
+    """T(b, c) = re(a|b|c, h) re(a|b*|c*, h) re(a*|b|c*, h) re(a*|b*|c, h)
+    from its definition, one row per b and one column per c in
+    [dual(h), h], ascending: each join a bitwise or and each re(x, h) a
+    count of the z in values with x <= z <= h by subset tests, every
+    (b, c) pair at once, with no matrix or join table.  a must lie in
+    [dual(h), h], so every join does too (checked)."""
+    V = np.asarray(values, dtype=np.uint64)
+    below_h = V[(V & ~np.uint64(h)) == 0]
+    I = below_h[(np.uint64(dual_bits(h, n)) & ~below_h) == 0]  # [dual(h), h]
+    re = np.count_nonzero((I[:, None] & ~below_h[None, :]) == 0, axis=1)
+    B = I[:, None]  # b down the rows
+    C = B.T  # c across the columns
+    Bd = np.array([dual_bits(int(b), n) for b in I], dtype=np.uint64)[:, None]
+    Cd = Bd.T
+    ad = dual_bits(a, n)
+    joins = np.stack([a | B | C, a | Bd | Cd, ad | B | Cd, ad | Bd | C])
+    at = np.minimum(np.searchsorted(I, joins), len(I) - 1)
+    if not np.array_equal(I[at], joins):
+        raise ValueError("a join falls outside [dual(h), h]")
+    f = re[at].astype(np.int64)
+    return f[0] * f[1] * f[2] * f[3]
+
+
+def top_block_sum(values: np.ndarray, n: int, a: int, h: int) -> int:
+    """S(a, h), the sum of top_block_products.  Each factor is at most
+    m = |[dual(h), h]|, so the m^2 products sum below m^6, inside int64
+    for m <= 1448."""
+    T = top_block_products(values, n, a, h)
+    if len(T) > 1448:
+        raise ValueError(f"|[dual(h), h]| = {len(T)} overflows the int64 sum")
+    return int(T.sum())
+
+
+def check_top_block_sums(n: int) -> bool:
+    """The shared k = 4 kernel, which sums one (b, c) per orbit of b <-> c
+    and (b, c) -> (b*, c*), gives top_block_sum at every top block h with
+    dual(h) <= h and every a in [dual(h), h]."""
+    layer = generate_layer(n)
+    V = layer.values
+    tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
+    tables = _k4_tables(layer, None)
+    for ih, I in _dual_intervals(V, n, tops).items():
+        expect = [top_block_sum(V, n, int(V[ia]), int(V[ih])) for ia in I]
+        if _top_block_sums(tables, ih, I, I) != expect:
+            return False
+    return True
+
+
 def check_plus4c_against_dense(n: int) -> bool:
     """plus4c, which sums b, c over [dual(h), h] only, equals dense plus4,
     which sums every (a, b, c, h) (out-of-interval terms have a zero
@@ -290,6 +343,7 @@ SUITES = (
     ("dedekind-two-up", 5, check_dedekind_two_up),
     ("plus2-class-fold", 4, check_plus2_class_fold),
     ("plus3-classes", 4, check_plus3_classes),
+    ("top-block-sums", 4, check_top_block_sums),
     ("plus4c-against-dense", 2, check_plus4c_against_dense),
     ("plus4-strategies", 3, check_plus4_strategies),
 )

@@ -104,30 +104,3 @@ def interval_matrix(values) -> np.ndarray:
             acc += x_below_z.astype(np.float32) @ z_below_y.astype(np.float32)
         out[lo:lo + 512, lo:] = acc
     return out
-
-
-def top_block_sum(V, n: int, a: int, h: int) -> int:
-    """S(a, h) from its definition: the sum over b, c in [dual(h), h] of
-    re(a|b|c, h) re(a|b*|c*, h) re(a*|b|c*, h) re(a*|b*|c, h), each join a
-    bitwise or and each re(x, h) a count of the z in V with x <= z <= h by
-    subset tests; every (b, c) pair at once, with no matrix or join table.
-    a must lie in [dual(h), h], so every join does too (checked)."""
-    V = np.asarray(V, dtype=np.uint64)
-    below_h = V[(V & ~np.uint64(h)) == 0]
-    hd, ad = slow_dual(n, h), slow_dual(n, a)
-    I = below_h[(np.uint64(hd) & ~below_h) == 0]  # [dual(h), h], ascending
-    re = np.count_nonzero((I[:, None] & ~below_h[None, :]) == 0, axis=1)
-    B = I[:, None]  # b down the rows
-    C = B.T  # c across the columns
-    Bd = np.array([slow_dual(n, int(b)) for b in I], dtype=np.uint64)[:, None]
-    Cd = Bd.T
-    joins = np.stack([a | B | C, a | Bd | Cd, ad | B | Cd, ad | Bd | C])
-    at = np.minimum(np.searchsorted(I, joins), len(I) - 1)
-    if not np.array_equal(I[at], joins):
-        raise ValueError("a join falls outside [dual(h), h]")
-    # each factor is at most m = |[dual(h), h]|, so the m^2 products sum
-    # below m^6, inside int64 for m <= 1448
-    if len(I) > 1448:
-        raise ValueError(f"|[dual(h), h]| = {len(I)} overflows the int64 sum")
-    f = re[at].astype(np.int64)
-    return int((f[0] * f[1] * f[2] * f[3]).sum())

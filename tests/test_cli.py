@@ -151,7 +151,7 @@ def test_lambda9_note_gives_exact_term_count(monkeypatch, capsys):
     assert out.startswith(f"lambda n=9 method=plus4 value={counting.LAMBDA_KNOWN[9]}")
     assert "417,628,327,127 four-way interval products" in err
     assert "dual class have equal sums, so 227,793,759,723 are summed" in err
-    assert "about half of those, one per pair b <= c" in err
+    assert "about a quarter, one per orbit of (b, c) under b <-> c and (b, c) -> (b*, c*)" in err
     assert "1.1e12" not in err and "days" not in err
 
 
@@ -293,7 +293,7 @@ def test_selfcheck_runs_every_suite_when_one_raises(monkeypatch, capsys):
     code, out, err = run(capsys, "selfcheck", "3")
     assert code == EXIT_VERIFY and err == ""
     lines = out.splitlines()
-    assert len(lines) == 15
+    assert len(lines) == 16
     assert [line.split(":")[0].split()[1] for line in lines] == [name for name, _, _ in selfcheck.SUITES]
     failed = [line for line in lines if line.startswith("FAIL")]
     assert "FAIL canonical-representatives: n=0: no classes for n=0" in failed

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,9 @@ from mbfcount.counting import (
 from mbfcount.errors import BudgetError, UnsupportedCombinationError, VerificationError
 from mbfcount.intervals import upward_counts
 from mbfcount.layers import generate_layer
+from mbfcount.selfcheck import top_block_products, top_block_sum
 
-from oracles import interval_matrix, slow_dual, slow_layer, slow_orbit, top_block_sum
+from oracles import interval_matrix, slow_dual, slow_layer, slow_orbit
 
 
 def setup(n, classes):
@@ -158,8 +160,11 @@ def test_k4_sum_over_every_quadruple_is_lambda(n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_top_block_sums_match_the_definition(n):
-    # every top block h with dual(h) <= h, every a in [dual(h), h]
+def test_top_block_sums_match_the_definition(n, monkeypatch):
+    # every top block h with dual(h) <= h, every a in [dual(h), h].  With
+    # chunks of 1, 7 and 64 the chunks of L end ragged, the self-dual
+    # elements (12 at the top block of n = 4) span several chunks, and
+    # intervals are smaller than one chunk
     layer = generate_layer(n)
     V = layer.values
     tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
@@ -168,8 +173,27 @@ def test_top_block_sums_match_the_definition(n):
     # the pairs dual(h) <= a <= h are plus2's terms, so they count lambda_{n+2}
     assert sum(len(a_idx) for a_idx in intervals.values()) == LAMBDA_KNOWN[n + 2]
     for ih, a_idx in intervals.items():
-        sums = counting._top_block_sums(tables, ih, a_idx, a_idx)
-        assert sums == [top_block_sum(V, n, int(V[ia]), int(V[ih])) for ia in a_idx]
+        expect = [top_block_sum(V, n, int(V[ia]), int(V[ih])) for ia in a_idx]
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(counting, "_PRUNED_CHUNK", chunk)
+            assert counting._top_block_sums(tables, ih, a_idx, a_idx) == expect
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_top_block_products_are_invariant_under_the_orbit_group(n):
+    # T(b, c) = T(c, b) = T(b*, c*) at every (a, h), from the definition
+    # alone: the identity behind the kernel's orbit weights
+    V = generate_layer(n).values
+    for h in V.tolist():
+        hd = slow_dual(n, h)
+        if hd & ~h:
+            continue
+        I = V[((V & ~np.uint64(h)) == 0) & ((np.uint64(hd) & ~V) == 0)]
+        dual_pos = np.searchsorted(I, [slow_dual(n, b) for b in I.tolist()])
+        for a in I.tolist():
+            T = top_block_products(V, n, a, h)
+            assert np.array_equal(T, T.T)
+            assert np.array_equal(T, T[np.ix_(dual_pos, dual_pos)])
 
 
 def _k4_rows(layer):
@@ -205,9 +229,9 @@ def test_k4_tables_hold_the_rows_the_kernel_reads(n):
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 @pytest.mark.parametrize("n", [3, 4])
 def test_plus4_pruned_half_sum_over_many_chunks(n, chunk, classes, monkeypatch):
-    # intervals span several chunks of c, so pairs b < c in different
-    # chunks count twice; with 7 most intervals end in a ragged chunk.
-    # plus4c sums through the same kernel
+    # intervals span several chunks of c, so the pairs of one orbit of
+    # (b, c) fall in different chunks; with 7 most intervals end in a
+    # ragged chunk.  plus4c sums through the same kernel
     monkeypatch.setattr(counting, "_PRUNED_CHUNK", chunk)
     layer, cl = setup(n, classes)
     assert lambda_plus4_direct(layer, cl, strategy="pruned").value == LAMBDA_KNOWN[n + 4]
@@ -322,7 +346,7 @@ def test_fold_dual_classes_n5(base5):
     assert plus4_pruned_term_count(layer, kept) == 227_793_759_723
 
 
-def test_top_block_sums_match_the_definition_base5(base5):
+def test_top_block_sums_match_the_definition_base5(base5, monkeypatch):
     # seeded (a, h) pairs over the top blocks with |[dual(h), h]| <= 400
     layer, _ = base5
     V = layer.values
@@ -335,6 +359,35 @@ def test_top_block_sums_match_the_definition_base5(base5):
         ia = int(rng.choice(intervals[ih]))
         got = counting._top_block_sums(tables, ih, intervals[ih], [ia])
         assert got == [top_block_sum(V, 5, int(V[ia]), int(V[ih]))]
+    # the block with the most self-dual elements (20 of m = 400), in
+    # chunks of 7: the pass over them spans three chunks
+    dual_idx = tables[3]
+    ih = max(small, key=lambda j: np.count_nonzero(dual_idx[intervals[j]] == intervals[j]))
+    I = intervals[ih]
+    assert np.count_nonzero(dual_idx[I] == I) == 20
+    monkeypatch.setattr(counting, "_PRUNED_CHUNK", 7)
+    a_idx = [int(ia) for ia in rng.sample(I.tolist(), 6)] + [int(I[0]), int(I[-1])]
+    got = counting._top_block_sums(tables, ih, I, a_idx)
+    assert got == [top_block_sum(V, 5, int(V[ia]), int(V[ih])) for ia in a_idx]
+
+
+def test_top_block_budget_estimate_covers_the_peak(base5):
+    # the top block (m = 7,581) for a few a: tracemalloc sees every numpy
+    # buffer the call allocates
+    layer, _ = base5
+    V = layer.values
+    ih = len(V) - 1
+    I = counting._dual_intervals(V, 5, np.array([ih]))[ih]
+    tables = counting._k4_tables(layer, None)
+    a_idx = I[::1500]
+    tracemalloc.start()
+    try:
+        counting._top_block_sums(tables, ih, I, a_idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = counting._top_block_bytes(len(V), len(I), len(a_idx))
+    assert need / 2 < peak <= need, f"estimate {need / 1e6:.2f} MB, peak {peak / 1e6:.2f} MB"
 
 
 def test_plus4_pruned_base5_class_and_its_dual(base5):
@@ -546,8 +599,10 @@ def test_lambda_any_unsupported_combinations():
 
 def test_method_budget_refusals(classes):
     layer5, cl5 = setup(5, classes)
-    with pytest.raises(BudgetError, match="needs ~190 MB"):
-        lambda_plus4_direct(layer5, cl5, budget_mb=185)  # the n=5 k = 4 tables refused
+    with pytest.raises(BudgetError, match="needs ~205 MB"):
+        lambda_plus4_direct(layer5, cl5, budget_mb=185)  # the n=5 k = 4 tables and kernel refused
+    with pytest.raises(BudgetError, match="needs ~221 MB"):
+        lambda_plus4_direct(layer5, cl5, workers=2, budget_mb=185)  # and a second worker's kernel
     with pytest.raises(BudgetError, match="per b"):
         lambda_plus4_direct(layer5, cl5, strategy="dense")
     with pytest.raises(BudgetError):

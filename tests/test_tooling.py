@@ -199,7 +199,7 @@ def test_selfcheck_has_one_loop_over_n():
         lambda node: "max_n" in (getattr(node, "id", None), getattr(node, "arg", None)),
     )
     assert found == ["run_selfcheck"], found
-    assert len(selfcheck.SUITES) == 15
+    assert len(selfcheck.SUITES) == 16
     for name, cap, check in selfcheck.SUITES:
         assert isinstance(cap, int), name
         assert list(inspect.signature(check).parameters) == ["n"], name
