@@ -60,16 +60,13 @@ kernel at one representative per orbit by the orbit size.  Every task is
 a closure over its route's local arrays, and every kernel takes the
 tables it reads as arguments.
 
-Both k = 4 routes, and the dense reference, read one representation,
-built by one helper (_k4_tables): rows of the uint16 interval matrix with
-a row index, the join-index table J (the index of x | y) and the index of
-each dual.  A factor such as re(a | b | c, h) is the matrix entry at row
-J[J[a, b], c]; the shared kernel reads a column re(x, h) as the row of
-h* gathered through the dual index, since re(x, h) = re(h*, x*).  Its top
-blocks have h* <= h, so it reads only the rows of the x <= x*, and only
-those are built (2,646 of the 7,581 at n = 5, 40 MB of the 115 MB
-matrix); the dense reference reads every row, and gets the whole matrix.
-Entries are cast up only where multiplied.
+Both k = 4 routes, and the dense reference, read the tables built by one
+helper (_k4_tables): the layer, the join-index table J (the index of
+x | y) and the index of each dual.  A factor such as re(a | b | c, h) is
+the entry of the column re(x, h) at J[J[a, b], c].  The shared kernel
+counts that column over [h*, h] alone (upward_in_interval), where every
+join it reads lies; only the dense reference builds the uint16 interval
+matrix.  Entries are cast up only where multiplied.
 
 Every accumulator is an exact integer: numpy partial sums stay below
 2^63 by construction (wide blocks are split 26 bits at a time before
@@ -87,8 +84,8 @@ import numpy as np
 from . import orbits, parallel, vecbits
 from .core import table_width
 from .errors import BudgetError, UnsupportedCombinationError, VerificationError
-from .intervals import _join_index_table, build_full_table, upward_counts
-from .intervals import full_table_bytes, join_index_bytes
+from .intervals import _join_index_table, build_full_table, full_table_bytes, join_index_bytes
+from .intervals import upward_counts, upward_in_interval
 from .layers import Layer, check_budget, generate_layer, self_dual_brute
 from .orbits import OrbitClass, canonical_array, classify
 
@@ -260,8 +257,8 @@ def lambda_plus3(layer: Layer, classes: list[OrbitClass], workers: int = 1) -> L
 
 def _plus4_dense_sum(tables, ia: int) -> int:
     """The sum over every b, c and top block h of the four factors, for the
-    layer index a; tables are those of _k4_tables."""
-    RE, _, J, dual_idx = tables  # every row, in layer order
+    layer index a; tables are the interval matrix, J and the dual index."""
+    RE, J, dual_idx = tables
     ida = dual_idx[ia]
     total = 0
     for ib in range(len(J)):
@@ -282,14 +279,14 @@ def _plus4_dense_sum(tables, ia: int) -> int:
 _PRUNED_CHUNK = 64
 
 
-def _top_block_sums(tables, ih: int, cidx: np.ndarray, a_idx) -> list[int]:
-    """S(a, h) for the top block h at layer index ih and each layer index a
-    in [dual(h), h]: the sum over b, c in [dual(h), h] of
+def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
+    """S(a, h) for the top block h and each layer index a in [dual(h), h]:
+    the sum over b, c in [dual(h), h] of
     re(a|b|c, h) re(a|b*|c*, h) re(a*|b|c*, h) re(a*|b*|c, h).  tables
     are those of _k4_tables, cidx the layer indices of [dual(h), h] in
-    ascending order (_dual_intervals).  Every factor is an entry of the
-    column re(x, h), which is the row of h* read through the row index:
-    the one row of the matrix this kernel reads per top block.
+    ascending order (_dual_intervals), so h is at cidx[-1].  Every factor
+    is an entry of the column re(x, h) at a join inside [dual(h), h],
+    which the kernel counts over that interval (upward_in_interval).
 
     The summand is unchanged when b and c are swapped, and when (b, c) is
     replaced by (b*, c*), which maps the first factor onto the second and
@@ -319,14 +316,13 @@ def _top_block_sums(tables, ih: int, cidx: np.ndarray, a_idx) -> list[int]:
     `col.take(S)`, and an entry of a column gather from rows stored one
     per c 0.51 ns against 0.07 ns by a whole-row `take` along axis 0.
     """
-    RE, row, J, dual_idx = tables
+    V, J, dual_idx = tables
     m = len(cidx)
-    # col[x] = re(x, h) = re(h*, x*): dual reverses the order, so the
-    # column of h is a gather from the contiguous row of h* (h* <= h, so
-    # _k4_tables built it); entries are below 2^13 (_k4_tables checks),
-    # so they fit int16, a product of two fits int32 and of four stays
-    # below 2^52
-    col = RE[row[dual_idx[ih]]].take(dual_idx).astype(np.int16)
+    # col[x] = re(x, h), read only at joins inside [dual(h), h]; entries
+    # are below 2^13 (_k4_tables checks), so they fit int16, a product of
+    # two fits int32 and of four stays below 2^52
+    col = np.zeros(len(V), dtype=np.int16)
+    col[cidx] = upward_in_interval(V.take(cidx))
     # a, a*, b and b* all lie in [h*, h], so each join of two does too;
     # pos gives its position in the interval, below m <= d_5 = 7,581 <
     # 2^13, so it fits int16
@@ -390,7 +386,8 @@ def _top_block_bytes(d: int, m: int, k: int) -> int:
     and 16 bytes per layer element for the column and the position index.
     Between builds, the two int32 products and two int16 row takes over a
     window of l + s + (hi - lo) <= m rows take 12 bytes per entry beside
-    the blocks' 4, so they never set the peak."""
+    the blocks' 4, and the column's count about 50 bytes per element of the
+    interval before any chunk, so neither sets the peak."""
     return 8 * m * k + 16 * _PRUNED_CHUNK * m + 2 * _PRUNED_CHUNK * d + 16 * d
 
 
@@ -462,33 +459,19 @@ def _require_exact_chunk_sums(chunk: int) -> None:
         )
 
 
-def _k4_tables(
-    layer: Layer, budget_mb: int | None, kernel_bytes: int = 0, every_row: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The tables every k = 4 kernel takes: rows RE of the uint16 interval
-    matrix, the row index (row[i] is the row of layer index i in RE), the
+def _k4_tables(layer: Layer, budget_mb: int | None, kernel_bytes: int = 0) -> tuple[np.ndarray, ...]:
+    """The tables every k = 4 kernel takes: the layer values V, the
     join-index table J (the index of x | y in the layer) and the index of
-    each element's dual.  _top_block_sums reads only the row of h* for a
-    top block h with h* <= h, so RE holds only the rows of the x <= x*
-    (2,646 of the 7,581 at n = 5); the dense reference reads every row
-    (every_row), and there RE is the whole matrix.  A row not built has
-    the index len(RE), so reading it raises.  Refuses the rows and J,
-    each with its build buffers, together with the kernel_bytes that the
-    tasks will allocate beside them, before building any of them, and
-    raises before any task runs unless four-way products of interval
-    counts stay below 2^52.
-    """
+    each element's dual.  A kernel reads interval counts of at most the
+    layer's size d, so this raises before building anything unless d^4 <
+    2^52; then it refuses J, with its build buffers, together with the
+    kernel_bytes the kernel allocates beside it (the tasks' buffers, or the
+    dense reference's matrix)."""
     V, n, d = layer.values, layer.n, len(layer)
-    dual = vecbits.dual_array(V, n)
-    rows = np.arange(d) if every_row else np.flatnonzero((V & ~dual) == 0)
-    need = full_table_bytes(d, len(rows)) + join_index_bytes(d) + kernel_bytes
-    check_budget(f"matrix and join index for n={n} with the kernel's buffers", need, budget_mb)
-    counts = build_full_table(n, budget_mb, rows).counts
-    _require_exact_products(int(counts.max()))
-    row = np.full(d, len(rows), dtype=np.int32)
-    row[rows] = np.arange(len(rows))
-    dual_idx = np.searchsorted(V, dual).astype(np.int32)
-    return counts, row, _join_index_table(V, n), dual_idx
+    _require_exact_products(d)
+    check_budget(f"join index for n={n} with the kernel's buffers", join_index_bytes(d) + kernel_bytes, budget_mb)
+    dual_idx = np.searchsorted(V, vecbits.dual_array(V, n)).astype(np.int32)
+    return V, _join_index_table(V, n), dual_idx
 
 
 def lambda_plus4_direct(
@@ -512,7 +495,8 @@ def lambda_plus4_direct(
         )
     V = layer.values
     if strategy == "dense":
-        tables = _k4_tables(layer, budget_mb, every_row=True)
+        _, J, dual_idx = _k4_tables(layer, budget_mb, full_table_bytes(len(layer)))
+        tables = build_full_table(n, budget_mb).counts, J, dual_idx
         reps, gammas = _rep_array(classes)
         rep_idx = np.searchsorted(V, reps)
         parts = parallel.run_tasks(
@@ -538,7 +522,7 @@ def lambda_plus4_direct(
 
         def top_task(ih: int) -> int:
             under = np.nonzero((rep_joins & ~V[ih]) == 0)[0]  # classes with a | a* <= h
-            sums = _top_block_sums(tables, ih, intervals[ih], rep_idx[under])
+            sums = _top_block_sums(tables, intervals[ih], rep_idx[under])
             return sum(class_weights[ci] * s for ci, s in zip(under, sums))
 
         parts = parallel.run_tasks(top_task, tops[order].tolist(), workers, weights=terms[order].tolist())
@@ -568,7 +552,7 @@ def lambda_plus4_classes(
     d = len(layer)
     tables = _k4_tables(layer, budget_mb, max(workers, 1) * _top_block_bytes(d, d, d))
     value = _run_class_tasks(
-        layer, classes, workers, lambda ih, I, reps, inverse: _top_block_sums(tables, ih, I, I[reps])
+        layer, classes, workers, lambda ih, I, reps, inverse: _top_block_sums(tables, I, I[reps])
     )
     return LambdaResult(n + 4, "plus4c", value, n, time.perf_counter() - t0, "brute")
 

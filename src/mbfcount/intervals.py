@@ -1,21 +1,23 @@
 """Interval cardinalities: how many layer elements lie between x and y.
 
-Three routes compute |{z : x <= z <= y}|, one for each job:
+Four routes compute |{z : x <= z <= y}|, one for each job:
 
   * re_scan: a linear scan of the materialized layer, the definition and
-    the oracle that selfcheck and the tests hold the other two against.
+    the oracle that selfcheck and the tests hold the other three against.
   * upward_counts: the count up to the top element for a list of
     elements of D_n (plus2 reads it, and `retable` writes it), by the
     half-split: the distinct points grouped by low half x0, and each
     count a sum over z0 >= x0 of upward counts in D_{n-1}, read through
     the join table of D_{n-2} and a table indexed by pairs of halves, in
     the calling process.
+  * upward_in_interval: re(x, X[-1]) over one interval X of D_n, by the
+    up-zeta transform over X alone (Bjorklund, Husfeldt, Kaski and
+    Koivisto, SODA 2012, on Birkhoff's representation: an element is an
+    up-set of the 2^n inputs): the k = 4 kernel's column over [h*, h],
+    and with X = D_n the upward counts that upward_counts reads.
   * build_full_table: the all-pairs uint16 matrix for n <= 5, indexed by
-    layer ordinal, by the fast zeta transform over D_n alone (Bjorklund,
-    Husfeldt, Kaski and Koivisto, SODA 2012, on Birkhoff's
-    representation: an element is an up-set of the 2^n inputs).  It
-    builds every row by default (selfcheck) or only the rows at the
-    layer indices it is given (the k = 4 kernel reads the x <= x*).
+    layer ordinal, by the down-zeta transform over D_n alone; selfcheck
+    and the dense k = 4 reference read it.
 
 The join-index table (_join_index_table) is built here too, by the
 half-split: upward counts read it two layers down, the k = 4 counts at D_n.
@@ -45,11 +47,31 @@ def re_scan(layer: Layer, x: int, y: int) -> int:
     return int(np.count_nonzero(((V & x) == x) & ((V & y) == V)))
 
 
+def upward_in_interval(X: np.ndarray) -> np.ndarray:
+    """re(x, X[-1]) for each x of X, the ascending uint64 array of an
+    interval [X[0], X[-1]] of D_n (int32, in the order of X).
+
+    f starts at 1; for each input p in X[-1] but not in X[0] (no other is
+    in a difference z - x within X), in ascending order, f[x] += f[x | p]
+    wherever x | p lies in X.  Then f(x) counts the z >= x in X with z - x
+    among the inputs taken so far: an input above p in the cube is larger,
+    so not yet taken, so in x if in z, and then x | p is an up-set, in X.
+    x | p has p, so it is not updated in the step of p: the add is exact."""
+    free = int(X[-1] & ~X[0])
+    f = np.ones(len(X), dtype=np.int32)
+    for bit in (np.uint64(1 << p) for p in range(free.bit_length()) if free & (1 << p)):
+        src = np.flatnonzero((X & bit) == 0)
+        up = X[src] | bit
+        dst = np.searchsorted(X, up)  # < len(X): X[-1] bounds every x | p
+        found = X[dst] == up
+        f[src[found]] += f[dst[found]]
+    return f
+
+
 @lru_cache(maxsize=None)
 def _full_upward(n: int) -> np.ndarray:
-    """Upward counts for every element of the layer D_n, n <= 5, by
-    upward_counts itself; cached per process."""
-    return upward_counts(n, generate_layer(n).values)
+    """Upward counts over the whole layer D_n, n <= 5; cached per process."""
+    return upward_in_interval(generate_layer(n).values)
 
 
 _UPWARD_BLOCK = 1 << 17  # (point, z0) pairs gathered at once
@@ -76,9 +98,8 @@ def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
     allocated once per call: whether glibc maps and faults fresh
     block-sized temporaries anew on each block depends on the heap's
     history, which unrelated source edits change (at n = 6 over plus2's
-    points, about 4,400 page faults per call, or none).  n <= 1
-    counts over the layer directly (D_0 has no halves).  Runs in this
-    process.
+    points, about 4,400 page faults per call, or none).  n <= 1 reads
+    the whole layer's counts (D_0 has no halves).  Runs in this process.
     """
     if n > 6:
         raise WidthError("upward counts need materializable layers (n <= 6)")
@@ -87,8 +108,7 @@ def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
     if not vecbits.monotone_mask(xs, n).all():
         raise ValueError(f"upward counts take elements of D_{n}; some are not monotone")
     if n <= 1:
-        V = generate_layer(n).values
-        return np.count_nonzero((xs[:, None] & ~V) == 0, axis=1).astype(np.int64)
+        return _full_upward(n)[np.searchsorted(generate_layer(n).values, xs)].astype(np.int64)
     if len(xs) == 0:
         return np.empty(0, dtype=np.int64)
     points, inverse = np.unique(xs, return_inverse=True)
@@ -132,11 +152,9 @@ def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntervalTable:
-    """Rows of the all-pairs matrix over the layer D_n: counts[k, j] =
-    re(V[rows[k]], V[j]) for the layer indices rows build_full_table was
-    given, so counts[i, j] = re(V[i], V[j]) when it builds every row.  It
-    is a class, not the bare array, only because the benchmark reads
-    `build_full_table(n).counts`."""
+    """The all-pairs matrix over the layer D_n: counts[i, j] = re(V[i],
+    V[j]).  It is a class, not the bare array, only because the benchmark
+    reads `build_full_table(n).counts`."""
 
     n: int
     counts: np.ndarray = field(repr=False)
@@ -174,8 +192,8 @@ def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
     table of D_{n-1} (built the same way, one layer down) and one flat
     lookup from the pair of half indices to the index in D_n, filled
     _JOIN_CHUNK rows at a time.  D_0 = {0, 1} has no lower layer; there
-    the join is the larger index.  Entries are uint16: _k4_tables builds
-    it after build_full_table has refused d >= 2^16.
+    the join is the larger index.  Entries are uint16: every caller
+    builds it for n <= 5, where d <= 7,581.
 
     Each chunk takes whole rows of low and high and looks the sums up in
     pair, all by `take`, which numpy 2.4 runs more than twice as fast
@@ -215,20 +233,17 @@ def join_index_bytes(d: int) -> int:
 _ZETA_BLOCK = 128  # rows transformed at once
 
 
-def full_table_bytes(d: int, rows: int) -> int:
-    """Estimated peak of build_full_table over the d elements of D_n when
-    it builds rows of the matrix (d for every row): the uint16 rows, and
-    per entry of one _ZETA_BLOCK of rows, 16 bytes: its uint64 and bool
-    indicator beside the last block's uint16 (13) and the steps (3)."""
-    return rows * d * 2 + _ZETA_BLOCK * d * 16
+def full_table_bytes(d: int) -> int:
+    """Estimated peak of build_full_table over the d elements of D_n: the
+    uint16 matrix, and per entry of one _ZETA_BLOCK of rows, 16 bytes: its
+    uint64 and bool indicator beside the last block's uint16 (13) and the
+    steps (3)."""
+    return d * d * 2 + _ZETA_BLOCK * d * 16
 
 
-def build_full_table(
-    n: int, budget_mb: int | None = None, rows: np.ndarray | None = None
-) -> IntervalTable:
-    """Rows of the all-pairs interval matrix, uint16, one per layer index
-    in rows (every row, in layer order, by default); n <= 5 (above that it
-    cannot fit).
+def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
+    """The all-pairs interval matrix, uint16, in layer order; n <= 5 (above
+    that it cannot fit).
 
     The down-zeta transform over D_n, each element the up-set of its true
     inputs.  Row x starts as F(y) = [x <= y]; then, per input p in
@@ -245,8 +260,8 @@ def build_full_table(
     Rows go _ZETA_BLOCK at a time in layer order, column-major (F has one
     row per y, so a step gathers contiguous rows).  x <= y as sets
     implies x <= y as integers, so re(x, y) = 0 for y below x in layer
-    order: a block transforms only the columns from its smallest row
-    index r0 on and drops the pairs with src < r0, whose values are 0.
+    order: a block transforms only the columns from its first row r0 on
+    and drops the pairs with src < r0, whose values are 0.
     """
     if n > 5:
         raise BudgetError(f"full interval table for n={n} is out of budget")
@@ -254,8 +269,7 @@ def build_full_table(
     V, d = layer.values, len(layer)
     if d >= 1 << 16:
         raise VerificationError(f"full interval table for n={n} has {d} >= 2^16 rows")
-    rows = np.arange(d) if rows is None else np.asarray(rows, dtype=np.intp)
-    check_budget(f"full interval table for n={n}", full_table_bytes(d, len(rows)), budget_mb)
+    check_budget(f"full interval table for n={n}", full_table_bytes(d), budget_mb)
     steps = []
     for p in reversed(range(table_width(n))):
         bit = np.uint64(1 << p)
@@ -263,17 +277,14 @@ def build_full_table(
         dst = np.searchsorted(V, V[src] | bit)  # < d: the top bounds every join
         found = V[dst] == V[src] | bit
         steps.append((src[found], dst[found]))  # both ascending
-    order = np.argsort(rows)
-    counts = np.zeros((len(rows), d), dtype=np.uint16)
-    for lo in range(0, len(rows), _ZETA_BLOCK):
-        at = order[lo:lo + _ZETA_BLOCK]
-        r0 = rows[at[0]]
-        X = V[rows[at]]
+    counts = np.zeros((d, d), dtype=np.uint16)
+    for r0 in range(0, d, _ZETA_BLOCK):
+        X = V[r0:r0 + _ZETA_BLOCK]
         F = ((V[r0:, None] & X) == X).astype(np.uint16)  # F[y - r0, k] = [X[k] <= y]
         for src, dst in steps:
             k = np.searchsorted(src, r0)
             F[dst[k:] - r0] += F[src[k:] - r0]
-        counts[at, r0:] = F.T
+        counts[r0:r0 + _ZETA_BLOCK, r0:] = F.T
     return IntervalTable(n, counts)
 
 

@@ -22,6 +22,7 @@ state: each check builds what it reads.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .counting import (
     lambda_plus4_direct,
 )
 from .errors import VerificationError
-from .intervals import _join_index_table, build_full_table, re_scan, upward_counts
+from .intervals import _join_index_table, build_full_table, re_scan, upward_counts, upward_in_interval
 from .layers import DEDEKIND_7, LAYER_SIZE, generate_layer, self_dual_brute
 from .orbits import canonical_array, classify, stabilizer_orbits
 
@@ -173,7 +174,9 @@ def check_interval_oracle(n: int) -> bool:
     the upward counts read through the dual index.  The matrix is nonzero
     exactly on the pairs x <= y, which are the elements of D_{n+1}, so
     its support counts the next Dedekind number.  Every entry satisfies
-    re(x, y) = re(y*, x*), which the zeta transform that builds it never uses."""
+    re(x, y) = re(y*, x*), which the zeta transform that builds it never
+    uses.  The k = 4 kernel's column over [h*, h] (upward_in_interval) is
+    that of the matrix, at every h with h* <= h."""
     layer = generate_layer(n)
     V = layer.values
     top = V[-1]  # the layer ascends, and the top is its largest element
@@ -188,12 +191,16 @@ def check_interval_oracle(n: int) -> bool:
     C = build_full_table(n).counts
     if np.count_nonzero(C) != LAYER_SIZE[n + 1]:
         return False
-    dual_idx = np.searchsorted(V, vecbits.dual_array(V, n))
+    duals = vecbits.dual_array(V, n)
+    dual_idx = np.searchsorted(V, duals)
     if not (np.array_equal(C[:, -1], up) and np.array_equal(C[0], up[dual_idx])):
         return False
     for k in range(0, d, 256):  # column y of C is row y* permuted by dual
         if not np.array_equal(C[:, k:k + 256], C[dual_idx[k:k + 256]][:, dual_idx].T):
             return False
+    tops = np.flatnonzero((duals & ~V) == 0)
+    if not all(np.array_equal(upward_in_interval(V[I]), C[I, ih]) for ih, I in _dual_intervals(V, n, tops).items()):
+        return False
     return all(C[i, j] == re_scan(layer, V[i], V[j]) for i, j in pairs)
 
 
@@ -260,53 +267,51 @@ def check_plus3_classes(n: int) -> bool:
     return total == LAMBDA_KNOWN[n + 3]
 
 
-def top_block_products(values: np.ndarray, n: int, a: int, h: int) -> np.ndarray:
-    """T(b, c) = re(a|b|c, h) re(a|b*|c*, h) re(a*|b|c*, h) re(a*|b*|c, h)
-    from its definition, one row per b and one column per c in
-    [dual(h), h], ascending: each join a bitwise or and each re(x, h) a
-    count of the z in values with x <= z <= h by subset tests, every
-    (b, c) pair at once, with no matrix or join table.  a must lie in
-    [dual(h), h], so every join does too (checked)."""
+def top_block_products(values: np.ndarray, n: int, h: int, a_values) -> Iterator[np.ndarray]:
+    """For each a in a_values, T(b, c) = re(a|b|c, h) re(a|b*|c*, h)
+    re(a*|b|c*, h) re(a*|b*|c, h) from its definition, one row per b and
+    one column per c in [dual(h), h], ascending: each join a bitwise or and
+    each re(x, h) a count of the z in values with x <= z <= h by subset
+    tests, every (b, c) pair at once, with no matrix, join table or zeta
+    transform; the interval, its counts and its duals once per h.  Each a
+    must lie in [dual(h), h], so every join does too, and the m^2 products
+    of one a, each at most m^4 for m = |[dual(h), h]|, sum inside int64
+    for m <= 1448 (both checked)."""
     V = np.asarray(values, dtype=np.uint64)
     below_h = V[(V & ~np.uint64(h)) == 0]
     I = below_h[(np.uint64(dual_bits(h, n)) & ~below_h) == 0]  # [dual(h), h]
+    if len(I) > 1448:
+        raise ValueError(f"|[dual(h), h]| = {len(I)} overflows the int64 sum")
     re = np.count_nonzero((I[:, None] & ~below_h[None, :]) == 0, axis=1)
-    B = I[:, None]  # b down the rows
-    C = B.T  # c across the columns
+    B = I[:, None]  # b down the rows, and c across the columns of B.T
     Bd = np.array([dual_bits(int(b), n) for b in I], dtype=np.uint64)[:, None]
-    Cd = Bd.T
-    ad = dual_bits(a, n)
-    joins = np.stack([a | B | C, a | Bd | Cd, ad | B | Cd, ad | Bd | C])
-    at = np.minimum(np.searchsorted(I, joins), len(I) - 1)
-    if not np.array_equal(I[at], joins):
-        raise ValueError("a join falls outside [dual(h), h]")
-    f = re[at].astype(np.int64)
-    return f[0] * f[1] * f[2] * f[3]
+    for a in (int(a) for a in a_values):
+        ad = dual_bits(a, n)
+        joins = np.stack([a | B | B.T, a | Bd | Bd.T, ad | B | Bd.T, ad | Bd | B.T])
+        at = np.minimum(np.searchsorted(I, joins), len(I) - 1)
+        if not np.array_equal(I[at], joins):
+            raise ValueError("a join falls outside [dual(h), h]")
+        f = re[at].astype(np.int64)
+        yield f[0] * f[1] * f[2] * f[3]
 
 
-def top_block_sum(values: np.ndarray, n: int, a: int, h: int) -> int:
-    """S(a, h), the sum of top_block_products.  Each factor is at most
-    m = |[dual(h), h]|, so the m^2 products sum below m^6, inside int64
-    for m <= 1448."""
-    T = top_block_products(values, n, a, h)
-    if len(T) > 1448:
-        raise ValueError(f"|[dual(h), h]| = {len(T)} overflows the int64 sum")
-    return int(T.sum())
+def definition_sums(values: np.ndarray, n: int, h: int, a_values) -> list[int]:
+    """S(a, h) for each a in a_values, the sum of top_block_products."""
+    return [int(T.sum()) for T in top_block_products(values, n, h, a_values)]
 
 
 def check_top_block_sums(n: int) -> bool:
     """The shared k = 4 kernel, which sums one (b, c) per orbit of b <-> c
-    and (b, c) -> (b*, c*), gives top_block_sum at every top block h with
-    dual(h) <= h and every a in [dual(h), h]."""
+    and (b, c) -> (b*, c*), gives definition_sums at every top block h
+    with dual(h) <= h and every a in [dual(h), h]."""
     layer = generate_layer(n)
     V = layer.values
     tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
     tables = _k4_tables(layer, None)
-    for ih, I in _dual_intervals(V, n, tops).items():
-        expect = [top_block_sum(V, n, int(V[ia]), int(V[ih])) for ia in I]
-        if _top_block_sums(tables, ih, I, I) != expect:
-            return False
-    return True
+    return all(
+        _top_block_sums(tables, I, I) == definition_sums(V, n, int(V[ih]), V[I])
+        for ih, I in _dual_intervals(V, n, tops).items()
+    )
 
 
 def check_plus4c_against_dense(n: int) -> bool:

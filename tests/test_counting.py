@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import subprocess
@@ -25,8 +24,8 @@ from mbfcount.counting import (
 )
 from mbfcount.errors import BudgetError, UnsupportedCombinationError, VerificationError
 from mbfcount.intervals import upward_counts
-from mbfcount.layers import generate_layer
-from mbfcount.selfcheck import top_block_products, top_block_sum
+from mbfcount.layers import Layer, generate_layer
+from mbfcount.selfcheck import definition_sums, top_block_products
 
 from oracles import interval_matrix, slow_dual, slow_layer, slow_orbit
 
@@ -80,7 +79,7 @@ def test_plus4_strategies_agree(n, classes):
 
 
 def test_plus4_routes_run_pruned_unless_dense_is_named(classes, monkeypatch):
-    def never(tables, ia):
+    def never(*args):
         raise AssertionError("the dense reference ran")
 
     monkeypatch.setattr(counting, "_plus4_dense_sum", never)
@@ -173,10 +172,10 @@ def test_top_block_sums_match_the_definition(n, monkeypatch):
     # the pairs dual(h) <= a <= h are plus2's terms, so they count lambda_{n+2}
     assert sum(len(a_idx) for a_idx in intervals.values()) == LAMBDA_KNOWN[n + 2]
     for ih, a_idx in intervals.items():
-        expect = [top_block_sum(V, n, int(V[ia]), int(V[ih])) for ia in a_idx]
+        expect = definition_sums(V, n, int(V[ih]), V[a_idx])
         for chunk in (1, 7, 64):
             monkeypatch.setattr(counting, "_PRUNED_CHUNK", chunk)
-            assert counting._top_block_sums(tables, ih, a_idx, a_idx) == expect
+            assert counting._top_block_sums(tables, a_idx, a_idx) == expect
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -190,40 +189,34 @@ def test_top_block_products_are_invariant_under_the_orbit_group(n):
             continue
         I = V[((V & ~np.uint64(h)) == 0) & ((np.uint64(hd) & ~V) == 0)]
         dual_pos = np.searchsorted(I, [slow_dual(n, b) for b in I.tolist()])
-        for a in I.tolist():
-            T = top_block_products(V, n, a, h)
+        for T in top_block_products(V, n, h, I):
             assert np.array_equal(T, T.T)
             assert np.array_equal(T, T[np.ix_(dual_pos, dual_pos)])
 
 
-def _k4_rows(layer):
-    V = layer.values
-    return np.flatnonzero((V & ~vecbits.dual_array(V, layer.n)) == 0)
-
-
-def _k4_need(layer):
-    # the x <= x* rows and J, each with its build buffers
-    d = len(layer)
-    return intervals.full_table_bytes(d, len(_k4_rows(layer))) + intervals.join_index_bytes(d)
+def _never_the_matrix(*args, **kwargs):
+    raise AssertionError("an interval-matrix row was built")
 
 
 @pytest.mark.parametrize("n", range(5))
-def test_k4_tables_hold_the_rows_the_kernel_reads(n):
-    # the rows of the x <= x*, read through the row index; any other row
-    # is out of range, and the dense reference gets the whole matrix
+def test_k4_tables_hold_the_rows_the_kernel_reads(n, monkeypatch):
+    # the layer, the rows of J (the index of x | y) and the index of each
+    # dual, and no row of the interval matrix
+    monkeypatch.setattr(counting, "build_full_table", _never_the_matrix)
     layer = generate_layer(n)
-    full = intervals.build_full_table(n).counts
-    RE, row, _, _ = counting._k4_tables(layer, None)
-    built = np.zeros(len(layer), dtype=bool)
-    built[_k4_rows(layer)] = True
-    for i in range(len(layer)):
-        if built[i]:
-            assert np.array_equal(RE[row[i]], full[i])
-        else:
-            with pytest.raises(IndexError):
-                RE[row[i]]
-    RE, row, _, _ = counting._k4_tables(layer, None, every_row=True)
-    assert np.array_equal(RE, full) and np.array_equal(row, np.arange(len(layer)))
+    V, J, dual_idx = counting._k4_tables(layer, None)
+    assert V is layer.values
+    assert np.array_equal(V[J], V[:, None] | V[None, :])
+    assert V[dual_idx].tolist() == [slow_dual(n, x) for x in V.tolist()]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_pruned_routes_build_no_matrix_row(n, classes, monkeypatch):
+    # each top-block task counts its own column over [h*, h]
+    monkeypatch.setattr(counting, "build_full_table", _never_the_matrix)
+    layer, cl = setup(n, classes)
+    assert lambda_plus4_direct(layer, cl).value == LAMBDA_KNOWN[n + 4]
+    assert lambda_plus4_classes(layer, cl).value == LAMBDA_KNOWN[n + 4]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -357,18 +350,18 @@ def test_top_block_sums_match_the_definition_base5(base5, monkeypatch):
     rng = random.Random(22)
     for ih in rng.sample(small, 22):
         ia = int(rng.choice(intervals[ih]))
-        got = counting._top_block_sums(tables, ih, intervals[ih], [ia])
-        assert got == [top_block_sum(V, 5, int(V[ia]), int(V[ih]))]
+        got = counting._top_block_sums(tables, intervals[ih], [ia])
+        assert got == definition_sums(V, 5, int(V[ih]), [V[ia]])
     # the block with the most self-dual elements (20 of m = 400), in
     # chunks of 7: the pass over them spans three chunks
-    dual_idx = tables[3]
+    dual_idx = tables[2]
     ih = max(small, key=lambda j: np.count_nonzero(dual_idx[intervals[j]] == intervals[j]))
     I = intervals[ih]
     assert np.count_nonzero(dual_idx[I] == I) == 20
     monkeypatch.setattr(counting, "_PRUNED_CHUNK", 7)
     a_idx = [int(ia) for ia in rng.sample(I.tolist(), 6)] + [int(I[0]), int(I[-1])]
-    got = counting._top_block_sums(tables, ih, I, a_idx)
-    assert got == [top_block_sum(V, 5, int(V[ia]), int(V[ih])) for ia in a_idx]
+    got = counting._top_block_sums(tables, I, a_idx)
+    assert got == definition_sums(V, 5, int(V[ih]), V[a_idx])
 
 
 def test_top_block_budget_estimate_covers_the_peak(base5):
@@ -382,7 +375,7 @@ def test_top_block_budget_estimate_covers_the_peak(base5):
     a_idx = I[::1500]
     tracemalloc.start()
     try:
-        counting._top_block_sums(tables, ih, I, a_idx)
+        counting._top_block_sums(tables, I, a_idx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -390,8 +383,9 @@ def test_top_block_budget_estimate_covers_the_peak(base5):
     assert need / 2 < peak <= need, f"estimate {need / 1e6:.2f} MB, peak {peak / 1e6:.2f} MB"
 
 
-def test_plus4_pruned_base5_class_and_its_dual(base5):
-    # partial sums from perfbench/lambda9_sample.json
+def test_plus4_pruned_base5_class_and_its_dual(base5, monkeypatch):
+    # partial sums from perfbench/lambda9_sample.json, with no interval-matrix row
+    monkeypatch.setattr(counting, "build_full_table", _never_the_matrix)
     layer, cl = base5
     by_rep = {c.representative.bits: c for c in cl}
     bottom, top = by_rep[0x00000000], by_rep[0xFFFFFFFF]
@@ -416,21 +410,23 @@ def test_exact_product_bound_at_the_edge():
         counting._require_exact_products(8192)  # 8192^4 = 2^52
 
 
+class _InflatedLayer(Layer):
+    # the n = 2 layer, claiming 8192 elements: an interval count can reach
+    # the layer's size, so its four-way products could reach 8192^4 = 2^52
+    def __len__(self):
+        return 8192
+
+
 @pytest.mark.parametrize("route", ["dense", "pruned", "plus4c"])
 def test_plus4_refuses_counts_beyond_exact_range(route, classes, monkeypatch):
-    real_table = counting.build_full_table
-
-    def inflated(n, budget_mb=None, rows=None):
-        table = real_table(n, budget_mb, rows)
-        return dataclasses.replace(table, counts=np.full(table.counts.shape, 8192))
-
     def never(*args, **kwargs):
-        raise AssertionError("a task was submitted")
+        raise AssertionError("a table was built or a task was submitted")
 
-    monkeypatch.setattr(counting, "build_full_table", inflated)
-    monkeypatch.setattr(parallel, "run_tasks", never)
+    for module, name in [(counting, "build_full_table"), (counting, "_join_index_table"), (parallel, "run_tasks")]:
+        monkeypatch.setattr(module, name, never)
     layer, cl = setup(2, classes)
-    with pytest.raises(VerificationError):
+    layer = _InflatedLayer(layer.n, layer.values)
+    with pytest.raises(VerificationError, match="2\\^52"):
         if route == "plus4c":
             lambda_plus4_classes(layer, cl)
         else:
@@ -599,10 +595,10 @@ def test_lambda_any_unsupported_combinations():
 
 def test_method_budget_refusals(classes):
     layer5, cl5 = setup(5, classes)
-    with pytest.raises(BudgetError, match="needs ~205 MB"):
-        lambda_plus4_direct(layer5, cl5, budget_mb=185)  # the n=5 k = 4 tables and kernel refused
-    with pytest.raises(BudgetError, match="needs ~221 MB"):
-        lambda_plus4_direct(layer5, cl5, workers=2, budget_mb=185)  # and a second worker's kernel
+    with pytest.raises(BudgetError, match="needs ~150 MB"):
+        lambda_plus4_direct(layer5, cl5, budget_mb=140)  # the n=5 join index and kernel refused
+    with pytest.raises(BudgetError, match="needs ~165 MB"):
+        lambda_plus4_direct(layer5, cl5, workers=2, budget_mb=140)  # and a second worker's kernel
     with pytest.raises(BudgetError, match="per b"):
         lambda_plus4_direct(layer5, cl5, strategy="dense")
     with pytest.raises(BudgetError):
@@ -612,19 +608,24 @@ def test_method_budget_refusals(classes):
 
 
 def test_k4_tables_refuse_the_matrix_and_join_index_together(classes, monkeypatch):
-    # the budget holds the n=5 rows' build, but not the rows and J together
-    layer5, cl5 = setup(5, classes)
-    d, rows = len(layer5), len(_k4_rows(layer5))
-    budget_mb = 150
-    assert rows == LAMBDA_KNOWN[6]  # 2,646 of the 7,581 rows
-    assert intervals.full_table_bytes(d, rows) / 1e6 <= budget_mb
-    assert budget_mb < _k4_need(layer5) / 1e6 < 200
-
+    # the dense reference's matrix and J each fit the budget at n=4, but
+    # not together; at n=5 J fits, but not with the pruned kernel's
+    # buffers.  Both are refused before either table is built
     def never(*args, **kwargs):
-        raise AssertionError("the matrix was built")
+        raise AssertionError("a table was built")
 
     monkeypatch.setattr(counting, "build_full_table", never)
-    with pytest.raises(BudgetError, match="matrix and join index"):
+    monkeypatch.setattr(counting, "_join_index_table", never)
+    layer4, cl4 = setup(4, classes)
+    matrix, join = intervals.full_table_bytes(len(layer4)) / 1e6, intervals.join_index_bytes(len(layer4)) / 1e6
+    budget_mb = 0.5
+    assert max(matrix, join) <= budget_mb < matrix + join
+    with pytest.raises(BudgetError, match="join index"):
+        lambda_plus4_direct(layer4, cl4, budget_mb=budget_mb, strategy="dense")
+    layer5, cl5 = setup(5, classes)
+    budget_mb = 140
+    assert intervals.join_index_bytes(len(layer5)) / 1e6 <= budget_mb
+    with pytest.raises(BudgetError, match="join index"):
         lambda_plus4_direct(layer5, cl5, budget_mb=budget_mb)
 
 
@@ -650,7 +651,7 @@ def test_k4_tables_estimate_covers_the_measured_peak():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", launch], env=env, capture_output=True, text=True, check=True)
     grown = int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
-    need = _k4_need(generate_layer(5))
+    need = intervals.join_index_bytes(len(generate_layer(5)))
     assert grown <= need <= 1.5 * grown, f"estimate {need / 1e6:.1f} MB, peak RSS grew {grown / 1e6:.1f} MB"
 
 

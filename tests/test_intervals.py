@@ -12,6 +12,7 @@ from mbfcount.intervals import (
     load_upward_table,
     re_scan,
     upward_counts,
+    upward_in_interval,
 )
 from mbfcount.layers import DEDEKIND_7, LAYER_SIZE, Layer, generate_layer, write_records
 from mbfcount.selfcheck import _four_block_count
@@ -93,7 +94,7 @@ def _shared_low_halves(V, n, rng, size, lows=3):
 
 @pytest.mark.parametrize("n", range(6))
 def test_upward_counts_whole_layer_match_definition(n):
-    intervals._full_upward.cache_clear()  # rebuild the chain of layers below n
+    intervals._full_upward.cache_clear()  # recount the layer below n
     V = generate_layer(n).values
     expect = np.array([np.count_nonzero((x & ~V) == 0) for x in V])
     assert np.array_equal(upward_counts(n, V), expect)
@@ -104,6 +105,23 @@ def test_upward_counts_whole_layer_match_definition(n):
         xs = np.concatenate((xs, _shared_low_halves(V, n, rng, len(V))))
     rng.shuffle(xs)
     assert np.array_equal(upward_counts(n, xs), expect[np.searchsorted(V, xs)])
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_upward_in_interval_is_the_scan_on_every_top_block(n):
+    # re(x, h) over [h*, h] for every h with h* <= h, against the definition
+    layer = generate_layer(n)
+    V = layer.values
+    duals = vecbits.dual_array(V, n)
+    for ih in np.flatnonzero((duals & ~V) == 0).tolist():
+        X = V[((duals[ih] & ~V) == 0) & ((V & ~V[ih]) == 0)]
+        assert upward_in_interval(X).tolist() == [re_scan(layer, x, V[ih]) for x in X]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_upward_in_interval_over_the_layer_is_its_upward_counts(n):
+    V = generate_layer(n).values
+    assert np.array_equal(upward_in_interval(V), upward_counts(n, V))
 
 
 def test_upward_counts_of_no_points():
@@ -206,22 +224,7 @@ def test_full_table_n5_stays_below_twice_the_matrix(table5_and_peak):
 
 def test_full_table_budget_estimate_covers_the_peak(table5_and_peak):
     table, peak = table5_and_peak
-    need = intervals.full_table_bytes(len(table.counts), len(table.counts))
-    assert peak <= need <= 1.5 * peak, f"estimate {need / 1e6:.1f} MB, peak {peak / 1e6:.1f} MB"
-
-
-def test_full_table_budget_estimate_covers_the_k4_rows():
-    # the production call: the 2,646 rows of the x <= x* that k = 4 reads
-    V = generate_layer(5).values
-    sel = _row_selections(5)["below-dual"]
-    assert len(sel) == 2_646
-    tracemalloc.start()
-    try:
-        build_full_table(5, rows=sel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    need = intervals.full_table_bytes(len(V), len(sel))
+    need = intervals.full_table_bytes(len(table.counts))
     assert peak <= need <= 1.5 * peak, f"estimate {need / 1e6:.1f} MB, peak {peak / 1e6:.1f} MB"
 
 
@@ -261,7 +264,7 @@ def _row_selections(n):
         "empty": np.empty(0, dtype=np.intp),
         "one": np.array([d // 2]),
         "seeded": rng.choice(d, size=min(d, 40), replace=False),  # unsorted
-        "below-dual": np.flatnonzero((V & ~vecbits.dual_array(V, n)) == 0),  # the rows k = 4 reads
+        "below-dual": np.flatnonzero((V & ~vecbits.dual_array(V, n)) == 0),
         "all": np.arange(d),
     }
 
@@ -269,12 +272,18 @@ def _row_selections(n):
 @pytest.mark.parametrize("which", ["empty", "one", "seeded", "below-dual", "all"])
 @pytest.mark.parametrize("n", range(6))
 def test_full_table_row_selection_is_those_rows_of_the_matrix(n, which, table5):
+    # row x of the matrix, re(x, y) = re(y*, x*), is upward_in_interval's
+    # column over [bottom, x*] read through the dual, by a route that
+    # shares no code with the down-zeta transform of the matrix
     full = table5.counts if n == 5 else build_full_table(n).counts
-    sel = _row_selections(n)[which]
-    got = build_full_table(n, rows=sel).counts
-    assert got.dtype == np.uint16
-    assert got.shape == (len(sel), len(full))
-    assert np.array_equal(got, full[sel])
+    V = generate_layer(n).values
+    duals = vecbits.dual_array(V, n)
+    for i in _row_selections(n)[which].tolist():
+        X = V[(V & ~duals[i]) == 0]  # [bottom, x*], ascending
+        above = (V[i] & ~V) == 0  # the y >= x, whose duals lie in X
+        row = np.zeros(len(V), dtype=np.int64)
+        row[above] = upward_in_interval(X)[np.searchsorted(X, duals[above])]
+        assert np.array_equal(full[i], row), i
 
 
 def test_full_table_refuses_inexact_sizes(monkeypatch):
@@ -287,7 +296,7 @@ def test_full_table_refuses_inexact_sizes(monkeypatch):
 
 def test_full_table_reads_only_its_own_layer(monkeypatch, table5):
     # no layer below, no split into halves and no join table: the whole
-    # matrix and the k = 4 rows come from D_5 alone
+    # matrix comes from D_5 alone
     real_layer = intervals.generate_layer
 
     def only_five(n, budget_mb=None):
@@ -301,8 +310,6 @@ def test_full_table_reads_only_its_own_layer(monkeypatch, table5):
     monkeypatch.setattr(intervals, "_split", never)
     monkeypatch.setattr(intervals, "_join_index_table", never)
     assert np.array_equal(build_full_table(5).counts, table5.counts)
-    sel = _row_selections(5)["below-dual"]
-    assert np.array_equal(build_full_table(5, rows=sel).counts, table5.counts[sel])
 
 
 @pytest.mark.parametrize("n", range(6))
