@@ -415,14 +415,18 @@ def fold_dual_classes(classes: list[OrbitClass], n: int) -> tuple[list[OrbitClas
 
 
 def _pruned_terms(V: np.ndarray, n: int, rep_joins: np.ndarray):
-    """The top indices ih with dual(h) <= h, the interval [dual(h), h] of
+    """The top indices ih with dual(h) <= h and some class under h (h >=
+    a | dual(a), one entry of rep_joins), the interval [dual(h), h] of
     each, and the ordered (b, c) pairs per class a and top block h: the
-    squared size of the interval where h >= a | dual(a) (one entry of
-    rep_joins), else 0 (one row per class)."""
+    squared size of the interval where a is under h, else 0 (one row per
+    class).  Only those tops are cut, so a call over few classes, or
+    none, cuts few intervals of the 2,646 tops at n = 5."""
     tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
+    under = (rep_joins[:, None] & ~V[tops][None, :]) == 0
+    keep = under.any(axis=0)
+    tops, under = tops[keep], under[:, keep]
     intervals = _dual_intervals(V, n, tops)
     squares = np.array([len(intervals[ih]) ** 2 for ih in tops.tolist()], dtype=np.int64)
-    under = (rep_joins[:, None] & ~V[tops][None, :]) == 0
     return tops, intervals, under * squares
 
 
@@ -464,9 +468,9 @@ def _k4_tables(layer: Layer, budget_mb: int | None, kernel_bytes: int = 0) -> tu
     join-index table J (the index of x | y in the layer) and the index of
     each element's dual.  A kernel reads interval counts of at most the
     layer's size d, so this raises before building anything unless d^4 <
-    2^52; then it refuses J, with its build buffers, together with the
-    kernel_bytes the kernel allocates beside it (the tasks' buffers, or the
-    dense reference's matrix)."""
+    2^52; then it refuses J and the dual index, with their build buffers,
+    together with the kernel_bytes the kernel allocates beside them (the
+    tasks' buffers, or the dense reference's matrix)."""
     V, n, d = layer.values, layer.n, len(layer)
     _require_exact_products(d)
     check_budget(f"join index for n={n} with the kernel's buffers", join_index_bytes(d) + kernel_bytes, budget_mb)
@@ -514,7 +518,6 @@ def lambda_plus4_direct(
         ks = np.count_nonzero(terms, axis=0)  # the classes a under each top block
         terms = terms.sum(axis=0)
         order = np.argsort(-terms, kind="stable")  # longest first
-        order = order[terms[order] > 0]
         sizes = [len(intervals[ih]) for ih in tops[order].tolist()]
         # each worker may run the largest task at the same time
         task_bytes = max((_top_block_bytes(len(V), m, k) for m, k in zip(sizes, ks[order].tolist())), default=0)

@@ -195,21 +195,29 @@ def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
     the join is the larger index.  Entries are uint16: every caller
     builds it for n <= 5, where d <= 7,581.
 
-    Each chunk takes whole rows of low and high and looks the sums up in
-    pair, all by `take`, which numpy 2.4 runs more than twice as fast
-    per entry as fancy indexing with a non-intp index.  `take` first
-    copies the int32 sums to intp, 8 bytes per entry of the chunk, so the
-    chunk is 64 rows: at 128 that copy raised the build's peak RSS at
-    n = 5 by about 8 MB (141.5 MB against 133.8 MB).
+    The pair index (index of x0 | y0) * dp + index of x1 | y1, dp =
+    |D_{n-1}|, is below dp^2, so low, high and each chunk's sums are
+    int16 up to dp^2 <= 2^15 (28,224 at n = 5); above that this raises
+    before building anything.  Each chunk takes whole rows of low and
+    high and looks the sums up in pair, all by `take`, which numpy 2.4
+    runs more than twice as fast per entry as fancy indexing with a
+    non-intp index.  `take` first copies the sums to intp, 8 bytes per
+    entry of the chunk, so the chunk is 64 rows: at 128 the chunk's
+    buffers would add about 6 MB to the build's peak at n = 5.
     """
     d = len(V)
     if n == 0:
         idx = np.arange(d)
         return np.maximum(idx[:, None], idx[None, :]).astype(np.uint16)
+    dp = LAYER_SIZE[n - 1]
+    if dp * dp > 1 << 15:
+        raise VerificationError(
+            f"join index for n={n}: pair indices reach {dp}^2 = {dp * dp} > 2^15, beyond int16"
+        )
     P, i0, i1, pair = _split(V, n)
-    dp = len(P)
-    Jp = _join_index_table(P, n - 1).astype(np.int32)  # dp * dp < 2^31
-    low = Jp.take(i0, axis=1) * dp  # row p: (index of p | x0) * dp, per x in D_n
+    Jp = _join_index_table(P, n - 1).astype(np.int16)
+    low = Jp.take(i0, axis=1)  # row p: index of p | x0, per x in D_n
+    low *= np.int16(dp)  # in place: a product would hold a second copy
     high = Jp.take(i1, axis=1)  # row p: index of p | x1
     J = np.empty((d, d), dtype=np.uint16)
     for lo in range(0, d, _JOIN_CHUNK):
@@ -221,13 +229,22 @@ def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
 
 
 def join_index_bytes(d: int) -> int:
-    """Estimated peak of _join_index_table over the d elements of D_n: J,
-    the int32 low and high (dp x d each, dp = |D_{n-1}|, the largest layer
-    below d), and per entry of one chunk 18 bytes: the two int32 row
-    gathers (one of them the sum), the intp copy of the sum that `take`
-    makes and the uint16 lookup."""
+    """Estimated peak of the k = 4 tables over the d elements of D_n, the
+    join-index table and the dual index: J; the int16 low and high (dp x
+    d each, dp = |D_{n-1}|, the largest layer below d); per entry of one
+    chunk 14 bytes, the int16 rows of low and high (one of them the sum),
+    the intp copy of the sum that `take` makes and the uint16 lookup; the
+    pair lookup and the int16 join table of D_{n-1}, dp^2 entries each;
+    and per element of D_n 28 bytes, the intp half indices, the uint64
+    dual array and the int32 dual index.  The chunk's rows of high and the
+    dual array are freed before the peak, so they are the margin (about
+    1 MB at n = 5) over what numpy then holds; ru_maxrss grows by about
+    0.2 MB more than numpy holds."""
     dp = max((s for s in LAYER_SIZE.values() if s < d), default=0)
-    return d * d * 2 + dp * d * (4 + 4) + _JOIN_CHUNK * d * (4 + 4 + 8 + 2)
+    return (
+        d * d * 2 + dp * d * (2 + 2) + _JOIN_CHUNK * d * (2 + 2 + 8 + 2)
+        + dp * dp * (2 + 2) + d * (8 + 8 + 8 + 4)
+    )
 
 
 _ZETA_BLOCK = 128  # rows transformed at once

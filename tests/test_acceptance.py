@@ -121,7 +121,7 @@ def test_criterion5_cross_method(plus2_base6):
 
 @pytest.mark.skipif(
     os.environ.get("MBFCOUNT_LAMBDA9") != "1",
-    reason="extended n=9 run takes about ten CPU-minutes; set MBFCOUNT_LAMBDA9=1 to include it",
+    reason="extended n=9 run takes about 3.5 CPU-minutes; set MBFCOUNT_LAMBDA9=1 to include it",
 )
 def test_criterion6_lambda9_extended():
     r = lambda_any(9, "plus4", workers=MAX_WORKERS)

@@ -129,6 +129,17 @@ def test_join_index_table_is_the_join(n, chunk, monkeypatch):
     assert np.array_equal(J, J.T)
 
 
+def test_join_index_table_refuses_sums_beyond_int16(monkeypatch):
+    # a pair index of D_6 reaches |D_5|^2 = 57,471,561 > 2^15, so the
+    # int16 sums would wrap: refused before the halves or any table
+    def never(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(intervals, "_split", never)
+    with pytest.raises(VerificationError, match="2\\^15"):
+        intervals._join_index_table(np.zeros(0, dtype=np.uint64), 6)
+
+
 def test_join_index_table_n5_rows():
     V = generate_layer(5).values
     J = intervals._join_index_table(V, 5)
@@ -337,6 +348,30 @@ def test_fold_dual_classes_n5(base5):
     assert sum(c.gamma * k for c, k in zip(kept, mult)) == len(layer)
     assert plus4_pruned_term_count(layer, cl) == 417_628_327_127
     assert plus4_pruned_term_count(layer, kept) == 227_793_759_723
+
+
+def test_pruned_terms_cut_intervals_only_under_a_class(base5, monkeypatch):
+    # [dual(h), h] is cut only for the tops h >= a | a* of some class a:
+    # none for no class, only the top for the bottom class (whose dual is
+    # the top), and the 1,704 task intervals of a full lambda_9
+    layer, cl = base5
+    cut = []
+    real = counting._dual_intervals
+
+    def spy(V, n, tops):
+        cut.append(tops.tolist())
+        return real(V, n, tops)
+
+    monkeypatch.setattr(counting, "_dual_intervals", spy)
+    assert lambda_plus4_direct(layer, []).value == 0
+    assert cut == [[]]
+    cut.clear()
+    [bottom] = [c for c in cl if c.representative.bits == 0]
+    assert plus4_pruned_term_count(layer, [bottom]) == len(layer) ** 2
+    assert cut == [[len(layer) - 1]]
+    cut.clear()
+    assert plus4_pruned_term_count(layer, cl) == 417_628_327_127
+    assert len(cut[0]) == 1_704
 
 
 def test_top_block_sums_match_the_definition_base5(base5, monkeypatch):
@@ -595,9 +630,9 @@ def test_lambda_any_unsupported_combinations():
 
 def test_method_budget_refusals(classes):
     layer5, cl5 = setup(5, classes)
-    with pytest.raises(BudgetError, match="needs ~150 MB"):
+    with pytest.raises(BudgetError, match="needs ~143 MB"):
         lambda_plus4_direct(layer5, cl5, budget_mb=140)  # the n=5 join index and kernel refused
-    with pytest.raises(BudgetError, match="needs ~165 MB"):
+    with pytest.raises(BudgetError, match="needs ~158 MB"):
         lambda_plus4_direct(layer5, cl5, workers=2, budget_mb=140)  # and a second worker's kernel
     with pytest.raises(BudgetError, match="per b"):
         lambda_plus4_direct(layer5, cl5, strategy="dense")
