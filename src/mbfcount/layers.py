@@ -79,8 +79,11 @@ def generate_layer(n: int, budget_mb: int | None = None) -> Layer:
         half = np.uint64(table_width(n - 1))
         values = np.empty(LAYER_SIZE[n], dtype=np.uint64)
         end = 0
-        for hi in prev:
-            los = prev[(prev & ~hi) == 0]
+        for i, hi in enumerate(prev):
+            # lo <= hi pointwise makes lo <= hi as integers, so every lo
+            # lies in the sorted prefix that ends at hi
+            head = prev[:i + 1]
+            los = head[(head & ~hi) == 0]
             end += len(los)
             if end <= len(values):
                 values[end - len(los):end] = los | (hi << half)

@@ -69,22 +69,15 @@ def monotone_mask(a: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _transpose_masks(n: int, i: int, j: int) -> tuple[np.uint64, np.uint64, np.uint64, int]:
-    # positions whose index has digit i set and digit j clear move up by
-    # 2^j - 2^i; the mirror set moves down; everything else stays
-    w = table_width(n)
+def _transpose_masks(n: int, i: int, j: int) -> tuple[np.uint64, np.uint64]:
+    # the positions whose index has digit i set and digit j clear; each
+    # trades its bit with the position 2^j - 2^i above it, and every other
+    # position is either such a partner or stays
     up = 0
-    down = 0
-    for p in range(w):
-        bi = (p >> i) & 1
-        bj = (p >> j) & 1
-        if bi and not bj:
+    for p in range(table_width(n)):
+        if (p >> i) & 1 and not (p >> j) & 1:
             up |= 1 << p
-        elif bj and not bi:
-            down |= 1 << p
-    keep = ((1 << w) - 1) ^ up ^ down
-    shift = (1 << j) - (1 << i)
-    return np.uint64(keep), np.uint64(up), np.uint64(down), shift
+    return np.uint64(up), np.uint64((1 << j) - (1 << i))
 
 
 def digit_transpose(a: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
@@ -92,6 +85,13 @@ def digit_transpose(a: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     check_vector_n(n)
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
-    keep, up, down, shift = _transpose_masks(n, i, j)
-    s = np.uint64(shift)
-    return (a & keep) | ((a & up) << s) | ((a & down) >> s)
+    up, s = _transpose_masks(n, i, j)
+    # a delta swap (Knuth, TAOCP 7.1.3): t marks the up positions whose bit
+    # differs from its partner's, and flipping both ends of each swaps them
+    t = a >> s
+    t ^= a
+    t &= up
+    out = t << s
+    out ^= t
+    out ^= a
+    return out

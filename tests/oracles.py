@@ -74,6 +74,27 @@ def slow_classes(n: int, values) -> list[tuple[int, int]]:
     return out
 
 
+def slow_two_swap_minima(n: int, values) -> list[int]:
+    """The v, ascending, that no adjacent digit transposition lowers and no
+    product of two, each relabeling applied through its own position map."""
+    swaps = []
+    for i in range(n - 1):
+        m = list(range(n))
+        m[i], m[i + 1] = m[i + 1], m[i]
+        swaps.append(tuple(m))
+    mappings = set(swaps) | {tuple(b[a[d]] for d in range(n)) for a in swaps for b in swaps}
+    position_maps = [
+        [sum(1 << m[d] for d in range(n) if (pos >> d) & 1) for pos in range(1 << n)]
+        for m in mappings
+    ]
+    out = []
+    for v in sorted(int(x) for x in values):
+        ones = [pos for pos in range(1 << n) if (v >> pos) & 1]
+        if all(sum(1 << q[pos] for pos in ones) >= v for q in position_maps):
+            out.append(v)
+    return out
+
+
 def slow_interval_count(values, x: int, y: int) -> int:
     """Count layer elements z with x <= z <= y, one by one."""
     total = 0

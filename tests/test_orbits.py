@@ -5,11 +5,13 @@ from math import factorial
 import numpy as np
 import pytest
 
+from mbfcount import orbits
 from mbfcount.core import Mbf
 from mbfcount.errors import VerificationError
 from mbfcount.layers import Layer, generate_layer, write_records
 from mbfcount.orbits import (
     DIRECT_WALK_MAX,
+    _minimum_candidates,
     adjacent_swap_sequence,
     canonical_array,
     classify,
@@ -17,7 +19,7 @@ from mbfcount.orbits import (
     stabilizer_orbits,
 )
 
-from oracles import permute_value, slow_classes, slow_orbit, slow_dual
+from oracles import permute_value, slow_classes, slow_dual, slow_orbit, slow_two_swap_minima
 
 
 def test_equivariance_with_dual():
@@ -148,6 +150,30 @@ def test_classify_prefilter_path_matches_the_scalar_orbits(n, sample):
         orbit = slow_orbit(n, c.representative.bits)
         assert min(orbit) == c.representative.bits
         assert len(orbit) == c.gamma
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_minimum_candidates_match_the_scalar_oracle(n):
+    V = generate_layer(n).values
+    got = _minimum_candidates(V, n)
+    assert got.tolist() == slow_two_swap_minima(n, V)
+    assert set(np.unique(canonical_array(V, n)).tolist()) <= set(got.tolist())
+
+
+def test_minimum_candidates_of_d6():
+    layer = generate_layer(6)
+    got = _minimum_candidates(layer.values, 6)
+    assert len(got) == 21_464
+    reps = [c.representative.bits for c in classify(layer)]
+    assert len(reps) == 16_353
+    assert np.isin(np.array(reps, dtype=np.uint64), got).all()
+
+
+def test_minimum_candidates_do_not_depend_on_the_chunk(monkeypatch):
+    V = generate_layer(5).values
+    whole = _minimum_candidates(V, 5)
+    monkeypatch.setattr(orbits, "PREFILTER_CHUNK", 1 << 10)
+    assert np.array_equal(_minimum_candidates(V, 5), whole)
 
 
 def test_classify_d6_stays_within_16_mb():

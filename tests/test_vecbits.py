@@ -62,6 +62,20 @@ def test_digit_transpose_matches_permutation_oracle(n):
         assert np.array_equal(got, expect)
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_digit_transpose_of_rows_is_each_row_transposed(n):
+    # the prefilter transposes a stack of images in one call
+    a = random_u64((3, 400)) & vecbits.window_mask(1 << n)
+    before = a.copy()
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            got = vecbits.digit_transpose(a, i, j, n)
+            assert got.shape == a.shape
+            for row, out in zip(a, got):
+                assert np.array_equal(out, vecbits.digit_transpose(row, i, j, n))
+    assert np.array_equal(a, before)
+
+
 def test_digit_transpose_validates_args():
     V = generate_layer(2).values
     with pytest.raises(ValueError):
