@@ -61,12 +61,17 @@ a closure over its route's local arrays, and every kernel takes the
 tables it reads as arguments.
 
 Both k = 4 routes, and the dense reference, read the tables built by one
-helper (_k4_tables): the layer, the join-index table J (the index of
-x | y) and the index of each dual.  A factor such as re(a | b | c, h) is
-the entry of the column re(x, h) at J[J[a, b], c].  The shared kernel
-counts that column over [h*, h] alone (upward_in_interval), where every
-join it reads lies; only the dense reference builds the uint16 interval
-matrix.  Entries are cast up only where multiplied.
+helper (_k4_tables): the layer, the index of each dual and the layer's
+pair keys (intervals.join_keys).  Each z of D_n is the pair z0 <= z1 of
+its halves in D_{n-1}, keyed idx(z0) * |D_{n-1}| + idx(z1), so the key of
+a join x | y is Jlo[x0, y0] + Jhi[x1, y1], read from the join table of
+D_{n-1} (168 x 168 at n = 5).  A factor such as re(a | b | c, h) is the
+entry of the column re(x, h), indexed by key, at the key of (a | b) | c.
+The shared kernel counts that column over [h*, h] alone
+(upward_in_interval), where every join it reads lies; only the dense
+reference (n <= 4) builds the uint16 interval matrix and the
+layer-indexed join table J (the index of x | y), and reads
+RE[J[J[a, b], c], h].  Entries are cast up only where multiplied.
 
 Every accumulator is an exact integer: numpy partial sums stay below
 2^63 by construction (wide blocks are split 26 bits at a time before
@@ -84,8 +89,8 @@ import numpy as np
 from . import orbits, parallel, vecbits
 from .core import table_width
 from .errors import BudgetError, UnsupportedCombinationError, VerificationError
-from .intervals import _join_index_table, build_full_table, full_table_bytes, join_index_bytes
-from .intervals import upward_counts, upward_in_interval
+from .intervals import _join_index_table, build_full_table, full_table_bytes, join_index_bytes, join_keys
+from .intervals import k4_table_bytes, key_count, upward_counts, upward_in_interval
 from .layers import Layer, check_budget, generate_layer, self_dual_brute
 from .orbits import OrbitClass, canonical_array, classify
 
@@ -306,49 +311,63 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
         (c, b) with b below lo, and for a self-dual b, (b, c) and (b, c*).
     One more pass sums the columns S over the rows S at weight 1.
 
-    The factor rows of a chunk of c are stored transposed, one row per x
-    in the interval (ascending, so the gathers keep their locality) and
-    one column per c, so each a takes its four factors as whole
-    contiguous rows by position.  Every gather is a `take`, because
-    numpy's fancy indexing with non-intp index arrays is slower: at the
-    top block of n = 5 (m = 7,581), on a 2-core host with numpy 2.4, an
-    entry of `col[S]` with a uint16 S cost 2.6 ns against 1.1 ns by
-    `col.take(S)`, and an entry of a column gather from rows stored one
-    per c 0.51 ns against 0.07 ns by a whole-row `take` along axis 0.
+    Joins are read by pair key (intervals.join_keys): the key of x | y is
+    Jlo[x0, y0] + Jhi[x1, y1], from the half indices of x and y and two
+    small tables (Jhi is the 168 x 168 join table of D_4 at n = 5), so
+    the column re(x, h) and the position index are indexed by key (28,224
+    int16 entries each at n = 5), and no d x d join table is built.  The
+    factor rows of a chunk of c are stored one row per x in the interval
+    (ascending, so the gathers keep their locality) and one column per c,
+    so each a takes its four factors as whole contiguous rows by position.
+    A chunk's keys are two whole-row takes, of the chunk's columns of Jlo
+    and Jhi at the halves of every x, and an add, which give one row per x
+    as they stand.  Every gather is a `take`, because numpy's fancy
+    indexing with non-intp index arrays is slower: at the top block of n
+    = 5 (m = 7,581), on a 2-core host with numpy 2.4, an entry of `col[S]`
+    with a uint16 S cost 2.6 ns against 1.1 ns by `col.take(S)`, and a
+    chunk of 64 columns by keys takes 0.68-0.70 ms against 1.04-1.07 ms
+    by gathering 64 rows of a layer-indexed join table, their columns at
+    the interval and a transpose (114-116 against 191-197 us at m =
+    1,296; medians of 300).
     """
-    V, J, dual_idx = tables
+    V, dual_idx, keys, i0, i1, Jlo, Jhi = tables
     m = len(cidx)
-    # col[x] = re(x, h), read only at joins inside [dual(h), h]; entries
-    # are below 2^13 (_k4_tables checks), so they fit int16, a product of
-    # two fits int32 and of four stays below 2^52
-    col = np.zeros(len(V), dtype=np.int16)
-    col[cidx] = upward_in_interval(V.take(cidx))
+    # col[key(x)] = re(x, h), read only at joins inside [dual(h), h];
+    # entries are below 2^13 (_k4_tables checks), so they fit int16, a
+    # product of two fits int32 and of four stays below 2^52
+    kc = keys.take(cidx)
+    col = np.zeros(len(Jlo) * len(Jhi), dtype=np.int16)
+    col[kc] = upward_in_interval(V.take(cidx))
     # a, a*, b and b* all lie in [h*, h], so each join of two does too;
     # pos gives its position in the interval, below m <= d_5 = 7,581 <
     # 2^13, so it fits int16
-    pos = np.zeros(len(J), dtype=np.int16)
-    pos[cidx] = np.arange(m)
+    pos = np.zeros(len(col), dtype=np.int16)
+    pos[kc] = np.arange(m)
     dcidx = dual_idx.take(cidx)
     low, self_dual = cidx[cidx < dcidx], cidx[cidx == dcidx]
     l, s = len(low), len(self_dual)
     dlow = dual_idx.take(low)
     rows_q = np.concatenate((dlow, self_dual, low))  # Q
     drows_q = np.concatenate((low, self_dual, dlow))  # the dual of each row of Q
+    q0, q1, dq0, dq1 = i0.take(rows_q), i1.take(rows_q), i0.take(drows_q), i1.take(drows_q)
     joins = []
     for ia in a_idx:
-        Ja, Jda = J[ia], J[dual_idx[ia]]
+        ida = dual_idx[ia]
+        lo_a, hi_a, lo_da, hi_da = Jlo[i0[ia]], Jhi[i1[ia]], Jlo[i0[ida]], Jhi[i1[ida]]
         joins.append((
-            pos.take(Ja.take(rows_q)),  # a | b, per row b of Q
-            pos.take(Ja.take(drows_q)),  # a | b*
-            pos.take(Jda.take(rows_q)),  # a* | b
-            pos.take(Jda.take(drows_q)),  # a* | b*
+            pos.take(lo_a.take(q0) + hi_a.take(q1)),  # a | b, per row b of Q
+            pos.take(lo_a.take(dq0) + hi_a.take(dq1)),  # a | b*
+            pos.take(lo_da.take(q0) + hi_da.take(q1)),  # a* | b
+            pos.take(lo_da.take(dq0) + hi_da.take(dq1)),  # a* | b*
         ))
+    x0, x1 = i0.take(cidx), i1.take(cidx)
 
     def factor_rows(cs):
-        # J is symmetric, so row k of J's chunk holds the joins with
-        # c = cs[k]; transposed, out[x, k] = re(cs[k] | x, h) for every x
-        # in the interval, shared by every a
-        return np.ascontiguousarray(col.take(J.take(cs, axis=0).take(cidx, axis=1)).T)
+        # out[x, k] = re(x | cs[k], h) for every x in the interval: the
+        # whole-row takes give the key block one row per x already
+        keys_xc = Jlo.take(i0.take(cs), axis=1).take(x0, axis=0)
+        keys_xc += Jhi.take(i1.take(cs), axis=1).take(x1, axis=0)
+        return col.take(keys_xc)
 
     def row_sums(McT, MdcT, js, rows):
         # one row per b in rows: p pairs a|b|c with a|b*|c*, q a*|b|c*
@@ -375,20 +394,25 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
     return totals
 
 
-def _top_block_bytes(d: int, m: int, k: int) -> int:
+def _top_block_bytes(keys: int, m: int, k: int) -> int:
     """Estimated peak of the buffers one _top_block_sums call allocates,
-    for an interval of m elements of a layer of d and k values of a: 8
-    bytes per a and element for the four int16 join positions; per entry
-    of a chunk's factor rows (m x _PRUNED_CHUNK), 16 bytes: the two int16
-    blocks of the chunk before, beside the build's uint16 joins, the intp
-    copy that `take` makes of them and the int16 result; 2 bytes per
-    entry of the _PRUNED_CHUNK rows of J that the build gathers first;
-    and 16 bytes per layer element for the column and the position index.
-    Between builds, the two int32 products and two int16 row takes over a
-    window of l + s + (hi - lo) <= m rows take 12 bytes per entry beside
-    the blocks' 4, and the column's count about 50 bytes per element of the
-    interval before any chunk, so neither sets the peak."""
-    return 8 * m * k + 16 * _PRUNED_CHUNK * m + 2 * _PRUNED_CHUNK * d + 16 * d
+    for an interval of m elements of a layer with the given number of
+    pair keys (intervals.key_count) and k values of a: 8 bytes per a and
+    element for the four int16 join positions; per entry of a chunk's
+    factor rows (m x _PRUNED_CHUNK), 16 bytes: the two int16 blocks of the
+    chunk before, beside the chunk's int16 key block, the intp copy that
+    `take` makes of it and the int16 result; 4 bytes per key for the
+    key-indexed int16 column and positions; and 96 bytes per element: the
+    call's index arrays (of Q and its duals, their halves and the halves
+    of the interval) take 74, the last chunk's int64 row sums, still held
+    while the next chunk is built, 8, and 14 are margin.  The key block's
+    second int16 half and the small takes of Jlo and Jhi it comes from are
+    freed before the factor rows are taken; between builds, the two int32
+    products and two int16 row takes over a window of l + s + (hi - lo) <=
+    m rows take 12 bytes per entry beside the blocks' 4, and the column's
+    count about 50 bytes per element of the interval before any chunk, so
+    none sets the peak."""
+    return 8 * m * k + 16 * _PRUNED_CHUNK * m + 96 * m + 4 * keys
 
 
 def fold_dual_classes(classes: list[OrbitClass], n: int) -> tuple[list[OrbitClass], list[int]]:
@@ -464,18 +488,20 @@ def _require_exact_chunk_sums(chunk: int) -> None:
 
 
 def _k4_tables(layer: Layer, budget_mb: int | None, kernel_bytes: int = 0) -> tuple[np.ndarray, ...]:
-    """The tables every k = 4 kernel takes: the layer values V, the
-    join-index table J (the index of x | y in the layer) and the index of
-    each element's dual.  A kernel reads interval counts of at most the
-    layer's size d, so this raises before building anything unless d^4 <
-    2^52; then it refuses J and the dual index, with their build buffers,
-    together with the kernel_bytes the kernel allocates beside them (the
-    tasks' buffers, or the dense reference's matrix)."""
+    """The tables every k = 4 kernel takes: the layer values V, the index
+    of each element's dual, and the pair keys of the layer with the two
+    small tables that give the key of a join (intervals.join_keys: the
+    keys, the half indices i0 and i1, Jlo and Jhi).  A kernel reads
+    interval counts of at most the layer's size d, so this raises before
+    building anything unless d^4 < 2^52; then it refuses these tables,
+    with their build buffers, together with the kernel_bytes the kernel
+    allocates beside them (the tasks' buffers, or the dense reference's
+    matrix and join-index table)."""
     V, n, d = layer.values, layer.n, len(layer)
     _require_exact_products(d)
-    check_budget(f"join index for n={n} with the kernel's buffers", join_index_bytes(d) + kernel_bytes, budget_mb)
+    check_budget(f"k = 4 tables for n={n} with the kernel's buffers", k4_table_bytes(d) + kernel_bytes, budget_mb)
     dual_idx = np.searchsorted(V, vecbits.dual_array(V, n)).astype(np.int32)
-    return V, _join_index_table(V, n), dual_idx
+    return (V, dual_idx, *join_keys(V, n))
 
 
 def lambda_plus4_direct(
@@ -499,8 +525,9 @@ def lambda_plus4_direct(
         )
     V = layer.values
     if strategy == "dense":
-        _, J, dual_idx = _k4_tables(layer, budget_mb, full_table_bytes(len(layer)))
-        tables = build_full_table(n, budget_mb).counts, J, dual_idx
+        d = len(layer)
+        dual_idx = _k4_tables(layer, budget_mb, full_table_bytes(d) + join_index_bytes(d))[1]
+        tables = build_full_table(n, budget_mb).counts, _join_index_table(V, n), dual_idx
         reps, gammas = _rep_array(classes)
         rep_idx = np.searchsorted(V, reps)
         parts = parallel.run_tasks(
@@ -520,7 +547,7 @@ def lambda_plus4_direct(
         order = np.argsort(-terms, kind="stable")  # longest first
         sizes = [len(intervals[ih]) for ih in tops[order].tolist()]
         # each worker may run the largest task at the same time
-        task_bytes = max((_top_block_bytes(len(V), m, k) for m, k in zip(sizes, ks[order].tolist())), default=0)
+        task_bytes = max((_top_block_bytes(key_count(n), m, k) for m, k in zip(sizes, ks[order].tolist())), default=0)
         tables = _k4_tables(layer, budget_mb, min(max(workers, 1), len(order)) * task_bytes)
 
         def top_task(ih: int) -> int:
@@ -553,7 +580,7 @@ def lambda_plus4_classes(
     _require_exact_chunk_sums(_PRUNED_CHUNK)
     # a task's interval lies in D_n, and its a are at most one per element
     d = len(layer)
-    tables = _k4_tables(layer, budget_mb, max(workers, 1) * _top_block_bytes(d, d, d))
+    tables = _k4_tables(layer, budget_mb, max(workers, 1) * _top_block_bytes(key_count(n), d, d))
     value = _run_class_tasks(
         layer, classes, workers, lambda ih, I, reps, inverse: _top_block_sums(tables, I, I[reps])
     )

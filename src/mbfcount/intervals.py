@@ -7,9 +7,8 @@ Four routes compute |{z : x <= z <= y}|, one for each job:
   * upward_counts: the count up to the top element for a list of
     elements of D_n (plus2 reads it, and `retable` writes it), by the
     half-split: the distinct points grouped by low half x0, and each
-    count a sum over z0 >= x0 of upward counts in D_{n-1}, read through
-    the join table of D_{n-2} and a table indexed by pairs of halves, in
-    the calling process.
+    count a sum over z0 >= x0 of upward counts in D_{n-1}, read by pair
+    key (below) through a table indexed by key, in the calling process.
   * upward_in_interval: re(x, X[-1]) over one interval X of D_n, by the
     up-zeta transform over X alone (Bjorklund, Husfeldt, Kaski and
     Koivisto, SODA 2012, on Birkhoff's representation: an element is an
@@ -19,8 +18,16 @@ Four routes compute |{z : x <= z <= y}|, one for each job:
     layer ordinal, by the down-zeta transform over D_n alone; selfcheck
     and the dense k = 4 reference read it.
 
-The join-index table (_join_index_table) is built here too, by the
-half-split: upward counts read it two layers down, the k = 4 counts at D_n.
+Joins are read by pair key (join_keys): each z of D_n is the pair z0 <=
+z1 of its halves in D_{n-1}, keyed idx(z0) * |D_{n-1}| + idx(z1), and the
+key of x | y comes from two small tables built from the join table of
+D_{n-1}, so no d x d table over D_n is needed: upward_counts reads keys
+of D_{n-1} and the k = 4 kernel keys of D_n.  The layer-indexed join
+table (_join_index_table, the index of x | y, d x d uint16) is built from
+the keys of its own layer.  It is what the key tables one layer up are
+built from (upward_counts reads it at D_{n-2}, the k = 4 keys at
+D_{n-1}), and it is built whole only for the dense k = 4 reference (n <=
+4) and for selfcheck, which holds the kernel's key join against it.
 
 Empty intervals count 0, so callers never branch on comparability.
 """
@@ -92,13 +99,13 @@ def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
     z0 >= x0 and z1 >= x1 | z0: the count sums, over z0 >= x0, the upward
     count of x1 | z0 in D_{n-1} (_full_upward).  The distinct points are
     grouped by x0, so each group masks the z0 >= x0 once; x1 | z0 is
-    joined half by half in D_{n-2} (_join_index_table) and its count read
-    from a table indexed by that pair of halves, in blocks of at most
+    joined half by half in D_{n-2}, to its pair key (join_keys), and its
+    count read from a table indexed by key, in blocks of at most
     _UPWARD_BLOCK (point, z0) pairs.  Every block writes into buffers
     allocated once per call: whether glibc maps and faults fresh
     block-sized temporaries anew on each block depends on the heap's
     history, which unrelated source edits change (at n = 6 over plus2's
-    points, about 4,400 page faults per call, or none).  n <= 1 reads
+    points, about 4,400 page faults per call, or none).  n = 0 reads
     the whole layer's counts (D_0 has no halves).  Runs in this process.
     """
     if n > 6:
@@ -107,7 +114,7 @@ def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.uint64)
     if not vecbits.monotone_mask(xs, n).all():
         raise ValueError(f"upward counts take elements of D_{n}; some are not monotone")
-    if n <= 1:
+    if n == 0:
         return _full_upward(n)[np.searchsorted(generate_layer(n).values, xs)].astype(np.int64)
     if len(xs) == 0:
         return np.empty(0, dtype=np.int64)
@@ -115,14 +122,13 @@ def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
     prev, x0, x1 = _halves(points, n)
     order = np.argsort(x0)
     starts = np.flatnonzero(np.diff(x0[order], prepend=-1, append=len(prev)))
-    P, j0, j1, pair = _split(prev, n - 1)
+    keys, j0, j1, JD, J = join_keys(prev, n - 1)
     a0, a1 = j0[x1[order]], j1[x1[order]]  # the halves of each x1, in group order
-    J = _join_index_table(P, n - 2).astype(np.intp)
-    dp2 = len(J)
-    JD = J * dp2
-    # U[p * dp2 + q]: the upward count in D_{n-1} of the element with halves
-    # (P[p], P[q]), or 0; every count is at most d_5 < 2^31
-    U = np.append(_full_upward(n - 1), 0).astype(np.int32)[pair]
+    JD, J = JD.astype(np.intp), J.astype(np.intp)
+    # U[key]: the upward count in D_{n-1} of the element with that pair
+    # key, or 0; every count is at most d_5 < 2^31
+    U = np.zeros(len(JD) * len(J), dtype=np.int32)
+    U[keys] = _full_upward(n - 1)
     counts = np.empty(len(points), dtype=np.int64)
     # a block holds at most max(_UPWARD_BLOCK, len(prev)) pairs
     size = max(_UPWARD_BLOCK, len(prev))
@@ -169,16 +175,44 @@ def _halves(V: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return P, low, np.searchsorted(P, V >> np.uint64(halfw))
 
 
-def _split(V: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each x in V (elements of D_n) as the pair x0 <= x1 of its low and
-    high halves in D_{n-1}: the layer P = D_{n-1}, the indices i0 and i1
-    in P of the halves, and the flat lookup pair[a * len(P) + b] = the
-    index in V of the element with halves (P[a], P[b]), or len(V) if
-    P[a] <= P[b] fails (uint16: the tables are built only for n <= 5)."""
-    P, i0, i1 = _halves(V, n)
-    pair = np.full(len(P) ** 2, len(V), dtype=np.uint16)
-    pair[i0 * len(P) + i1] = np.arange(len(V))
-    return P, i0, i1, pair
+def key_count(n: int) -> int:
+    """The number of pair keys of D_n (join_keys): |D_{n-1}|^2, or |D_0|
+    = 2 at n = 0.  Keys are int16, so this raises when |D_{n-1}|^2 >
+    2^15, that is from n = 6 on (28,224 at n = 5)."""
+    if n == 0:
+        return LAYER_SIZE[0]
+    dp = LAYER_SIZE[n - 1]
+    if dp * dp > 1 << 15:
+        raise VerificationError(f"pair keys of D_{n} reach {dp}^2 = {dp * dp} > 2^15, beyond int16")
+    return dp * dp
+
+
+def join_keys(V: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Pair keys for the elements V of D_n, and the tables that give the
+    key of a join without the layer-indexed join table.
+
+    Each z in D_n is the pair z0 <= z1 of its low and high halves in
+    D_{n-1}, and its key is idx(z0) * dp + idx(z1), dp = |D_{n-1}|, so
+    keys are distinct and below key_count(n), which raises before anything
+    is built unless they fit int16.  Since x | y = (x0 | y0, x1 | y1), the
+    key of a join is lo[x0, y0] + hi[x1, y1], with hi the join table of
+    D_{n-1} and lo = dp * hi (int16, dp x dp each).  Returns the keys, the
+    half indices i0 and i1 (intp), lo and hi.  D_0 = {0, 1} has no halves:
+    its key is the index (i0 = 0, lo = [[0]]), and hi the join of D_0, the
+    larger index.  Either way a key is i0 * len(hi) + i1, and there are
+    len(lo) * len(hi) of them."""
+    key_count(n)
+    if n == 0:
+        i1 = np.searchsorted(generate_layer(0).values, V)
+        i0 = np.zeros_like(i1)
+        idx = np.arange(LAYER_SIZE[0])
+        hi = np.maximum.outer(idx, idx).astype(np.int16)
+        lo = np.zeros((1, 1), dtype=np.int16)
+    else:
+        P, i0, i1 = _halves(V, n)
+        hi = _join_index_table(P, n - 1).astype(np.int16)
+        lo = hi * np.int16(len(hi))
+    return i0 * len(hi) + i1, i0, i1, lo, hi
 
 
 _JOIN_CHUNK = 64
@@ -187,64 +221,64 @@ _JOIN_CHUNK = 64
 def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
     """J[i, j] = index of V[i] | V[j] in V, the layer D_n.
 
-    Each x in D_n is the pair x0 <= x1 of its low and high halves in
-    D_{n-1}, and x | y = (x0 | y0, x1 | y1), so J comes from the join
-    table of D_{n-1} (built the same way, one layer down) and one flat
-    lookup from the pair of half indices to the index in D_n, filled
-    _JOIN_CHUNK rows at a time.  D_0 = {0, 1} has no lower layer; there
-    the join is the larger index.  Entries are uint16: every caller
-    builds it for n <= 5, where d <= 7,581.
+    The key of each join comes from the pair keys of D_n (join_keys, built
+    from the join table of D_{n-1}, one layer down), and one flat lookup
+    maps it to the index in D_n, filled _JOIN_CHUNK rows at a time.
+    Entries are uint16: every caller builds it for n <= 5, where d <=
+    7,581.
 
-    The pair index (index of x0 | y0) * dp + index of x1 | y1, dp =
-    |D_{n-1}|, is below dp^2, so low, high and each chunk's sums are
-    int16 up to dp^2 <= 2^15 (28,224 at n = 5); above that this raises
-    before building anything.  Each chunk takes whole rows of low and
-    high and looks the sums up in pair, all by `take`, which numpy 2.4
-    runs more than twice as fast per entry as fancy indexing with a
-    non-intp index.  `take` first copies the sums to intp, 8 bytes per
-    entry of the chunk, so the chunk is 64 rows: at 128 the chunk's
-    buffers would add about 6 MB to the build's peak at n = 5.
+    Each chunk takes whole rows of low and high (the key tables taken at
+    every x0 and x1 of D_n) and looks their int16 sums up in pair, all by
+    `take`, which numpy 2.4 runs more than twice as fast per entry as
+    fancy indexing with a non-intp index.  `take` first copies the sums to
+    intp, 8 bytes per entry of the chunk, so the chunk is 64 rows: at 128
+    the chunk's buffers would add about 6 MB to the build's peak at n = 5.
     """
     d = len(V)
-    if n == 0:
-        idx = np.arange(d)
-        return np.maximum(idx[:, None], idx[None, :]).astype(np.uint16)
-    dp = LAYER_SIZE[n - 1]
-    if dp * dp > 1 << 15:
-        raise VerificationError(
-            f"join index for n={n}: pair indices reach {dp}^2 = {dp * dp} > 2^15, beyond int16"
-        )
-    P, i0, i1, pair = _split(V, n)
-    Jp = _join_index_table(P, n - 1).astype(np.int16)
-    low = Jp.take(i0, axis=1)  # row p: index of p | x0, per x in D_n
-    low *= np.int16(dp)  # in place: a product would hold a second copy
-    high = Jp.take(i1, axis=1)  # row p: index of p | x1
+    keys, i0, i1, lo, hi = join_keys(V, n)
+    pair = np.full(len(lo) * len(hi), d, dtype=np.uint16)  # key -> index in V
+    pair[keys] = np.arange(d)
+    low = lo.take(i0, axis=1)  # row p: key part of p | x0, per x in D_n
+    high = hi.take(i1, axis=1)  # row p: key part of p | x1
     J = np.empty((d, d), dtype=np.uint16)
-    for lo in range(0, d, _JOIN_CHUNK):
-        hi = lo + _JOIN_CHUNK
-        s = low.take(i0[lo:hi], axis=0)
-        s += high.take(i1[lo:hi], axis=0)
-        J[lo:hi] = pair.take(s)
+    for r in range(0, d, _JOIN_CHUNK):
+        s = low.take(i0[r:r + _JOIN_CHUNK], axis=0)
+        s += high.take(i1[r:r + _JOIN_CHUNK], axis=0)
+        J[r:r + _JOIN_CHUNK] = pair.take(s)
     return J
 
 
+def _layer_below(d: int) -> int:
+    """|D_{n-1}| for the layer D_n of d elements (0 below D_0)."""
+    return max((s for s in LAYER_SIZE.values() if s < d), default=0)
+
+
 def join_index_bytes(d: int) -> int:
-    """Estimated peak of the k = 4 tables over the d elements of D_n, the
-    join-index table and the dual index: J; the int16 low and high (dp x
-    d each, dp = |D_{n-1}|, the largest layer below d); per entry of one
+    """Estimated peak of _join_index_table over the d elements of D_n: J;
+    the int16 low and high (dp x d each, dp = |D_{n-1}|); per entry of one
     chunk 14 bytes, the int16 rows of low and high (one of them the sum),
     the intp copy of the sum that `take` makes and the uint16 lookup; the
-    pair lookup and the int16 join table of D_{n-1}, dp^2 entries each;
-    and per element of D_n 28 bytes, the intp half indices, the uint64
-    dual array and the int32 dual index.  The chunk's rows of high and the
-    dual array are freed before the peak, so they are the margin (about
-    1 MB at n = 5) over what numpy then holds; ru_maxrss grows by about
-    0.2 MB more than numpy holds."""
-    dp = max((s for s in LAYER_SIZE.values() if s < d), default=0)
+    pair lookup and the int16 lo and hi, dp^2 entries each; and per
+    element of D_n 24 bytes, the intp keys and half indices.  The chunk's
+    rows of high are freed before the lookup, so they are the margin."""
+    dp = _layer_below(d)
     return (
         d * d * 2 + dp * d * (2 + 2) + _JOIN_CHUNK * d * (2 + 2 + 8 + 2)
-        + dp * dp * (2 + 2) + d * (8 + 8 + 8 + 4)
+        + dp * dp * (2 + 2 + 2) + d * (8 + 8 + 8)
     )
+
+
+def k4_table_bytes(d: int) -> int:
+    """Estimated peak of the k = 4 tables over the d elements of D_n (the
+    layer's pair-key tables and its dual index): per element of D_n 28
+    bytes, the intp keys and half indices and the int32 dual index; the
+    int16 lo and hi, dp^2 entries each; and the build of the join table
+    of D_{n-1} (join_index_bytes(dp)).  The keys and lo are allocated only
+    after that build has freed its buffers, so they are the margin (about
+    0.15 MB at n = 5, where the estimate is 0.55 MB and ru_maxrss grows
+    by 0.39 MB)."""
+    dp = _layer_below(d)
+    return d * (8 + 8 + 8 + 4) + dp * dp * (2 + 2) + join_index_bytes(dp)
 
 
 _ZETA_BLOCK = 128  # rows transformed at once

@@ -6,7 +6,8 @@ relabeling walk's results (canonical_array, classify, stabilizer_orbits)
 against _relabel, a position map applied for every relabeling, the upward
 counts and the all-pairs interval matrix that the counts read against the
 definition scan, the Dedekind numbers and dual symmetry, the upward counts
-with the join and dual indices against D_{n+2}, stabilizer orbits against
+with the join and dual indices against D_{n+2} (and the k = 4 kernel's
+join by pair keys against the join index), stabilizer orbits against
 classification, and the counting methods (class folding, each plus3 class
 task against the definition, the kernel that plus4c and pruned plus4
 share against the definition at every (a, h), and both routes against
@@ -222,10 +223,24 @@ def _four_block_count(up: np.ndarray, J: np.ndarray, dual_idx: np.ndarray) -> in
 
 def check_dedekind_two_up(n: int) -> bool:
     """The upward counts, read through the join index and the dual index,
-    count D_{n+2} by _four_block_count."""
-    V = generate_layer(n).values
+    count D_{n+2} by _four_block_count.  J is the join (V[J] = V | V) on
+    every pair, the pair keys of the k = 4 tables are distinct, and the
+    kernel's key join Jlo[x0, y0] + Jhi[x1, y1] is the key of J[x, y] on
+    every pair, a chunk of rows at a time."""
+    layer = generate_layer(n)
+    V = layer.values
     J = _join_index_table(V, n)
     dual_idx = np.searchsorted(V, vecbits.dual_array(V, n))
+    _, _, keys, i0, i1, Jlo, Jhi = _k4_tables(layer, None)
+    if len(np.unique(keys)) != len(V):
+        return False
+    for lo in range(0, len(V), 128):
+        r = slice(lo, lo + 128)
+        joins = J[r].astype(np.intp)
+        key_join = Jlo.take(i0[r], axis=0).take(i0, axis=1)
+        key_join += Jhi.take(i1[r], axis=0).take(i1, axis=1)
+        if not (np.array_equal(V.take(joins), V[r, None] | V) and np.array_equal(key_join, keys.take(joins))):
+            return False
     return _four_block_count(upward_counts(n, V), J, dual_idx) == LAYER_SIZE.get(n + 2, DEDEKIND_7)
 
 

@@ -135,9 +135,23 @@ def test_join_index_table_refuses_sums_beyond_int16(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(intervals, "_split", never)
+    monkeypatch.setattr(intervals, "_halves", never)
     with pytest.raises(VerificationError, match="2\\^15"):
         intervals._join_index_table(np.zeros(0, dtype=np.uint64), 6)
+
+
+def test_pair_keys_refuse_int16_overflow_at_n6(monkeypatch):
+    # keys of D_6 would reach |D_5|^2 = 57,471,561 > 2^15: join_keys raises
+    # before it splits an element or builds a join table; D_5's 168^2 =
+    # 28,224 keys fit, and D_0's key is its index
+    def never(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    assert [intervals.key_count(n) for n in range(6)] == [2, 4, 9, 36, 400, 28_224]
+    monkeypatch.setattr(intervals, "_halves", never)
+    monkeypatch.setattr(intervals, "_join_index_table", never)
+    with pytest.raises(VerificationError, match="2\\^15"):
+        intervals.join_keys(np.zeros(0, dtype=np.uint64), 6)
 
 
 def test_join_index_table_n5_rows():
@@ -209,16 +223,71 @@ def _never_the_matrix(*args, **kwargs):
     raise AssertionError("an interval-matrix row was built")
 
 
+def _key_joins(tables, rows):
+    """The key join of the kernel, Jlo[x0, y0] + Jhi[x1, y1], for each x
+    of rows and every y of the layer, and the key of V[x] | V[y] found by
+    search."""
+    V, _, keys, i0, i1, Jlo, Jhi = tables
+    got = Jlo[i0[rows][:, None], i0[None, :]] + Jhi[i1[rows][:, None], i1[None, :]]
+    return got, keys[np.searchsorted(V, V[rows][:, None] | V[None, :])]
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_k4_tables_hold_the_rows_the_kernel_reads(n, monkeypatch):
-    # the layer, the rows of J (the index of x | y) and the index of each
-    # dual, and no row of the interval matrix
+    # the layer, the index of each dual, distinct pair keys whose key join
+    # is the key of x | y on every pair, and no row of the interval matrix
+    # or of the layer-indexed join table
     monkeypatch.setattr(counting, "build_full_table", _never_the_matrix)
+    monkeypatch.setattr(counting, "_join_index_table", _never_the_matrix)
     layer = generate_layer(n)
-    V, J, dual_idx = counting._k4_tables(layer, None)
+    tables = counting._k4_tables(layer, None)
+    V, dual_idx, keys, _, _, Jlo, Jhi = tables
     assert V is layer.values
-    assert np.array_equal(V[J], V[:, None] | V[None, :])
     assert V[dual_idx].tolist() == [slow_dual(n, x) for x in V.tolist()]
+    assert len(np.unique(keys)) == len(V) and keys.max() < len(Jlo) * len(Jhi) == intervals.key_count(n)
+    got, expect = _key_joins(tables, np.arange(len(V)))
+    assert np.array_equal(got, expect)
+
+
+def test_k4_key_join_n5_rows():
+    # the seeded rows of test_join_index_table_n5_rows
+    tables = counting._k4_tables(generate_layer(5), None)
+    V, keys = tables[0], tables[2]
+    assert len(np.unique(keys)) == len(V)
+    rows = [0, len(V) - 1] + np.random.default_rng(5).integers(0, len(V), 100).tolist()
+    got, expect = _key_joins(tables, np.array(rows))
+    assert np.array_equal(got, expect)
+
+
+def test_pruned_routes_build_no_join_table_at_base5(base5, monkeypatch):
+    # the kernels read joins by pair key: pruned plus4 and plus4c at base 5
+    # build no d x d join-index table of D_5 (D_4's, 168 x 168, gives the keys)
+    real = intervals._join_index_table
+
+    def below_five(V, n):
+        assert n < 5, "the join-index table of D_5 was built"
+        return real(V, n)
+
+    monkeypatch.setattr(intervals, "_join_index_table", below_five)
+    monkeypatch.setattr(counting, "_join_index_table", below_five)
+    layer, cl = base5
+    by_rep = {c.representative.bits: c for c in cl}
+    bottom = by_rep[0x00000000]
+    assert lambda_plus4_direct(layer, [bottom]).value == 2_414_682_040_998
+    # plus4c's task of the class h with the smallest [h*, h], its orbit
+    # sum against the kernel at every a; plus4c stops at base 4 for its
+    # budget, so the cap is lifted for this one class
+    monkeypatch.setitem(counting._BASE_MAX, "plus4c", 5)
+    V = layer.values
+    summed = [c for c in cl if c.representative.dual().bits & ~c.representative.bits == 0
+              and 2 * c.representative.bits.bit_count() > 32]
+    tops = np.searchsorted(V, [c.representative.bits for c in summed])
+    by_top = counting._dual_intervals(V, 5, tops)
+    c, ih = min(zip(summed, tops.tolist()), key=lambda pair: len(by_top[pair[1]]))
+    I = by_top[ih]
+    tables = counting._k4_tables(layer, None)
+    expect = c.gamma * sum(counting._top_block_sums(tables, I, I)) + LAMBDA_KNOWN[5]
+    assert lambda_plus4_classes(layer, [c], budget_mb=1 << 20).value == expect
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -389,7 +458,7 @@ def test_top_block_sums_match_the_definition_base5(base5, monkeypatch):
         assert got == definition_sums(V, 5, int(V[ih]), [V[ia]])
     # the block with the most self-dual elements (20 of m = 400), in
     # chunks of 7: the pass over them spans three chunks
-    dual_idx = tables[2]
+    dual_idx = tables[1]
     ih = max(small, key=lambda j: np.count_nonzero(dual_idx[intervals[j]] == intervals[j]))
     I = intervals[ih]
     assert np.count_nonzero(dual_idx[I] == I) == 20
@@ -414,7 +483,7 @@ def test_top_block_budget_estimate_covers_the_peak(base5):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    need = counting._top_block_bytes(len(V), len(I), len(a_idx))
+    need = counting._top_block_bytes(intervals.key_count(5), len(I), len(a_idx))
     assert need / 2 < peak <= need, f"estimate {need / 1e6:.2f} MB, peak {peak / 1e6:.2f} MB"
 
 
@@ -630,10 +699,10 @@ def test_lambda_any_unsupported_combinations():
 
 def test_method_budget_refusals(classes):
     layer5, cl5 = setup(5, classes)
-    with pytest.raises(BudgetError, match="needs ~143 MB"):
-        lambda_plus4_direct(layer5, cl5, budget_mb=140)  # the n=5 join index and kernel refused
-    with pytest.raises(BudgetError, match="needs ~158 MB"):
-        lambda_plus4_direct(layer5, cl5, workers=2, budget_mb=140)  # and a second worker's kernel
+    with pytest.raises(BudgetError, match="needs ~16 MB"):
+        lambda_plus4_direct(layer5, cl5, budget_mb=15)  # the n=5 key tables and kernel refused
+    with pytest.raises(BudgetError, match="needs ~31 MB"):
+        lambda_plus4_direct(layer5, cl5, workers=2, budget_mb=15)  # and a second worker's kernel
     with pytest.raises(BudgetError, match="per b"):
         lambda_plus4_direct(layer5, cl5, strategy="dense")
     with pytest.raises(BudgetError):
@@ -644,23 +713,24 @@ def test_method_budget_refusals(classes):
 
 def test_k4_tables_refuse_the_matrix_and_join_index_together(classes, monkeypatch):
     # the dense reference's matrix and J each fit the budget at n=4, but
-    # not together; at n=5 J fits, but not with the pruned kernel's
-    # buffers.  Both are refused before either table is built
+    # not together; at n=5 the key tables fit, but not with the pruned
+    # kernel's buffers.  Both are refused before any table is built
     def never(*args, **kwargs):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(counting, "build_full_table", never)
     monkeypatch.setattr(counting, "_join_index_table", never)
+    monkeypatch.setattr(counting, "join_keys", never)
     layer4, cl4 = setup(4, classes)
     matrix, join = intervals.full_table_bytes(len(layer4)) / 1e6, intervals.join_index_bytes(len(layer4)) / 1e6
     budget_mb = 0.5
     assert max(matrix, join) <= budget_mb < matrix + join
-    with pytest.raises(BudgetError, match="join index"):
+    with pytest.raises(BudgetError, match="k = 4 tables"):
         lambda_plus4_direct(layer4, cl4, budget_mb=budget_mb, strategy="dense")
     layer5, cl5 = setup(5, classes)
-    budget_mb = 140
-    assert intervals.join_index_bytes(len(layer5)) / 1e6 <= budget_mb
-    with pytest.raises(BudgetError, match="join index"):
+    budget_mb = 10
+    assert intervals.k4_table_bytes(len(layer5)) / 1e6 <= budget_mb
+    with pytest.raises(BudgetError, match="k = 4 tables"):
         lambda_plus4_direct(layer5, cl5, budget_mb=budget_mb)
 
 
@@ -686,7 +756,7 @@ def test_k4_tables_estimate_covers_the_measured_peak():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", launch], env=env, capture_output=True, text=True, check=True)
     grown = int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
-    need = intervals.join_index_bytes(len(generate_layer(5)))
+    need = intervals.k4_table_bytes(len(generate_layer(5)))
     assert grown <= need <= 1.5 * grown, f"estimate {need / 1e6:.1f} MB, peak RSS grew {grown / 1e6:.1f} MB"
 
 

@@ -307,7 +307,7 @@ def test_full_table_reads_only_its_own_layer(monkeypatch, table5):
         raise AssertionError("a half-split table was built")
 
     monkeypatch.setattr(intervals, "generate_layer", only_five)
-    monkeypatch.setattr(intervals, "_split", never)
+    monkeypatch.setattr(intervals, "join_keys", never)
     monkeypatch.setattr(intervals, "_join_index_table", never)
     assert np.array_equal(build_full_table(5).counts, table5.counts)
 
