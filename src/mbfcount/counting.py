@@ -22,9 +22,12 @@ that constraint into closed sums over a smaller layer:
           weight(h) = 2^(n-1) are self-dual, force every block equal to
           a and contribute exactly one function each, which is the count
           for n itself, added as a closed term; the sum runs over
-          weight(h) > 2^(n-1).  The outer loop runs over b, and the
-          interval counts within [a, a*] are taken once per Stab(h)-orbit:
-          16,698 representatives for the 92,816 elements of the 80 base-5
+          weight(h) > 2^(n-1).  Dual maps [a, h] onto itself and reverses
+          its order, so re(a, y) = re(y*, h), and with c' = c* the sum
+          for b is that of re(b | c', h) over the c' <= b* in [a, h]: the
+          column re(x, h) the k = 4 kernel counts, read by pair key
+          (_plus3_sums).  b runs over one representative per
+          Stab(h)-orbit: 16,698 for the 92,816 elements of the 80 base-5
           classes.
 
   plus4   with k = 4 the sixteen blocks reduce to a, b, c plus a top
@@ -60,18 +63,20 @@ kernel at one representative per orbit by the orbit size.  Every task is
 a closure over its route's local arrays, and every kernel takes the
 tables it reads as arguments.
 
-Both k = 4 routes, and the dense reference, read the tables built by one
-helper (_k4_tables): the layer, the index of each dual and the layer's
-pair keys (intervals.join_keys).  Each z of D_n is the pair z0 <= z1 of
-its halves in D_{n-1}, keyed idx(z0) * |D_{n-1}| + idx(z1), so the key of
-a join x | y is Jlo[x0, y0] + Jhi[x1, y1], read from the join table of
-D_{n-1} (168 x 168 at n = 5).  A factor such as re(a | b | c, h) is the
+plus3, both k = 4 routes and the dense reference read the tables built
+by one helper (_k4_tables): the layer, the index of each dual and the
+layer's pair keys (intervals.join_keys).  Each z of D_n is the pair z0 <=
+z1 of its halves in D_{n-1}, keyed idx(z0) * |D_{n-1}| + idx(z1), so the
+key of a join x | y is Jlo[x0, y0] + Jhi[x1, y1], read from the join
+table of D_{n-1} (168 x 168 at n = 5).  A factor such as re(a | b | c, h) is the
 entry of the column re(x, h), indexed by key, at the key of (a | b) | c.
-The shared kernel counts that column over [h*, h] alone
-(upward_in_interval), where every join it reads lies; only the dense
-reference (n <= 4) builds the uint16 interval matrix and the
-layer-indexed join table J (the index of x | y), and reads
-RE[J[J[a, b], c], h].  Entries are cast up only where multiplied.
+plus3 and the shared kernel count that column over [h*, h] alone
+(upward_in_interval, _interval_column), where every join they read lies,
+and gather it at the joins of a block of columns with every element of a
+prefix of the interval (_joined_column); only the dense reference (n <=
+4) builds the uint16 interval matrix and the layer-indexed join table J
+(the index of x | y), and reads RE[J[J[a, b], c], h].  Entries are cast
+up only where summed or where a product of two could pass their type.
 
 Every accumulator is an exact integer: numpy partial sums stay below
 2^63 by construction (wide blocks are split 26 bits at a time before
@@ -149,9 +154,9 @@ def exact_sum(a: np.ndarray) -> int:
     d_5 = 7,581 < 2^13 entries, each a sum of at most _PRUNED_CHUNK
     products, and both its routes (pruned plus4, plus4c) raise unless
     _PRUNED_CHUNK * 2^52 <= 2^63 (_require_exact_chunk_sums), so
-    len(a) * max(a) < 2^76.  The dense plus4 reference runs at n <= 4 and
-    sums at most d_4 = 168 entries, each a sum of at most 168 products,
-    so len(a) * max(a) < 2^67.
+    len(a) * max(a) < 2^76.  The dense plus4 reference (n <= 4) does not
+    call it: per b it sums d^2 products of four counts in one int64
+    einsum, below 168^6 < 2^45, and adds those in Python ints.
     """
     lo = int((a & np.int64((1 << 26) - 1)).sum())
     hi = int((a >> np.int64(26)).sum())
@@ -212,10 +217,9 @@ def _run_class_tasks(layer: Layer, classes, workers: int, kernel) -> int:
     longest interval first, plus the closed term for the weight-equal
     (self-dual) classes, which is the count for n itself.  A task is
     gamma(h) times the sum, over the orbits of Stab(h) on [dual(h), h], of
-    the orbit size times kernel(ih, I, reps, inverse), the value at each
-    orbit representative (positions in the interval I); inverse maps each
-    position to its orbit, so a kernel counts an orbit invariant once per
-    orbit.
+    the orbit size times kernel(I, reps), the value at each orbit
+    representative: I holds the layer indices of [dual(h), h] in
+    ascending order and reps the representatives' positions in I.
     """
     V, n = layer.values, layer.n
     reps, gammas = _rep_array(classes)
@@ -228,22 +232,89 @@ def _run_class_tasks(layer: Layer, classes, workers: int, kernel) -> int:
     def class_task(ci: int) -> int:
         ih = int(rep_idx[ci])
         I = intervals[ih]
-        orbit_reps, inverse, sizes = orbits.stabilizer_orbits(int(V[ih]), V[I], n)
-        sums = kernel(ih, I, orbit_reps, inverse)
+        orbit_reps, _, sizes = orbits.stabilizer_orbits(int(V[ih]), V[I], n)
+        sums = kernel(I, orbit_reps)
         return int(gammas[ci]) * sum(size * s for size, s in zip(sizes.tolist(), sums))
 
     return sum(parallel.run_tasks(class_task, tasks, workers)) + self_dual_brute(n)
 
 
+# -- the column re(x, h) over [h*, h], read by pair key (plus3, k = 4) ---------
+
+
+def _interval_column(tables, cidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column re(x, h) over the interval [h*, h] (cidx, its layer
+    indices in ascending order, h at cidx[-1]), indexed by pair key, and
+    the interval's keys.  tables are those of _k4_tables; the column is
+    read only at joins inside the interval.  Entries are below 2^13
+    (_k4_tables checks), so they fit int16."""
+    V, _, keys, _, _, Jlo, Jhi = tables
+    kc = keys.take(cidx)
+    col = np.zeros(len(Jlo) * len(Jhi), dtype=np.int16)
+    col[kc] = upward_in_interval(V.take(cidx))
+    return col, kc
+
+
+def _joined_column(tables, col: np.ndarray, x0: np.ndarray, x1: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """out[x, k] = re(x | cs[k], h) for the x of the interval with half
+    indices x0 and x1 (all of them, or a prefix) and the layer indices cs,
+    each x | cs[k] inside the interval: the whole-row takes of Jlo and Jhi
+    give the key block one row per x as they stand."""
+    _, _, _, i0, i1, Jlo, Jhi = tables
+    keys_xc = Jlo.take(i0.take(cs), axis=1).take(x0, axis=0)
+    keys_xc += Jhi.take(i1.take(cs), axis=1).take(x1, axis=0)
+    return col.take(keys_xc)
+
+
 # -- plus3 ------------------------------------------------------------------
 
 
-def _plus3_sums(X: np.ndarray, n: int, reps, inverse) -> list[int]:
-    """Per representative b (positions in X, the interval [a, a*]): the
-    c >= b in X, each counting the d choices, which fill [a, c & dual(b)]."""
-    Xd = vecbits.dual_array(X, n)
-    rea = np.array([np.count_nonzero((X & ~b) == 0) for b in X[reps]])[inverse]
-    return [int(rea[np.searchsorted(X, X[(X[r] & ~X) == 0] & Xd[r])].sum()) for r in reps]
+_PLUS3_BLOCK = 64  # representatives b per key block
+
+
+def _plus3_sums(tables, cidx: np.ndarray, reps) -> list[int]:
+    """Per representative b (positions in the interval X = [a, h], a =
+    h*, layer indices cidx): the sum over c >= b in X of |[a, c & b*]|,
+    which counts the d choices.  Dual maps X onto itself and reverses its
+    order, so |[a, y]| = re(y*, h), and with c' = c* the sum is that of
+    re(b | c', h) over the c' <= b* in X: the column of _interval_column
+    at the key of b | c'.  A c' <= b* is no larger as an integer, so it
+    lies in X up to b*; the representatives are taken in order of that
+    end, _PLUS3_BLOCK at a time, each block reading the key block over the
+    prefix its last one needs, masked to c' <= b*.  A column sums at most
+    m entries below m, so below m^2 < 2^26."""
+    V, dual_idx, _, i0, i1 = tables[:5]
+    x0, x1 = i0.take(cidx), i1.take(cidx)
+    col = _interval_column(tables, cidx)[0]
+    X = V.take(cidx)
+    bs = cidx.take(reps)
+    bds = V.take(dual_idx.take(bs))  # b*, in X
+    ends = np.searchsorted(X, bds, side="right")
+    order = np.argsort(ends, kind="stable")
+    sums = np.empty(len(bs), dtype=np.int64)
+    for lo in range(0, len(order), _PLUS3_BLOCK):
+        blk = order[lo:lo + _PLUS3_BLOCK]
+        e = int(ends[blk[-1]])
+        rows = _joined_column(tables, col, x0[:e], x1[:e], bs.take(blk))
+        rows *= (X[:e, None] & ~bds.take(blk)[None, :]) == 0
+        sums[blk] = rows.sum(axis=0, dtype=np.int64)
+    return sums.tolist()
+
+
+def _plus3_bytes(keys: int, m: int) -> int:
+    """Estimated peak of the buffers one _plus3_sums call allocates, for an
+    interval of m elements of a layer with the given number of pair keys
+    (intervals.key_count): per entry of a key block over the whole
+    interval (m x _PLUS3_BLOCK), 21 bytes, the int16 keys, the intp copy
+    that `take` makes of them, the int16 block it gathers, the uint64 AND
+    of the subset test and its bool mask; 2 bytes per key for the int16
+    column; and 32 bytes per element for the interval's values, keys and
+    halves.  The gather holds the keys, their copy, the new block and the
+    block before (14 bytes), and the mask the block, the AND and the mask
+    (11), so 7 bytes are margin: at the top block of n = 5 (m = 7,581) the
+    estimate is 10.5 MB, and blocks of the lowest b, whose prefixes reach
+    the top, peak at 7.0 MB."""
+    return 21 * _PLUS3_BLOCK * m + 2 * keys + 32 * m
 
 
 def lambda_plus3(layer: Layer, classes: list[OrbitClass], workers: int = 1) -> LambdaResult:
@@ -251,9 +322,9 @@ def lambda_plus3(layer: Layer, classes: list[OrbitClass], workers: int = 1) -> L
     t0 = time.perf_counter()
     n = layer.n
     _require_base("plus3", n)
-    value = _run_class_tasks(
-        layer, classes, workers, lambda ih, I, reps, inverse: _plus3_sums(layer.values[I], n, reps, inverse)
-    )
+    # a task's interval lies in D_n
+    tables = _k4_tables(layer, None, max(workers, 1) * _plus3_bytes(key_count(n), len(layer)))
+    value = _run_class_tasks(layer, classes, workers, lambda I, reps: _plus3_sums(tables, I, reps))
     return LambdaResult(n + 3, "plus3", value, n, time.perf_counter() - t0, "brute")
 
 
@@ -270,11 +341,12 @@ def _plus4_dense_sum(tables, ia: int) -> int:
         idb = dual_idx[ib]
         # one row per c (the row of J of a | b is its join with every c),
         # columns h; c* runs over the layer in order through dual_idx.
-        # Entries are below 2^13, so a product of two fits int32
-        p = np.multiply(RE[J[J[ia, ib]]], RE[J[J[ia, idb]][dual_idx]], dtype=np.int32)  # a|b|c, a|b*|c*
-        q = np.multiply(RE[J[J[ida, ib]][dual_idx]], RE[J[J[ida, idb]]], dtype=np.int32)  # a*|b|c*, a*|b*|c
-        # one sum per h over the d <= 168 rows, each below 168 * 2^52
-        total += exact_sum(np.einsum("ij,ij->j", p, q, dtype=np.int64))
+        # Entries are at most d, and d^2 < 2^16 (lambda_plus4_direct
+        # checks), so a product of two fits uint16
+        p = RE[J[J[ia, ib]]] * RE[J[J[ia, idb]][dual_idx]]  # a|b|c, a|b*|c*
+        q = RE[J[J[ida, ib]][dual_idx]] * RE[J[J[ida, idb]]]  # a*|b|c*, a*|b*|c
+        # the d^2 products of four, each below d^4, sum below d^6 <= 168^6 < 2^45
+        total += int(np.einsum("ij,ij->", p, q, dtype=np.int64))
     return total
 
 
@@ -330,14 +402,11 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
     the interval and a transpose (114-116 against 191-197 us at m =
     1,296; medians of 300).
     """
-    V, dual_idx, keys, i0, i1, Jlo, Jhi = tables
+    _, dual_idx, _, i0, i1, Jlo, Jhi = tables
     m = len(cidx)
-    # col[key(x)] = re(x, h), read only at joins inside [dual(h), h];
-    # entries are below 2^13 (_k4_tables checks), so they fit int16, a
+    # col[key(x)] = re(x, h); its int16 entries are below 2^13, so a
     # product of two fits int32 and of four stays below 2^52
-    kc = keys.take(cidx)
-    col = np.zeros(len(Jlo) * len(Jhi), dtype=np.int16)
-    col[kc] = upward_in_interval(V.take(cidx))
+    col, kc = _interval_column(tables, cidx)
     # a, a*, b and b* all lie in [h*, h], so each join of two does too;
     # pos gives its position in the interval, below m <= d_5 = 7,581 <
     # 2^13, so it fits int16
@@ -360,14 +429,11 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
             pos.take(lo_da.take(q0) + hi_da.take(q1)),  # a* | b
             pos.take(lo_da.take(dq0) + hi_da.take(dq1)),  # a* | b*
         ))
+    # taken last, these keep the heap's top in use while the chunks' blocks
+    # are freed and built again: taken before pos, a pruned plus4 call at
+    # n = 5 over the classes of 80000000 and 80008000 took 47,400 page
+    # faults against 32,100
     x0, x1 = i0.take(cidx), i1.take(cidx)
-
-    def factor_rows(cs):
-        # out[x, k] = re(x | cs[k], h) for every x in the interval: the
-        # whole-row takes give the key block one row per x already
-        keys_xc = Jlo.take(i0.take(cs), axis=1).take(x0, axis=0)
-        keys_xc += Jhi.take(i1.take(cs), axis=1).take(x1, axis=0)
-        return col.take(keys_xc)
 
     def row_sums(McT, MdcT, js, rows):
         # one row per b in rows: p pairs a|b|c with a|b*|c*, q a*|b|c*
@@ -382,13 +448,13 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
     for lo in range(0, l, _PRUNED_CHUNK):
         hi = min(lo + _PRUNED_CHUNK, l)
         w = hi - lo
-        McT = factor_rows(low[lo:hi])
-        MdcT = factor_rows(dlow[lo:hi])
+        McT = _joined_column(tables, col, x0, x1, low[lo:hi])
+        MdcT = _joined_column(tables, col, x0, x1, dlow[lo:hi])
         for k, js in enumerate(joins):
             sums = row_sums(McT, MdcT, js, slice(lo, l + s + hi))
             totals[k] += 2 * (exact_sum(sums[:w]) + exact_sum(sums[-w:])) + 4 * exact_sum(sums[w:-w])
     for lo in range(0, s, _PRUNED_CHUNK):
-        M = factor_rows(self_dual[lo:lo + _PRUNED_CHUNK])  # c* = c
+        M = _joined_column(tables, col, x0, x1, self_dual[lo:lo + _PRUNED_CHUNK])  # c* = c
         for k, js in enumerate(joins):
             totals[k] += exact_sum(row_sums(M, M, js, slice(l, l + s)))
     return totals
@@ -488,10 +554,10 @@ def _require_exact_chunk_sums(chunk: int) -> None:
 
 
 def _k4_tables(layer: Layer, budget_mb: int | None, kernel_bytes: int = 0) -> tuple[np.ndarray, ...]:
-    """The tables every k = 4 kernel takes: the layer values V, the index
-    of each element's dual, and the pair keys of the layer with the two
-    small tables that give the key of a join (intervals.join_keys: the
-    keys, the half indices i0 and i1, Jlo and Jhi).  A kernel reads
+    """The tables every k = 4 kernel and plus3 take: the layer values V,
+    the index of each element's dual, and the pair keys of the layer with
+    the two small tables that give the key of a join (intervals.join_keys:
+    the keys, the half indices i0 and i1, Jlo and Jhi).  A kernel reads
     interval counts of at most the layer's size d, so this raises before
     building anything unless d^4 < 2^52; then it refuses these tables,
     with their build buffers, together with the kernel_bytes the kernel
@@ -526,6 +592,12 @@ def lambda_plus4_direct(
     V = layer.values
     if strategy == "dense":
         d = len(layer)
+        _require_exact_products(d)  # the refusal every k = 4 route gives first
+        if d * d >= 1 << 16:
+            raise VerificationError(
+                f"interval counts reach {d}, so the dense reference's uint16 products of two"
+                f" reach {d * d} >= 2^16"
+            )
         dual_idx = _k4_tables(layer, budget_mb, full_table_bytes(d) + join_index_bytes(d))[1]
         tables = build_full_table(n, budget_mb).counts, _join_index_table(V, n), dual_idx
         reps, gammas = _rep_array(classes)
@@ -581,9 +653,7 @@ def lambda_plus4_classes(
     # a task's interval lies in D_n, and its a are at most one per element
     d = len(layer)
     tables = _k4_tables(layer, budget_mb, max(workers, 1) * _top_block_bytes(key_count(n), d, d))
-    value = _run_class_tasks(
-        layer, classes, workers, lambda ih, I, reps, inverse: _top_block_sums(tables, I, I[reps])
-    )
+    value = _run_class_tasks(layer, classes, workers, lambda I, reps: _top_block_sums(tables, I, I[reps]))
     return LambdaResult(n + 4, "plus4c", value, n, time.perf_counter() - t0, "brute")
 
 

@@ -211,13 +211,17 @@ def _four_block_count(up: np.ndarray, J: np.ndarray, dual_idx: np.ndarray) -> in
     blocks x, y leaves a in [0, x & y] and e in [x | y, top].  The meet
     comes through the join of the duals: x & y = (x* | y*)*.  Dual
     reverses the order, so |[0, x]| = |[x*, top]|: both factors are
-    upward counts."""
-    down = up[dual_idx]
+    upward counts.  Every gather is a `take`, which costs about half as
+    much per entry as fancy indexing with the uint16 rows of J.  `take`
+    copies a uint16 index to intp first, so a chunk holds about 40 bytes
+    per entry, and it is 256 rows: 512 raised the suite's peak RSS at n =
+    5 by 30 MiB."""
+    down = up.take(dual_idx)
     total = 0
-    for lo in range(0, len(J), 512):
-        joins = J[lo:lo + 512]
-        meets = dual_idx[J[dual_idx[lo:lo + 512]][:, dual_idx]]
-        total += int((down[meets] * up[joins]).sum())
+    for lo in range(0, len(J), 256):
+        joins = J[lo:lo + 256]
+        meets = dual_idx.take(J.take(dual_idx[lo:lo + 256], axis=0).take(dual_idx, axis=1))
+        total += int((down.take(meets) * up.take(joins)).sum())
     return total
 
 

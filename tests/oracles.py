@@ -125,3 +125,19 @@ def interval_matrix(values) -> np.ndarray:
             acc += x_below_z.astype(np.float32) @ z_below_y.astype(np.float32)
         out[lo:lo + 512, lo:] = acc
     return out
+
+
+def slow_plus3_sums(values, n: int, positions) -> list[int]:
+    """For each b = values[r], r in positions, of an interval [a, a*] given
+    by its ascending values: the sum over c >= b in the interval of
+    |[a, c & dual(b)]|, each count read at the meet's position from a list
+    of |[a, y]| for every y, by subset tests (every z of the interval is
+    >= a, so |[a, y]| counts the z <= y)."""
+    X = np.asarray(values, dtype=np.uint64)
+    below = np.array([np.count_nonzero((X & ~y) == 0) for y in X])
+    out = []
+    for r in positions:
+        b = X[r]
+        meets = X[(X & b) == b] & np.uint64(slow_dual(n, int(b)))
+        out.append(int(below[np.searchsorted(X, meets)].sum()))
+    return out

@@ -24,10 +24,10 @@ from mbfcount.counting import (
 )
 from mbfcount.errors import BudgetError, UnsupportedCombinationError, VerificationError
 from mbfcount.intervals import upward_counts
-from mbfcount.layers import Layer, generate_layer
-from mbfcount.selfcheck import definition_sums, top_block_products
+from mbfcount.layers import Layer, generate_layer, self_dual_brute
+from mbfcount.selfcheck import _plus3_definition, definition_sums, top_block_products
 
-from oracles import interval_matrix, slow_dual, slow_layer, slow_orbit
+from oracles import interval_matrix, slow_dual, slow_layer, slow_orbit, slow_plus3_sums
 
 
 def setup(n, classes):
@@ -62,6 +62,21 @@ def test_plus3_known_values(n, classes):
     got = lambda_plus3(layer, cl)
     assert got.value == LAMBDA_KNOWN[n + 3]
     assert got.base_source == "brute"
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_plus3_sums_match_the_subset_formula(n, classes):
+    # every element of [dual(h), h] as b, in a seeded order, for every
+    # class h with dual(h) <= h: a superset of the orbit representatives
+    layer, cl = setup(n, classes)
+    V = layer.values
+    reps = np.array([c.representative.bits for c in cl], dtype=np.uint64)
+    tops = np.searchsorted(V, reps[(vecbits.dual_array(reps, n) & ~reps) == 0])
+    tables = counting._k4_tables(layer, None)
+    rng = np.random.default_rng(n)
+    for ih, I in counting._dual_intervals(V, n, tops).items():
+        positions = rng.permutation(len(I))
+        assert counting._plus3_sums(tables, I, positions) == slow_plus3_sums(V[I], n, positions), hex(V[ih])
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -487,6 +502,67 @@ def test_top_block_budget_estimate_covers_the_peak(base5):
     assert need / 2 < peak <= need, f"estimate {need / 1e6:.2f} MB, peak {peak / 1e6:.2f} MB"
 
 
+@pytest.mark.parametrize("m", [7_581, 7_246])
+def test_plus3_sums_match_the_subset_formula_base5(base5, m):
+    # the orbit representatives of the top block (210, so its blocks of 64
+    # end with one of 18) and of the block of 7,246 elements (561, ending
+    # with one of 49)
+    layer, cl = base5
+    V = layer.values
+    hs = [c.representative.bits for c in cl]
+    tops = np.searchsorted(V, [h for h in hs if slow_dual(5, h) & ~h == 0])
+    [(ih, I)] = [(ih, I) for ih, I in counting._dual_intervals(V, 5, tops).items() if len(I) == m]
+    reps = orbits.stabilizer_orbits(int(V[ih]), V[I], 5)[0]
+    assert len(reps) % counting._PLUS3_BLOCK in (18, 49)
+    tables = counting._k4_tables(layer, None)
+    assert counting._plus3_sums(tables, I, reps) == slow_plus3_sums(V[I], 5, reps)
+
+
+# the largest [h*, h] whose plus3 class task is checked against the
+# definition, which is cubic in m: 62 of the 80 base-5 tasks, about 1.5 s
+PLUS3_DEFINITION_MAX_M = 1_296
+
+
+def test_plus3_classes_match_the_definition_base5(base5):
+    # the tasks of the summed classes h (dual(h) <= h, weight(h) > 2^4)
+    # with the smallest [h*, h]
+    layer, cl = base5
+    V = layer.values
+    closed = self_dual_brute(5)
+    checked = 0
+    for c in cl:
+        h = c.representative.bits
+        if slow_dual(5, h) & ~h or 2 * h.bit_count() <= 32:
+            continue
+        ih = int(np.searchsorted(V, h))
+        if len(counting._dual_intervals(V, 5, np.array([ih]))[ih]) > PLUS3_DEFINITION_MAX_M:
+            continue
+        assert lambda_plus3(layer, [c]).value - closed == c.gamma * _plus3_definition(V, 5, h), hex(h)
+        checked += 1
+    assert checked == 62
+
+
+def test_plus3_budget_estimate_covers_the_peak(base5):
+    # the top block (m = 7,581): its 210 orbit representatives, and the
+    # lowest b, whose prefixes reach the top, in full blocks; tracemalloc
+    # sees every numpy buffer the call allocates
+    layer, _ = base5
+    V = layer.values
+    ih = len(V) - 1
+    I = counting._dual_intervals(V, 5, np.array([ih]))[ih]
+    tables = counting._k4_tables(layer, None)
+    peaks = []
+    for reps in (orbits.stabilizer_orbits(int(V[ih]), V[I], 5)[0], np.arange(3 * counting._PLUS3_BLOCK)):
+        tracemalloc.start()
+        try:
+            counting._plus3_sums(tables, I, reps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    need = counting._plus3_bytes(intervals.key_count(5), len(I))
+    assert need / 2 < max(peaks) <= need, f"estimate {need / 1e6:.2f} MB, peaks {[p / 1e6 for p in peaks]} MB"
+
+
 def test_plus4_pruned_base5_class_and_its_dual(base5, monkeypatch):
     # partial sums from perfbench/lambda9_sample.json, with no interval-matrix row
     monkeypatch.setattr(counting, "build_full_table", _never_the_matrix)
@@ -517,8 +593,10 @@ def test_exact_product_bound_at_the_edge():
 class _InflatedLayer(Layer):
     # the n = 2 layer, claiming 8192 elements: an interval count can reach
     # the layer's size, so its four-way products could reach 8192^4 = 2^52
+    size = 8192
+
     def __len__(self):
-        return 8192
+        return self.size
 
 
 @pytest.mark.parametrize("route", ["dense", "pruned", "plus4c"])
@@ -535,6 +613,26 @@ def test_plus4_refuses_counts_beyond_exact_range(route, classes, monkeypatch):
             lambda_plus4_classes(layer, cl)
         else:
             lambda_plus4_direct(layer, cl, strategy=route)
+
+
+def test_dense_plus4_refuses_products_beyond_uint16(classes, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a table was built or a task was submitted")
+
+    for module, name in [
+        (counting, "build_full_table"), (counting, "_join_index_table"), (counting, "join_keys"), (parallel, "run_tasks"),
+    ]:
+        monkeypatch.setattr(module, name, never)
+    layer, cl = setup(2, classes)
+    # at 256 elements four-way products stay below 2^52, but a product of
+    # two reaches 2^16; 255^2 < 2^16, so the first table is built
+    layer = _InflatedLayer(layer.n, layer.values)
+    monkeypatch.setattr(_InflatedLayer, "size", 256)
+    with pytest.raises(VerificationError, match="2\\^16"):
+        lambda_plus4_direct(layer, cl, strategy="dense")
+    monkeypatch.setattr(_InflatedLayer, "size", 255)
+    with pytest.raises(AssertionError, match="a table was built"):
+        lambda_plus4_direct(layer, cl, strategy="dense")
 
 
 def test_plus4_pruned_refuses_chunks_beyond_exact_sums(classes, monkeypatch):

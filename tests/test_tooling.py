@@ -314,3 +314,20 @@ def test_benchmark_traced_names_exist():
         if not hasattr(importlib.import_module(f"mbfcount.{mod}"), attr)
     ]
     assert not missing, f"perfbench/spans.py wraps names the package lacks: {missing}"
+
+
+def test_plus3_reads_the_k4_column_by_pair_key():
+    # plus3 and the k = 4 kernel share one count of the column re(x, h) and
+    # one key join; plus3 makes no count or search per representative
+    path = SRC / "counting.py"
+
+    def users(name):
+        return _statements_where(path, lambda node: name in (getattr(node, "id", None), getattr(node, "attr", None)))
+
+    assert users("upward_in_interval") == ["_interval_column"]
+    assert users("_interval_column") == users("_joined_column") == ["_plus3_sums", "_top_block_sums"]
+    [plus3] = [s for s in ast.parse(path.read_text()).body if getattr(s, "name", None) == "_plus3_sums"]
+    loops = [node for node in ast.walk(plus3) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    in_loops = {getattr(node, "attr", None) for loop in loops for node in ast.walk(loop)}
+    assert not {"searchsorted", "count_nonzero"} & in_loops
+    assert "count_nonzero" not in {getattr(node, "attr", None) for node in ast.walk(plus3)}
