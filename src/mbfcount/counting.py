@@ -38,13 +38,15 @@ that constraint into closed sums over a smaller layer:
           so per top block h and a in [dual(h), h] the kernel
           (_top_block_sums) sums S(a, h) over b, c in [dual(h), h]: per
           chunk of c it builds the factors re(c | x, h) and re(c* | x, h)
-          once, stored one row per x in [dual(h), h], and every a takes
-          its four factors from them as whole rows, by `take`.
+          once, stored one row per x in [dual(h), h] in two buffers
+          allocated once per call, and every a takes its four factors
+          from them as whole rows, by `take`, _ROW_BLOCK rows at a time.
           Swapping b and c, and replacing (b, c) by (b*, c*), each
           permute the four factors, so it evaluates about a quarter of
           the pairs, one per orbit of (b, c) under b <-> c and
-          (b, c) -> (b*, c*), weighted by the orbit's size.  Pruned plus4 runs one task per
-          h over the classes a under it; c -> c* maps the sum for a* onto
+          (b, c) -> (b*, c*), weighted by the orbit's size.  Pruned plus4
+          runs one task per h over the classes a under it, and each task
+          cuts its own interval; c -> c* maps the sum for a* onto
           the sum for a, so a class and its dual class are summed once,
           with twice the weight.  Pruned is the plus4 route at every base;
           strategy="dense", the sum over every (a, b, c, h) (n <= 4),
@@ -73,7 +75,8 @@ entry of the column re(x, h), indexed by key, at the key of (a | b) | c.
 plus3 and the shared kernel count that column over [h*, h] alone
 (upward_in_interval, _interval_column), where every join they read lies,
 and gather it at the joins of a block of columns with every element of a
-prefix of the interval (_joined_column); only the dense reference (n <=
+prefix of the interval (_joined_column), _ROW_BLOCK rows at a time,
+into a buffer each call allocates once; only the dense reference (n <=
 4) builds the uint16 interval matrix and the layer-indexed join table J
 (the index of x | y), and reads RE[J[J[a, b], c], h].  Entries are cast
 up only where summed or where a product of two could pass their type.
@@ -255,15 +258,23 @@ def _interval_column(tables, cidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return col, kc
 
 
-def _joined_column(tables, col: np.ndarray, x0: np.ndarray, x1: np.ndarray, cs: np.ndarray) -> np.ndarray:
+def _joined_column(
+    tables, col: np.ndarray, x0: np.ndarray, x1: np.ndarray, cs: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """out[x, k] = re(x | cs[k], h) for the x of the interval with half
     indices x0 and x1 (all of them, or a prefix) and the layer indices cs,
-    each x | cs[k] inside the interval: the whole-row takes of Jlo and Jhi
-    give the key block one row per x as they stand."""
+    each x | cs[k] inside the interval; out is the caller's int16 buffer
+    of len(x0) x len(cs).  The whole-row takes of the columns cs of Jlo
+    and Jhi give the key block one row per x as they stand; it is built
+    and gathered _ROW_BLOCK rows at a time, so the intp copy of the keys
+    that `take` makes is one block's."""
     _, _, _, i0, i1, Jlo, Jhi = tables
-    keys_xc = Jlo.take(i0.take(cs), axis=1).take(x0, axis=0)
-    keys_xc += Jhi.take(i1.take(cs), axis=1).take(x1, axis=0)
-    return col.take(keys_xc)
+    lo_c, hi_c = Jlo.take(i0.take(cs), axis=1), Jhi.take(i1.take(cs), axis=1)
+    for r in range(0, len(x0), _ROW_BLOCK):
+        keys = lo_c.take(x0[r:r + _ROW_BLOCK], axis=0)
+        keys += hi_c.take(x1[r:r + _ROW_BLOCK], axis=0)
+        out[r:r + _ROW_BLOCK] = col.take(keys)
+    return out
 
 
 # -- plus3 ------------------------------------------------------------------
@@ -282,7 +293,8 @@ def _plus3_sums(tables, cidx: np.ndarray, reps) -> list[int]:
     lies in X up to b*; the representatives are taken in order of that
     end, _PLUS3_BLOCK at a time, each block reading the key block over the
     prefix its last one needs, masked to c' <= b*.  A column sums at most
-    m entries below m, so below m^2 < 2^26."""
+    m entries below m, so below m^2 < 2^26.  Every key block is gathered
+    into a prefix of one buffer the call allocates."""
     V, dual_idx, _, i0, i1 = tables[:5]
     x0, x1 = i0.take(cidx), i1.take(cidx)
     col = _interval_column(tables, cidx)[0]
@@ -292,10 +304,11 @@ def _plus3_sums(tables, cidx: np.ndarray, reps) -> list[int]:
     ends = np.searchsorted(X, bds, side="right")
     order = np.argsort(ends, kind="stable")
     sums = np.empty(len(bs), dtype=np.int64)
+    buf = np.empty(len(cidx) * _PLUS3_BLOCK, dtype=np.int16)
     for lo in range(0, len(order), _PLUS3_BLOCK):
         blk = order[lo:lo + _PLUS3_BLOCK]
         e = int(ends[blk[-1]])
-        rows = _joined_column(tables, col, x0[:e], x1[:e], bs.take(blk))
+        rows = _joined_column(tables, col, x0[:e], x1[:e], bs.take(blk), buf[:e * len(blk)].reshape(e, len(blk)))
         rows *= (X[:e, None] & ~bds.take(blk)[None, :]) == 0
         sums[blk] = rows.sum(axis=0, dtype=np.int64)
     return sums.tolist()
@@ -305,25 +318,29 @@ def _plus3_bytes(keys: int, m: int) -> int:
     """Estimated peak of the buffers one _plus3_sums call allocates, for an
     interval of m elements of a layer with the given number of pair keys
     (intervals.key_count): per entry of a key block over the whole
-    interval (m x _PLUS3_BLOCK), 21 bytes, the int16 keys, the intp copy
-    that `take` makes of them, the int16 block it gathers, the uint64 AND
-    of the subset test and its bool mask; 2 bytes per key for the int16
-    column; and 32 bytes per element for the interval's values, keys and
-    halves.  The gather holds the keys, their copy, the new block and the
-    block before (14 bytes), and the mask the block, the AND and the mask
-    (11), so 7 bytes are margin: at the top block of n = 5 (m = 7,581) the
-    estimate is 10.5 MB, and blocks of the lowest b, whose prefixes reach
-    the top, peak at 7.0 MB."""
-    return 21 * _PLUS3_BLOCK * m + 2 * keys + 32 * m
+    interval (m x _PLUS3_BLOCK), 14 bytes, the call's int16 buffer, the
+    uint64 AND of the subset test and its bool mask, and 3 of margin; 2
+    bytes per key for the int16 column; and 32 bytes per element for the
+    interval's values, keys and halves.  The block's keys, their intp copy
+    and the gathered block (12 bytes per entry of _ROW_BLOCK rows, below 1
+    per entry of the whole block at m = 7,581) are freed before the mask
+    is made.  At the top block of n = 5 the estimate is 7.1 MB, and blocks
+    of the lowest b, whose prefixes reach the top, peak at 5.6 MB."""
+    return 14 * _PLUS3_BLOCK * m + 2 * keys + 32 * m
 
 
-def lambda_plus3(layer: Layer, classes: list[OrbitClass], workers: int = 1) -> LambdaResult:
+def lambda_plus3(
+    layer: Layer,
+    classes: list[OrbitClass],
+    workers: int = 1,
+    budget_mb: int | None = None,
+) -> LambdaResult:
     """Count for n+3 from the 4-tuple sum over orbit classes."""
     t0 = time.perf_counter()
     n = layer.n
     _require_base("plus3", n)
     # a task's interval lies in D_n
-    tables = _k4_tables(layer, None, max(workers, 1) * _plus3_bytes(key_count(n), len(layer)))
+    tables = _k4_tables(layer, budget_mb, max(workers, 1) * _plus3_bytes(key_count(n), len(layer)))
     value = _run_class_tasks(layer, classes, workers, lambda I, reps: _plus3_sums(tables, I, reps))
     return LambdaResult(n + 3, "plus3", value, n, time.perf_counter() - t0, "brute")
 
@@ -353,7 +370,8 @@ def _plus4_dense_sum(tables, ia: int) -> int:
 # -- plus4, pruned (per top block, n <= 5) -----------------------------------
 
 
-_PRUNED_CHUNK = 64
+_PRUNED_CHUNK = 64  # columns c per chunk of factor rows
+_ROW_BLOCK = 512  # rows x per block of keys, factor-row takes and products
 
 
 def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
@@ -393,14 +411,20 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
     so each a takes its four factors as whole contiguous rows by position.
     A chunk's keys are two whole-row takes, of the chunk's columns of Jlo
     and Jhi at the halves of every x, and an add, which give one row per x
-    as they stand.  Every gather is a `take`, because numpy's fancy
-    indexing with non-intp index arrays is slower: at the top block of n
-    = 5 (m = 7,581), on a 2-core host with numpy 2.4, an entry of `col[S]`
-    with a uint16 S cost 2.6 ns against 1.1 ns by `col.take(S)`, and a
-    chunk of 64 columns by keys takes 0.68-0.70 ms against 1.04-1.07 ms
-    by gathering 64 rows of a layer-indexed join table, their columns at
-    the interval and a transpose (114-116 against 191-197 us at m =
-    1,296; medians of 300).
+    as they stand.  The call allocates its buffers once: two int16 buffers
+    of m x _PRUNED_CHUNK entries for the factor rows (a chunk of w columns
+    fills the contiguous prefix of m * w) and one int64 row sum per
+    element.  The keys, factor-row takes and products are made _ROW_BLOCK
+    rows at a time, so no temporary is larger than a block: at the top
+    block of n = 5 a call for six a peaks at 3.6 MB under tracemalloc,
+    against 8.8 MB with every chunk's blocks built whole.  Every gather is
+    a `take`, because numpy's fancy indexing with non-intp index arrays is
+    slower: at the top block of n = 5 (m = 7,581), on a 2-core host with
+    numpy 2.4, an entry of `col[S]` with a uint16 S cost 2.6 ns against
+    1.1 ns by `col.take(S)`, and a chunk of 64 columns by keys takes
+    0.68-0.70 ms against 1.04-1.07 ms by gathering 64 rows of a
+    layer-indexed join table, their columns at the interval and a
+    transpose (114-116 against 191-197 us at m = 1,296; medians of 300).
     """
     _, dual_idx, _, i0, i1, Jlo, Jhi = tables
     m = len(cidx)
@@ -429,34 +453,38 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
             pos.take(lo_da.take(q0) + hi_da.take(q1)),  # a* | b
             pos.take(lo_da.take(dq0) + hi_da.take(dq1)),  # a* | b*
         ))
-    # taken last, these keep the heap's top in use while the chunks' blocks
-    # are freed and built again: taken before pos, a pruned plus4 call at
-    # n = 5 over the classes of 80000000 and 80008000 took 47,400 page
-    # faults against 32,100
     x0, x1 = i0.take(cidx), i1.take(cidx)
+    # every chunk's factor rows and row sums go to these buffers; a chunk
+    # of w columns uses the contiguous prefix of m * w entries
+    buf_c, buf_dc = np.empty(m * _PRUNED_CHUNK, dtype=np.int16), np.empty(m * _PRUNED_CHUNK, dtype=np.int16)
+    sums = np.empty(m, dtype=np.int64)
 
-    def row_sums(McT, MdcT, js, rows):
-        # one row per b in rows: p pairs a|b|c with a|b*|c*, q a*|b|c*
-        # with a*|b*|c; one sum per b over the chunk's columns, each below
-        # _PRUNED_CHUNK * 2^52
-        j_bot, j_a, j_b, j_c = (j[rows] for j in js)
-        p = np.multiply(McT.take(j_bot, axis=0), MdcT.take(j_a, axis=0), dtype=np.int32)
-        q = np.multiply(MdcT.take(j_b, axis=0), McT.take(j_c, axis=0), dtype=np.int32)
-        return np.einsum("ij,ij->i", p, q, dtype=np.int64)
+    def factor_rows(buf, cs):
+        return _joined_column(tables, col, x0, x1, cs, buf[:m * len(cs)].reshape(m, len(cs)))
+
+    def row_sums(McT, MdcT, js, lo, hi):
+        # one sum per b in the rows [lo, hi) of Q, over the chunk's columns,
+        # each below _PRUNED_CHUNK * 2^52: p pairs a|b|c with a|b*|c*, q
+        # a*|b|c* with a*|b*|c
+        for r in range(lo, hi, _ROW_BLOCK):
+            j_bot, j_a, j_b, j_c = (j[r:min(r + _ROW_BLOCK, hi)] for j in js)
+            p = np.multiply(McT.take(j_bot, axis=0), MdcT.take(j_a, axis=0), dtype=np.int32)
+            q = np.multiply(MdcT.take(j_b, axis=0), McT.take(j_c, axis=0), dtype=np.int32)
+            np.einsum("ij,ij->i", p, q, dtype=np.int64, out=sums[r - lo:r - lo + len(p)])
+        return sums[:hi - lo]
 
     totals = [0] * len(joins)
     for lo in range(0, l, _PRUNED_CHUNK):
         hi = min(lo + _PRUNED_CHUNK, l)
         w = hi - lo
-        McT = _joined_column(tables, col, x0, x1, low[lo:hi])
-        MdcT = _joined_column(tables, col, x0, x1, dlow[lo:hi])
+        McT, MdcT = factor_rows(buf_c, low[lo:hi]), factor_rows(buf_dc, dlow[lo:hi])
         for k, js in enumerate(joins):
-            sums = row_sums(McT, MdcT, js, slice(lo, l + s + hi))
-            totals[k] += 2 * (exact_sum(sums[:w]) + exact_sum(sums[-w:])) + 4 * exact_sum(sums[w:-w])
+            rs = row_sums(McT, MdcT, js, lo, l + s + hi)
+            totals[k] += 2 * (exact_sum(rs[:w]) + exact_sum(rs[-w:])) + 4 * exact_sum(rs[w:-w])
     for lo in range(0, s, _PRUNED_CHUNK):
-        M = _joined_column(tables, col, x0, x1, self_dual[lo:lo + _PRUNED_CHUNK])  # c* = c
+        M = factor_rows(buf_c, self_dual[lo:lo + _PRUNED_CHUNK])  # c* = c
         for k, js in enumerate(joins):
-            totals[k] += exact_sum(row_sums(M, M, js, slice(l, l + s)))
+            totals[k] += exact_sum(row_sums(M, M, js, l, l + s))
     return totals
 
 
@@ -465,20 +493,19 @@ def _top_block_bytes(keys: int, m: int, k: int) -> int:
     for an interval of m elements of a layer with the given number of
     pair keys (intervals.key_count) and k values of a: 8 bytes per a and
     element for the four int16 join positions; per entry of a chunk's
-    factor rows (m x _PRUNED_CHUNK), 16 bytes: the two int16 blocks of the
-    chunk before, beside the chunk's int16 key block, the intp copy that
-    `take` makes of it and the int16 result; 4 bytes per key for the
-    key-indexed int16 column and positions; and 96 bytes per element: the
-    call's index arrays (of Q and its duals, their halves and the halves
-    of the interval) take 74, the last chunk's int64 row sums, still held
-    while the next chunk is built, 8, and 14 are margin.  The key block's
-    second int16 half and the small takes of Jlo and Jhi it comes from are
-    freed before the factor rows are taken; between builds, the two int32
-    products and two int16 row takes over a window of l + s + (hi - lo) <=
-    m rows take 12 bytes per entry beside the blocks' 4, and the column's
-    count about 50 bytes per element of the interval before any chunk, so
-    none sets the peak."""
-    return 8 * m * k + 16 * _PRUNED_CHUNK * m + 96 * m + 4 * keys
+    factor rows (m x _PRUNED_CHUNK), 4 bytes for the two int16 buffers;
+    4 bytes per key for the key-indexed int16 column and positions; 96
+    bytes per element: the call's index arrays (of Q and its duals, their
+    halves and the halves of the interval) take 74, the int64 row sums 8,
+    exact_sum's int64 temporary 8, and 6 are margin; and per entry of one
+    block of _ROW_BLOCK rows of a chunk, 20 bytes.  Under tracemalloc a
+    block peaks at about 17 bytes per entry, in the row sums: its int32
+    products, the two int16 row takes of the second and einsum's cast
+    buffer.  The key block's int16 halves, the intp copy that `take`
+    makes of them and the gathered block take 12 bytes per entry at most,
+    and the column's count about 50 bytes per element of the interval
+    before the buffers exist, so neither sets the peak."""
+    return 8 * m * k + 4 * _PRUNED_CHUNK * m + 96 * m + 4 * keys + 20 * _ROW_BLOCK * _PRUNED_CHUNK
 
 
 def fold_dual_classes(classes: list[OrbitClass], n: int) -> tuple[list[OrbitClass], list[int]]:
@@ -506,18 +533,19 @@ def fold_dual_classes(classes: list[OrbitClass], n: int) -> tuple[list[OrbitClas
 
 def _pruned_terms(V: np.ndarray, n: int, rep_joins: np.ndarray):
     """The top indices ih with dual(h) <= h and some class under h (h >=
-    a | dual(a), one entry of rep_joins), the interval [dual(h), h] of
-    each, and the ordered (b, c) pairs per class a and top block h: the
-    squared size of the interval where a is under h, else 0 (one row per
-    class).  Only those tops are cut, so a call over few classes, or
-    none, cuts few intervals of the 2,646 tops at n = 5."""
+    a | dual(a), one entry of rep_joins), the size m of each interval
+    [dual(h), h], and the number k of classes under each: k * m^2 ordered
+    (b, c) pairs are summed at that top.  Only those tops are cut, one at a
+    time, so a call over few classes, or none, cuts few intervals of the
+    2,646 tops at n = 5, and no interval outlives its count."""
     tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
-    under = (rep_joins[:, None] & ~V[tops][None, :]) == 0
-    keep = under.any(axis=0)
-    tops, under = tops[keep], under[:, keep]
-    intervals = _dual_intervals(V, n, tops)
-    squares = np.array([len(intervals[ih]) ** 2 for ih in tops.tolist()], dtype=np.int64)
-    return tops, intervals, under * squares
+    not_tops = ~V.take(tops)
+    ks = np.zeros(len(tops), dtype=np.int64)
+    for r in rep_joins:
+        ks += (r & not_tops) == 0
+    tops, ks = tops[ks > 0], ks[ks > 0]
+    sizes = [len(_dual_intervals(V, n, tops[i:i + 1])[ih]) for i, ih in enumerate(tops.tolist())]
+    return tops, np.array(sizes, dtype=np.int64), ks
 
 
 def plus4_pruned_term_count(layer: Layer, classes: list[OrbitClass]) -> int:
@@ -532,7 +560,8 @@ def plus4_pruned_term_count(layer: Layer, classes: list[OrbitClass]) -> int:
     """
     reps, _ = _rep_array(classes)
     joins = reps | vecbits.dual_array(reps, layer.n)
-    return int(_pruned_terms(layer.values, layer.n, joins)[2].sum())
+    _, sizes, ks = _pruned_terms(layer.values, layer.n, joins)
+    return int((ks * sizes * sizes).sum())
 
 
 def _require_exact_products(max_count: int) -> None:
@@ -613,18 +642,16 @@ def lambda_plus4_direct(
         rep_idx = np.searchsorted(V, reps)
         rep_joins = reps | vecbits.dual_array(reps, n)
         class_weights = [g * k for g, k in zip(gammas.tolist(), mult)]  # doubled for a folded dual pair
-        tops, intervals, terms = _pruned_terms(V, n, rep_joins)
-        ks = np.count_nonzero(terms, axis=0)  # the classes a under each top block
-        terms = terms.sum(axis=0)
+        tops, sizes, ks = _pruned_terms(V, n, rep_joins)
+        terms = ks * sizes * sizes
         order = np.argsort(-terms, kind="stable")  # longest first
-        sizes = [len(intervals[ih]) for ih in tops[order].tolist()]
         # each worker may run the largest task at the same time
-        task_bytes = max((_top_block_bytes(key_count(n), m, k) for m, k in zip(sizes, ks[order].tolist())), default=0)
+        task_bytes = max((_top_block_bytes(key_count(n), m, k) for m, k in zip(sizes.tolist(), ks.tolist())), default=0)
         tables = _k4_tables(layer, budget_mb, min(max(workers, 1), len(order)) * task_bytes)
 
         def top_task(ih: int) -> int:
             under = np.nonzero((rep_joins & ~V[ih]) == 0)[0]  # classes with a | a* <= h
-            sums = _top_block_sums(tables, intervals[ih], rep_idx[under])
+            sums = _top_block_sums(tables, _dual_intervals(V, n, np.array([ih]))[ih], rep_idx[under])
             return sum(class_weights[ci] * s for ci, s in zip(under, sums))
 
         parts = parallel.run_tasks(top_task, tops[order].tolist(), workers, weights=terms[order].tolist())
@@ -702,7 +729,7 @@ def lambda_any(
         if method == "plus2":
             result = lambda_plus2(layer, classes, workers)
         elif method == "plus3":
-            result = lambda_plus3(layer, classes, workers)
+            result = lambda_plus3(layer, classes, workers, budget_mb)
         elif method == "plus4":
             result = lambda_plus4_direct(layer, classes, workers, budget_mb)
         else:

@@ -246,6 +246,13 @@ def test_budget_refusals(capsys):
     assert run(capsys, "retable", "--n", "6")[0] == EXIT_BUDGET
 
 
+def test_plus3_refuses_its_tables_and_buffers_over_budget(capsys):
+    code, out, err = run(capsys, "lambda", "8", "plus3", "--threads", "2", "--budget-mb", "1")
+    assert code == EXIT_BUDGET and out == ""
+    assert err.startswith("mbfcount: refused: k = 4 tables for n=5 with the kernel's buffers needs ~")
+    assert err.endswith(" MB, over the 1 MB budget\n") and len(err.splitlines()) == 1
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the budget refusal comes first")
 

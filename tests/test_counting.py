@@ -65,9 +65,10 @@ def test_plus3_known_values(n, classes):
 
 
 @pytest.mark.parametrize("n", range(5))
-def test_plus3_sums_match_the_subset_formula(n, classes):
+def test_plus3_sums_match_the_subset_formula(n, classes, monkeypatch):
     # every element of [dual(h), h] as b, in a seeded order, for every
-    # class h with dual(h) <= h: a superset of the orbit representatives
+    # class h with dual(h) <= h: a superset of the orbit representatives.
+    # Blocks of 5 rows end short inside the prefixes of the key blocks
     layer, cl = setup(n, classes)
     V = layer.values
     reps = np.array([c.representative.bits for c in cl], dtype=np.uint64)
@@ -76,7 +77,10 @@ def test_plus3_sums_match_the_subset_formula(n, classes):
     rng = np.random.default_rng(n)
     for ih, I in counting._dual_intervals(V, n, tops).items():
         positions = rng.permutation(len(I))
-        assert counting._plus3_sums(tables, I, positions) == slow_plus3_sums(V[I], n, positions), hex(V[ih])
+        expect = slow_plus3_sums(V[I], n, positions)
+        for block in (5, 512):
+            monkeypatch.setattr(counting, "_ROW_BLOCK", block)
+            assert counting._plus3_sums(tables, I, positions) == expect, hex(V[ih])
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -203,7 +207,8 @@ def test_top_block_sums_match_the_definition(n, monkeypatch):
     # every top block h with dual(h) <= h, every a in [dual(h), h].  With
     # chunks of 1, 7 and 64 the chunks of L end ragged, the self-dual
     # elements (12 at the top block of n = 4) span several chunks, and
-    # intervals are smaller than one chunk
+    # intervals are smaller than one chunk; with blocks of 5 rows, blocks
+    # end short inside chunks, and with 512 one block holds every window
     layer = generate_layer(n)
     V = layer.values
     tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
@@ -213,8 +218,9 @@ def test_top_block_sums_match_the_definition(n, monkeypatch):
     assert sum(len(a_idx) for a_idx in intervals.values()) == LAMBDA_KNOWN[n + 2]
     for ih, a_idx in intervals.items():
         expect = definition_sums(V, n, int(V[ih]), V[a_idx])
-        for chunk in (1, 7, 64):
+        for chunk, block in ((1, 512), (7, 512), (64, 512), (64, 5)):
             monkeypatch.setattr(counting, "_PRUNED_CHUNK", chunk)
+            monkeypatch.setattr(counting, "_ROW_BLOCK", block)
             assert counting._top_block_sums(tables, a_idx, a_idx) == expect
 
 
@@ -435,10 +441,12 @@ def test_fold_dual_classes_n5(base5):
 
 
 def test_pruned_terms_cut_intervals_only_under_a_class(base5, monkeypatch):
-    # [dual(h), h] is cut only for the tops h >= a | a* of some class a:
-    # none for no class, only the top for the bottom class (whose dual is
-    # the top), and the 1,704 task intervals of a full lambda_9
+    # [dual(h), h] is cut only for the tops h >= a | a* of some class a,
+    # one top at a time: none for no class, only the top for the bottom
+    # class (whose dual is the top), and the 1,704 task intervals of a
+    # full lambda_9
     layer, cl = base5
+    V = layer.values
     cut = []
     real = counting._dual_intervals
 
@@ -448,14 +456,35 @@ def test_pruned_terms_cut_intervals_only_under_a_class(base5, monkeypatch):
 
     monkeypatch.setattr(counting, "_dual_intervals", spy)
     assert lambda_plus4_direct(layer, []).value == 0
-    assert cut == [[]]
+    assert cut == []
     cut.clear()
     [bottom] = [c for c in cl if c.representative.bits == 0]
     assert plus4_pruned_term_count(layer, [bottom]) == len(layer) ** 2
     assert cut == [[len(layer) - 1]]
     cut.clear()
     assert plus4_pruned_term_count(layer, cl) == 417_628_327_127
-    assert len(cut[0]) == 1_704
+    assert all(len(tops) == 1 for tops in cut)
+    joins = [slow_dual(5, h) | h for h in (c.representative.bits for c in cl)]
+    expect = [
+        ih for ih, h in enumerate(V.tolist())
+        if slow_dual(5, h) & ~h == 0 and any(j & ~h == 0 for j in joins)
+    ]
+    assert len(expect) == 1_704
+    assert sorted(ih for [ih] in cut) == expect
+
+
+def test_pruned_term_count_holds_no_interval_table(base5):
+    # every class of the n = 5 layer: the 1,704 intervals are sized one at
+    # a time and the classes under each top counted by one subset test per
+    # class, so no interval table or class-by-top matrix is held
+    layer, cl = base5
+    tracemalloc.start()
+    try:
+        assert plus4_pruned_term_count(layer, cl) == 417_628_327_127
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_top_block_sums_match_the_definition_base5(base5, monkeypatch):
@@ -472,12 +501,14 @@ def test_top_block_sums_match_the_definition_base5(base5, monkeypatch):
         got = counting._top_block_sums(tables, intervals[ih], [ia])
         assert got == definition_sums(V, 5, int(V[ih]), [V[ia]])
     # the block with the most self-dual elements (20 of m = 400), in
-    # chunks of 7: the pass over them spans three chunks
+    # chunks of 7 and blocks of 5 rows: the pass over them spans three
+    # chunks, and every window of rows ends in a short block
     dual_idx = tables[1]
     ih = max(small, key=lambda j: np.count_nonzero(dual_idx[intervals[j]] == intervals[j]))
     I = intervals[ih]
     assert np.count_nonzero(dual_idx[I] == I) == 20
     monkeypatch.setattr(counting, "_PRUNED_CHUNK", 7)
+    monkeypatch.setattr(counting, "_ROW_BLOCK", 5)
     a_idx = [int(ia) for ia in rng.sample(I.tolist(), 6)] + [int(I[0]), int(I[-1])]
     got = counting._top_block_sums(tables, I, a_idx)
     assert got == definition_sums(V, 5, int(V[ih]), V[a_idx])
@@ -503,10 +534,11 @@ def test_top_block_budget_estimate_covers_the_peak(base5):
 
 
 @pytest.mark.parametrize("m", [7_581, 7_246])
-def test_plus3_sums_match_the_subset_formula_base5(base5, m):
+def test_plus3_sums_match_the_subset_formula_base5(base5, m, monkeypatch):
     # the orbit representatives of the top block (210, so its blocks of 64
     # end with one of 18) and of the block of 7,246 elements (561, ending
-    # with one of 49)
+    # with one of 49), in blocks of 5 rows that end short in the prefixes
+    monkeypatch.setattr(counting, "_ROW_BLOCK", 5)
     layer, cl = base5
     V = layer.values
     hs = [c.representative.bits for c in cl]
@@ -797,10 +829,14 @@ def test_lambda_any_unsupported_combinations():
 
 def test_method_budget_refusals(classes):
     layer5, cl5 = setup(5, classes)
-    with pytest.raises(BudgetError, match="needs ~16 MB"):
-        lambda_plus4_direct(layer5, cl5, budget_mb=15)  # the n=5 key tables and kernel refused
-    with pytest.raises(BudgetError, match="needs ~31 MB"):
-        lambda_plus4_direct(layer5, cl5, workers=2, budget_mb=15)  # and a second worker's kernel
+    with pytest.raises(BudgetError, match="needs ~11 MB"):
+        lambda_plus4_direct(layer5, cl5, budget_mb=10)  # the n=5 key tables and kernel refused
+    with pytest.raises(BudgetError, match="needs ~21 MB"):
+        lambda_plus4_direct(layer5, cl5, workers=2, budget_mb=10)  # and a second worker's kernel
+    with pytest.raises(BudgetError, match="needs ~8 MB"):
+        lambda_plus3(layer5, cl5, budget_mb=7)  # the n=5 key tables and plus3's buffers
+    with pytest.raises(BudgetError, match="needs ~15 MB"):
+        lambda_plus3(layer5, cl5, workers=2, budget_mb=7)
     with pytest.raises(BudgetError, match="per b"):
         lambda_plus4_direct(layer5, cl5, strategy="dense")
     with pytest.raises(BudgetError):

@@ -179,7 +179,7 @@ def test_one_driver_for_the_stabilizer_orbit_routes():
     # classes with the closed term always added
     from mbfcount import counting, parallel
 
-    assert list(inspect.signature(counting.lambda_plus3).parameters) == ["layer", "classes", "workers"]
+    assert list(inspect.signature(counting.lambda_plus3).parameters) == ["layer", "classes", "workers", "budget_mb"]
     assert "refined" not in inspect.signature(counting._run_class_tasks).parameters
     # tasks are closures and kernels take their tables as arguments: no
     # module state carries them to the workers
