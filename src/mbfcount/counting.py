@@ -74,12 +74,12 @@ table of D_{n-1} (168 x 168 at n = 5).  A factor such as re(a | b | c, h) is the
 entry of the column re(x, h), indexed by key, at the key of (a | b) | c.
 plus3 and the shared kernel count that column over [h*, h] alone
 (upward_in_interval, _interval_column), where every join they read lies,
-and gather it at the joins of a block of columns with every element of a
-prefix of the interval (_joined_column), _ROW_BLOCK rows at a time,
-into a buffer each call allocates once; only the dense reference (n <=
-4) builds the uint16 interval matrix and the layer-indexed join table J
-(the index of x | y), and reads RE[J[J[a, b], c], h].  Entries are cast
-up only where summed or where a product of two could pass their type.
+and read it, and the kernel its join positions, through the one gather
+of every pair-key join (intervals.gather_joins), into buffers each call
+allocates once; only the dense reference (n <= 4) builds the uint16
+interval matrix and the layer-indexed join table J (the index of x | y),
+and reads RE[J[J[a, b], c], h].  Entries are cast up only where summed
+or where a product of two could pass their type.
 
 Every accumulator is an exact integer: numpy partial sums stay below
 2^63 by construction (wide blocks are split 26 bits at a time before
@@ -97,8 +97,8 @@ import numpy as np
 from . import orbits, parallel, vecbits
 from .core import table_width
 from .errors import BudgetError, UnsupportedCombinationError, VerificationError
-from .intervals import _join_index_table, build_full_table, full_table_bytes, join_index_bytes, join_keys
-from .intervals import k4_table_bytes, key_count, upward_counts, upward_in_interval
+from .intervals import _GATHER_BLOCK, _join_index_table, build_full_table, full_table_bytes, gather_joins
+from .intervals import join_index_bytes, join_keys, k4_table_bytes, key_count, upward_counts, upward_in_interval
 from .layers import Layer, check_budget, generate_layer, self_dual_brute
 from .orbits import OrbitClass, canonical_array, classify
 
@@ -205,10 +205,10 @@ def lambda_plus2(layer: Layer, classes: list[OrbitClass], workers: int = 1) -> L
 # -- the class-task driver (plus3, plus4c) -----------------------------------
 
 
-def _dual_intervals(V: np.ndarray, n: int, tops) -> dict[int, np.ndarray]:
+def _dual_intervals(V: np.ndarray, tops: np.ndarray, duals: np.ndarray) -> dict[int, np.ndarray]:
     """The ascending index array of [dual(h), h] in the layer V, for each
-    given top index ih (h = V[ih], dual(h) <= h)."""
-    duals = vecbits.dual_array(V[tops], n)
+    given top index ih (h = V[ih], dual(h) <= h) and the dual of its h,
+    which every caller already holds."""
     return {
         ih: np.nonzero(((hd & ~V) == 0) & ((V & ~V[ih]) == 0))[0].astype(np.int32)
         for ih, hd in zip(tops.tolist(), duals)
@@ -227,9 +227,10 @@ def _run_class_tasks(layer: Layer, classes, workers: int, kernel) -> int:
     V, n = layer.values, layer.n
     reps, gammas = _rep_array(classes)
     rep_idx = np.searchsorted(V, reps)
-    sel = (vecbits.dual_array(reps, n) & ~reps) == 0
+    dual_reps = vecbits.dual_array(reps, n)
+    sel = (dual_reps & ~reps) == 0
     sel &= 2 * vecbits.popcount(reps) > table_width(n)
-    intervals = _dual_intervals(V, n, rep_idx[sel])
+    intervals = _dual_intervals(V, rep_idx[sel], dual_reps[sel])
     tasks = sorted(np.nonzero(sel)[0].tolist(), key=lambda ci: -len(intervals[int(rep_idx[ci])]))
 
     def class_task(ci: int) -> int:
@@ -258,25 +259,6 @@ def _interval_column(tables, cidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return col, kc
 
 
-def _joined_column(
-    tables, col: np.ndarray, x0: np.ndarray, x1: np.ndarray, cs: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """out[x, k] = re(x | cs[k], h) for the x of the interval with half
-    indices x0 and x1 (all of them, or a prefix) and the layer indices cs,
-    each x | cs[k] inside the interval; out is the caller's int16 buffer
-    of len(x0) x len(cs).  The whole-row takes of the columns cs of Jlo
-    and Jhi give the key block one row per x as they stand; it is built
-    and gathered _ROW_BLOCK rows at a time, so the intp copy of the keys
-    that `take` makes is one block's."""
-    _, _, _, i0, i1, Jlo, Jhi = tables
-    lo_c, hi_c = Jlo.take(i0.take(cs), axis=1), Jhi.take(i1.take(cs), axis=1)
-    for r in range(0, len(x0), _ROW_BLOCK):
-        keys = lo_c.take(x0[r:r + _ROW_BLOCK], axis=0)
-        keys += hi_c.take(x1[r:r + _ROW_BLOCK], axis=0)
-        out[r:r + _ROW_BLOCK] = col.take(keys)
-    return out
-
-
 # -- plus3 ------------------------------------------------------------------
 
 
@@ -294,8 +276,9 @@ def _plus3_sums(tables, cidx: np.ndarray, reps) -> list[int]:
     end, _PLUS3_BLOCK at a time, each block reading the key block over the
     prefix its last one needs, masked to c' <= b*.  A column sums at most
     m entries below m, so below m^2 < 2^26.  Every key block is gathered
-    into a prefix of one buffer the call allocates."""
-    V, dual_idx, _, i0, i1 = tables[:5]
+    (intervals.gather_joins) into a prefix of one buffer the call
+    allocates."""
+    V, dual_idx, _, i0, i1, Jlo, Jhi = tables
     x0, x1 = i0.take(cidx), i1.take(cidx)
     col = _interval_column(tables, cidx)[0]
     X = V.take(cidx)
@@ -307,8 +290,9 @@ def _plus3_sums(tables, cidx: np.ndarray, reps) -> list[int]:
     buf = np.empty(len(cidx) * _PLUS3_BLOCK, dtype=np.int16)
     for lo in range(0, len(order), _PLUS3_BLOCK):
         blk = order[lo:lo + _PLUS3_BLOCK]
-        e = int(ends[blk[-1]])
-        rows = _joined_column(tables, col, x0[:e], x1[:e], bs.take(blk), buf[:e * len(blk)].reshape(e, len(blk)))
+        e, cs = int(ends[blk[-1]]), bs.take(blk)
+        rows = buf[:e * len(blk)].reshape(e, len(blk))
+        gather_joins(col, Jlo, Jhi, x0[:e], x1[:e], i0.take(cs), i1.take(cs), rows)
         rows *= (X[:e, None] & ~bds.take(blk)[None, :]) == 0
         sums[blk] = rows.sum(axis=0, dtype=np.int64)
     return sums.tolist()
@@ -321,11 +305,11 @@ def _plus3_bytes(keys: int, m: int) -> int:
     interval (m x _PLUS3_BLOCK), 14 bytes, the call's int16 buffer, the
     uint64 AND of the subset test and its bool mask, and 3 of margin; 2
     bytes per key for the int16 column; and 32 bytes per element for the
-    interval's values, keys and halves.  The block's keys, their intp copy
-    and the gathered block (12 bytes per entry of _ROW_BLOCK rows, below 1
-    per entry of the whole block at m = 7,581) are freed before the mask
-    is made.  At the top block of n = 5 the estimate is 7.1 MB, and blocks
-    of the lowest b, whose prefixes reach the top, peak at 5.6 MB."""
+    interval's values, keys and halves.  The gather's block (12 bytes per
+    entry of at most _GATHER_BLOCK, below 1 per entry of the whole key
+    block at m = 7,581) is freed before the mask is made.  At the top
+    block of n = 5 the estimate is 7.1 MB, and blocks of the lowest b,
+    whose prefixes reach the top, peak at 5.6 MB."""
     return 14 * _PLUS3_BLOCK * m + 2 * keys + 32 * m
 
 
@@ -371,7 +355,7 @@ def _plus4_dense_sum(tables, ia: int) -> int:
 
 
 _PRUNED_CHUNK = 64  # columns c per chunk of factor rows
-_ROW_BLOCK = 512  # rows x per block of keys, factor-row takes and products
+_ROW_BLOCK = 512  # rows b per block of factor-row takes and products
 
 
 def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
@@ -405,26 +389,26 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
     Jlo[x0, y0] + Jhi[x1, y1], from the half indices of x and y and two
     small tables (Jhi is the 168 x 168 join table of D_4 at n = 5), so
     the column re(x, h) and the position index are indexed by key (28,224
-    int16 entries each at n = 5), and no d x d join table is built.  The
-    factor rows of a chunk of c are stored one row per x in the interval
-    (ascending, so the gathers keep their locality) and one column per c,
-    so each a takes its four factors as whole contiguous rows by position.
-    A chunk's keys are two whole-row takes, of the chunk's columns of Jlo
-    and Jhi at the halves of every x, and an add, which give one row per x
-    as they stand.  The call allocates its buffers once: two int16 buffers
+    int16 entries each at n = 5), and no d x d join table is built.  Both
+    are read through one gather (intervals.gather_joins).  The join
+    positions take four gathers, rows Q or dual(Q) and columns the a or
+    the a*, each into the transpose of one int16 slab of one row per a,
+    so each a's four rows are contiguous.  The factor rows of a chunk of
+    c are the gather of the column with rows every x in the interval
+    (ascending, so the gathers keep their locality) and columns the
+    chunk's c, so each a takes its four factors as whole contiguous rows
+    by position.  The call allocates its buffers once: two int16 buffers
     of m x _PRUNED_CHUNK entries for the factor rows (a chunk of w columns
     fills the contiguous prefix of m * w) and one int64 row sum per
-    element.  The keys, factor-row takes and products are made _ROW_BLOCK
-    rows at a time, so no temporary is larger than a block: at the top
-    block of n = 5 a call for six a peaks at 3.6 MB under tracemalloc,
-    against 8.8 MB with every chunk's blocks built whole.  Every gather is
-    a `take`, because numpy's fancy indexing with non-intp index arrays is
-    slower: at the top block of n = 5 (m = 7,581), on a 2-core host with
-    numpy 2.4, an entry of `col[S]` with a uint16 S cost 2.6 ns against
-    1.1 ns by `col.take(S)`, and a chunk of 64 columns by keys takes
-    0.68-0.70 ms against 1.04-1.07 ms by gathering 64 rows of a
-    layer-indexed join table, their columns at the interval and a
-    transpose (114-116 against 191-197 us at m = 1,296; medians of 300).
+    element.  The factor-row takes and products are made _ROW_BLOCK rows
+    at a time and the gathers a block at a time, so no temporary is
+    larger than a block: at the top block of n = 5 a call for six a peaks
+    at 3.4 MB under tracemalloc, against 8.8 MB with every chunk's blocks
+    built whole.  A chunk of 64 columns by keys takes 0.68-0.70 ms at the
+    top block of n = 5 (m = 7,581, on a 2-core host with numpy 2.4)
+    against 1.04-1.07 ms by gathering 64 rows of a layer-indexed join
+    table, their columns at the interval and a transpose (114-116 against
+    191-197 us at m = 1,296; medians of 300).
     """
     _, dual_idx, _, i0, i1, Jlo, Jhi = tables
     m = len(cidx)
@@ -442,17 +426,12 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
     dlow = dual_idx.take(low)
     rows_q = np.concatenate((dlow, self_dual, low))  # Q
     drows_q = np.concatenate((low, self_dual, dlow))  # the dual of each row of Q
-    q0, q1, dq0, dq1 = i0.take(rows_q), i1.take(rows_q), i0.take(drows_q), i1.take(drows_q)
-    joins = []
-    for ia in a_idx:
-        ida = dual_idx[ia]
-        lo_a, hi_a, lo_da, hi_da = Jlo[i0[ia]], Jhi[i1[ia]], Jlo[i0[ida]], Jhi[i1[ida]]
-        joins.append((
-            pos.take(lo_a.take(q0) + hi_a.take(q1)),  # a | b, per row b of Q
-            pos.take(lo_a.take(dq0) + hi_a.take(dq1)),  # a | b*
-            pos.take(lo_da.take(q0) + hi_da.take(q1)),  # a* | b
-            pos.take(lo_da.take(dq0) + hi_da.take(dq1)),  # a* | b*
-        ))
+    da_idx = dual_idx.take(a_idx)
+    # joins[k]: the positions of a | b, a | b*, a* | b and a* | b* per row
+    # b of Q, for the k-th a
+    joins = np.empty((len(a_idx), 4, m), dtype=np.int16)
+    for j, (rows, cols) in enumerate(zip((rows_q, drows_q, rows_q, drows_q), (a_idx, a_idx, da_idx, da_idx))):
+        gather_joins(pos, Jlo, Jhi, i0.take(rows), i1.take(rows), i0.take(cols), i1.take(cols), joins[:, j].T)
     x0, x1 = i0.take(cidx), i1.take(cidx)
     # every chunk's factor rows and row sums go to these buffers; a chunk
     # of w columns uses the contiguous prefix of m * w entries
@@ -460,7 +439,9 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
     sums = np.empty(m, dtype=np.int64)
 
     def factor_rows(buf, cs):
-        return _joined_column(tables, col, x0, x1, cs, buf[:m * len(cs)].reshape(m, len(cs)))
+        # out[x, k] = re(x | cs[k], h), one row per x of the interval
+        out = buf[:m * len(cs)].reshape(m, len(cs))
+        return gather_joins(col, Jlo, Jhi, x0, x1, i0.take(cs), i1.take(cs), out)
 
     def row_sums(McT, MdcT, js, lo, hi):
         # one sum per b in the rows [lo, hi) of Q, over the chunk's columns,
@@ -497,15 +478,17 @@ def _top_block_bytes(keys: int, m: int, k: int) -> int:
     4 bytes per key for the key-indexed int16 column and positions; 96
     bytes per element: the call's index arrays (of Q and its duals, their
     halves and the halves of the interval) take 74, the int64 row sums 8,
-    exact_sum's int64 temporary 8, and 6 are margin; and per entry of one
-    block of _ROW_BLOCK rows of a chunk, 20 bytes.  Under tracemalloc a
-    block peaks at about 17 bytes per entry, in the row sums: its int32
-    products, the two int16 row takes of the second and einsum's cast
-    buffer.  The key block's int16 halves, the intp copy that `take`
-    makes of them and the gathered block take 12 bytes per entry at most,
-    and the column's count about 50 bytes per element of the interval
-    before the buffers exist, so neither sets the peak."""
-    return 8 * m * k + 4 * _PRUNED_CHUNK * m + 96 * m + 4 * keys + 20 * _ROW_BLOCK * _PRUNED_CHUNK
+    exact_sum's int64 temporary 8, and 6 are margin; and 20 bytes per
+    entry of the larger block, one of _ROW_BLOCK rows of a chunk or one
+    gather block (_GATHER_BLOCK entries).  Under tracemalloc a
+    row-sum block peaks at about 17 bytes per entry: its int32 products,
+    the two int16 row takes of the second and einsum's cast buffer.  A
+    gather block, its key block, the intp copy that `take` makes of it
+    and the gathered block, takes 12 bytes per entry, and the column's
+    count about 50 bytes per element of the interval before the buffers
+    exist, so neither sets the peak."""
+    block = max(_ROW_BLOCK * _PRUNED_CHUNK, _GATHER_BLOCK)
+    return 8 * m * k + 4 * _PRUNED_CHUNK * m + 96 * m + 4 * keys + 20 * block
 
 
 def fold_dual_classes(classes: list[OrbitClass], n: int) -> tuple[list[OrbitClass], list[int]]:
@@ -538,13 +521,14 @@ def _pruned_terms(V: np.ndarray, n: int, rep_joins: np.ndarray):
     (b, c) pairs are summed at that top.  Only those tops are cut, one at a
     time, so a call over few classes, or none, cuts few intervals of the
     2,646 tops at n = 5, and no interval outlives its count."""
-    tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
+    duals = vecbits.dual_array(V, n)
+    tops = np.nonzero((duals & ~V) == 0)[0]
     not_tops = ~V.take(tops)
     ks = np.zeros(len(tops), dtype=np.int64)
     for r in rep_joins:
         ks += (r & not_tops) == 0
     tops, ks = tops[ks > 0], ks[ks > 0]
-    sizes = [len(_dual_intervals(V, n, tops[i:i + 1])[ih]) for i, ih in enumerate(tops.tolist())]
+    sizes = [len(_dual_intervals(V, t, duals[t])[t[0]]) for t in tops.reshape(-1, 1)]
     return tops, np.array(sizes, dtype=np.int64), ks
 
 
@@ -651,7 +635,8 @@ def lambda_plus4_direct(
 
         def top_task(ih: int) -> int:
             under = np.nonzero((rep_joins & ~V[ih]) == 0)[0]  # classes with a | a* <= h
-            sums = _top_block_sums(tables, _dual_intervals(V, n, np.array([ih]))[ih], rep_idx[under])
+            top = np.array([ih])
+            sums = _top_block_sums(tables, _dual_intervals(V, top, V[tables[1][top]])[ih], rep_idx[under])
             return sum(class_weights[ci] * s for ci, s in zip(under, sums))
 
         parts = parallel.run_tasks(top_task, tops[order].tolist(), workers, weights=terms[order].tolist())

@@ -21,13 +21,16 @@ Four routes compute |{z : x <= z <= y}|, one for each job:
 Joins are read by pair key (join_keys): each z of D_n is the pair z0 <=
 z1 of its halves in D_{n-1}, keyed idx(z0) * |D_{n-1}| + idx(z1), and the
 key of x | y comes from two small tables built from the join table of
-D_{n-1}, so no d x d table over D_n is needed: upward_counts reads keys
-of D_{n-1} and the k = 4 kernel keys of D_n.  The layer-indexed join
-table (_join_index_table, the index of x | y, d x d uint16) is built from
-the keys of its own layer.  It is what the key tables one layer up are
-built from (upward_counts reads it at D_{n-2}, the k = 4 keys at
-D_{n-1}), and it is built whole only for the dense k = 4 reference (n <=
-4) and for selfcheck, which holds the kernel's key join against it.
+D_{n-1}, so no d x d table over D_n is needed.  One routine reads every
+such join (gather_joins): a table indexed by key, taken at the joins of
+a list of rows with a list of columns.  upward_counts reads keys of
+D_{n-1} through it, the k = 4 kernel and plus3 keys of D_n, and the
+layer-indexed join table (_join_index_table, the index of x | y, d x d
+uint16) is the gather of a key-to-index lookup over its own layer.  That
+table is what the key tables one layer up are built from (upward_counts
+reads it at D_{n-2}, the k = 4 keys at D_{n-1}), and it is built whole
+only for the dense k = 4 reference (n <= 4) and for selfcheck, which
+holds the kernel's key join against it.
 
 Empty intervals count 0, so callers never branch on comparability.
 """
@@ -81,7 +84,7 @@ def _full_upward(n: int) -> np.ndarray:
     return upward_in_interval(generate_layer(n).values)
 
 
-_UPWARD_BLOCK = 1 << 17  # (point, z0) pairs gathered at once
+_UPWARD_BLOCK = 1 << 17  # (z0, point) pairs summed at once
 
 
 def check_upward_budget(n: int, count: int) -> None:
@@ -98,15 +101,13 @@ def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
     z = (z0, z1) is a pair z0 <= z1 in D_{n-1}, and z >= x = (x0, x1) iff
     z0 >= x0 and z1 >= x1 | z0: the count sums, over z0 >= x0, the upward
     count of x1 | z0 in D_{n-1} (_full_upward).  The distinct points are
-    grouped by x0, so each group masks the z0 >= x0 once; x1 | z0 is
-    joined half by half in D_{n-2}, to its pair key (join_keys), and its
-    count read from a table indexed by key, in blocks of at most
-    _UPWARD_BLOCK (point, z0) pairs.  Every block writes into buffers
-    allocated once per call: whether glibc maps and faults fresh
-    block-sized temporaries anew on each block depends on the heap's
-    history, which unrelated source edits change (at n = 6 over plus2's
-    points, about 4,400 page faults per call, or none).  n = 0 reads
-    the whole layer's counts (D_0 has no halves).  Runs in this process.
+    grouped by x0, so each group masks the z0 >= x0 once.  x1 | z0 is
+    joined half by half in D_{n-2}, and its count read from a table
+    indexed by pair key (join_keys) by gather_joins, with the z0 on the
+    rows and a chunk of the group's points on the columns, at most
+    _UPWARD_BLOCK pairs; a point's count is its column's sum.  n = 0
+    reads the whole layer's counts (D_0 has no halves).  Runs in this
+    process.
     """
     if n > 6:
         raise WidthError("upward counts need materializable layers (n <= 6)")
@@ -124,35 +125,21 @@ def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(np.diff(x0[order], prepend=-1, append=len(prev)))
     keys, j0, j1, JD, J = join_keys(prev, n - 1)
     a0, a1 = j0[x1[order]], j1[x1[order]]  # the halves of each x1, in group order
-    JD, J = JD.astype(np.intp), J.astype(np.intp)
     # U[key]: the upward count in D_{n-1} of the element with that pair
-    # key, or 0; every count is at most d_5 < 2^31
-    U = np.zeros(len(JD) * len(J), dtype=np.int32)
+    # key, or 0; n <= 6 (refused above), so every count is at most |D_5| =
+    # 7,581 < 2^15
+    U = np.zeros(len(JD) * len(J), dtype=np.int16)
     U[keys] = _full_upward(n - 1)
     counts = np.empty(len(points), dtype=np.int64)
-    # a block holds at most max(_UPWARD_BLOCK, len(prev)) pairs
-    size = max(_UPWARD_BLOCK, len(prev))
-    joined_buf, part_buf = np.empty((2, size), dtype=np.intp)
-    found_buf = np.empty(size, dtype=np.int32)
     for lo, hi in zip(starts[:-1], starts[1:]):
         low = prev[x0[order[lo]]]
         zs = np.flatnonzero((prev & low) == low)  # the z0 >= x0
         b0, b1 = j0[zs], j1[zs]
-        rows = max(1, _UPWARD_BLOCK // len(zs))
-        for r in range(lo, hi, rows):
-            r1 = min(r + rows, hi)
-            pairs = (r1 - r) * len(zs)
-            joined = joined_buf[:pairs].reshape(r1 - r, -1)
-            part = part_buf[:pairs].reshape(r1 - r, -1)
-            found = found_buf[:pairs].reshape(r1 - r, -1)
-            # x1 | z0 has the halves (a0 | b0, a1 | b1) in D_{n-2}; every
-            # index is in range by construction, and mode="clip" lets take
-            # write into out directly (mode="raise" buffers it)
-            np.take(JD[a0[r:r1]], b0, axis=1, out=joined, mode="clip")
-            np.take(J[a1[r:r1]], b1, axis=1, out=part, mode="clip")
-            joined += part
-            np.take(U, joined, out=found, mode="clip")
-            counts[order[r:r1]] = found.sum(axis=1, dtype=np.int64)
+        cols = max(1, _UPWARD_BLOCK // len(zs))
+        for c in range(lo, hi, cols):
+            c1 = min(c + cols, hi)
+            found = gather_joins(U, JD, J, b0, b1, a0[c:c1], a1[c:c1], np.empty((len(zs), c1 - c), dtype=np.int16))
+            counts[order[c:c1]] = found.sum(axis=0, dtype=np.int64)
     return counts[inverse]
 
 
@@ -215,37 +202,47 @@ def join_keys(V: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     return i0 * len(hi) + i1, i0, i1, lo, hi
 
 
-_JOIN_CHUNK = 64
+_GATHER_BLOCK = 1 << 15  # entries of a gather's output filled at once
+
+
+def gather_joins(
+    table: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    r0: np.ndarray, r1: np.ndarray, c0: np.ndarray, c1: np.ndarray, out: np.ndarray,
+) -> np.ndarray:
+    """out[i, k] = table[lo[r0[i], c0[k]] + hi[r1[i], c1[k]]]: the table,
+    indexed by pair key, read at the join of the row element with half
+    indices (r0[i], r1[i]) and the column element (c0[k], c1[k]), with lo
+    and hi the key tables of join_keys.  They are symmetric, so either
+    element of a join may be the row.  out is the caller's buffer of
+    len(r0) x len(c0), of any strides, and is returned.
+
+    The columns' parts of lo and hi are taken once, and the rows are
+    filled _GATHER_BLOCK entries at a time (at least one row), so the
+    int16 key block, the intp copy that `take` makes of it and the
+    gathered block are one block's: 12 bytes per entry.  Every gather is
+    a `take`, because numpy's fancy indexing with non-intp index arrays is
+    slower: gathering the k = 4 kernel's column at the top block of n = 5
+    (m = 7,581), on a 2-core host with numpy 2.4, an entry of `col[S]`
+    with a uint16 S cost 2.6 ns against 1.1 ns by `col.take(S)`."""
+    lo_c, hi_c = lo.take(c0, axis=1), hi.take(c1, axis=1)
+    rows = max(1, _GATHER_BLOCK // max(1, len(c0)))
+    for r in range(0, len(r0), rows):
+        keys = lo_c.take(r0[r:r + rows], axis=0)
+        keys += hi_c.take(r1[r:r + rows], axis=0)
+        out[r:r + rows] = table.take(keys)
+    return out
 
 
 def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
-    """J[i, j] = index of V[i] | V[j] in V, the layer D_n.
-
-    The key of each join comes from the pair keys of D_n (join_keys, built
-    from the join table of D_{n-1}, one layer down), and one flat lookup
-    maps it to the index in D_n, filled _JOIN_CHUNK rows at a time.
-    Entries are uint16: every caller builds it for n <= 5, where d <=
-    7,581.
-
-    Each chunk takes whole rows of low and high (the key tables taken at
-    every x0 and x1 of D_n) and looks their int16 sums up in pair, all by
-    `take`, which numpy 2.4 runs more than twice as fast per entry as
-    fancy indexing with a non-intp index.  `take` first copies the sums to
-    intp, 8 bytes per entry of the chunk, so the chunk is 64 rows: at 128
-    the chunk's buffers would add about 6 MB to the build's peak at n = 5.
-    """
+    """J[i, j] = index of V[i] | V[j] in V, the layer D_n: a lookup from
+    the pair keys of D_n (join_keys, built from the join table of D_{n-1},
+    one layer down) to the index in D_n, gathered at every join.  Entries
+    are uint16: every caller builds it for n <= 5, where d <= 7,581."""
     d = len(V)
     keys, i0, i1, lo, hi = join_keys(V, n)
     pair = np.full(len(lo) * len(hi), d, dtype=np.uint16)  # key -> index in V
     pair[keys] = np.arange(d)
-    low = lo.take(i0, axis=1)  # row p: key part of p | x0, per x in D_n
-    high = hi.take(i1, axis=1)  # row p: key part of p | x1
-    J = np.empty((d, d), dtype=np.uint16)
-    for r in range(0, d, _JOIN_CHUNK):
-        s = low.take(i0[r:r + _JOIN_CHUNK], axis=0)
-        s += high.take(i1[r:r + _JOIN_CHUNK], axis=0)
-        J[r:r + _JOIN_CHUNK] = pair.take(s)
-    return J
+    return gather_joins(pair, lo, hi, i0, i1, i0, i1, np.empty((d, d), dtype=np.uint16))
 
 
 def _layer_below(d: int) -> int:
@@ -255,30 +252,30 @@ def _layer_below(d: int) -> int:
 
 def join_index_bytes(d: int) -> int:
     """Estimated peak of _join_index_table over the d elements of D_n: J;
-    the int16 low and high (dp x d each, dp = |D_{n-1}|); per entry of one
-    chunk 14 bytes, the int16 rows of low and high (one of them the sum),
-    the intp copy of the sum that `take` makes and the uint16 lookup; the
-    pair lookup and the int16 lo and hi, dp^2 entries each; and per
-    element of D_n 24 bytes, the intp keys and half indices.  The chunk's
-    rows of high are freed before the lookup, so they are the margin."""
+    the int16 columns' parts of lo and hi (dp x d each, dp = |D_{n-1}|);
+    per entry of one gather block (at most _GATHER_BLOCK entries, or one
+    row of d, and no more than J) 14 bytes, the int16 rows of low and
+    high (one of them the sum), the intp copy of the sum that `take`
+    makes and the uint16 lookup; the pair lookup and the int16 lo and
+    hi, dp^2 entries each; and per element of D_n 24 bytes, the intp
+    keys and half indices.  The block's rows of high are freed before
+    the lookup, so they are the margin."""
     dp = _layer_below(d)
-    return (
-        d * d * 2 + dp * d * (2 + 2) + _JOIN_CHUNK * d * (2 + 2 + 8 + 2)
-        + dp * dp * (2 + 2 + 2) + d * (8 + 8 + 8)
-    )
+    block = min(d * d, max(_GATHER_BLOCK, d))
+    return d * d * 2 + dp * d * (2 + 2) + block * (2 + 2 + 8 + 2) + dp * dp * (2 + 2 + 2) + d * (8 + 8 + 8)
 
 
 def k4_table_bytes(d: int) -> int:
     """Estimated peak of the k = 4 tables over the d elements of D_n (the
-    layer's pair-key tables and its dual index): per element of D_n 28
-    bytes, the intp keys and half indices and the int32 dual index; the
-    int16 lo and hi, dp^2 entries each; and the build of the join table
-    of D_{n-1} (join_index_bytes(dp)).  The keys and lo are allocated only
-    after that build has freed its buffers, so they are the margin (about
-    0.15 MB at n = 5, where the estimate is 0.55 MB and ru_maxrss grows
-    by 0.39 MB)."""
-    dp = _layer_below(d)
-    return d * (8 + 8 + 8 + 4) + dp * dp * (2 + 2) + join_index_bytes(dp)
+    layer's pair-key tables and its dual index).  The peak is in the build
+    of the join table of D_{n-1} (join_index_bytes(dp)), beside 20 bytes
+    per element of D_n: the intp half indices and the int32 dual index.
+    The intp keys and the int16 lo and hi (dp^2 entries each) are made
+    after that build has freed its buffers; the keys, 8 bytes per
+    element, are counted as margin for the allocator.  At n = 5 the
+    estimate is 0.68 MB, the peak under tracemalloc 0.57 MB, and
+    ru_maxrss grows by 0.52-0.66 MB."""
+    return d * (8 + 8 + 8 + 4) + join_index_bytes(_layer_below(d))
 
 
 _ZETA_BLOCK = 128  # rows transformed at once

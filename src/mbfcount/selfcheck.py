@@ -200,7 +200,8 @@ def check_interval_oracle(n: int) -> bool:
         if not np.array_equal(C[:, k:k + 256], C[dual_idx[k:k + 256]][:, dual_idx].T):
             return False
     tops = np.flatnonzero((duals & ~V) == 0)
-    if not all(np.array_equal(upward_in_interval(V[I]), C[I, ih]) for ih, I in _dual_intervals(V, n, tops).items()):
+    by_top = _dual_intervals(V, tops, duals[tops])
+    if not all(np.array_equal(upward_in_interval(V[I]), C[I, ih]) for ih, I in by_top.items()):
         return False
     return all(C[i, j] == re_scan(layer, V[i], V[j]) for i, j in pairs)
 
@@ -325,11 +326,12 @@ def check_top_block_sums(n: int) -> bool:
     with dual(h) <= h and every a in [dual(h), h]."""
     layer = generate_layer(n)
     V = layer.values
-    tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
+    duals = vecbits.dual_array(V, n)
+    tops = np.nonzero((duals & ~V) == 0)[0]
     tables = _k4_tables(layer, None)
     return all(
         _top_block_sums(tables, I, I) == definition_sums(V, n, int(V[ih]), V[I])
-        for ih, I in _dual_intervals(V, n, tops).items()
+        for ih, I in _dual_intervals(V, tops, duals[tops]).items()
     )
 
 

@@ -34,6 +34,12 @@ def setup(n, classes):
     return generate_layer(n), classes(n)
 
 
+def dual_intervals(V, n, tops):
+    """counting._dual_intervals, given the duals of the tops' elements."""
+    tops = np.asarray(tops)
+    return counting._dual_intervals(V, tops, vecbits.dual_array(V[tops], n))
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_plus2_known_values(n, classes):
     layer, cl = setup(n, classes)
@@ -68,18 +74,19 @@ def test_plus3_known_values(n, classes):
 def test_plus3_sums_match_the_subset_formula(n, classes, monkeypatch):
     # every element of [dual(h), h] as b, in a seeded order, for every
     # class h with dual(h) <= h: a superset of the orbit representatives.
-    # Blocks of 5 rows end short inside the prefixes of the key blocks
+    # Gather blocks of 5 rows end short inside the prefixes of the key
+    # blocks
     layer, cl = setup(n, classes)
     V = layer.values
     reps = np.array([c.representative.bits for c in cl], dtype=np.uint64)
     tops = np.searchsorted(V, reps[(vecbits.dual_array(reps, n) & ~reps) == 0])
     tables = counting._k4_tables(layer, None)
     rng = np.random.default_rng(n)
-    for ih, I in counting._dual_intervals(V, n, tops).items():
+    for ih, I in dual_intervals(V, n, tops).items():
         positions = rng.permutation(len(I))
         expect = slow_plus3_sums(V[I], n, positions)
         for block in (5, 512):
-            monkeypatch.setattr(counting, "_ROW_BLOCK", block)
+            monkeypatch.setattr(intervals, "_GATHER_BLOCK", block * counting._PLUS3_BLOCK)
             assert counting._plus3_sums(tables, I, positions) == expect, hex(V[ih])
 
 
@@ -138,11 +145,12 @@ def test_plus4c_equals_dense_plus4(n, classes):
     for n in range(5) for chunk in (None, 1, 7)
 ])
 def test_join_index_table_is_the_join(n, chunk, monkeypatch):
-    # the default chunk, one row a chunk, and 7 rows, where the last chunk
-    # is shorter than the others (20 = 7 + 7 + 6 rows at n = 3)
-    if chunk:
-        monkeypatch.setattr(intervals, "_JOIN_CHUNK", chunk)
+    # the default gather block, blocks of one row, and of 7 rows, where
+    # the last block is shorter than the others (20 = 7 + 7 + 6 rows at
+    # n = 3)
     V = generate_layer(n).values
+    if chunk:
+        monkeypatch.setattr(intervals, "_GATHER_BLOCK", chunk * len(V))
     J = intervals._join_index_table(V, n)
     assert np.array_equal(V[J], V[:, None] | V[None, :])
     assert np.array_equal(J, J.T)
@@ -208,19 +216,21 @@ def test_top_block_sums_match_the_definition(n, monkeypatch):
     # chunks of 1, 7 and 64 the chunks of L end ragged, the self-dual
     # elements (12 at the top block of n = 4) span several chunks, and
     # intervals are smaller than one chunk; with blocks of 5 rows, blocks
-    # end short inside chunks, and with 512 one block holds every window
+    # end short inside chunks, and with 512 one block holds every window.
+    # The gather's blocks are as many rows of a chunk
     layer = generate_layer(n)
     V = layer.values
     tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
     tables = counting._k4_tables(layer, None)
-    intervals = counting._dual_intervals(V, n, tops)
+    by_top = dual_intervals(V, n, tops)
     # the pairs dual(h) <= a <= h are plus2's terms, so they count lambda_{n+2}
-    assert sum(len(a_idx) for a_idx in intervals.values()) == LAMBDA_KNOWN[n + 2]
-    for ih, a_idx in intervals.items():
+    assert sum(len(a_idx) for a_idx in by_top.values()) == LAMBDA_KNOWN[n + 2]
+    for ih, a_idx in by_top.items():
         expect = definition_sums(V, n, int(V[ih]), V[a_idx])
         for chunk, block in ((1, 512), (7, 512), (64, 512), (64, 5)):
             monkeypatch.setattr(counting, "_PRUNED_CHUNK", chunk)
             monkeypatch.setattr(counting, "_ROW_BLOCK", block)
+            monkeypatch.setattr(intervals, "_GATHER_BLOCK", block * chunk)
             assert counting._top_block_sums(tables, a_idx, a_idx) == expect
 
 
@@ -303,7 +313,7 @@ def test_pruned_routes_build_no_join_table_at_base5(base5, monkeypatch):
     summed = [c for c in cl if c.representative.dual().bits & ~c.representative.bits == 0
               and 2 * c.representative.bits.bit_count() > 32]
     tops = np.searchsorted(V, [c.representative.bits for c in summed])
-    by_top = counting._dual_intervals(V, 5, tops)
+    by_top = dual_intervals(V, 5, tops)
     c, ih = min(zip(summed, tops.tolist()), key=lambda pair: len(by_top[pair[1]]))
     I = by_top[ih]
     tables = counting._k4_tables(layer, None)
@@ -450,9 +460,9 @@ def test_pruned_terms_cut_intervals_only_under_a_class(base5, monkeypatch):
     cut = []
     real = counting._dual_intervals
 
-    def spy(V, n, tops):
+    def spy(V, tops, duals):
         cut.append(tops.tolist())
-        return real(V, n, tops)
+        return real(V, tops, duals)
 
     monkeypatch.setattr(counting, "_dual_intervals", spy)
     assert lambda_plus4_direct(layer, []).value == 0
@@ -471,6 +481,21 @@ def test_pruned_terms_cut_intervals_only_under_a_class(base5, monkeypatch):
     ]
     assert len(expect) == 1_704
     assert sorted(ih for [ih] in cut) == expect
+
+
+def test_pruned_term_count_takes_each_dual_array_once(base5, monkeypatch):
+    # the classes' duals and the layer's: no dual of one top per interval
+    layer, cl = base5
+    calls = []
+    real = vecbits.dual_array
+
+    def spy(values, n):
+        calls.append(len(values))
+        return real(values, n)
+
+    monkeypatch.setattr(vecbits, "dual_array", spy)
+    assert plus4_pruned_term_count(layer, cl) == 417_628_327_127
+    assert len(calls) <= 2, calls
 
 
 def test_pruned_term_count_holds_no_interval_table(base5):
@@ -493,22 +518,24 @@ def test_top_block_sums_match_the_definition_base5(base5, monkeypatch):
     V = layer.values
     tops = np.nonzero((vecbits.dual_array(V, 5) & ~V) == 0)[0]
     tables = counting._k4_tables(layer, None)
-    intervals = counting._dual_intervals(V, 5, tops)
-    small = [ih for ih in tops.tolist() if len(intervals[ih]) <= 400]
+    by_top = dual_intervals(V, 5, tops)
+    small = [ih for ih in tops.tolist() if len(by_top[ih]) <= 400]
     rng = random.Random(22)
     for ih in rng.sample(small, 22):
-        ia = int(rng.choice(intervals[ih]))
-        got = counting._top_block_sums(tables, intervals[ih], [ia])
+        ia = int(rng.choice(by_top[ih]))
+        got = counting._top_block_sums(tables, by_top[ih], [ia])
         assert got == definition_sums(V, 5, int(V[ih]), [V[ia]])
     # the block with the most self-dual elements (20 of m = 400), in
-    # chunks of 7 and blocks of 5 rows: the pass over them spans three
-    # chunks, and every window of rows ends in a short block
+    # chunks of 7 and blocks of 5 rows, and gathers of 5 rows of a chunk:
+    # the pass over them spans three chunks, and every window of rows ends
+    # in a short block
     dual_idx = tables[1]
-    ih = max(small, key=lambda j: np.count_nonzero(dual_idx[intervals[j]] == intervals[j]))
-    I = intervals[ih]
+    ih = max(small, key=lambda j: np.count_nonzero(dual_idx[by_top[j]] == by_top[j]))
+    I = by_top[ih]
     assert np.count_nonzero(dual_idx[I] == I) == 20
     monkeypatch.setattr(counting, "_PRUNED_CHUNK", 7)
     monkeypatch.setattr(counting, "_ROW_BLOCK", 5)
+    monkeypatch.setattr(intervals, "_GATHER_BLOCK", 5 * 7)
     a_idx = [int(ia) for ia in rng.sample(I.tolist(), 6)] + [int(I[0]), int(I[-1])]
     got = counting._top_block_sums(tables, I, a_idx)
     assert got == definition_sums(V, 5, int(V[ih]), V[a_idx])
@@ -520,7 +547,7 @@ def test_top_block_budget_estimate_covers_the_peak(base5):
     layer, _ = base5
     V = layer.values
     ih = len(V) - 1
-    I = counting._dual_intervals(V, 5, np.array([ih]))[ih]
+    I = dual_intervals(V, 5, [ih])[ih]
     tables = counting._k4_tables(layer, None)
     a_idx = I[::1500]
     tracemalloc.start()
@@ -537,13 +564,14 @@ def test_top_block_budget_estimate_covers_the_peak(base5):
 def test_plus3_sums_match_the_subset_formula_base5(base5, m, monkeypatch):
     # the orbit representatives of the top block (210, so its blocks of 64
     # end with one of 18) and of the block of 7,246 elements (561, ending
-    # with one of 49), in blocks of 5 rows that end short in the prefixes
-    monkeypatch.setattr(counting, "_ROW_BLOCK", 5)
+    # with one of 49), in gather blocks of 5 rows that end short in the
+    # prefixes
+    monkeypatch.setattr(intervals, "_GATHER_BLOCK", 5 * counting._PLUS3_BLOCK)
     layer, cl = base5
     V = layer.values
     hs = [c.representative.bits for c in cl]
     tops = np.searchsorted(V, [h for h in hs if slow_dual(5, h) & ~h == 0])
-    [(ih, I)] = [(ih, I) for ih, I in counting._dual_intervals(V, 5, tops).items() if len(I) == m]
+    [(ih, I)] = [(ih, I) for ih, I in dual_intervals(V, 5, tops).items() if len(I) == m]
     reps = orbits.stabilizer_orbits(int(V[ih]), V[I], 5)[0]
     assert len(reps) % counting._PLUS3_BLOCK in (18, 49)
     tables = counting._k4_tables(layer, None)
@@ -567,7 +595,7 @@ def test_plus3_classes_match_the_definition_base5(base5):
         if slow_dual(5, h) & ~h or 2 * h.bit_count() <= 32:
             continue
         ih = int(np.searchsorted(V, h))
-        if len(counting._dual_intervals(V, 5, np.array([ih]))[ih]) > PLUS3_DEFINITION_MAX_M:
+        if len(dual_intervals(V, 5, [ih])[ih]) > PLUS3_DEFINITION_MAX_M:
             continue
         assert lambda_plus3(layer, [c]).value - closed == c.gamma * _plus3_definition(V, 5, h), hex(h)
         checked += 1
@@ -581,7 +609,7 @@ def test_plus3_budget_estimate_covers_the_peak(base5):
     layer, _ = base5
     V = layer.values
     ih = len(V) - 1
-    I = counting._dual_intervals(V, 5, np.array([ih]))[ih]
+    I = dual_intervals(V, 5, [ih])[ih]
     tables = counting._k4_tables(layer, None)
     peaks = []
     for reps in (orbits.stabilizer_orbits(int(V[ih]), V[I], 5)[0], np.arange(3 * counting._PLUS3_BLOCK)):

@@ -152,9 +152,11 @@ def test_upward_counts_n6_recursion_matches_scan():
 
 
 def test_upward_counts_across_block_boundaries(monkeypatch):
-    # a block of 3 (point, z0) pairs clamps to one point wherever a group
-    # has more than 3 z0 >= x0, so those groups span one block per point
+    # a block of 3 (z0, point) pairs clamps to one point wherever a group
+    # has more than 3 z0 >= x0, so those groups span one block per point;
+    # gathers of 5 entries end short inside a block's rows of z0
     monkeypatch.setattr(intervals, "_UPWARD_BLOCK", 3)
+    monkeypatch.setattr(intervals, "_GATHER_BLOCK", 5)
     intervals._full_upward.cache_clear()
     try:
         for n in range(6):

@@ -317,15 +317,38 @@ def test_benchmark_traced_names_exist():
 
 
 def test_plus3_reads_the_k4_column_by_pair_key():
-    # plus3 and the k = 4 kernel share one count of the column re(x, h) and
-    # one key join; plus3 makes no count or search per representative
+    # plus3 and the k = 4 kernel share one count of the column re(x, h), and
+    # every pair-key join, theirs, plus2's upward counts and the join-index
+    # table, is read through one gather; plus3 makes no count or search
+    # per representative
     path = SRC / "counting.py"
 
-    def users(name):
+    def users(name, path=path):
         return _statements_where(path, lambda node: name in (getattr(node, "id", None), getattr(node, "attr", None)))
 
     assert users("upward_in_interval") == ["_interval_column"]
-    assert users("_interval_column") == users("_joined_column") == ["_plus3_sums", "_top_block_sums"]
+    assert users("_interval_column") == ["_plus3_sums", "_top_block_sums"]
+    assert users("gather_joins") == ["_plus3_sums", "_top_block_sums"]
+    assert users("gather_joins", SRC / "intervals.py") == ["upward_counts", "_join_index_table"]
+    # the key tables: lo and hi where join_keys returns them (JD and J in
+    # upward_counts, Jlo and Jhi in the k = 4 tables), and their columns'
+    # parts; only the gather takes their rows
+
+    def reads_key_rows(tables):
+        def found(node):
+            if isinstance(node, ast.Subscript):
+                return getattr(node.value, "id", None) in tables
+            return (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "take"
+                and getattr(node.func.value, "id", None) in tables
+            )
+
+        return found
+
+    assert _statements_where(SRC / "counting.py", reads_key_rows({"Jlo", "Jhi"})) == []
+    in_intervals = _statements_where(SRC / "intervals.py", reads_key_rows({"lo", "hi", "JD", "J", "lo_c", "hi_c"}))
+    assert in_intervals == ["gather_joins"], in_intervals
     [plus3] = [s for s in ast.parse(path.read_text()).body if getattr(s, "name", None) == "_plus3_sums"]
     loops = [node for node in ast.walk(plus3) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     in_loops = {getattr(node, "attr", None) for loop in loops for node in ast.walk(loop)}
