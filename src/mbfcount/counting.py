@@ -67,19 +67,19 @@ tables it reads as arguments.
 
 plus3, both k = 4 routes and the dense reference read the tables built
 by one helper (_k4_tables): the layer, the index of each dual and the
-layer's pair keys (intervals.join_keys).  Each z of D_n is the pair z0 <=
-z1 of its halves in D_{n-1}, keyed idx(z0) * |D_{n-1}| + idx(z1), so the
-key of a join x | y is Jlo[x0, y0] + Jhi[x1, y1], read from the join
-table of D_{n-1} (168 x 168 at n = 5).  A factor such as re(a | b | c, h) is the
-entry of the column re(x, h), indexed by key, at the key of (a | b) | c.
-plus3 and the shared kernel count that column over [h*, h] alone
-(upward_in_interval, _interval_column), where every join they read lies,
-and read it, and the kernel its join positions, through the one gather
-of every pair-key join (intervals.gather_joins), into buffers each call
-allocates once; only the dense reference (n <= 4) builds the uint16
-interval matrix and the layer-indexed join table J (the index of x | y),
-and reads RE[J[J[a, b], c], h].  Entries are cast up only where summed
-or where a product of two could pass their type.
+layer's pair keys (intervals.PairKeys: each z of D_n is the pair z0 <=
+z1 of its halves in D_{n-1}, and the key of a join x | y comes from the
+join table of D_{n-1}, 168 x 168 at n = 5).  A factor such as re(a | b |
+c, h) is the entry of the column re(x, h), indexed by key, at the key of
+(a | b) | c.  plus3 and the shared kernel restrict the keys to [h*, h],
+where every join they read lies, once per task; they count the column
+over that interval alone (upward_in_interval) and read it, and the
+kernel its join positions, through the keys' one gather, by position in
+the interval, into buffers each call allocates once.  Only the dense
+reference (n <= 4) builds the uint16 interval matrix and the
+layer-indexed join table J (the index of x | y), and reads RE[J[J[a, b],
+c], h].  Entries are cast up only where summed or where a product of two
+could pass their type.
 
 Every accumulator is an exact integer: numpy partial sums stay below
 2^63 by construction (wide blocks are split 26 bits at a time before
@@ -97,8 +97,8 @@ import numpy as np
 from . import orbits, parallel, vecbits
 from .core import table_width
 from .errors import BudgetError, UnsupportedCombinationError, VerificationError
-from .intervals import _GATHER_BLOCK, _join_index_table, build_full_table, full_table_bytes, gather_joins
-from .intervals import join_index_bytes, join_keys, k4_table_bytes, key_count, upward_counts, upward_in_interval
+from .intervals import _GATHER_BLOCK, PairKeys, _join_index_table, build_full_table, full_table_bytes, join_index_bytes
+from .intervals import join_keys, k4_table_bytes, key_count, upward_counts, upward_in_interval
 from .layers import Layer, check_budget, generate_layer, self_dual_brute
 from .orbits import OrbitClass, canonical_array, classify
 
@@ -205,14 +205,10 @@ def lambda_plus2(layer: Layer, classes: list[OrbitClass], workers: int = 1) -> L
 # -- the class-task driver (plus3, plus4c) -----------------------------------
 
 
-def _dual_intervals(V: np.ndarray, tops: np.ndarray, duals: np.ndarray) -> dict[int, np.ndarray]:
-    """The ascending index array of [dual(h), h] in the layer V, for each
-    given top index ih (h = V[ih], dual(h) <= h) and the dual of its h,
-    which every caller already holds."""
-    return {
-        ih: np.nonzero(((hd & ~V) == 0) & ((V & ~V[ih]) == 0))[0].astype(np.int32)
-        for ih, hd in zip(tops.tolist(), duals)
-    }
+def _dual_interval(V: np.ndarray, h: np.uint64, hd: np.uint64) -> np.ndarray:
+    """The ascending int32 index array of [hd, h] in the layer V, for a top
+    block h with dual hd <= h, which every caller already holds."""
+    return np.nonzero(((hd & ~V) == 0) & ((V & ~h) == 0))[0].astype(np.int32)
 
 
 def _run_class_tasks(layer: Layer, classes, workers: int, kernel) -> int:
@@ -230,7 +226,7 @@ def _run_class_tasks(layer: Layer, classes, workers: int, kernel) -> int:
     dual_reps = vecbits.dual_array(reps, n)
     sel = (dual_reps & ~reps) == 0
     sel &= 2 * vecbits.popcount(reps) > table_width(n)
-    intervals = _dual_intervals(V, rep_idx[sel], dual_reps[sel])
+    intervals = {ih: _dual_interval(V, h, hd) for ih, h, hd in zip(rep_idx[sel].tolist(), reps[sel], dual_reps[sel])}
     tasks = sorted(np.nonzero(sel)[0].tolist(), key=lambda ci: -len(intervals[int(rep_idx[ci])]))
 
     def class_task(ci: int) -> int:
@@ -243,56 +239,40 @@ def _run_class_tasks(layer: Layer, classes, workers: int, kernel) -> int:
     return sum(parallel.run_tasks(class_task, tasks, workers)) + self_dual_brute(n)
 
 
-# -- the column re(x, h) over [h*, h], read by pair key (plus3, k = 4) ---------
-
-
-def _interval_column(tables, cidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The column re(x, h) over the interval [h*, h] (cidx, its layer
-    indices in ascending order, h at cidx[-1]), indexed by pair key, and
-    the interval's keys.  tables are those of _k4_tables; the column is
-    read only at joins inside the interval.  Entries are below 2^13
-    (_k4_tables checks), so they fit int16."""
-    V, _, keys, _, _, Jlo, Jhi = tables
-    kc = keys.take(cidx)
-    col = np.zeros(len(Jlo) * len(Jhi), dtype=np.int16)
-    col[kc] = upward_in_interval(V.take(cidx))
-    return col, kc
-
-
 # -- plus3 ------------------------------------------------------------------
 
 
 _PLUS3_BLOCK = 64  # representatives b per key block
 
 
-def _plus3_sums(tables, cidx: np.ndarray, reps) -> list[int]:
+def _plus3_sums(tables, cidx: np.ndarray, reps: np.ndarray) -> list[int]:
     """Per representative b (positions in the interval X = [a, h], a =
     h*, layer indices cidx): the sum over c >= b in X of |[a, c & b*]|,
     which counts the d choices.  Dual maps X onto itself and reverses its
     order, so |[a, y]| = re(y*, h), and with c' = c* the sum is that of
-    re(b | c', h) over the c' <= b* in X: the column of _interval_column
-    at the key of b | c'.  A c' <= b* is no larger as an integer, so it
-    lies in X up to b*; the representatives are taken in order of that
-    end, _PLUS3_BLOCK at a time, each block reading the key block over the
-    prefix its last one needs, masked to c' <= b*.  A column sums at most
-    m entries below m, so below m^2 < 2^26.  Every key block is gathered
-    (intervals.gather_joins) into a prefix of one buffer the call
+    re(b | c', h) over the c' <= b* in X: the column re(x, h), counted over
+    X alone and indexed by pair key, at the key of b | c'.  A c' <= b* is
+    no larger as an integer, so it lies in X up to b*; the representatives
+    are taken in order of that end, _PLUS3_BLOCK at a time, each block
+    reading the key block over the prefix its last one needs, masked to
+    c' <= b*.  A column sums at most m entries below m, so below m^2 <
+    2^26.  The keys are restricted to X once, so every key block is a
+    gather with rows a prefix of X, into a prefix of one buffer the call
     allocates."""
-    V, dual_idx, _, i0, i1, Jlo, Jhi = tables
-    x0, x1 = i0.take(cidx), i1.take(cidx)
-    col = _interval_column(tables, cidx)[0]
+    V, dual_idx, keys = tables
+    keys = keys.take(cidx)
     X = V.take(cidx)
-    bs = cidx.take(reps)
-    bds = V.take(dual_idx.take(bs))  # b*, in X
+    # entries are below 2^13 (_k4_tables checks), so they fit int16
+    col = keys.by_key(upward_in_interval(X).astype(np.int16))
+    bds = V.take(dual_idx.take(cidx.take(reps)))  # b*, in X
     ends = np.searchsorted(X, bds, side="right")
     order = np.argsort(ends, kind="stable")
-    sums = np.empty(len(bs), dtype=np.int64)
+    sums = np.empty(len(bds), dtype=np.int64)
     buf = np.empty(len(cidx) * _PLUS3_BLOCK, dtype=np.int16)
     for lo in range(0, len(order), _PLUS3_BLOCK):
         blk = order[lo:lo + _PLUS3_BLOCK]
-        e, cs = int(ends[blk[-1]]), bs.take(blk)
-        rows = buf[:e * len(blk)].reshape(e, len(blk))
-        gather_joins(col, Jlo, Jhi, x0[:e], x1[:e], i0.take(cs), i1.take(cs), rows)
+        e = int(ends[blk[-1]])
+        rows = keys.gather(col, slice(0, e), reps.take(blk), buf[:e * len(blk)].reshape(e, len(blk)))
         rows *= (X[:e, None] & ~bds.take(blk)[None, :]) == 0
         sums[blk] = rows.sum(axis=0, dtype=np.int64)
     return sums.tolist()
@@ -305,11 +285,11 @@ def _plus3_bytes(keys: int, m: int) -> int:
     interval (m x _PLUS3_BLOCK), 14 bytes, the call's int16 buffer, the
     uint64 AND of the subset test and its bool mask, and 3 of margin; 2
     bytes per key for the int16 column; and 32 bytes per element for the
-    interval's values, keys and halves.  The gather's block (12 bytes per
-    entry of at most _GATHER_BLOCK, below 1 per entry of the whole key
-    block at m = 7,581) is freed before the mask is made.  At the top
-    block of n = 5 the estimate is 7.1 MB, and blocks of the lowest b,
-    whose prefixes reach the top, peak at 5.6 MB."""
+    interval's values and its intp keys and halves (PairKeys.take).  The
+    gather's block (12 bytes per entry of at most _GATHER_BLOCK, below 1
+    per entry of the whole key block at m = 7,581) is freed before the
+    mask is made.  At the top block of n = 5 the estimate is 7.1 MB, and
+    blocks of the lowest b, whose prefixes reach the top, peak at 5.6 MB."""
     return 14 * _PLUS3_BLOCK * m + 2 * keys + 32 * m
 
 
@@ -363,7 +343,7 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
     the sum over b, c in [dual(h), h] of
     re(a|b|c, h) re(a|b*|c*, h) re(a*|b|c*, h) re(a*|b*|c, h).  tables
     are those of _k4_tables, cidx the layer indices of [dual(h), h] in
-    ascending order (_dual_intervals), so h is at cidx[-1].  Every factor
+    ascending order (_dual_interval), so h is at cidx[-1].  Every factor
     is an entry of the column re(x, h) at a join inside [dual(h), h],
     which the kernel counts over that interval (upward_in_interval).
 
@@ -385,54 +365,51 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
         (c, b) with b below lo, and for a self-dual b, (b, c) and (b, c*).
     One more pass sums the columns S over the rows S at weight 1.
 
-    Joins are read by pair key (intervals.join_keys): the key of x | y is
-    Jlo[x0, y0] + Jhi[x1, y1], from the half indices of x and y and two
-    small tables (Jhi is the 168 x 168 join table of D_4 at n = 5), so
-    the column re(x, h) and the position index are indexed by key (28,224
-    int16 entries each at n = 5), and no d x d join table is built.  Both
-    are read through one gather (intervals.gather_joins).  The join
-    positions take four gathers, rows Q or dual(Q) and columns the a or
-    the a*, each into the transpose of one int16 slab of one row per a,
-    so each a's four rows are contiguous.  The factor rows of a chunk of
-    c are the gather of the column with rows every x in the interval
-    (ascending, so the gathers keep their locality) and columns the
-    chunk's c, so each a takes its four factors as whole contiguous rows
-    by position.  The call allocates its buffers once: two int16 buffers
-    of m x _PRUNED_CHUNK entries for the factor rows (a chunk of w columns
-    fills the contiguous prefix of m * w) and one int64 row sum per
-    element.  The factor-row takes and products are made _ROW_BLOCK rows
-    at a time and the gathers a block at a time, so no temporary is
+    Joins are read by pair key (intervals.PairKeys), from the half indices
+    of x and y and two small tables (the join table of D_4, 168 x 168, at
+    n = 5), so the column re(x, h) and the position index are indexed by
+    key (28,224 int16 entries each at n = 5), and no d x d join table is
+    built.  The keys are restricted to the interval once, and from then on
+    the kernel names its elements by position in the interval, and reads
+    both tables through the keys' one gather.  The join positions take
+    four gathers, rows Q or dual(Q) and columns the a or the a*, each into
+    the transpose of one int16 slab of one row per a, so each a's four
+    rows are contiguous.  The factor rows of a chunk of c are the gather of
+    the column with rows the whole interval (ascending, so the gathers
+    keep their locality, and a slice, so no rows are copied) and columns
+    the chunk's c, so each a takes its four factors as whole contiguous
+    rows by position.  The call allocates its buffers once: two int16
+    buffers of m x _PRUNED_CHUNK entries for the factor rows (a chunk of w
+    columns fills the contiguous prefix of m * w) and one int64 row sum
+    per element.  The factor-row takes and products are made _ROW_BLOCK
+    rows at a time and the gathers a block at a time, so no temporary is
     larger than a block: at the top block of n = 5 a call for six a peaks
     at 3.4 MB under tracemalloc, against 8.8 MB with every chunk's blocks
-    built whole.  A chunk of 64 columns by keys takes 0.68-0.70 ms at the
-    top block of n = 5 (m = 7,581, on a 2-core host with numpy 2.4)
-    against 1.04-1.07 ms by gathering 64 rows of a layer-indexed join
-    table, their columns at the interval and a transpose (114-116 against
-    191-197 us at m = 1,296; medians of 300).
+    built whole.
     """
-    _, dual_idx, _, i0, i1, Jlo, Jhi = tables
+    V, dual_idx, layer_keys = tables
     m = len(cidx)
+    keys = layer_keys.take(cidx)
     # col[key(x)] = re(x, h); its int16 entries are below 2^13, so a
     # product of two fits int32 and of four stays below 2^52
-    col, kc = _interval_column(tables, cidx)
+    col = keys.by_key(upward_in_interval(V.take(cidx)).astype(np.int16))
     # a, a*, b and b* all lie in [h*, h], so each join of two does too;
     # pos gives its position in the interval, below m <= d_5 = 7,581 <
     # 2^13, so it fits int16
-    pos = np.zeros(len(col), dtype=np.int16)
-    pos[kc] = np.arange(m)
-    dcidx = dual_idx.take(cidx)
-    low, self_dual = cidx[cidx < dcidx], cidx[cidx == dcidx]
+    pos = keys.by_key(np.arange(m, dtype=np.int16))
+    dual = pos.take(layer_keys.keys.take(dual_idx.take(cidx)))  # the position of each dual
+    low, self_dual = np.flatnonzero(dual > np.arange(m)), np.flatnonzero(dual == np.arange(m))
     l, s = len(low), len(self_dual)
-    dlow = dual_idx.take(low)
+    dlow = dual.take(low)
     rows_q = np.concatenate((dlow, self_dual, low))  # Q
     drows_q = np.concatenate((low, self_dual, dlow))  # the dual of each row of Q
-    da_idx = dual_idx.take(a_idx)
+    a_pos = pos.take(layer_keys.keys.take(a_idx))
+    da_pos = dual.take(a_pos)
     # joins[k]: the positions of a | b, a | b*, a* | b and a* | b* per row
     # b of Q, for the k-th a
-    joins = np.empty((len(a_idx), 4, m), dtype=np.int16)
-    for j, (rows, cols) in enumerate(zip((rows_q, drows_q, rows_q, drows_q), (a_idx, a_idx, da_idx, da_idx))):
-        gather_joins(pos, Jlo, Jhi, i0.take(rows), i1.take(rows), i0.take(cols), i1.take(cols), joins[:, j].T)
-    x0, x1 = i0.take(cidx), i1.take(cidx)
+    joins = np.empty((len(a_pos), 4, m), dtype=np.int16)
+    for j, (rows, cols) in enumerate(zip((rows_q, drows_q, rows_q, drows_q), (a_pos, a_pos, da_pos, da_pos))):
+        keys.gather(pos, rows, cols, joins[:, j].T)
     # every chunk's factor rows and row sums go to these buffers; a chunk
     # of w columns uses the contiguous prefix of m * w entries
     buf_c, buf_dc = np.empty(m * _PRUNED_CHUNK, dtype=np.int16), np.empty(m * _PRUNED_CHUNK, dtype=np.int16)
@@ -440,8 +417,7 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
 
     def factor_rows(buf, cs):
         # out[x, k] = re(x | cs[k], h), one row per x of the interval
-        out = buf[:m * len(cs)].reshape(m, len(cs))
-        return gather_joins(col, Jlo, Jhi, x0, x1, i0.take(cs), i1.take(cs), out)
+        return keys.gather(col, slice(None), cs, buf[:m * len(cs)].reshape(m, len(cs)))
 
     def row_sums(McT, MdcT, js, lo, hi):
         # one sum per b in the rows [lo, hi) of Q, over the chunk's columns,
@@ -475,20 +451,23 @@ def _top_block_bytes(keys: int, m: int, k: int) -> int:
     pair keys (intervals.key_count) and k values of a: 8 bytes per a and
     element for the four int16 join positions; per entry of a chunk's
     factor rows (m x _PRUNED_CHUNK), 4 bytes for the two int16 buffers;
-    4 bytes per key for the key-indexed int16 column and positions; 96
-    bytes per element: the call's index arrays (of Q and its duals, their
-    halves and the halves of the interval) take 74, the int64 row sums 8,
-    exact_sum's int64 temporary 8, and 6 are margin; and 20 bytes per
-    entry of the larger block, one of _ROW_BLOCK rows of a chunk or one
-    gather block (_GATHER_BLOCK entries).  Under tracemalloc a
-    row-sum block peaks at about 17 bytes per entry: its int32 products,
-    the two int16 row takes of the second and einsum's cast buffer.  A
-    gather block, its key block, the intp copy that `take` makes of it
-    and the gathered block, takes 12 bytes per entry, and the column's
-    count about 50 bytes per element of the interval before the buffers
-    exist, so neither sets the peak."""
+    4 bytes per key for the key-indexed int16 column and positions; 80
+    bytes per element: the call's index arrays take 48 (the interval's
+    intp keys and halves 24, the int16 position of each dual 2, L and S,
+    intp, with the int16 dual(L) about 6, Q and its duals, intp, 16), the
+    int64 row sums 8, exact_sum's int64 temporary 8, and 16 are margin;
+    and 20 bytes per entry of the larger block, one of _ROW_BLOCK rows of
+    a chunk or one gather block (_GATHER_BLOCK entries).  Under
+    tracemalloc a row-sum block peaks at about 17 bytes per entry: its
+    int32 products, the two int16 row takes of the second and einsum's
+    cast buffer.  A gather block, its key block, the intp copy that
+    `take` makes of it and the gathered block, takes 12 bytes per entry,
+    and the column's count about 50 bytes per element of the interval
+    before the buffers exist, so neither sets the peak.  At the top block
+    of n = 5 a call for six a is estimated at 3.7 MB and peaks at 3.4
+    MB."""
     block = max(_ROW_BLOCK * _PRUNED_CHUNK, _GATHER_BLOCK)
-    return 8 * m * k + 4 * _PRUNED_CHUNK * m + 96 * m + 4 * keys + 20 * block
+    return 8 * m * k + 4 * _PRUNED_CHUNK * m + 80 * m + 4 * keys + 20 * block
 
 
 def fold_dual_classes(classes: list[OrbitClass], n: int) -> tuple[list[OrbitClass], list[int]]:
@@ -528,7 +507,7 @@ def _pruned_terms(V: np.ndarray, n: int, rep_joins: np.ndarray):
     for r in rep_joins:
         ks += (r & not_tops) == 0
     tops, ks = tops[ks > 0], ks[ks > 0]
-    sizes = [len(_dual_intervals(V, t, duals[t])[t[0]]) for t in tops.reshape(-1, 1)]
+    sizes = [len(_dual_interval(V, V[t], duals[t])) for t in tops]
     return tops, np.array(sizes, dtype=np.int64), ks
 
 
@@ -566,11 +545,10 @@ def _require_exact_chunk_sums(chunk: int) -> None:
         )
 
 
-def _k4_tables(layer: Layer, budget_mb: int | None, kernel_bytes: int = 0) -> tuple[np.ndarray, ...]:
+def _k4_tables(layer: Layer, budget_mb: int | None, kernel_bytes: int = 0) -> tuple[np.ndarray, np.ndarray, PairKeys]:
     """The tables every k = 4 kernel and plus3 take: the layer values V,
-    the index of each element's dual, and the pair keys of the layer with
-    the two small tables that give the key of a join (intervals.join_keys:
-    the keys, the half indices i0 and i1, Jlo and Jhi).  A kernel reads
+    the index of each element's dual, and the layer's pair keys
+    (intervals.PairKeys, which give the key of a join).  A kernel reads
     interval counts of at most the layer's size d, so this raises before
     building anything unless d^4 < 2^52; then it refuses these tables,
     with their build buffers, together with the kernel_bytes the kernel
@@ -580,7 +558,7 @@ def _k4_tables(layer: Layer, budget_mb: int | None, kernel_bytes: int = 0) -> tu
     _require_exact_products(d)
     check_budget(f"k = 4 tables for n={n} with the kernel's buffers", k4_table_bytes(d) + kernel_bytes, budget_mb)
     dual_idx = np.searchsorted(V, vecbits.dual_array(V, n)).astype(np.int32)
-    return (V, dual_idx, *join_keys(V, n))
+    return V, dual_idx, join_keys(V, n)
 
 
 def lambda_plus4_direct(
@@ -635,8 +613,7 @@ def lambda_plus4_direct(
 
         def top_task(ih: int) -> int:
             under = np.nonzero((rep_joins & ~V[ih]) == 0)[0]  # classes with a | a* <= h
-            top = np.array([ih])
-            sums = _top_block_sums(tables, _dual_intervals(V, top, V[tables[1][top]])[ih], rep_idx[under])
+            sums = _top_block_sums(tables, _dual_interval(V, V[ih], V[tables[1][ih]]), rep_idx[under])
             return sum(class_weights[ci] * s for ci, s in zip(under, sums))
 
         parts = parallel.run_tasks(top_task, tops[order].tolist(), workers, weights=terms[order].tolist())

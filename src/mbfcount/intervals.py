@@ -18,19 +18,19 @@ Four routes compute |{z : x <= z <= y}|, one for each job:
     layer ordinal, by the down-zeta transform over D_n alone; selfcheck
     and the dense k = 4 reference read it.
 
-Joins are read by pair key (join_keys): each z of D_n is the pair z0 <=
-z1 of its halves in D_{n-1}, keyed idx(z0) * |D_{n-1}| + idx(z1), and the
-key of x | y comes from two small tables built from the join table of
-D_{n-1}, so no d x d table over D_n is needed.  One routine reads every
-such join (gather_joins): a table indexed by key, taken at the joins of
-a list of rows with a list of columns.  upward_counts reads keys of
-D_{n-1} through it, the k = 4 kernel and plus3 keys of D_n, and the
-layer-indexed join table (_join_index_table, the index of x | y, d x d
-uint16) is the gather of a key-to-index lookup over its own layer.  That
-table is what the key tables one layer up are built from (upward_counts
-reads it at D_{n-2}, the k = 4 keys at D_{n-1}), and it is built whole
-only for the dense k = 4 reference (n <= 4) and for selfcheck, which
-holds the kernel's key join against it.
+Joins are read by pair key: each z of D_n is the pair z0 <= z1 of its
+halves in D_{n-1}, keyed idx(z0) * |D_{n-1}| + idx(z1), and the key of
+x | y comes from two small tables built from the join table of D_{n-1},
+so no d x d table over D_n is needed.  One type owns that format
+(PairKeys, built by join_keys), and its one gather reads every such join:
+a table indexed by key, taken at the joins of rows with columns.
+upward_counts reads keys of D_{n-1} through it, the k = 4 kernel and
+plus3 keys of D_n, and the layer-indexed join table (_join_index_table,
+the index of x | y, d x d uint16) is the gather of a key-to-index lookup
+over its own layer.  That table is what the key tables one layer up are
+built from (upward_counts reads it at D_{n-2}, the k = 4 keys at
+D_{n-1}), and it is built whole only for the dense k = 4 reference (n <=
+4) and for selfcheck, which holds the kernel's key join against it.
 
 Empty intervals count 0, so callers never branch on comparability.
 """
@@ -103,11 +103,10 @@ def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
     count of x1 | z0 in D_{n-1} (_full_upward).  The distinct points are
     grouped by x0, so each group masks the z0 >= x0 once.  x1 | z0 is
     joined half by half in D_{n-2}, and its count read from a table
-    indexed by pair key (join_keys) by gather_joins, with the z0 on the
-    rows and a chunk of the group's points on the columns, at most
-    _UPWARD_BLOCK pairs; a point's count is its column's sum.  n = 0
-    reads the whole layer's counts (D_0 has no halves).  Runs in this
-    process.
+    indexed by pair key (PairKeys.gather), with the z0 on the rows and a
+    chunk of the group's points on the columns, at most _UPWARD_BLOCK
+    pairs; a point's count is its column's sum.  n = 0 reads the whole
+    layer's counts (D_0 has no halves).  Runs in this process.
     """
     if n > 6:
         raise WidthError("upward counts need materializable layers (n <= 6)")
@@ -123,22 +122,20 @@ def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
     prev, x0, x1 = _halves(points, n)
     order = np.argsort(x0)
     starts = np.flatnonzero(np.diff(x0[order], prepend=-1, append=len(prev)))
-    keys, j0, j1, JD, J = join_keys(prev, n - 1)
-    a0, a1 = j0[x1[order]], j1[x1[order]]  # the halves of each x1, in group order
+    keys = join_keys(prev, n - 1)
+    highs = x1[order]  # the index of each x1 in D_{n-1}, in group order
     # U[key]: the upward count in D_{n-1} of the element with that pair
     # key, or 0; n <= 6 (refused above), so every count is at most |D_5| =
     # 7,581 < 2^15
-    U = np.zeros(len(JD) * len(J), dtype=np.int16)
-    U[keys] = _full_upward(n - 1)
+    U = keys.by_key(_full_upward(n - 1).astype(np.int16))
     counts = np.empty(len(points), dtype=np.int64)
     for lo, hi in zip(starts[:-1], starts[1:]):
         low = prev[x0[order[lo]]]
         zs = np.flatnonzero((prev & low) == low)  # the z0 >= x0
-        b0, b1 = j0[zs], j1[zs]
         cols = max(1, _UPWARD_BLOCK // len(zs))
         for c in range(lo, hi, cols):
             c1 = min(c + cols, hi)
-            found = gather_joins(U, JD, J, b0, b1, a0[c:c1], a1[c:c1], np.empty((len(zs), c1 - c), dtype=np.int16))
+            found = keys.gather(U, zs, highs[c:c1], np.empty((len(zs), c1 - c), dtype=np.int16))
             counts[order[c:c1]] = found.sum(axis=0, dtype=np.int64)
     return counts[inverse]
 
@@ -174,20 +171,75 @@ def key_count(n: int) -> int:
     return dp * dp
 
 
-def join_keys(V: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Pair keys for the elements V of D_n, and the tables that give the
+_GATHER_BLOCK = 1 << 15  # entries of a gather's output filled at once
+
+
+@dataclass(frozen=True)
+class PairKeys:
+    """The pair keys of a list of elements of D_n (join_keys), and the only
+    reader of their format.  Element i is the pair of halves with indices
+    i0[i] <= i1[i] in D_{n-1}, keyed i0[i] * len(hi) + i1[i] (keys[i], one
+    of len(lo) * len(hi)), and the key of the join of elements i and k is
+    lo[i0[i], i0[k]] + hi[i1[i], i1[k]]: the key tables are symmetric, so
+    either element of a join may be the row."""
+
+    keys: np.ndarray = field(repr=False)
+    i0: np.ndarray = field(repr=False)
+    i1: np.ndarray = field(repr=False)
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+
+    def take(self, idx) -> PairKeys:
+        """The keys of the elements idx, an index array, sharing lo and hi."""
+        return PairKeys(self.keys.take(idx), self.i0.take(idx), self.i1.take(idx), self.lo, self.hi)
+
+    def by_key(self, values: np.ndarray) -> np.ndarray:
+        """A table indexed by key, of the dtype of values: values at the
+        elements' keys, in their order, and 0 at every other key."""
+        table = np.zeros(len(self.lo) * len(self.hi), dtype=values.dtype)
+        table[self.keys] = values
+        return table
+
+    def gather(self, table: np.ndarray, rows, cols, out: np.ndarray) -> np.ndarray:
+        """out[i, k] = table[key of the join of elements rows[i] and
+        cols[k]]: the table, indexed by key, read at every join of a row
+        with a column.  rows and cols index the elements, by an index array
+        or a slice; a slice takes no copy of the rows' halves, so a caller
+        that gathers over one interval many times restricts the keys to it
+        once (take) and names its rows by position.  out is the caller's
+        buffer of rows x cols, of any strides, and is returned.
+
+        The columns' parts of lo and hi are taken once, and the rows are
+        filled _GATHER_BLOCK entries at a time (at least one row), so the
+        int16 key block, the intp copy that `take` makes of it and the
+        gathered block are one block's: 12 bytes per entry.  Every gather
+        is a `take`, because numpy's fancy indexing with non-intp index
+        arrays is slower: gathering the k = 4 kernel's column at the top
+        block of n = 5 (m = 7,581), on a 2-core host with numpy 2.4, an
+        entry of `col[S]` with a uint16 S cost 2.6 ns against 1.1 ns by
+        `col.take(S)`."""
+        r0, r1 = self.i0[rows], self.i1[rows]
+        lo_c, hi_c = self.lo.take(self.i0[cols], axis=1), self.hi.take(self.i1[cols], axis=1)
+        step = max(1, _GATHER_BLOCK // max(1, lo_c.shape[1]))
+        for r in range(0, len(r0), step):
+            keys = lo_c.take(r0[r:r + step], axis=0)
+            keys += hi_c.take(r1[r:r + step], axis=0)
+            out[r:r + step] = table.take(keys)
+        return out
+
+
+def join_keys(V: np.ndarray, n: int) -> PairKeys:
+    """The pair keys (PairKeys) of the elements V of D_n, which give the
     key of a join without the layer-indexed join table.
 
     Each z in D_n is the pair z0 <= z1 of its low and high halves in
-    D_{n-1}, and its key is idx(z0) * dp + idx(z1), dp = |D_{n-1}|, so
-    keys are distinct and below key_count(n), which raises before anything
-    is built unless they fit int16.  Since x | y = (x0 | y0, x1 | y1), the
+    D_{n-1}, keyed idx(z0) * dp + idx(z1), dp = |D_{n-1}|, so keys are
+    distinct and below key_count(n), which raises before anything is
+    built unless they fit int16.  Since x | y = (x0 | y0, x1 | y1), the
     key of a join is lo[x0, y0] + hi[x1, y1], with hi the join table of
-    D_{n-1} and lo = dp * hi (int16, dp x dp each).  Returns the keys, the
-    half indices i0 and i1 (intp), lo and hi.  D_0 = {0, 1} has no halves:
-    its key is the index (i0 = 0, lo = [[0]]), and hi the join of D_0, the
-    larger index.  Either way a key is i0 * len(hi) + i1, and there are
-    len(lo) * len(hi) of them."""
+    D_{n-1} and lo = dp * hi (int16, dp x dp each); keys and half indices
+    are intp.  D_0 = {0, 1} has no halves: its key is the index (i0 = 0,
+    lo = [[0]]), and hi the join of D_0, the larger index."""
     key_count(n)
     if n == 0:
         i1 = np.searchsorted(generate_layer(0).values, V)
@@ -199,38 +251,7 @@ def join_keys(V: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
         P, i0, i1 = _halves(V, n)
         hi = _join_index_table(P, n - 1).astype(np.int16)
         lo = hi * np.int16(len(hi))
-    return i0 * len(hi) + i1, i0, i1, lo, hi
-
-
-_GATHER_BLOCK = 1 << 15  # entries of a gather's output filled at once
-
-
-def gather_joins(
-    table: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-    r0: np.ndarray, r1: np.ndarray, c0: np.ndarray, c1: np.ndarray, out: np.ndarray,
-) -> np.ndarray:
-    """out[i, k] = table[lo[r0[i], c0[k]] + hi[r1[i], c1[k]]]: the table,
-    indexed by pair key, read at the join of the row element with half
-    indices (r0[i], r1[i]) and the column element (c0[k], c1[k]), with lo
-    and hi the key tables of join_keys.  They are symmetric, so either
-    element of a join may be the row.  out is the caller's buffer of
-    len(r0) x len(c0), of any strides, and is returned.
-
-    The columns' parts of lo and hi are taken once, and the rows are
-    filled _GATHER_BLOCK entries at a time (at least one row), so the
-    int16 key block, the intp copy that `take` makes of it and the
-    gathered block are one block's: 12 bytes per entry.  Every gather is
-    a `take`, because numpy's fancy indexing with non-intp index arrays is
-    slower: gathering the k = 4 kernel's column at the top block of n = 5
-    (m = 7,581), on a 2-core host with numpy 2.4, an entry of `col[S]`
-    with a uint16 S cost 2.6 ns against 1.1 ns by `col.take(S)`."""
-    lo_c, hi_c = lo.take(c0, axis=1), hi.take(c1, axis=1)
-    rows = max(1, _GATHER_BLOCK // max(1, len(c0)))
-    for r in range(0, len(r0), rows):
-        keys = lo_c.take(r0[r:r + rows], axis=0)
-        keys += hi_c.take(r1[r:r + rows], axis=0)
-        out[r:r + rows] = table.take(keys)
-    return out
+    return PairKeys(i0 * len(hi) + i1, i0, i1, lo, hi)
 
 
 def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
@@ -239,10 +260,9 @@ def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
     one layer down) to the index in D_n, gathered at every join.  Entries
     are uint16: every caller builds it for n <= 5, where d <= 7,581."""
     d = len(V)
-    keys, i0, i1, lo, hi = join_keys(V, n)
-    pair = np.full(len(lo) * len(hi), d, dtype=np.uint16)  # key -> index in V
-    pair[keys] = np.arange(d)
-    return gather_joins(pair, lo, hi, i0, i1, i0, i1, np.empty((d, d), dtype=np.uint16))
+    keys = join_keys(V, n)
+    pair = keys.by_key(np.arange(d, dtype=np.uint16))  # key -> index in V
+    return keys.gather(pair, slice(None), slice(None), np.empty((d, d), dtype=np.uint16))
 
 
 def _layer_below(d: int) -> int:

@@ -31,7 +31,7 @@ from . import vecbits
 from .core import dual_bits, table_width
 from .counting import (
     LAMBDA_KNOWN,
-    _dual_intervals,
+    _dual_interval,
     _k4_tables,
     _top_block_sums,
     exact_sum,
@@ -200,7 +200,7 @@ def check_interval_oracle(n: int) -> bool:
         if not np.array_equal(C[:, k:k + 256], C[dual_idx[k:k + 256]][:, dual_idx].T):
             return False
     tops = np.flatnonzero((duals & ~V) == 0)
-    by_top = _dual_intervals(V, tops, duals[tops])
+    by_top = {ih: _dual_interval(V, V[ih], duals[ih]) for ih in tops.tolist()}
     if not all(np.array_equal(upward_in_interval(V[I]), C[I, ih]) for ih, I in by_top.items()):
         return False
     return all(C[i, j] == re_scan(layer, V[i], V[j]) for i, j in pairs)
@@ -230,21 +230,22 @@ def check_dedekind_two_up(n: int) -> bool:
     """The upward counts, read through the join index and the dual index,
     count D_{n+2} by _four_block_count.  J is the join (V[J] = V | V) on
     every pair, the pair keys of the k = 4 tables are distinct, and the
-    kernel's key join Jlo[x0, y0] + Jhi[x1, y1] is the key of J[x, y] on
-    every pair, a chunk of rows at a time."""
+    kernel's key join lo[x0, y0] + hi[x1, y1], read here from the fields
+    of the keys, is the key of J[x, y] on every pair, a chunk of rows at a
+    time."""
     layer = generate_layer(n)
     V = layer.values
     J = _join_index_table(V, n)
     dual_idx = np.searchsorted(V, vecbits.dual_array(V, n))
-    _, _, keys, i0, i1, Jlo, Jhi = _k4_tables(layer, None)
-    if len(np.unique(keys)) != len(V):
+    keys = _k4_tables(layer, None)[2]
+    if len(np.unique(keys.keys)) != len(V):
         return False
     for lo in range(0, len(V), 128):
         r = slice(lo, lo + 128)
         joins = J[r].astype(np.intp)
-        key_join = Jlo.take(i0[r], axis=0).take(i0, axis=1)
-        key_join += Jhi.take(i1[r], axis=0).take(i1, axis=1)
-        if not (np.array_equal(V.take(joins), V[r, None] | V) and np.array_equal(key_join, keys.take(joins))):
+        key_join = keys.lo.take(keys.i0[r], axis=0).take(keys.i0, axis=1)
+        key_join += keys.hi.take(keys.i1[r], axis=0).take(keys.i1, axis=1)
+        if not (np.array_equal(V.take(joins), V[r, None] | V) and np.array_equal(key_join, keys.keys.take(joins))):
             return False
     return _four_block_count(upward_counts(n, V), J, dual_idx) == LAYER_SIZE.get(n + 2, DEDEKIND_7)
 
@@ -329,9 +330,9 @@ def check_top_block_sums(n: int) -> bool:
     duals = vecbits.dual_array(V, n)
     tops = np.nonzero((duals & ~V) == 0)[0]
     tables = _k4_tables(layer, None)
+    by_top = {ih: _dual_interval(V, V[ih], duals[ih]) for ih in tops.tolist()}
     return all(
-        _top_block_sums(tables, I, I) == definition_sums(V, n, int(V[ih]), V[I])
-        for ih, I in _dual_intervals(V, tops, duals[tops]).items()
+        _top_block_sums(tables, I, I) == definition_sums(V, n, int(V[ih]), V[I]) for ih, I in by_top.items()
     )
 
 

@@ -35,9 +35,10 @@ def setup(n, classes):
 
 
 def dual_intervals(V, n, tops):
-    """counting._dual_intervals, given the duals of the tops' elements."""
+    """counting._dual_interval of each top index, given the duals of the
+    tops' elements."""
     tops = np.asarray(tops)
-    return counting._dual_intervals(V, tops, vecbits.dual_array(V[tops], n))
+    return {ih: counting._dual_interval(V, V[ih], hd) for ih, hd in zip(tops.tolist(), vecbits.dual_array(V[tops], n))}
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -255,12 +256,13 @@ def _never_the_matrix(*args, **kwargs):
 
 
 def _key_joins(tables, rows):
-    """The key join of the kernel, Jlo[x0, y0] + Jhi[x1, y1], for each x
-    of rows and every y of the layer, and the key of V[x] | V[y] found by
-    search."""
-    V, _, keys, i0, i1, Jlo, Jhi = tables
-    got = Jlo[i0[rows][:, None], i0[None, :]] + Jhi[i1[rows][:, None], i1[None, :]]
-    return got, keys[np.searchsorted(V, V[rows][:, None] | V[None, :])]
+    """The key join of the kernel, lo[x0, y0] + hi[x1, y1] from the fields
+    of its pair keys, for each x of rows and every y of the layer, and the
+    key of V[x] | V[y] found by search."""
+    V, _, keys = tables
+    i0, i1 = keys.i0, keys.i1
+    got = keys.lo[i0[rows][:, None], i0[None, :]] + keys.hi[i1[rows][:, None], i1[None, :]]
+    return got, keys.keys[np.searchsorted(V, V[rows][:, None] | V[None, :])]
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -272,10 +274,11 @@ def test_k4_tables_hold_the_rows_the_kernel_reads(n, monkeypatch):
     monkeypatch.setattr(counting, "_join_index_table", _never_the_matrix)
     layer = generate_layer(n)
     tables = counting._k4_tables(layer, None)
-    V, dual_idx, keys, _, _, Jlo, Jhi = tables
+    V, dual_idx, keys = tables
     assert V is layer.values
     assert V[dual_idx].tolist() == [slow_dual(n, x) for x in V.tolist()]
-    assert len(np.unique(keys)) == len(V) and keys.max() < len(Jlo) * len(Jhi) == intervals.key_count(n)
+    assert len(np.unique(keys.keys)) == len(V)
+    assert keys.keys.max() < len(keys.lo) * len(keys.hi) == intervals.key_count(n)
     got, expect = _key_joins(tables, np.arange(len(V)))
     assert np.array_equal(got, expect)
 
@@ -283,7 +286,7 @@ def test_k4_tables_hold_the_rows_the_kernel_reads(n, monkeypatch):
 def test_k4_key_join_n5_rows():
     # the seeded rows of test_join_index_table_n5_rows
     tables = counting._k4_tables(generate_layer(5), None)
-    V, keys = tables[0], tables[2]
+    V, keys = tables[0], tables[2].keys
     assert len(np.unique(keys)) == len(V)
     rows = [0, len(V) - 1] + np.random.default_rng(5).integers(0, len(V), 100).tolist()
     got, expect = _key_joins(tables, np.array(rows))
@@ -458,29 +461,28 @@ def test_pruned_terms_cut_intervals_only_under_a_class(base5, monkeypatch):
     layer, cl = base5
     V = layer.values
     cut = []
-    real = counting._dual_intervals
+    real = counting._dual_interval
 
-    def spy(V, tops, duals):
-        cut.append(tops.tolist())
-        return real(V, tops, duals)
+    def spy(V, h, hd):
+        cut.append(int(np.searchsorted(V, h)))
+        return real(V, h, hd)
 
-    monkeypatch.setattr(counting, "_dual_intervals", spy)
+    monkeypatch.setattr(counting, "_dual_interval", spy)
     assert lambda_plus4_direct(layer, []).value == 0
     assert cut == []
     cut.clear()
     [bottom] = [c for c in cl if c.representative.bits == 0]
     assert plus4_pruned_term_count(layer, [bottom]) == len(layer) ** 2
-    assert cut == [[len(layer) - 1]]
+    assert cut == [len(layer) - 1]
     cut.clear()
     assert plus4_pruned_term_count(layer, cl) == 417_628_327_127
-    assert all(len(tops) == 1 for tops in cut)
     joins = [slow_dual(5, h) | h for h in (c.representative.bits for c in cl)]
     expect = [
         ih for ih, h in enumerate(V.tolist())
         if slow_dual(5, h) & ~h == 0 and any(j & ~h == 0 for j in joins)
     ]
     assert len(expect) == 1_704
-    assert sorted(ih for [ih] in cut) == expect
+    assert sorted(cut) == expect
 
 
 def test_pruned_term_count_takes_each_dual_array_once(base5, monkeypatch):

@@ -167,6 +167,44 @@ def test_upward_counts_across_block_boundaries(monkeypatch):
         intervals._full_upward.cache_clear()
 
 
+@pytest.mark.parametrize("block", [1, None], ids=["row", "default"])
+@pytest.mark.parametrize("n", range(6))
+def test_pair_keys_gather_reads_the_key_of_each_join(n, block, monkeypatch):
+    # gather, read through the identity table over the keys, is the key of
+    # V[r] | V[c] found by search: rows and columns as index arrays, as
+    # slices (one with a step) and by position after take, into a
+    # transposed buffer too, in gather blocks of one row and of the
+    # default size; by_key holds its values at the keys and 0 elsewhere
+    if block:
+        monkeypatch.setattr(intervals, "_GATHER_BLOCK", block)
+    V = generate_layer(n).values
+    d = len(V)
+    keys = intervals.join_keys(V, n)
+    identity = np.arange(intervals.key_count(n), dtype=np.int16)
+    rng = np.random.default_rng(n)
+    r, c = rng.integers(0, d, 40), rng.integers(0, d, 70)
+    cases = [(r, c), (slice(None), c), (r, slice(1, None, 3)), (slice(0, 40), slice(None))]
+    for rows, cols in cases:
+        ir, ic = np.arange(d)[rows], np.arange(d)[cols]
+        expect = keys.keys[np.searchsorted(V, V[ir][:, None] | V[ic][None, :])]
+        assert np.array_equal(keys.gather(identity, rows, cols, np.empty((len(ir), len(ic)), dtype=np.int16)), expect)
+        out = np.empty((len(ic), len(ir)), dtype=np.int16).T
+        assert np.array_equal(keys.gather(identity, rows, cols, out), expect)
+    idx = rng.permutation(d)[:50]
+    sub = keys.take(idx)
+    assert sub.lo is keys.lo and sub.hi is keys.hi
+    assert np.array_equal(sub.keys, keys.keys[idx])
+    pos = rng.integers(0, len(idx), 30)
+    for rows, cols in [(slice(None), pos), (pos, slice(None)), (pos[:5], pos)]:
+        ir, ic = idx[rows], idx[cols]
+        expect = keys.keys[np.searchsorted(V, V[ir][:, None] | V[ic][None, :])]
+        assert np.array_equal(sub.gather(identity, rows, cols, np.empty((len(ir), len(ic)), dtype=np.int16)), expect)
+    values = np.arange(1, d + 1, dtype=np.int32)
+    table = keys.by_key(values)
+    assert table.dtype == values.dtype and len(table) == intervals.key_count(n)
+    assert np.array_equal(table[keys.keys], values) and np.count_nonzero(table) == d
+
+
 def test_upward_table_from_classes():
     from mbfcount.orbits import classify
 

@@ -160,7 +160,7 @@ def _is_subset_test(node) -> bool:
 
 def test_one_driver_for_the_stabilizer_orbit_routes():
     # plus3 and plus4c walk Stab(h)-orbits only in the driver's task
-    # closure, and only _dual_intervals builds the [dual(h), h] mask
+    # closure, and only _dual_interval builds the [dual(h), h] mask
     path = SRC / "counting.py"
     name = "stabilizer_orbits"
     walks = _statements_where(
@@ -174,7 +174,7 @@ def test_one_driver_for_the_stabilizer_orbit_routes():
         and _is_subset_test(node.left)
         and _is_subset_test(node.right),
     )
-    assert masks == ["_dual_intervals"], masks
+    assert masks == ["_dual_interval"], masks
     # plus3 is one kernel with no options, summed over the weight-heavy
     # classes with the closed term always added
     from mbfcount import counting, parallel
@@ -317,38 +317,30 @@ def test_benchmark_traced_names_exist():
 
 
 def test_plus3_reads_the_k4_column_by_pair_key():
-    # plus3 and the k = 4 kernel share one count of the column re(x, h), and
-    # every pair-key join, theirs, plus2's upward counts and the join-index
-    # table, is read through one gather; plus3 makes no count or search
-    # per representative
+    # the pair-key format has one owner: only intervals.PairKeys's methods
+    # read the half indices and key tables of its fields, counting names
+    # neither, and every pair-key join, plus3's, the k = 4 kernel's,
+    # plus2's upward counts and the join-index table, is read through its
+    # one gather; plus3 and the kernel each count the column re(x, h) over
+    # their interval, and plus3 makes no count or search per representative
     path = SRC / "counting.py"
+    fields = {"lo", "hi", "i0", "i1"}
 
     def users(name, path=path):
         return _statements_where(path, lambda node: name in (getattr(node, "id", None), getattr(node, "attr", None)))
 
-    assert users("upward_in_interval") == ["_interval_column"]
-    assert users("_interval_column") == ["_plus3_sums", "_top_block_sums"]
-    assert users("gather_joins") == ["_plus3_sums", "_top_block_sums"]
-    assert users("gather_joins", SRC / "intervals.py") == ["upward_counts", "_join_index_table"]
-    # the key tables: lo and hi where join_keys returns them (JD and J in
-    # upward_counts, Jlo and Jhi in the k = 4 tables), and their columns'
-    # parts; only the gather takes their rows
+    def reads_fields(node):
+        return isinstance(node, ast.Attribute) and node.attr in fields
 
-    def reads_key_rows(tables):
-        def found(node):
-            if isinstance(node, ast.Subscript):
-                return getattr(node.value, "id", None) in tables
-            return (
-                isinstance(node, ast.Call)
-                and getattr(node.func, "attr", None) == "take"
-                and getattr(node.func.value, "id", None) in tables
-            )
+    def gathers(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "gather"
 
-        return found
-
-    assert _statements_where(SRC / "counting.py", reads_key_rows({"Jlo", "Jhi"})) == []
-    in_intervals = _statements_where(SRC / "intervals.py", reads_key_rows({"lo", "hi", "JD", "J", "lo_c", "hi_c"}))
-    assert in_intervals == ["gather_joins"], in_intervals
+    assert _statements_where(SRC / "intervals.py", reads_fields) == ["PairKeys"]
+    assert _statements_where(path, reads_fields) == []
+    assert [name for name in ("Jlo", "Jhi", "i0", "i1") if users(name)] == []
+    assert _statements_where(path, gathers) == ["_plus3_sums", "_top_block_sums"]
+    assert _statements_where(SRC / "intervals.py", gathers) == ["upward_counts", "_join_index_table"]
+    assert users("upward_in_interval") == ["_plus3_sums", "_top_block_sums"]
     [plus3] = [s for s in ast.parse(path.read_text()).body if getattr(s, "name", None) == "_plus3_sums"]
     loops = [node for node in ast.walk(plus3) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     in_loops = {getattr(node, "attr", None) for loop in loops for node in ast.walk(loop)}
