@@ -40,7 +40,8 @@ that constraint into closed sums over a smaller layer:
           chunk of c it builds the factors re(c | x, h) and re(c* | x, h)
           once, stored one row per x in [dual(h), h] in two buffers
           allocated once per call, and every a takes its four factors
-          from them as whole rows, by `take`, _ROW_BLOCK rows at a time.
+          from them as whole rows, by `take`, a block of _GATHER_BLOCK
+          entries at a time, as every gather over [dual(h), h] is made.
           Swapping b and c, and replacing (b, c) by (b*, c*), each
           permute the four factors, so it evaluates about a quarter of
           the pairs, one per orbit of (b, c) under b <-> c and
@@ -97,8 +98,8 @@ import numpy as np
 from . import orbits, parallel, vecbits
 from .core import table_width
 from .errors import BudgetError, UnsupportedCombinationError, VerificationError
-from .intervals import _GATHER_BLOCK, PairKeys, _join_index_table, build_full_table, full_table_bytes, join_index_bytes
-from .intervals import join_keys, k4_table_bytes, key_count, upward_counts, upward_in_interval
+from .intervals import _GATHER_BLOCK, PairKeys, _join_index_table, block_rows, build_full_table, full_table_bytes
+from .intervals import join_index_bytes, join_keys, k4_table_bytes, key_count, upward_counts, upward_in_interval
 from .layers import Layer, check_budget, generate_layer, self_dual_brute
 from .orbits import OrbitClass, canonical_array, classify
 
@@ -121,6 +122,10 @@ METHODS = ("brute", "plus2", "plus3", "plus4", "plus4c")
 
 _BASE_OFFSET = {"brute": 0, "plus2": 2, "plus3": 3, "plus4": 4, "plus4c": 4}
 _BASE_MAX = {"brute": 6, "plus2": 6, "plus3": 5, "plus4": 5, "plus4c": 4}
+
+# columns per gather over [dual(h), h]: plus3's representatives b, the
+# k = 4 kernel's c
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -154,9 +159,9 @@ def exact_sum(a: np.ndarray) -> int:
     kernels sum four-way products of interval counts, and _k4_tables
     raises before any task runs unless every count c has c^4 < 2^52
     (_require_exact_products).  _top_block_sums sums at most
-    d_5 = 7,581 < 2^13 entries, each a sum of at most _PRUNED_CHUNK
+    d_5 = 7,581 < 2^13 entries, each a sum of at most _CHUNK
     products, and both its routes (pruned plus4, plus4c) raise unless
-    _PRUNED_CHUNK * 2^52 <= 2^63 (_require_exact_chunk_sums), so
+    _CHUNK * 2^52 <= 2^63 (_require_exact_chunk_sums), so
     len(a) * max(a) < 2^76.  The dense plus4 reference (n <= 4) does not
     call it: per b it sums d^2 products of four counts in one int64
     einsum, below 168^6 < 2^45, and adds those in Python ints.
@@ -242,9 +247,6 @@ def _run_class_tasks(layer: Layer, classes, workers: int, kernel) -> int:
 # -- plus3 ------------------------------------------------------------------
 
 
-_PLUS3_BLOCK = 64  # representatives b per key block
-
-
 def _plus3_sums(tables, cidx: np.ndarray, reps: np.ndarray) -> list[int]:
     """Per representative b (positions in the interval X = [a, h], a =
     h*, layer indices cidx): the sum over c >= b in X of |[a, c & b*]|,
@@ -253,12 +255,12 @@ def _plus3_sums(tables, cidx: np.ndarray, reps: np.ndarray) -> list[int]:
     re(b | c', h) over the c' <= b* in X: the column re(x, h), counted over
     X alone and indexed by pair key, at the key of b | c'.  A c' <= b* is
     no larger as an integer, so it lies in X up to b*; the representatives
-    are taken in order of that end, _PLUS3_BLOCK at a time, each block
-    reading the key block over the prefix its last one needs, masked to
-    c' <= b*.  A column sums at most m entries below m, so below m^2 <
-    2^26.  The keys are restricted to X once, so every key block is a
-    gather with rows a prefix of X, into a prefix of one buffer the call
-    allocates."""
+    are taken in order of that end, a chunk of _CHUNK columns at a time,
+    each chunk reading the key block over the prefix its last one needs,
+    masked to c' <= b*.  A column sums at most m entries below m, so below
+    m^2 < 2^26.  The keys are restricted to X once, so every key block is
+    a gather with rows a prefix of X, into a prefix of one buffer the call
+    allocates, filled a block of _GATHER_BLOCK entries at a time."""
     V, dual_idx, keys = tables
     keys = keys.take(cidx)
     X = V.take(cidx)
@@ -268,9 +270,9 @@ def _plus3_sums(tables, cidx: np.ndarray, reps: np.ndarray) -> list[int]:
     ends = np.searchsorted(X, bds, side="right")
     order = np.argsort(ends, kind="stable")
     sums = np.empty(len(bds), dtype=np.int64)
-    buf = np.empty(len(cidx) * _PLUS3_BLOCK, dtype=np.int16)
-    for lo in range(0, len(order), _PLUS3_BLOCK):
-        blk = order[lo:lo + _PLUS3_BLOCK]
+    buf = np.empty(len(cidx) * _CHUNK, dtype=np.int16)
+    for lo in range(0, len(order), _CHUNK):
+        blk = order[lo:lo + _CHUNK]
         e = int(ends[blk[-1]])
         rows = keys.gather(col, slice(0, e), reps.take(blk), buf[:e * len(blk)].reshape(e, len(blk)))
         rows *= (X[:e, None] & ~bds.take(blk)[None, :]) == 0
@@ -281,16 +283,16 @@ def _plus3_sums(tables, cidx: np.ndarray, reps: np.ndarray) -> list[int]:
 def _plus3_bytes(keys: int, m: int) -> int:
     """Estimated peak of the buffers one _plus3_sums call allocates, for an
     interval of m elements of a layer with the given number of pair keys
-    (intervals.key_count): per entry of a key block over the whole
-    interval (m x _PLUS3_BLOCK), 14 bytes, the call's int16 buffer, the
+    (intervals.key_count): per entry of a key block of one chunk over the
+    whole interval (m x _CHUNK), 14 bytes, the call's int16 buffer, the
     uint64 AND of the subset test and its bool mask, and 3 of margin; 2
     bytes per key for the int16 column; and 32 bytes per element for the
     interval's values and its intp keys and halves (PairKeys.take).  The
-    gather's block (12 bytes per entry of at most _GATHER_BLOCK, below 1
-    per entry of the whole key block at m = 7,581) is freed before the
+    gather's one block (12 bytes per entry of at most _GATHER_BLOCK, below
+    1 per entry of the whole key block at m = 7,581) is freed before the
     mask is made.  At the top block of n = 5 the estimate is 7.1 MB, and
     blocks of the lowest b, whose prefixes reach the top, peak at 5.6 MB."""
-    return 14 * _PLUS3_BLOCK * m + 2 * keys + 32 * m
+    return 14 * _CHUNK * m + 2 * keys + 32 * m
 
 
 def lambda_plus3(
@@ -334,10 +336,6 @@ def _plus4_dense_sum(tables, ia: int) -> int:
 # -- plus4, pruned (per top block, n <= 5) -----------------------------------
 
 
-_PRUNED_CHUNK = 64  # columns c per chunk of factor rows
-_ROW_BLOCK = 512  # rows b per block of factor-row takes and products
-
-
 def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
     """S(a, h) for the top block h and each layer index a in [dual(h), h]:
     the sum over b, c in [dual(h), h] of
@@ -379,12 +377,13 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
     keep their locality, and a slice, so no rows are copied) and columns
     the chunk's c, so each a takes its four factors as whole contiguous
     rows by position.  The call allocates its buffers once: two int16
-    buffers of m x _PRUNED_CHUNK entries for the factor rows (a chunk of w
+    buffers of m x _CHUNK entries for the factor rows (a chunk of w
     columns fills the contiguous prefix of m * w) and one int64 row sum
-    per element.  The factor-row takes and products are made _ROW_BLOCK
-    rows at a time and the gathers a block at a time, so no temporary is
-    larger than a block: at the top block of n = 5 a call for six a peaks
-    at 3.4 MB under tracemalloc, against 8.8 MB with every chunk's blocks
+    per element.  The factor-row takes and products step through the rows
+    by the gathers' rule (intervals.block_rows of the chunk's width), so
+    no temporary is larger than a block of _GATHER_BLOCK entries, 512 rows
+    of a full chunk: at the top block of n = 5 a call for six a peaks at
+    3.4 MB under tracemalloc, against 8.8 MB with every chunk's blocks
     built whole.
     """
     V, dual_idx, layer_keys = tables
@@ -412,7 +411,7 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
         keys.gather(pos, rows, cols, joins[:, j].T)
     # every chunk's factor rows and row sums go to these buffers; a chunk
     # of w columns uses the contiguous prefix of m * w entries
-    buf_c, buf_dc = np.empty(m * _PRUNED_CHUNK, dtype=np.int16), np.empty(m * _PRUNED_CHUNK, dtype=np.int16)
+    buf_c, buf_dc = np.empty(m * _CHUNK, dtype=np.int16), np.empty(m * _CHUNK, dtype=np.int16)
     sums = np.empty(m, dtype=np.int64)
 
     def factor_rows(buf, cs):
@@ -421,25 +420,26 @@ def _top_block_sums(tables, cidx: np.ndarray, a_idx) -> list[int]:
 
     def row_sums(McT, MdcT, js, lo, hi):
         # one sum per b in the rows [lo, hi) of Q, over the chunk's columns,
-        # each below _PRUNED_CHUNK * 2^52: p pairs a|b|c with a|b*|c*, q
-        # a*|b|c* with a*|b*|c
-        for r in range(lo, hi, _ROW_BLOCK):
-            j_bot, j_a, j_b, j_c = (j[r:min(r + _ROW_BLOCK, hi)] for j in js)
+        # each below _CHUNK * 2^52: p pairs a|b|c with a|b*|c*, q a*|b|c*
+        # with a*|b*|c
+        step = block_rows(McT.shape[1])
+        for r in range(lo, hi, step):
+            j_bot, j_a, j_b, j_c = (j[r:min(r + step, hi)] for j in js)
             p = np.multiply(McT.take(j_bot, axis=0), MdcT.take(j_a, axis=0), dtype=np.int32)
             q = np.multiply(MdcT.take(j_b, axis=0), McT.take(j_c, axis=0), dtype=np.int32)
             np.einsum("ij,ij->i", p, q, dtype=np.int64, out=sums[r - lo:r - lo + len(p)])
         return sums[:hi - lo]
 
     totals = [0] * len(joins)
-    for lo in range(0, l, _PRUNED_CHUNK):
-        hi = min(lo + _PRUNED_CHUNK, l)
+    for lo in range(0, l, _CHUNK):
+        hi = min(lo + _CHUNK, l)
         w = hi - lo
         McT, MdcT = factor_rows(buf_c, low[lo:hi]), factor_rows(buf_dc, dlow[lo:hi])
         for k, js in enumerate(joins):
             rs = row_sums(McT, MdcT, js, lo, l + s + hi)
             totals[k] += 2 * (exact_sum(rs[:w]) + exact_sum(rs[-w:])) + 4 * exact_sum(rs[w:-w])
-    for lo in range(0, s, _PRUNED_CHUNK):
-        M = factor_rows(buf_c, self_dual[lo:lo + _PRUNED_CHUNK])  # c* = c
+    for lo in range(0, s, _CHUNK):
+        M = factor_rows(buf_c, self_dual[lo:lo + _CHUNK])  # c* = c
         for k, js in enumerate(joins):
             totals[k] += exact_sum(row_sums(M, M, js, l, l + s))
     return totals
@@ -450,14 +450,14 @@ def _top_block_bytes(keys: int, m: int, k: int) -> int:
     for an interval of m elements of a layer with the given number of
     pair keys (intervals.key_count) and k values of a: 8 bytes per a and
     element for the four int16 join positions; per entry of a chunk's
-    factor rows (m x _PRUNED_CHUNK), 4 bytes for the two int16 buffers;
+    factor rows (m x _CHUNK), 4 bytes for the two int16 buffers;
     4 bytes per key for the key-indexed int16 column and positions; 80
     bytes per element: the call's index arrays take 48 (the interval's
     intp keys and halves 24, the int16 position of each dual 2, L and S,
     intp, with the int16 dual(L) about 6, Q and its duals, intp, 16), the
     int64 row sums 8, exact_sum's int64 temporary 8, and 16 are margin;
-    and 20 bytes per entry of the larger block, one of _ROW_BLOCK rows of
-    a chunk or one gather block (_GATHER_BLOCK entries).  Under
+    and 20 bytes per entry of one block (_GATHER_BLOCK entries), which
+    the row sums and the gathers both fill (intervals.block_rows).  Under
     tracemalloc a row-sum block peaks at about 17 bytes per entry: its
     int32 products, the two int16 row takes of the second and einsum's
     cast buffer.  A gather block, its key block, the intp copy that
@@ -466,8 +466,7 @@ def _top_block_bytes(keys: int, m: int, k: int) -> int:
     before the buffers exist, so neither sets the peak.  At the top block
     of n = 5 a call for six a is estimated at 3.7 MB and peaks at 3.4
     MB."""
-    block = max(_ROW_BLOCK * _PRUNED_CHUNK, _GATHER_BLOCK)
-    return 8 * m * k + 4 * _PRUNED_CHUNK * m + 80 * m + 4 * keys + 20 * block
+    return 8 * m * k + 4 * _CHUNK * m + 80 * m + 4 * keys + 20 * _GATHER_BLOCK
 
 
 def fold_dual_classes(classes: list[OrbitClass], n: int) -> tuple[list[OrbitClass], list[int]]:
@@ -598,7 +597,7 @@ def lambda_plus4_direct(
             range(len(classes)), workers,
         )
     else:
-        _require_exact_chunk_sums(_PRUNED_CHUNK)
+        _require_exact_chunk_sums(_CHUNK)
         kept, mult = fold_dual_classes(classes, n)
         reps, gammas = _rep_array(kept)
         rep_idx = np.searchsorted(V, reps)
@@ -638,7 +637,7 @@ def lambda_plus4_classes(
     t0 = time.perf_counter()
     n = layer.n
     _require_base("plus4c", n)
-    _require_exact_chunk_sums(_PRUNED_CHUNK)
+    _require_exact_chunk_sums(_CHUNK)
     # a task's interval lies in D_n, and its a are at most one per element
     d = len(layer)
     tables = _k4_tables(layer, budget_mb, max(workers, 1) * _top_block_bytes(key_count(n), d, d))

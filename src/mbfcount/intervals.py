@@ -174,6 +174,13 @@ def key_count(n: int) -> int:
 _GATHER_BLOCK = 1 << 15  # entries of a gather's output filled at once
 
 
+def block_rows(width: int) -> int:
+    """The rows of width entries that one block of _GATHER_BLOCK entries
+    holds, at least one: every blocked loop over rows of a gather steps by
+    it (PairKeys.gather, and the k = 4 kernel's row sums)."""
+    return max(1, _GATHER_BLOCK // max(1, width))
+
+
 @dataclass(frozen=True)
 class PairKeys:
     """The pair keys of a list of elements of D_n (join_keys), and the only
@@ -210,17 +217,18 @@ class PairKeys:
         buffer of rows x cols, of any strides, and is returned.
 
         The columns' parts of lo and hi are taken once, and the rows are
-        filled _GATHER_BLOCK entries at a time (at least one row), so the
-        int16 key block, the intp copy that `take` makes of it and the
-        gathered block are one block's: 12 bytes per entry.  Every gather
-        is a `take`, because numpy's fancy indexing with non-intp index
-        arrays is slower: gathering the k = 4 kernel's column at the top
-        block of n = 5 (m = 7,581), on a 2-core host with numpy 2.4, an
-        entry of `col[S]` with a uint16 S cost 2.6 ns against 1.1 ns by
-        `col.take(S)`."""
+        filled block_rows(len(cols)) at a time, a block of at most
+        _GATHER_BLOCK entries (or one row), the rule the k = 4 kernel's row
+        sums step by too, so the int16 key block, the intp copy that `take`
+        makes of it and the gathered block are one block's: 12 bytes per
+        entry.  Every gather is a `take`, because numpy's fancy indexing
+        with non-intp index arrays is slower: gathering the k = 4 kernel's
+        column at the top block of n = 5 (m = 7,581), on a 2-core host with
+        numpy 2.4, an entry of `col[S]` with a uint16 S cost 2.6 ns against
+        1.1 ns by `col.take(S)`."""
         r0, r1 = self.i0[rows], self.i1[rows]
         lo_c, hi_c = self.lo.take(self.i0[cols], axis=1), self.hi.take(self.i1[cols], axis=1)
-        step = max(1, _GATHER_BLOCK // max(1, lo_c.shape[1]))
+        step = block_rows(lo_c.shape[1])
         for r in range(0, len(r0), step):
             keys = lo_c.take(r0[r:r + step], axis=0)
             keys += hi_c.take(r1[r:r + step], axis=0)

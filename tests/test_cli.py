@@ -300,7 +300,7 @@ def test_selfcheck_runs_every_suite_when_one_raises(monkeypatch, capsys):
     code, out, err = run(capsys, "selfcheck", "3")
     assert code == EXIT_VERIFY and err == ""
     lines = out.splitlines()
-    assert len(lines) == 16
+    assert len(lines) == 15
     assert [line.split(":")[0].split()[1] for line in lines] == [name for name, _, _ in selfcheck.SUITES]
     failed = [line for line in lines if line.startswith("FAIL")]
     assert "FAIL canonical-representatives: n=0: no classes for n=0" in failed
@@ -439,6 +439,29 @@ def test_relabeling_suites_fail_on_a_wrong_production_route(monkeypatch, route, 
     # and each plus3 class task against the definition
     monkeypatch.setattr(selfcheck, route, wrong)
     _fails_first_at_n2(check, name)
+
+
+def _off_by_one_at_n3(route):
+    def wrong(layer, classes, *args, **kwargs):
+        result = route(layer, classes, *args, **kwargs)
+        if layer.n == 3 and kwargs.get("strategy") != "dense":
+            result = dataclasses.replace(result, value=result.value + 1)
+        return result
+
+    return wrong
+
+
+@pytest.mark.parametrize("route, name", [("lambda_plus4_direct", "pruned plus4"), ("lambda_plus4_classes", "plus4c")])
+def test_plus4_against_dense_names_the_route_that_disagrees(monkeypatch, route, name):
+    # one dense sum per n holds both k = 4 routes up to n = 3, and the
+    # suite's FAIL line names the route that disagreed and both values
+    monkeypatch.setattr(selfcheck, route, _off_by_one_at_n3(getattr(counting, route)))
+    suite = next(entry for entry in selfcheck.SUITES if entry[0] == "plus4-against-dense")
+    monkeypatch.setattr(selfcheck, "SUITES", (suite,))
+    lines = []
+    assert not selfcheck.run_selfcheck(5, report=lines.append)
+    dense = counting.LAMBDA_KNOWN[7]
+    assert lines == [f"FAIL plus4-against-dense: n=3: {name} gives {dense + 1}, dense plus4 {dense}"]
 
 
 @pytest.mark.parametrize(

@@ -87,7 +87,7 @@ def test_plus3_sums_match_the_subset_formula(n, classes, monkeypatch):
         positions = rng.permutation(len(I))
         expect = slow_plus3_sums(V[I], n, positions)
         for block in (5, 512):
-            monkeypatch.setattr(intervals, "_GATHER_BLOCK", block * counting._PLUS3_BLOCK)
+            monkeypatch.setattr(intervals, "_GATHER_BLOCK", block * counting._CHUNK)
             assert counting._plus3_sums(tables, I, positions) == expect, hex(V[ih])
 
 
@@ -216,9 +216,10 @@ def test_top_block_sums_match_the_definition(n, monkeypatch):
     # every top block h with dual(h) <= h, every a in [dual(h), h].  With
     # chunks of 1, 7 and 64 the chunks of L end ragged, the self-dual
     # elements (12 at the top block of n = 4) span several chunks, and
-    # intervals are smaller than one chunk; with blocks of 5 rows, blocks
-    # end short inside chunks, and with 512 one block holds every window.
-    # The gather's blocks are as many rows of a chunk
+    # intervals are smaller than one chunk; with blocks of 5 rows of a full
+    # chunk, blocks end short inside chunks, and with 512 one block holds
+    # every window.  A narrower chunk, a ragged last one or the self-dual
+    # pass, steps by more rows in a block of the same entries
     layer = generate_layer(n)
     V = layer.values
     tops = np.nonzero((vecbits.dual_array(V, n) & ~V) == 0)[0]
@@ -229,8 +230,7 @@ def test_top_block_sums_match_the_definition(n, monkeypatch):
     for ih, a_idx in by_top.items():
         expect = definition_sums(V, n, int(V[ih]), V[a_idx])
         for chunk, block in ((1, 512), (7, 512), (64, 512), (64, 5)):
-            monkeypatch.setattr(counting, "_PRUNED_CHUNK", chunk)
-            monkeypatch.setattr(counting, "_ROW_BLOCK", block)
+            monkeypatch.setattr(counting, "_CHUNK", chunk)
             monkeypatch.setattr(intervals, "_GATHER_BLOCK", block * chunk)
             assert counting._top_block_sums(tables, a_idx, a_idx) == expect
 
@@ -339,7 +339,7 @@ def test_plus4_pruned_half_sum_over_many_chunks(n, chunk, classes, monkeypatch):
     # intervals span several chunks of c, so the pairs of one orbit of
     # (b, c) fall in different chunks; with 7 most intervals end in a
     # ragged chunk.  plus4c sums through the same kernel
-    monkeypatch.setattr(counting, "_PRUNED_CHUNK", chunk)
+    monkeypatch.setattr(counting, "_CHUNK", chunk)
     layer, cl = setup(n, classes)
     assert lambda_plus4_direct(layer, cl, strategy="pruned").value == LAMBDA_KNOWN[n + 4]
     assert lambda_plus4_classes(layer, cl).value == LAMBDA_KNOWN[n + 4]
@@ -528,15 +528,14 @@ def test_top_block_sums_match_the_definition_base5(base5, monkeypatch):
         got = counting._top_block_sums(tables, by_top[ih], [ia])
         assert got == definition_sums(V, 5, int(V[ih]), [V[ia]])
     # the block with the most self-dual elements (20 of m = 400), in
-    # chunks of 7 and blocks of 5 rows, and gathers of 5 rows of a chunk:
-    # the pass over them spans three chunks, and every window of rows ends
-    # in a short block
+    # chunks of 7 and blocks of 35 entries, 5 rows of a full chunk: the
+    # pass over them spans three chunks, and every window of rows ends in a
+    # short block
     dual_idx = tables[1]
     ih = max(small, key=lambda j: np.count_nonzero(dual_idx[by_top[j]] == by_top[j]))
     I = by_top[ih]
     assert np.count_nonzero(dual_idx[I] == I) == 20
-    monkeypatch.setattr(counting, "_PRUNED_CHUNK", 7)
-    monkeypatch.setattr(counting, "_ROW_BLOCK", 5)
+    monkeypatch.setattr(counting, "_CHUNK", 7)
     monkeypatch.setattr(intervals, "_GATHER_BLOCK", 5 * 7)
     a_idx = [int(ia) for ia in rng.sample(I.tolist(), 6)] + [int(I[0]), int(I[-1])]
     got = counting._top_block_sums(tables, I, a_idx)
@@ -568,14 +567,14 @@ def test_plus3_sums_match_the_subset_formula_base5(base5, m, monkeypatch):
     # end with one of 18) and of the block of 7,246 elements (561, ending
     # with one of 49), in gather blocks of 5 rows that end short in the
     # prefixes
-    monkeypatch.setattr(intervals, "_GATHER_BLOCK", 5 * counting._PLUS3_BLOCK)
+    monkeypatch.setattr(intervals, "_GATHER_BLOCK", 5 * counting._CHUNK)
     layer, cl = base5
     V = layer.values
     hs = [c.representative.bits for c in cl]
     tops = np.searchsorted(V, [h for h in hs if slow_dual(5, h) & ~h == 0])
     [(ih, I)] = [(ih, I) for ih, I in dual_intervals(V, 5, tops).items() if len(I) == m]
     reps = orbits.stabilizer_orbits(int(V[ih]), V[I], 5)[0]
-    assert len(reps) % counting._PLUS3_BLOCK in (18, 49)
+    assert len(reps) % counting._CHUNK in (18, 49)
     tables = counting._k4_tables(layer, None)
     assert counting._plus3_sums(tables, I, reps) == slow_plus3_sums(V[I], 5, reps)
 
@@ -614,7 +613,7 @@ def test_plus3_budget_estimate_covers_the_peak(base5):
     I = dual_intervals(V, 5, [ih])[ih]
     tables = counting._k4_tables(layer, None)
     peaks = []
-    for reps in (orbits.stabilizer_orbits(int(V[ih]), V[I], 5)[0], np.arange(3 * counting._PLUS3_BLOCK)):
+    for reps in (orbits.stabilizer_orbits(int(V[ih]), V[I], 5)[0], np.arange(3 * counting._CHUNK)):
         tracemalloc.start()
         try:
             counting._plus3_sums(tables, I, reps)
@@ -699,7 +698,7 @@ def test_dense_plus4_refuses_products_beyond_uint16(classes, monkeypatch):
 
 def test_plus4_pruned_refuses_chunks_beyond_exact_sums(classes, monkeypatch):
     counting._require_exact_chunk_sums(2048)  # 2^11 * 2^52 = 2^63
-    monkeypatch.setattr(counting, "_PRUNED_CHUNK", 4096)
+    monkeypatch.setattr(counting, "_CHUNK", 4096)
 
     def never(*args, **kwargs):
         raise AssertionError("a task was submitted")

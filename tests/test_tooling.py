@@ -199,7 +199,7 @@ def test_selfcheck_has_one_loop_over_n():
         lambda node: "max_n" in (getattr(node, "id", None), getattr(node, "arg", None)),
     )
     assert found == ["run_selfcheck"], found
-    assert len(selfcheck.SUITES) == 16
+    assert len(selfcheck.SUITES) == 15
     for name, cap, check in selfcheck.SUITES:
         assert isinstance(cap, int), name
         assert list(inspect.signature(check).parameters) == ["n"], name
@@ -346,3 +346,31 @@ def test_plus3_reads_the_k4_column_by_pair_key():
     in_loops = {getattr(node, "attr", None) for loop in loops for node in ast.walk(loop)}
     assert not {"searchsorted", "count_nonzero"} & in_loops
     assert "count_nonzero" not in {getattr(node, "attr", None) for node in ast.walk(plus3)}
+
+
+def test_one_chunk_width_and_one_block_over_the_interval():
+    # every blocked loop over [h*, h] is sized by the columns per gather
+    # (_CHUNK) and the entries per block (_GATHER_BLOCK); the rows of a
+    # block come from one rule, intervals.block_rows, which the gather and
+    # the k = 4 kernel's row sums both call
+    from mbfcount import counting, intervals
+
+    sizes = {name for module in (counting, intervals) for name in vars(module) if name.endswith(("_BLOCK", "_CHUNK"))}
+    assert sizes == {"_CHUNK", "_GATHER_BLOCK", "_UPWARD_BLOCK", "_ZETA_BLOCK"}, sizes
+
+    def calls_rule(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "block_rows"
+
+    def divides_block(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv) and any(
+            getattr(side, "id", None) == "_GATHER_BLOCK" for side in (node.left, node.right)
+        )
+
+    assert _statements_where(SRC / "intervals.py", calls_rule) == ["PairKeys"]
+    assert _statements_where(SRC / "counting.py", calls_rule) == ["_top_block_sums"]
+    assert _statements_where(SRC / "intervals.py", divides_block) == ["block_rows"]
+    assert _statements_where(SRC / "counting.py", divides_block) == []
+    tree = ast.parse((SRC / "counting.py").read_text())
+    [kernel] = [stmt for stmt in tree.body if getattr(stmt, "name", None) == "_top_block_sums"]
+    own = {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name) and node.id.endswith("_BLOCK")}
+    assert not own, own
