@@ -160,17 +160,17 @@ def cmd_retable(cfg: RunConfig) -> int:
     if cfg.in_path is None:
         n = cfg.n
         layers.check_layer_budget(n, cfg.budget_mb)
-        intervals.check_upward_budget(n, layers.LAYER_SIZE[n])
+        intervals.check_upward_budget(n, layers.LAYER_SIZE[n], cfg.budget_mb)
         xs = layers.generate_layer(n, cfg.budget_mb).values
     else:
         kind, n, count = layers.record_header(cfg.in_path)
-        intervals.check_upward_budget(n, count)  # before any row is read
+        intervals.check_upward_budget(n, count, cfg.budget_mb)  # before any row is read
         if kind == "classes":
             _, classes = orbits.load_classes(cfg.in_path)
             xs = np.array([c.representative.bits for c in classes], dtype=np.uint64)
         else:  # a layer file, or a header that the layer reader refuses
             xs = layers.load_layer(cfg.in_path).values
-    counts = intervals.upward_counts(n, xs)
+    counts = intervals.upward_counts(n, xs, cfg.budget_mb)
     rows = np.column_stack((xs, counts.astype(np.uint64)))
     _emit(cfg.out_path, lambda fh: layers.write_records(fh, "retable", n, rows))
     return EXIT_OK

@@ -97,7 +97,7 @@ import numpy as np
 
 from . import orbits, parallel, vecbits
 from .core import table_width
-from .errors import BudgetError, UnsupportedCombinationError, VerificationError
+from .errors import UnsupportedCombinationError, VerificationError
 from .intervals import _GATHER_BLOCK, PairKeys, _join_index_table, block_rows, build_full_table, full_table_bytes
 from .intervals import join_index_bytes, join_keys, k4_table_bytes, key_count, upward_counts, upward_in_interval
 from .layers import Layer, check_budget, generate_layer, self_dual_brute
@@ -121,6 +121,8 @@ LAMBDA_KNOWN = {
 METHODS = ("brute", "plus2", "plus3", "plus4", "plus4c")
 
 _BASE_OFFSET = {"brute": 0, "plus2": 2, "plus3": 3, "plus4": 4, "plus4c": 4}
+# the largest base each route takes in lambda_any, its one reach rule;
+# the routes themselves refuse only by estimate and exactness checks
 _BASE_MAX = {"brute": 6, "plus2": 6, "plus3": 5, "plus4": 5, "plus4c": 4}
 
 # columns per gather over [dual(h), h]: plus3's representatives b, the
@@ -175,12 +177,6 @@ def _rep_array(classes: list[OrbitClass]) -> tuple[np.ndarray, np.ndarray]:
     reps = np.array([c.representative.bits for c in classes], dtype=np.uint64)
     gammas = np.array([c.gamma for c in classes], dtype=np.int64)
     return reps, gammas
-
-
-def _require_base(method: str, n: int) -> None:
-    """Raise unless base layer n is within the method's reach (_BASE_MAX)."""
-    if n > _BASE_MAX[method]:
-        raise BudgetError(f"{method} over base n={n} is out of budget (n <= {_BASE_MAX[method]})")
 
 
 def lambda_brute(n: int, budget_mb: int | None = None) -> LambdaResult:
@@ -304,8 +300,7 @@ def lambda_plus3(
     """Count for n+3 from the 4-tuple sum over orbit classes."""
     t0 = time.perf_counter()
     n = layer.n
-    _require_base("plus3", n)
-    # a task's interval lies in D_n
+    # a task's interval lies in D_n; past n = 5 its keys leave int16
     tables = _k4_tables(layer, budget_mb, max(workers, 1) * _plus3_bytes(key_count(n), len(layer)))
     value = _run_class_tasks(layer, classes, workers, lambda I, reps: _plus3_sums(tables, I, reps))
     return LambdaResult(n + 3, "plus3", value, n, time.perf_counter() - t0, "brute")
@@ -555,7 +550,7 @@ def _k4_tables(layer: Layer, budget_mb: int | None, kernel_bytes: int = 0) -> tu
     matrix and join-index table)."""
     V, n, d = layer.values, layer.n, len(layer)
     _require_exact_products(d)
-    check_budget(f"k = 4 tables for n={n} with the kernel's buffers", k4_table_bytes(d) + kernel_bytes, budget_mb)
+    check_budget(f"k = 4 tables for n={n} with the kernel's buffers", k4_table_bytes(n) + kernel_bytes, budget_mb)
     dual_idx = np.searchsorted(V, vecbits.dual_array(V, n)).astype(np.int32)
     return V, dual_idx, join_keys(V, n)
 
@@ -573,12 +568,6 @@ def lambda_plus4_direct(
         raise ValueError(f"unknown strategy {strategy!r}")
     t0 = time.perf_counter()
     n = layer.n
-    _require_base("plus4", n)
-    if strategy == "dense" and n > 4:
-        raise BudgetError(
-            f"dense plus4 gathers a {len(layer)} x {len(layer)} block of the matrix"
-            f" per b, {len(layer)} times per class; use pruned"
-        )
     V = layer.values
     if strategy == "dense":
         d = len(layer)
@@ -588,7 +577,7 @@ def lambda_plus4_direct(
                 f"interval counts reach {d}, so the dense reference's uint16 products of two"
                 f" reach {d * d} >= 2^16"
             )
-        dual_idx = _k4_tables(layer, budget_mb, full_table_bytes(d) + join_index_bytes(d))[1]
+        dual_idx = _k4_tables(layer, budget_mb, full_table_bytes(n) + join_index_bytes(n))[1]
         tables = build_full_table(n, budget_mb).counts, _join_index_table(V, n), dual_idx
         reps, gammas = _rep_array(classes)
         rep_idx = np.searchsorted(V, reps)
@@ -598,6 +587,7 @@ def lambda_plus4_direct(
         )
     else:
         _require_exact_chunk_sums(_CHUNK)
+        keys = key_count(n)  # past n = 5 the keys leave int16: refused before the layer is read
         kept, mult = fold_dual_classes(classes, n)
         reps, gammas = _rep_array(kept)
         rep_idx = np.searchsorted(V, reps)
@@ -607,7 +597,7 @@ def lambda_plus4_direct(
         terms = ks * sizes * sizes
         order = np.argsort(-terms, kind="stable")  # longest first
         # each worker may run the largest task at the same time
-        task_bytes = max((_top_block_bytes(key_count(n), m, k) for m, k in zip(sizes.tolist(), ks.tolist())), default=0)
+        task_bytes = max((_top_block_bytes(keys, m, k) for m, k in zip(sizes.tolist(), ks.tolist())), default=0)
         tables = _k4_tables(layer, budget_mb, min(max(workers, 1), len(order)) * task_bytes)
 
         def top_task(ih: int) -> int:
@@ -636,7 +626,6 @@ def lambda_plus4_classes(
     """
     t0 = time.perf_counter()
     n = layer.n
-    _require_base("plus4c", n)
     _require_exact_chunk_sums(_CHUNK)
     # a task's interval lies in D_n, and its a are at most one per element
     d = len(layer)

@@ -44,8 +44,8 @@ import numpy as np
 
 from . import vecbits
 from .core import table_width
-from .errors import BudgetError, VerificationError, WidthError
-from .layers import LAYER_SIZE, Layer, check_budget, generate_layer, read_records
+from .errors import VerificationError, WidthError
+from .layers import LAYER_SIZE, Layer, check_budget, check_layer_budget, generate_layer, read_records
 
 
 def re_scan(layer: Layer, x: int, y: int) -> int:
@@ -87,14 +87,39 @@ def _full_upward(n: int) -> np.ndarray:
 _UPWARD_BLOCK = 1 << 17  # (z0, point) pairs summed at once
 
 
-def check_upward_budget(n: int, count: int) -> None:
-    """Refuse upward counts for more than 200,000 elements at n=6, from the
-    element count alone (a file header gives it before any row is read)."""
-    if n == 6 and count > 200_000:
-        raise BudgetError(f"upward counts for {count} elements at n=6 are out of budget")
+def upward_bytes(n: int, count: int) -> int:
+    """Estimated peak of upward_counts over count elements of D_n.  Per
+    element 80 bytes: 64 are the call's peak under tracemalloc (the
+    distinct points and their inverse, the halves' indices, the group
+    order and the highs in it, the counts and the result, 8 bytes each),
+    and 16 are margin for what it does not see, since ru_maxrss grows by
+    more (below).  Fixed: the pair keys of D_{n-1} with their build
+    (k4_table_bytes(n - 1), whose dual index is margin here); the upward
+    counts by key, 2 bytes per key; and one gather, its int16 output of
+    at most _UPWARD_BLOCK entries (or one row per z0), its block (12
+    bytes per entry of _GATHER_BLOCK) and 32 bytes per element of
+    D_{n-1}, the z0 >= x0, their mask and the rows' halves.
+    Over every 39th element of D_6 (200,728 points) the estimate is 17.7
+    MB, the peak under tracemalloc 13.3 MB, and ru_maxrss grows by 15.9
+    MB; over all of D_6 it is 628 MB, where `retable --n 6` peaks at 599
+    MB of RSS with the layer and the interpreter."""
+    if n == 0:  # no halves: the counts are read from D_0's own
+        return 80 * count
+    dp = LAYER_SIZE[n - 1]
+    fixed = k4_table_bytes(n - 1) + 2 * key_count(n - 1) + 2 * max(_UPWARD_BLOCK, dp) + 12 * _GATHER_BLOCK + 32 * dp
+    return 80 * count + fixed
 
 
-def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
+def check_upward_budget(n: int, count: int, budget_mb: int | None = None) -> None:
+    """Refuse upward counts for count elements of D_n whose estimate
+    (upward_bytes) is over budget_mb, from n and the count alone (a file
+    header gives them before any row is read)."""
+    if n > 6:
+        raise WidthError("upward counts need materializable layers (n <= 6)")
+    check_budget(f"upward counts for {count} elements of D_{n}", upward_bytes(n, count), budget_mb)
+
+
+def upward_counts(n: int, xs: np.ndarray, budget_mb: int | None = None) -> np.ndarray:
     """Count z >= x over the layer D_n for each x in xs (int64 array, in
     the order of xs).
 
@@ -106,11 +131,10 @@ def upward_counts(n: int, xs: np.ndarray) -> np.ndarray:
     indexed by pair key (PairKeys.gather), with the z0 on the rows and a
     chunk of the group's points on the columns, at most _UPWARD_BLOCK
     pairs; a point's count is its column's sum.  n = 0 reads the whole
-    layer's counts (D_0 has no halves).  Runs in this process.
+    layer's counts (D_0 has no halves).  Runs in this process, refused
+    first over budget_mb (check_upward_budget).
     """
-    if n > 6:
-        raise WidthError("upward counts need materializable layers (n <= 6)")
-    check_upward_budget(n, len(xs))
+    check_upward_budget(n, len(xs), budget_mb)
     xs = np.asarray(xs, dtype=np.uint64)
     if not vecbits.monotone_mask(xs, n).all():
         raise ValueError(f"upward counts take elements of D_{n}; some are not monotone")
@@ -273,53 +297,50 @@ def _join_index_table(V: np.ndarray, n: int) -> np.ndarray:
     return keys.gather(pair, slice(None), slice(None), np.empty((d, d), dtype=np.uint16))
 
 
-def _layer_below(d: int) -> int:
-    """|D_{n-1}| for the layer D_n of d elements (0 below D_0)."""
-    return max((s for s in LAYER_SIZE.values() if s < d), default=0)
-
-
-def join_index_bytes(d: int) -> int:
+def join_index_bytes(n: int) -> int:
     """Estimated peak of _join_index_table over the d elements of D_n: J;
-    the int16 columns' parts of lo and hi (dp x d each, dp = |D_{n-1}|);
-    per entry of one gather block (at most _GATHER_BLOCK entries, or one
-    row of d, and no more than J) 14 bytes, the int16 rows of low and
-    high (one of them the sum), the intp copy of the sum that `take`
-    makes and the uint16 lookup; the pair lookup and the int16 lo and
-    hi, dp^2 entries each; and per element of D_n 24 bytes, the intp
-    keys and half indices.  The block's rows of high are freed before
-    the lookup, so they are the margin."""
-    dp = _layer_below(d)
+    the int16 columns' parts of lo and hi (dp x d each, dp = |D_{n-1}|,
+    0 below D_0); per entry of one gather block (at most _GATHER_BLOCK
+    entries, or one row of d, and no more than J) 14 bytes, the int16
+    rows of low and high (one of them the sum), the intp copy of the sum
+    that `take` makes and the uint16 lookup; the pair lookup and the int16
+    lo and hi, dp^2 entries each; and per element of D_n 24 bytes, the
+    intp keys and half indices.  The block's rows of high are freed
+    before the lookup, so they are the margin."""
+    d, dp = LAYER_SIZE[n], LAYER_SIZE.get(n - 1, 0)
     block = min(d * d, max(_GATHER_BLOCK, d))
     return d * d * 2 + dp * d * (2 + 2) + block * (2 + 2 + 8 + 2) + dp * dp * (2 + 2 + 2) + d * (8 + 8 + 8)
 
 
-def k4_table_bytes(d: int) -> int:
+def k4_table_bytes(n: int) -> int:
     """Estimated peak of the k = 4 tables over the d elements of D_n (the
     layer's pair-key tables and its dual index).  The peak is in the build
-    of the join table of D_{n-1} (join_index_bytes(dp)), beside 20 bytes
+    of the join table of D_{n-1} (join_index_bytes(n - 1)), beside 20 bytes
     per element of D_n: the intp half indices and the int32 dual index.
     The intp keys and the int16 lo and hi (dp^2 entries each) are made
     after that build has freed its buffers; the keys, 8 bytes per
     element, are counted as margin for the allocator.  At n = 5 the
     estimate is 0.68 MB, the peak under tracemalloc 0.57 MB, and
     ru_maxrss grows by 0.52-0.66 MB."""
-    return d * (8 + 8 + 8 + 4) + join_index_bytes(_layer_below(d))
+    return LAYER_SIZE[n] * (8 + 8 + 8 + 4) + (join_index_bytes(n - 1) if n else 0)
 
 
 _ZETA_BLOCK = 128  # rows transformed at once
 
 
-def full_table_bytes(d: int) -> int:
+def full_table_bytes(n: int) -> int:
     """Estimated peak of build_full_table over the d elements of D_n: the
     uint16 matrix, and per entry of one _ZETA_BLOCK of rows, 16 bytes: its
     uint64 and bool indicator beside the last block's uint16 (13) and the
     steps (3)."""
+    d = LAYER_SIZE[n]
     return d * d * 2 + _ZETA_BLOCK * d * 16
 
 
 def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
-    """The all-pairs interval matrix, uint16, in layer order; n <= 5 (above
-    that it cannot fit).
+    """The all-pairs interval matrix, uint16, in layer order.  Refused
+    before the layer is built over budget_mb (full_table_bytes: about
+    122,582,285 MB at n = 6), and unless its d < 2^16 rows fit uint16.
 
     The down-zeta transform over D_n, each element the up-set of its true
     inputs.  Row x starts as F(y) = [x <= y]; then, per input p in
@@ -339,13 +360,12 @@ def build_full_table(n: int, budget_mb: int | None = None) -> IntervalTable:
     order: a block transforms only the columns from its first row r0 on
     and drops the pairs with src < r0, whose values are 0.
     """
-    if n > 5:
-        raise BudgetError(f"full interval table for n={n} is out of budget")
+    check_layer_budget(n, budget_mb)
+    check_budget(f"full interval table for n={n}", full_table_bytes(n), budget_mb)
     layer = generate_layer(n, budget_mb)
     V, d = layer.values, len(layer)
     if d >= 1 << 16:
         raise VerificationError(f"full interval table for n={n} has {d} >= 2^16 rows")
-    check_budget(f"full interval table for n={n}", full_table_bytes(d), budget_mb)
     steps = []
     for p in reversed(range(table_width(n))):
         bit = np.uint64(1 << p)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import vecbits
 from .core import Mbf
-from .errors import BudgetError, VerificationError
+from .errors import VerificationError
 from .layers import Layer, read_records
 
 # classify walks a set this small directly; a larger one is prefiltered
@@ -179,8 +179,7 @@ def classify(layer: Layer, workers: int = 1) -> list[OrbitClass]:
     process; workers is accepted for call compatibility and unused.
     """
     n = layer.n
-    if n > 6:
-        raise BudgetError(f"classification over n={n} is out of budget")
+    vecbits.check_vector_n(n)
     values = layer.values
     # a small set walks directly: the prefilter pays only on larger layers
     cands = values if len(values) <= DIRECT_WALK_MAX else _minimum_candidates(values, n)

@@ -243,7 +243,9 @@ def test_settings_a_command_does_not_take_are_usage_errors(capsys, argv):
 
 def test_budget_refusals(capsys):
     assert run(capsys, "gen", "--n", "6", "--budget-mb", "10")[0] == EXIT_BUDGET
-    assert run(capsys, "retable", "--n", "6")[0] == EXIT_BUDGET
+    # the n = 6 layer (63 MB) fits 100 MB, its upward counts do not
+    code, _, err = run(capsys, "retable", "--n", "6", "--budget-mb", "100")
+    assert code == EXIT_BUDGET and "upward counts for 7828354 elements of D_6 needs ~" in err
 
 
 def test_plus3_refuses_its_tables_and_buffers_over_budget(capsys):
@@ -259,9 +261,10 @@ def _must_not_run(*args, **kwargs):
 
 def test_retable_n6_refused_before_the_layer_is_built(monkeypatch, capsys):
     monkeypatch.setattr(layers, "generate_layer", _must_not_run)
-    code, out, err = run(capsys, "retable", "--n", "6")
+    code, out, err = run(capsys, "retable", "--n", "6", "--budget-mb", "100")
     assert code == EXIT_BUDGET and out == ""
-    assert err == "mbfcount: refused: upward counts for 7828354 elements at n=6 are out of budget\n"
+    assert err.startswith("mbfcount: refused: upward counts for 7828354 elements of D_6 needs ~")
+    assert err.endswith(" MB, over the 100 MB budget\n") and len(err.splitlines()) == 1
 
 
 def test_retable_refuses_n6_layer_file_from_its_header(tmp_path, monkeypatch, capsys):
@@ -269,9 +272,10 @@ def test_retable_refuses_n6_layer_file_from_its_header(tmp_path, monkeypatch, ca
     path = tmp_path / "d6.layer"
     path.write_text("mbf-layer n=6 count=7828354\n")
     monkeypatch.setattr(layers, "read_records", _must_not_run)
-    code, out, err = run(capsys, "retable", "--in", str(path))
+    code, out, err = run(capsys, "retable", "--in", str(path), "--budget-mb", "100")
     assert code == EXIT_BUDGET and out == ""
-    assert err == "mbfcount: refused: upward counts for 7828354 elements at n=6 are out of budget\n"
+    assert err.startswith("mbfcount: refused: upward counts for 7828354 elements of D_6 needs ~")
+    assert err.endswith(" MB, over the 100 MB budget\n") and len(err.splitlines()) == 1
 
 
 def test_retable_refuses_a_layer_file_of_part_of_the_layer(tmp_path, capsys):

@@ -866,12 +866,29 @@ def test_method_budget_refusals(classes):
         lambda_plus3(layer5, cl5, budget_mb=7)  # the n=5 key tables and plus3's buffers
     with pytest.raises(BudgetError, match="needs ~15 MB"):
         lambda_plus3(layer5, cl5, workers=2, budget_mb=7)
-    with pytest.raises(BudgetError, match="per b"):
-        lambda_plus4_direct(layer5, cl5, strategy="dense")
-    with pytest.raises(BudgetError):
-        lambda_plus4_classes(layer5, cl5)
-    with pytest.raises(BudgetError):
-        lambda_plus3(generate_layer(6), [])
+    with pytest.raises(VerificationError, match="uint16"):
+        lambda_plus4_direct(layer5, cl5, strategy="dense")  # its products of two leave uint16
+    # plus4c budgets every a of D_5 per worker: at the default budget this
+    # call would run a whole count of n = 9
+    with pytest.raises(BudgetError, match="needs ~464 MB"):
+        lambda_plus4_classes(layer5, cl5, budget_mb=400)
+    with pytest.raises(VerificationError, match="beyond int16"):
+        lambda_plus3(generate_layer(6), [])  # the pair keys of D_6
+
+
+def test_base6_k4_routes_are_refused_before_any_per_layer_work(monkeypatch):
+    # the pair keys of D_6 leave int16 (key_count), an exactness bound no
+    # budget lifts, and each route says so before it folds, sizes or runs
+    # a task over the layer
+    def never(*args, **kwargs):
+        raise AssertionError("per-layer work ran")
+
+    for name in ("fold_dual_classes", "_pruned_terms", "_run_class_tasks", "_k4_tables"):
+        monkeypatch.setattr(counting, name, never)
+    layer6 = generate_layer(6)
+    for route in (lambda_plus4_direct, lambda_plus3, lambda_plus4_classes):
+        with pytest.raises(VerificationError, match="beyond int16"):
+            route(layer6, [], budget_mb=1 << 40)
 
 
 def test_k4_tables_refuse_the_matrix_and_join_index_together(classes, monkeypatch):
@@ -885,14 +902,14 @@ def test_k4_tables_refuse_the_matrix_and_join_index_together(classes, monkeypatc
     monkeypatch.setattr(counting, "_join_index_table", never)
     monkeypatch.setattr(counting, "join_keys", never)
     layer4, cl4 = setup(4, classes)
-    matrix, join = intervals.full_table_bytes(len(layer4)) / 1e6, intervals.join_index_bytes(len(layer4)) / 1e6
+    matrix, join = intervals.full_table_bytes(4) / 1e6, intervals.join_index_bytes(4) / 1e6
     budget_mb = 0.5
     assert max(matrix, join) <= budget_mb < matrix + join
     with pytest.raises(BudgetError, match="k = 4 tables"):
         lambda_plus4_direct(layer4, cl4, budget_mb=budget_mb, strategy="dense")
     layer5, cl5 = setup(5, classes)
     budget_mb = 10
-    assert intervals.k4_table_bytes(len(layer5)) / 1e6 <= budget_mb
+    assert intervals.k4_table_bytes(5) / 1e6 <= budget_mb
     with pytest.raises(BudgetError, match="k = 4 tables"):
         lambda_plus4_direct(layer5, cl5, budget_mb=budget_mb)
 
@@ -919,7 +936,7 @@ def test_k4_tables_estimate_covers_the_measured_peak():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", launch], env=env, capture_output=True, text=True, check=True)
     grown = int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
-    need = intervals.k4_table_bytes(len(generate_layer(5)))
+    need = intervals.k4_table_bytes(5)
     assert grown <= need <= 1.5 * grown, f"estimate {need / 1e6:.1f} MB, peak RSS grew {grown / 1e6:.1f} MB"
 
 

@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mbfcount import intervals, vecbits
 from mbfcount.core import Mbf, bottom, table_width, top
-from mbfcount.errors import BudgetError, VerificationError
+from mbfcount.errors import BudgetError, VerificationError, WidthError
 from mbfcount.intervals import (
     build_full_table,
     check_upward_budget,
@@ -264,7 +268,7 @@ def test_full_table_n5_stays_below_twice_the_matrix(table5_and_peak):
 
 def test_full_table_budget_estimate_covers_the_peak(table5_and_peak):
     table, peak = table5_and_peak
-    need = intervals.full_table_bytes(len(table.counts))
+    need = intervals.full_table_bytes(5)
     assert peak <= need <= 1.5 * peak, f"estimate {need / 1e6:.1f} MB, peak {peak / 1e6:.1f} MB"
 
 
@@ -447,13 +451,46 @@ def test_load_upward_table_rejects_values_outside_the_layer(tmp_path, body):
 
 
 def test_bulk_budget_refusals():
-    with pytest.raises(BudgetError):
-        upward_counts(6, np.zeros(200_001, dtype=np.uint64))
-    with pytest.raises(BudgetError, match="7828354 elements at n=6"):
-        check_upward_budget(6, 7_828_354)
-    check_upward_budget(6, 200_000)
+    with pytest.raises(BudgetError, match="200001 elements of D_6 needs ~18 MB"):
+        upward_counts(6, np.zeros(200_001, dtype=np.uint64), budget_mb=10)
+    with pytest.raises(BudgetError, match="7828354 elements of D_6 needs ~628 MB"):
+        check_upward_budget(6, 7_828_354, budget_mb=600)
+    check_upward_budget(6, 7_828_354)  # the whole of D_6 fits the default budget
     check_upward_budget(5, 7_581)
-    with pytest.raises(BudgetError):
+    with pytest.raises(WidthError):
+        check_upward_budget(7, 1)
+    with pytest.raises(BudgetError, match="needs ~122582285 MB"):
         build_full_table(6)
     with pytest.raises(BudgetError):
         build_full_table(5, budget_mb=50)
+    with pytest.raises(WidthError):
+        build_full_table(7, budget_mb=1 << 60)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_upward_budget_estimate_covers_the_measured_peak():
+    # a fresh process, so ru_maxrss grows only by the upward counts of
+    # every 39th element of D_6 (200,728 points), after the layer is
+    # built.  A process inherits its parent's peak RSS through exec, so
+    # the counts run in a child of a small launcher, not of this process
+    code = (
+        "import resource\n"
+        "from mbfcount import intervals\n"
+        "from mbfcount.layers import generate_layer\n"
+        "xs = generate_layer(6).values[::39].copy()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "intervals.upward_counts(6, xs)\n"
+        "print(len(xs), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    launch = (
+        "import subprocess, sys\n"
+        f"sys.exit(subprocess.run([sys.executable, '-c', {code!r}]).returncode)\n"
+    )
+    src = str(Path(intervals.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", launch], env=env, capture_output=True, text=True, check=True)
+    count, grown = map(int, out.stdout.split())
+    grown *= 1024  # ru_maxrss is in KiB on Linux
+    need = intervals.upward_bytes(6, count)
+    assert count >= 200_000
+    assert grown <= need <= 1.5 * grown, f"estimate {need / 1e6:.1f} MB, peak RSS grew {grown / 1e6:.1f} MB"

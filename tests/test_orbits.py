@@ -7,7 +7,7 @@ import pytest
 
 from mbfcount import orbits
 from mbfcount.core import Mbf
-from mbfcount.errors import VerificationError
+from mbfcount.errors import VerificationError, WidthError
 from mbfcount.layers import Layer, generate_layer, write_records
 from mbfcount.orbits import (
     DIRECT_WALK_MAX,
@@ -78,6 +78,12 @@ def test_classify_d2_exact():
 def test_classify_d0():
     got = classify(generate_layer(0))
     assert [(c.representative.bits, c.gamma) for c in got] == [(0, 1), (1, 1)]
+
+
+def test_classify_refuses_tables_wider_than_64_bits():
+    # a width refusal, as every bulk kernel gives, before any walk
+    with pytest.raises(WidthError, match="n=7"):
+        classify(Layer(7, np.zeros(1, dtype=np.uint64)))
 
 
 @pytest.mark.parametrize("n", range(5))

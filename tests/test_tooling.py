@@ -158,6 +158,25 @@ def _is_subset_test(node) -> bool:
     )
 
 
+def _raises_budget_error(node) -> bool:
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return "BudgetError" in (getattr(exc, "id", None), getattr(exc, "attr", None))
+
+
+def test_every_budget_refusal_is_a_byte_estimate():
+    # one refusal rule: only layers.check_budget raises BudgetError, so
+    # every refusal is an estimate in bytes that --budget-mb can lift
+    found = [
+        f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+        for path in sorted(SRC.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(stmt)
+        if _raises_budget_error(node)
+    ]
+    assert found == ["layers.check_budget"], found
+
+
 def test_one_driver_for_the_stabilizer_orbit_routes():
     # plus3 and plus4c walk Stab(h)-orbits only in the driver's task
     # closure, and only _dual_interval builds the [dual(h), h] mask
@@ -207,7 +226,8 @@ def test_selfcheck_has_one_loop_over_n():
 
 def test_upward_counts_start_no_process(monkeypatch, classes):
     # upward counts run in the calling process: a forked split lost to one
-    # process on every input the n = 6 cap lets through
+    # process on plus2's points at n = 6, and a budget, not a worker
+    # count, is the one setting they take
     from mbfcount import counting, intervals, layers, parallel
 
     tree = ast.parse((SRC / "intervals.py").read_text())
@@ -219,7 +239,7 @@ def test_upward_counts_start_no_process(monkeypatch, classes):
         if name.split(".")[-1] in ("parallel", "run_tasks")
     ]
     assert not imported, imported
-    assert list(inspect.signature(intervals.upward_counts).parameters) == ["n", "xs"]
+    assert list(inspect.signature(intervals.upward_counts).parameters) == ["n", "xs", "budget_mb"]
 
     def refuse(*args, **kwargs):
         raise AssertionError("upward counts started a worker pool")
