@@ -35,6 +35,7 @@ from .counting import (
     fold_dual_classes,
     lambda_any,
     plus4_pruned_term_count,
+    route_base,
     verify_result,
 )
 from .errors import (
@@ -178,13 +179,13 @@ def cmd_retable(cfg: RunConfig) -> int:
 
 def cmd_lambda(cfg: RunConfig) -> int:
     if cfg.method == "plus4" and cfg.target == 9:
-        base = layers.generate_layer(5, cfg.budget_mb)
+        base = layers.generate_layer(route_base(cfg.target, cfg.method), cfg.budget_mb)
         classes = orbits.classify(base)
         terms = plus4_pruned_term_count(base, classes)
-        folded = plus4_pruned_term_count(base, fold_dual_classes(classes, 5)[0])
+        folded = plus4_pruned_term_count(base, fold_dual_classes(classes, base.n)[0])
         print(
             f"mbfcount: note: the n=9 run sums {terms:,} four-way interval"
-            f" products (pruned plus4 over the n=5 classes); a class and its"
+            f" products (pruned plus4 over the n={base.n} classes); a class and its"
             f" dual class have equal sums, so {folded:,} are summed, and the"
             " kernel evaluates about a quarter, one per orbit of (b, c) under"
             " b <-> c and (b, c) -> (b*, c*)",

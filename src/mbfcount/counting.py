@@ -118,12 +118,11 @@ LAMBDA_KNOWN = {
     9: 423_295_099_074_735_261_880,
 }
 
-METHODS = ("brute", "plus2", "plus3", "plus4", "plus4c")
-
-_BASE_OFFSET = {"brute": 0, "plus2": 2, "plus3": 3, "plus4": 4, "plus4c": 4}
-# the largest base each route takes in lambda_any, its one reach rule;
-# the routes themselves refuse only by estimate and exactness checks
-_BASE_MAX = {"brute": 6, "plus2": 6, "plus3": 5, "plus4": 5, "plus4c": 4}
+# per method: k (it reads the base D_{n-k} to reach lambda_n), its largest
+# base, the one reach rule (route_base), and its function here
+ROUTES = {"brute": (0, 6, "lambda_brute"), "plus2": (2, 6, "lambda_plus2"), "plus3": (3, 5, "lambda_plus3"),
+          "plus4": (4, 5, "lambda_plus4_direct"), "plus4c": (4, 4, "lambda_plus4_classes")}
+METHODS = tuple(ROUTES)
 
 # columns per gather over [dual(h), h]: plus3's representatives b, the
 # k = 4 kernel's c
@@ -189,16 +188,19 @@ def lambda_brute(n: int, budget_mb: int | None = None) -> LambdaResult:
 # -- plus2 ------------------------------------------------------------------
 
 
-def lambda_plus2(layer: Layer, classes: list[OrbitClass], workers: int = 1) -> LambdaResult:
+def lambda_plus2(
+    layer: Layer, classes: list[OrbitClass], workers: int = 1, budget_mb: int | None = None
+) -> LambdaResult:
     """Count for n+2: per class, gamma times |{h >= rep | dual(rep)}|.
 
-    The upward counts run in this process; workers is accepted for call
-    compatibility and unused."""
+    The upward counts run in this process, refused first over budget_mb
+    (intervals.check_upward_budget); workers is accepted so that every
+    route but brute takes the same arguments, and is unused."""
     t0 = time.perf_counter()
     n = layer.n
     reps, gammas = _rep_array(classes)
     points = reps | vecbits.dual_array(reps, n)
-    ups = upward_counts(n, points)
+    ups = upward_counts(n, points, budget_mb)
     value = exact_sum(gammas * ups)
     return LambdaResult(n + 2, "plus2", value, n, time.perf_counter() - t0)
 
@@ -292,10 +294,7 @@ def _plus3_bytes(keys: int, m: int) -> int:
 
 
 def lambda_plus3(
-    layer: Layer,
-    classes: list[OrbitClass],
-    workers: int = 1,
-    budget_mb: int | None = None,
+    layer: Layer, classes: list[OrbitClass], workers: int = 1, budget_mb: int | None = None
 ) -> LambdaResult:
     """Count for n+3 from the 4-tuple sum over orbit classes."""
     t0 = time.perf_counter()
@@ -614,10 +613,7 @@ def lambda_plus4_direct(
 
 
 def lambda_plus4_classes(
-    layer: Layer,
-    classes: list[OrbitClass],
-    workers: int = 1,
-    budget_mb: int | None = None,
+    layer: Layer, classes: list[OrbitClass], workers: int = 1, budget_mb: int | None = None
 ) -> LambdaResult:
     """Count for n+4 grouped per top block h over orbit classes.
 
@@ -647,6 +643,21 @@ def verify_result(result: LambdaResult) -> None:
         )
 
 
+def route_base(n_target: int, method: str) -> int:
+    """The base layer n_target - k that method reads to reach n_target
+    (ROUTES); raises UnsupportedCombinationError for an unknown method, or
+    a base outside 0 up to the method's largest."""
+    if method not in ROUTES:
+        raise UnsupportedCombinationError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    k, base_max, _ = ROUTES[method]
+    base = n_target - k
+    if not 0 <= base <= base_max:
+        raise UnsupportedCombinationError(
+            f"{method} cannot reach n={n_target}: base layer n={base} is outside 0..{base_max}"
+        )
+    return base
+
+
 def lambda_any(
     n_target: int,
     method: str,
@@ -656,34 +667,19 @@ def lambda_any(
 ) -> LambdaResult:
     """Compute the count for n_target by the named method, with verification.
 
-    Chooses the base layer n_target - offset, builds prerequisites, runs
-    the method, and checks the value against the reference table (raising
-    VerificationError on mismatch) unless verify is off.
+    Builds the base layer (route_base) and its classes, runs the method's
+    function, looked up by name (ROUTES) so that a patched or traced route
+    is the one that runs, and checks the value against the reference table
+    (VerificationError on mismatch) unless verify is off.
     """
-    if method not in METHODS:
-        raise UnsupportedCombinationError(
-            f"unknown method {method!r}; choose from {', '.join(METHODS)}"
-        )
-    base = n_target - _BASE_OFFSET[method]
-    if base < 0 or base > _BASE_MAX[method]:
-        raise UnsupportedCombinationError(
-            f"{method} cannot reach n={n_target}: base layer n={base} is outside"
-            f" 0..{_BASE_MAX[method]}"
-        )
+    base = route_base(n_target, method)
+    route = globals()[ROUTES[method][2]]
     t0 = time.perf_counter()
     if method == "brute":
-        result = lambda_brute(base, budget_mb)
+        result = route(base, budget_mb)
     else:
         layer = generate_layer(base, budget_mb)
-        classes = classify(layer)
-        if method == "plus2":
-            result = lambda_plus2(layer, classes, workers)
-        elif method == "plus3":
-            result = lambda_plus3(layer, classes, workers, budget_mb)
-        elif method == "plus4":
-            result = lambda_plus4_direct(layer, classes, workers, budget_mb)
-        else:
-            result = lambda_plus4_classes(layer, classes, workers, budget_mb=budget_mb)
+        result = route(layer, classify(layer), workers, budget_mb)
     result = replace(result, seconds=time.perf_counter() - t0)
     if verify:
         verify_result(result)

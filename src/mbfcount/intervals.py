@@ -44,7 +44,7 @@ import numpy as np
 
 from . import vecbits
 from .core import table_width
-from .errors import VerificationError, WidthError
+from .errors import VerificationError
 from .layers import LAYER_SIZE, Layer, check_budget, check_layer_budget, generate_layer, read_records
 
 
@@ -113,9 +113,9 @@ def upward_bytes(n: int, count: int) -> int:
 def check_upward_budget(n: int, count: int, budget_mb: int | None = None) -> None:
     """Refuse upward counts for count elements of D_n whose estimate
     (upward_bytes) is over budget_mb, from n and the count alone (a file
-    header gives them before any row is read)."""
-    if n > 6:
-        raise WidthError("upward counts need materializable layers (n <= 6)")
+    header gives them before any row is read), or an n outside 0..6
+    (vecbits.check_vector_n)."""
+    vecbits.check_vector_n(n)
     check_budget(f"upward counts for {count} elements of D_{n}", upward_bytes(n, count), budget_mb)
 
 
@@ -186,7 +186,9 @@ def _halves(V: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def key_count(n: int) -> int:
     """The number of pair keys of D_n (join_keys): |D_{n-1}|^2, or |D_0|
     = 2 at n = 0.  Keys are int16, so this raises when |D_{n-1}|^2 >
-    2^15, that is from n = 6 on (28,224 at n = 5)."""
+    2^15, that is at n = 6 (28,224 at n = 5), and for an n outside
+    0..6 (vecbits.check_vector_n)."""
+    vecbits.check_vector_n(n)
     if n == 0:
         return LAYER_SIZE[0]
     dp = LAYER_SIZE[n - 1]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import vecbits
 from .core import table_width, to_hex
-from .errors import BudgetError, VerificationError, WidthError
+from .errors import BudgetError, VerificationError
 
 DEFAULT_BUDGET_MB = 4096
 
@@ -55,14 +55,9 @@ class Layer:
 
 
 def check_layer_budget(n: int, budget_mb: int | None = None) -> None:
-    """Refuse layer work that cannot fit the budget (or the uint64 storage)."""
-    if n < 0:
-        raise WidthError(f"variable count {n} is negative")
-    if n > 6:
-        raise WidthError(
-            f"layers for n={n} are not materializable (tables exceed 64 bits"
-            " and the element count is astronomically large)"
-        )
+    """Refuse the layer for an n outside 0..6 (vecbits.check_vector_n:
+    WidthError), or whose array is over budget_mb (BudgetError)."""
+    vecbits.check_vector_n(n)
     check_budget(f"layer for n={n}", LAYER_SIZE[n] * 8, budget_mb)
 
 

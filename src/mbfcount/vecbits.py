@@ -22,8 +22,9 @@ _BYTE = np.uint64(0xFF)
 
 
 def check_vector_n(n: int) -> None:
+    """The one width rule of the layers and bulk kernels: a table fits 64 bits."""
     if not 0 <= n <= 6:
-        raise WidthError(f"bulk kernels support n <= 6 (64-bit tables), got n={n}")
+        raise WidthError(f"layers and bulk kernels take n in 0..6 (64-bit tables), got n={n}")
 
 
 def window_mask(nbits: int) -> np.uint64:

@@ -248,6 +248,40 @@ def test_budget_refusals(capsys):
     assert code == EXIT_BUDGET and "upward counts for 7828354 elements of D_6 needs ~" in err
 
 
+def test_plus2_refuses_its_upward_counts_over_budget(monkeypatch, capsys):
+    # --budget-mb reaches plus2's upward counts as it reaches retable's
+    monkeypatch.setattr(intervals, "upward_bytes", lambda n, count: 1_000_000_000)
+    code, out, err = run(capsys, "lambda", "7", "plus2", "--budget-mb", "500")
+    assert code == EXIT_BUDGET and out == ""
+    assert err.startswith("mbfcount: refused: upward counts for 210 elements of D_5 needs ~1000 MB")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gen", "--n", "-1"], EXIT_USAGE),
+        (["gen", "--n", "7"], EXIT_USAGE),
+        (["retable", "--n", "-1"], EXIT_USAGE),
+        (["retable", "--n", "7"], EXIT_USAGE),
+        (["lambda", "9", "plus2"], EXIT_USAGE),
+        (["lambda", "9", "plus4c"], EXIT_USAGE),
+        (["lambda", "10", "plus4"], EXIT_USAGE),
+        (["lambda", "8", "plus2", "--budget-mb", "100"], EXIT_OK),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else str(v),
+)
+def test_limits_on_n_keep_their_exit_codes(capsys, argv, code):
+    # a width outside 0..6 and a base a route does not reach are usage
+    # errors of one line; plus2's largest base runs under 100 MB
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == EXIT_USAGE:
+        assert out == "" and err.startswith("mbfcount: error: ") and len(err.splitlines()) == 1
+    else:
+        assert out.startswith(f"lambda n=8 method=plus2 value={counting.LAMBDA_KNOWN[8]} base_n=6")
+
+
 def test_plus3_refuses_its_tables_and_buffers_over_budget(capsys):
     code, out, err = run(capsys, "lambda", "8", "plus3", "--threads", "2", "--budget-mb", "1")
     assert code == EXIT_BUDGET and out == ""

@@ -309,9 +309,7 @@ def test_pruned_routes_build_no_join_table_at_base5(base5, monkeypatch):
     bottom = by_rep[0x00000000]
     assert lambda_plus4_direct(layer, [bottom]).value == 2_414_682_040_998
     # plus4c's task of the class h with the smallest [h*, h], its orbit
-    # sum against the kernel at every a; plus4c stops at base 4 for its
-    # budget, so the cap is lifted for this one class
-    monkeypatch.setitem(counting._BASE_MAX, "plus4c", 5)
+    # sum against the kernel at every a
     V = layer.values
     summed = [c for c in cl if c.representative.dual().bits & ~c.representative.bits == 0
               and 2 * c.representative.bits.bit_count() > 32]
@@ -854,6 +852,38 @@ def test_lambda_any_unsupported_combinations():
         lambda_any(7, "brute")
     with pytest.raises(UnsupportedCombinationError):
         lambda_any(4, "magic")
+
+
+def test_lambda_any_runs_the_route_the_table_names(monkeypatch):
+    # each route is looked up by name when it runs, so a patched or traced
+    # counting.lambda_plus* is the one called, and every route but brute
+    # takes (layer, classes, workers, budget_mb), all by position
+    targets, calls = {}, {}
+    for method, (k, base_max, name) in counting.ROUTES.items():
+        targets[method] = (k + min(base_max, 5), min(base_max, 5))  # lambda_any(8, "plus3") among them
+
+        def fake(*args, method=method):
+            calls[method] = args
+            n_target, base = targets[method]
+            return LambdaResult(n_target, method, LAMBDA_KNOWN[n_target], base, 0.0)
+
+        monkeypatch.setattr(counting, name, fake)
+    for method, (n_target, base) in targets.items():
+        assert lambda_any(n_target, method, 2, 77).value == LAMBDA_KNOWN[n_target]
+        if method == "brute":
+            assert calls[method] == (base, 77)
+        else:
+            layer, cl, *rest = calls[method]
+            assert (layer.n, len(cl), rest) == (base, len(orbits.classify(layer)), [2, 77])
+
+
+def test_plus2_refuses_its_upward_counts_over_budget(monkeypatch, classes):
+    # plus2's one large allocation is its upward counts, which --budget-mb caps
+    monkeypatch.setattr(intervals, "upward_bytes", lambda n, count: 1_000_000_000)
+    layer, cl = setup(5, classes)
+    with pytest.raises(BudgetError, match="upward counts for 210 elements of D_5 needs ~1000 MB"):
+        lambda_plus2(layer, cl, budget_mb=500)
+    assert lambda_plus2(layer, cl, budget_mb=1000).value == LAMBDA_KNOWN[7]
 
 
 def test_method_budget_refusals(classes):

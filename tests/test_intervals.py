@@ -18,7 +18,7 @@ from mbfcount.intervals import (
     upward_counts,
     upward_in_interval,
 )
-from mbfcount.layers import DEDEKIND_7, LAYER_SIZE, Layer, generate_layer, write_records
+from mbfcount.layers import DEDEKIND_7, LAYER_SIZE, Layer, check_layer_budget, generate_layer, write_records
 from mbfcount.selfcheck import _four_block_count
 
 from oracles import interval_matrix, slow_interval_count
@@ -448,6 +448,27 @@ def test_load_upward_table_rejects_values_outside_the_layer(tmp_path, body):
     path.write_text("mbf-retable n=2 mode=upward count=2\n" + body)
     with pytest.raises(ValueError):
         load_upward_table(str(path))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: upward_counts(-1, np.zeros(0, dtype=np.uint64)),
+        lambda: check_upward_budget(-1, 1),
+        lambda: check_upward_budget(7, 1),
+        lambda: intervals.key_count(-1),
+        lambda: intervals.key_count(7),
+        lambda: intervals.key_count(8),
+        lambda: check_layer_budget(-1),
+        lambda: check_layer_budget(7),
+    ],
+    ids=["upward-1", "budget-1", "budget7", "keys-1", "keys7", "keys8", "layer-1", "layer7"],
+)
+def test_widths_outside_0_to_6_have_one_refusal(call):
+    # one rule, vecbits.check_vector_n, refuses every n outside 0..6 and
+    # names both ends of the range
+    with pytest.raises(WidthError, match=r"take n in 0\.\.6 \(64-bit tables\), got n="):
+        call()
 
 
 def test_bulk_budget_refusals():

@@ -158,10 +158,26 @@ def _is_subset_test(node) -> bool:
     )
 
 
-def _raises_budget_error(node) -> bool:
-    exc = node.exc if isinstance(node, ast.Raise) else None
-    exc = exc.func if isinstance(exc, ast.Call) else exc
-    return "BudgetError" in (getattr(exc, "id", None), getattr(exc, "attr", None))
+def _raises(name):
+    """A node test: a raise of the exception class name."""
+
+    def found(node) -> bool:
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return name in (getattr(exc, "id", None), getattr(exc, "attr", None))
+
+    return found
+
+
+def _package_statements_where(found, skip=()) -> list[str]:
+    """_statements_where over every module of the package but skip, as
+    module.statement."""
+    return [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in skip
+        for name in _statements_where(path, found)
+    ]
 
 
 def test_every_budget_refusal_is_a_byte_estimate():
@@ -172,9 +188,42 @@ def test_every_budget_refusal_is_a_byte_estimate():
         for path in sorted(SRC.glob("*.py"))
         for stmt in ast.parse(path.read_text(), str(path)).body
         for node in ast.walk(stmt)
-        if _raises_budget_error(node)
+        if _raises("BudgetError")(node)
     ]
     assert found == ["layers.check_budget"], found
+
+
+def _subtracts_from_a_target(node) -> bool:
+    # n_target - ..., or cfg.target - ...
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and (getattr(node.left, "id", None) or getattr(node.left, "attr", None)) in ("n_target", "target")
+    )
+
+
+def test_one_owner_per_limit_on_n():
+    from mbfcount import counting
+
+    # width: vecbits.check_vector_n refuses every n outside 0..6 (layers,
+    # upward counts, pair keys, bulk kernels); core.check_n guards the
+    # scalars' own 0..8, and a file header's n is refused on its line
+    found = _package_statements_where(_raises("WidthError"), skip=("core",))
+    assert found == ["vecbits.check_vector_n"], found
+    # reach: one table gives each method's k, largest base and function,
+    # and only route_base computes a target's base from it, for
+    # lambda_any and the CLI's n = 9 note
+    assert not [name for name in vars(counting) if name.startswith("_BASE")]  # the old offset and cap tables
+    assert counting.METHODS == tuple(counting.ROUTES) == ("brute", "plus2", "plus3", "plus4", "plus4c")
+    found = _package_statements_where(_subtracts_from_a_target)
+    assert found == ["counting.route_base"], found
+    found = _package_statements_where(lambda node: getattr(node, "id", None) == "route_base")
+    assert found == ["cli.cmd_lambda", "counting.lambda_any"], found
+    # one call per route: every route but brute takes the same arguments
+    for method, (_, _, name) in counting.ROUTES.items():
+        params = list(inspect.signature(getattr(counting, name)).parameters)
+        expect = ["n", "budget_mb"] if method == "brute" else ["layer", "classes", "workers", "budget_mb"]
+        assert params[:4] == expect, (method, params)
 
 
 def test_one_driver_for_the_stabilizer_orbit_routes():
@@ -264,7 +313,7 @@ def _bench_trees():
 
 
 def test_benchmark_calls_match_package_signatures():
-    checked = set()
+    checked, bound = set(), set()
     for name, tree in _bench_trees().items():
         for node in ast.walk(tree):
             if not (
@@ -287,7 +336,11 @@ def test_benchmark_calls_match_package_signatures():
             except TypeError as e:
                 raise AssertionError(f"{where}: {e}") from None
             checked.update(f"{node.func.attr}({k.arg}=)" for k in node.keywords)
+            bound.add(node.func.attr)
     assert "lambda_plus4_direct(strategy=)" in checked
+    # rep.py calls lambda_plus2(layer, classes, workers), which budget_mb
+    # after workers leaves bound
+    assert "lambda_plus2" in bound
 
 
 def test_full_table_counts_are_the_matrix_the_benchmark_reads():
